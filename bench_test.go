@@ -216,7 +216,7 @@ func BenchmarkFileSeal(b *testing.B) {
 	const epochs, perEpoch = 16, 512
 	for i := 0; i < b.N; i++ {
 		dir := filepath.Join(b.TempDir(), "store")
-		st, err := experiments.FilePlaneProfile(dir, epochs, perEpoch, 4, 42)
+		st, err := experiments.FilePlaneProfile(fault.OS, dir, epochs, perEpoch, 4, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkFileSealFaulted(b *testing.B) {
 	const epochs, perEpoch = 16, 512
 	for i := 0; i < b.N; i++ {
 		ffs := fault.NewFaultFS(fault.NewMemFS(), fault.DiskConfig{Seed: 42, ShortPer100: 35})
-		st, err := experiments.FilePlaneProfileFS(ffs, "store", epochs, perEpoch, 4, 42)
+		st, err := experiments.FilePlaneProfile(ffs, "store", epochs, perEpoch, 4, 42)
 		if err != nil {
 			b.Fatal(err)
 		}

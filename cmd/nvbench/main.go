@@ -399,7 +399,7 @@ func run(o options, out io.Writer) error {
 			if sc.Name == "smoke" {
 				epochs, perEpoch = 8, 256
 			}
-			st, err := experiments.FilePlaneProfile(
+			st, err := experiments.FilePlaneProfile(fault.OS,
 				filepath.Join(dir, "store"), epochs, perEpoch, mem.DefaultCheckpointEvery, seed)
 			if err != nil {
 				return nil, err

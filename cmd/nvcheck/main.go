@@ -1,30 +1,27 @@
 // Command nvcheck runs the differential verification harness outside the
-// test suite: long soak sweeps over the regime rotation, fault-injection
-// soaks over the crash-point x fault-class grid, or a single fully
-// specified trace (the mode every divergence reproducer uses). Exit status
-// is non-zero when any trace diverges from the golden model, and soak runs
-// flush their partial tallies before exiting when interrupted.
+// test suite: long sweeps over the regime rotation, the crash-consistency
+// sweep over its (layer, class, seed, cut) grid, or a single fully
+// specified trace (the mode every trace divergence reproducer uses). Exit
+// status is non-zero when anything diverges from the golden model, and
+// sweeps flush their partial tallies before exiting when interrupted.
 //
-//	nvcheck -traces 5000 -seed 1           # soak: 5000 traces over the rotation
-//	nvcheck -seed 17 -cores 4 -steps 1400  # single trace, explicit parameters
-//	nvcheck -faults -fseeds 4              # fault soak: classes x seeds x crash points
-//	nvcheck -seed 3 -fault torn -crash 8   # single faulted trace (reproducer mode)
-//	nvcheck -seed 17 -events ev.jsonl      # single trace + its JSONL event stream
-//	nvcheck -validate-events ev.jsonl      # schema-check a captured stream
-//	nvcheck -crashsoak -loops 30           # kill -9 crash-restart soak on a file store
-//	nvcheck -diskfaults -dseeds 3          # disk-fault soak: classes x seeds x crash cuts
+//	nvcheck -traces 5000 -seed 1               # soak: 5000 traces over the rotation
+//	nvcheck -seed 17 -cores 4 -steps 1400      # single trace, explicit parameters
+//	nvcheck -sweep -seeds 4                    # crash sweep: every nvm and disk class x seeds x cuts
+//	nvcheck -sweep -classes nvm:torn,disk:eio  # crash sweep over chosen classes
+//	nvcheck -seed 3 -fault torn -crash 8       # single faulted trace (reproducer mode)
+//	nvcheck -seed 17 -events ev.jsonl          # single trace + its JSONL event stream
+//	nvcheck -validate-events ev.jsonl          # schema-check a captured stream
 //
-// The crash soak is the one mode that leaves the process: each loop
-// re-execs this binary as a child writer streaming epochs into a
-// file-backed durable store, SIGKILLs it at a seeded milestone, then
-// cold-salvages the directory in the parent and diffs the restored image
-// against the golden model. Failures archive their salvage reports under
-// -reports for CI artifact upload.
+// A diverging sweep cell prints the one-line -sweep command that reruns
+// its (class, seed) regime and archives its salvage report under -reports
+// for CI artifact upload.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +32,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,8 +40,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/sim"
-	"repro/internal/soak"
+	"repro/internal/recovery"
 )
 
 // options is the parsed command line.
@@ -54,9 +49,6 @@ type options struct {
 	seed     int64
 	every    int
 	jobs     int              // sweep workers; output is identical for every value
-	faults   bool             // fault-soak mode: sweep the fault grid
-	classes  string           // comma-separated fault classes for the soak
-	fseeds   int              // seeds per fault class in the soak
 	single   bool             // an explicit per-trace flag switches to single-trace mode
 	p        diffcheck.Params // single-trace parameters
 	events   string           // capture the single trace's JSONL event stream here
@@ -65,15 +57,9 @@ type options struct {
 	record   string           // record the single trace to this TRC1 file, then cross-check the file replay
 	replay   string           // standalone mode: replay a recorded TRC1 trace file
 
-	crashsoak bool   // kill -9 crash-restart soak over a file-backed store
-	loops     int    // crash-soak iterations
-	store     string // crash-soak store base directory ("": a temp dir)
-	reports   string // where failing salvage reports are archived
-
-	diskfaults bool   // disk-fault soak: classes x seeds x crash cuts over an in-memory store
-	dclasses   string // comma-separated disk fault classes
-	dseeds     int    // seeds per disk fault class
-	dcuts      int    // crash cut points per (class, seed) regime
+	sweep   bool                  // crash-consistency sweep mode
+	sp      diffcheck.SweepParams // the sweep's grid
+	reports string                // where diverging cells' salvage reports are archived
 
 	cpuProfile string // write a CPU profile here
 	memProfile string // write a heap profile here at exit
@@ -96,25 +82,19 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 	fs.SetOutput(errOut)
 	o := options{}
 	fs.IntVar(&o.traces, "traces", 600, "traces to sweep across the regime rotation")
-	fs.Int64Var(&o.seed, "seed", 1, "base seed (sweep) or trace seed (single mode)")
+	fs.Int64Var(&o.seed, "seed", 1, "base seed (sweeps) or trace seed (single mode)")
 	fs.IntVar(&o.every, "every", 100, "print progress every N traces")
 	fs.IntVar(&o.jobs, "j", 0, "sweep workers; verdicts and output are identical for every value (0: GOMAXPROCS, 1: serial)")
-	fs.BoolVar(&o.faults, "faults", false, "fault soak: sweep fault classes x seeds x crash points")
-	fs.StringVar(&o.classes, "fclasses", "torn,flip,loss,nak,all", "fault classes for the -faults soak")
-	fs.IntVar(&o.fseeds, "fseeds", 4, "seeds per fault class in the -faults soak")
+	fs.BoolVar(&o.sweep, "sweep", false, "crash-consistency sweep: fault classes x seeds x crash cuts, every salvaged state diffed against the golden model")
+	classes := fs.String("classes", "nvm,disk", "sweep fault classes: nvm:<class> or disk:<class>, or a bare layer for all of its classes")
+	seeds := fs.Int("seeds", 4, "seeds per sweep class, counting up from -seed")
+	fs.IntVar(&o.sp.Cuts, "cuts", 8, "crash cuts per (class, seed) sweep regime")
+	fs.StringVar(&o.reports, "reports", "crash-reports", "directory for the salvage reports of diverging sweep cells")
 	fs.StringVar(&o.events, "events", "", "write the single trace's JSONL event stream to this file (implies single-trace mode)")
 	fs.BoolVar(&o.timeline, "timeline", false, "print the single trace's per-epoch rollup timeline (implies single-trace mode)")
 	fs.StringVar(&o.vevents, "validate-events", "", "schema-check a captured JSONL event stream and exit")
 	fs.StringVar(&o.record, "record", "", "record the single trace to this TRC1 file, then verify the file replay matches the in-memory run (implies single-trace mode)")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded TRC1 trace file through the differential harness (standalone mode)")
-	fs.BoolVar(&o.crashsoak, "crashsoak", false, "crash-restart soak: re-exec child writers onto a file store, kill -9, salvage, diff")
-	fs.IntVar(&o.loops, "loops", 30, "crash-soak iterations")
-	fs.StringVar(&o.store, "store", "", "crash-soak store base directory (default: a temp dir, removed afterwards)")
-	fs.StringVar(&o.reports, "reports", "crash-reports", "directory for salvage reports of failing crash-soak loops")
-	fs.BoolVar(&o.diskfaults, "diskfaults", false, "disk-fault soak: sweep disk fault classes x seeds x crash cuts over a fault-injecting in-memory store")
-	fs.StringVar(&o.dclasses, "dclasses", strings.Join(fault.DiskClasses, ","), "disk fault classes for the -diskfaults soak")
-	fs.IntVar(&o.dseeds, "dseeds", 3, "seeds per disk fault class in the -diskfaults soak")
-	fs.IntVar(&o.dcuts, "dcuts", 8, "crash cut points per (class, seed) regime in the -diskfaults soak")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file (taken at exit)")
 	fs.StringVar(&o.traceOut, "trace", "", "write a runtime execution trace to this file")
@@ -156,36 +136,14 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 			return options{}, fmt.Errorf("nvcheck: -record runs the trace twice (memory + file) and cannot also capture events; drop -events/-timeline")
 		}
 	}
-	if o.replay != "" && (o.faults || o.single || o.vevents != "" || o.crashsoak || o.diskfaults) {
+	if o.replay != "" && (o.sweep || o.single || o.vevents != "") {
 		return options{}, fmt.Errorf("nvcheck: -replay is a standalone mode (the trace file supplies all parameters)")
 	}
-	if o.faults && o.single {
-		return options{}, fmt.Errorf("nvcheck: -faults soak and single-trace flags are mutually exclusive")
+	if o.sweep && (o.single || o.vevents != "") {
+		return options{}, fmt.Errorf("nvcheck: -sweep is a standalone mode")
 	}
-	if o.vevents != "" && (o.faults || o.single) {
+	if o.vevents != "" && o.single {
 		return options{}, fmt.Errorf("nvcheck: -validate-events is a standalone mode")
-	}
-	if o.crashsoak && (o.faults || o.single || o.vevents != "") {
-		return options{}, fmt.Errorf("nvcheck: -crashsoak is a standalone mode")
-	}
-	if o.crashsoak && o.loops <= 0 {
-		return options{}, fmt.Errorf("nvcheck: -loops must be positive, got %d", o.loops)
-	}
-	if o.diskfaults && (o.faults || o.single || o.vevents != "" || o.crashsoak) {
-		return options{}, fmt.Errorf("nvcheck: -diskfaults is a standalone mode")
-	}
-	if o.diskfaults {
-		if o.dseeds <= 0 {
-			return options{}, fmt.Errorf("nvcheck: -dseeds must be positive, got %d", o.dseeds)
-		}
-		if o.dcuts < 1 {
-			return options{}, fmt.Errorf("nvcheck: -dcuts must be at least 1, got %d", o.dcuts)
-		}
-		for _, c := range strings.Split(o.dclasses, ",") {
-			if c == "" || !fault.ValidDiskClass(c) {
-				return options{}, fmt.Errorf("nvcheck: unknown disk fault class %q in -dclasses", c)
-			}
-		}
 	}
 	o.p.Seed = o.seed
 	o.p.Walker = !*nowalker
@@ -198,162 +156,59 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 	if o.record != "" && o.p.Fault != "" {
 		return options{}, fmt.Errorf("nvcheck: -record cannot capture a fault regime (the fault schedule is not part of the access stream)")
 	}
-	if o.faults {
-		if o.fseeds <= 0 {
-			return options{}, fmt.Errorf("nvcheck: -fseeds must be positive, got %d", o.fseeds)
+	if o.sweep {
+		if *seeds <= 0 {
+			return options{}, fmt.Errorf("nvcheck: -seeds must be positive, got %d", *seeds)
 		}
-		for _, c := range strings.Split(o.classes, ",") {
-			if c == "" || !fault.ValidClass(c) {
-				return options{}, fmt.Errorf("nvcheck: unknown fault class %q in -fclasses", c)
-			}
+		o.sp.Classes = diffcheck.ParseClasses(*classes)
+		for i := 0; i < *seeds; i++ {
+			o.sp.Seeds = append(o.sp.Seeds, o.seed+int64(i))
+		}
+		if err := o.sp.Validate(); err != nil {
+			return options{}, err
 		}
 	}
 	return o, nil
 }
 
-// faultTally accumulates fault-soak results across regimes so a partial
-// flush on interrupt still reports everything completed so far.
-type faultTally struct {
-	regimes, cells, restored, walkedBack, refused, events int
-}
-
-func (ft *faultTally) add(res diffcheck.FaultResult) {
-	ft.regimes++
-	ft.cells += len(res.Points)
-	ft.restored += res.Restored
-	ft.walkedBack += res.WalkedBack
-	ft.refused += res.Refusals
-	ft.events += res.Events
-}
-
-func (ft *faultTally) flush(w io.Writer, elapsed time.Duration) {
-	fmt.Fprintf(w, "fault soak: %d regimes, %d cells (%d restored, %d walked back, %d refused), %d faults injected, 0 silent corruptions (%v)\n",
-		ft.regimes, ft.cells, ft.restored, ft.walkedBack, ft.refused, ft.events, elapsed.Round(time.Millisecond))
-}
-
-// runFaults executes the fault-soak grid: every configured class x fseeds
-// seeds, each swept across its crash points. The (class, seed) regimes fan
-// over -j workers; verdicts and tallies merge in grid order, so the report
-// — including which regime is blamed for a divergence — is identical for
-// every -j. The tally is flushed even when a regime diverges or the
-// context is cancelled, and both of those paths return a non-nil error so
-// main exits non-zero.
-func runFaults(ctx context.Context, o options, w io.Writer) error {
+// runSweep executes the crash-consistency sweep. The tally is flushed even
+// when a cell diverges or the run is interrupted, and both paths return an
+// error so main exits non-zero; a diverging cell also prints its
+// reproducer and archives its salvage report under -reports.
+func runSweep(ctx context.Context, o options, w io.Writer) error {
 	start := time.Now()
-	var ft faultTally
-	classes := strings.Split(o.classes, ",")
-	type cell struct {
-		res diffcheck.FaultResult
-		d   *diffcheck.Divergence
+	res, err := diffcheck.RunSweep(ctx, o.sp, o.jobs, nil)
+	var d *diffcheck.SweepDivergence
+	if errors.As(err, &d) {
+		fmt.Fprintln(w, d.Error())
+		archiveReport(o.reports, res.Cells, d.Report)
 	}
-	var ferr error
-	parallel.ForEachOrdered(o.jobs, len(classes)*o.fseeds, func(i int) cell {
-		p := diffcheck.FaultRegimeParams(classes[i/o.fseeds], o.seed+int64(i%o.fseeds))
-		res, d := diffcheck.RunFaulted(p)
-		return cell{res, d}
-	}, func(i int, c cell) bool {
-		class := classes[i/o.fseeds]
-		if err := ctx.Err(); err != nil {
-			ft.flush(w, time.Since(start))
-			ferr = fmt.Errorf("interrupted after %d regimes: %w", ft.regimes, err)
-			return false
+	fmt.Fprintf(w, "crash sweep: %d cells, %d faults injected, %d wounded planes (%v)\n",
+		res.Cells, res.Faults, res.Wounded, time.Since(start).Round(time.Millisecond))
+	for _, s := range []struct {
+		state string
+		t     diffcheck.Tally
+	}{{diffcheck.StatePowerLoss, res.PowerLoss}, {diffcheck.StateProcessDeath, res.ProcessDeath}} {
+		if s.t.States > 0 {
+			fmt.Fprintf(w, "  %s: %d states, %d restored, %d walked back, %d refused\n",
+				s.state, s.t.States, s.t.Restored, s.t.WalkedBack, s.t.Refused)
 		}
-		if c.d != nil {
-			fmt.Fprintln(w, c.d.Error())
-			ft.flush(w, time.Since(start))
-			ferr = fmt.Errorf("fault regime class=%s seed=%d diverged", class, c.res.Params.Seed)
-			return false
-		}
-		ft.add(c.res)
-		if o.every > 0 && i%o.fseeds == o.fseeds-1 {
-			fmt.Fprintf(w, "class %s ok (%d regimes so far, %v)\n",
-				class, ft.regimes, time.Since(start).Round(time.Millisecond))
-		}
-		return true
-	})
-	if ferr != nil {
-		return ferr
 	}
-	ft.flush(w, time.Since(start))
+	switch {
+	case d != nil:
+		return fmt.Errorf("sweep cell %s:%s seed=%d cut=%d diverged", d.Cell.Layer, d.Cell.Class, d.Cell.Seed, d.Cell.Cut)
+	case err != nil && ctx.Err() != nil:
+		return fmt.Errorf("interrupted after %d cells: %w", res.Cells, err)
+	case err != nil:
+		return err
+	}
+	fmt.Fprintf(w, "0 silent corruptions in %d salvaged states\n", res.PowerLoss.States+res.ProcessDeath.States)
 	return nil
 }
 
-// diskTally accumulates disk-fault soak results across regimes, mirroring
-// faultTally: a partial flush on interrupt or divergence still reports
-// everything completed so far.
-type diskTally struct {
-	regimes, cells, restored, refused, wounded, faults int
-}
-
-func (dt *diskTally) add(res diffcheck.DiskResult) {
-	dt.regimes++
-	dt.cells += len(res.Points)
-	dt.restored += res.Restored
-	dt.refused += res.Refusals
-	dt.wounded += res.Wounded
-	dt.faults += res.Faults
-}
-
-func (dt *diskTally) flush(w io.Writer, elapsed time.Duration) {
-	fmt.Fprintf(w, "disk-fault soak: %d regimes, %d cells (%d restored, %d refused, %d wounded planes), %d disk faults injected, 0 silent corruptions (%v)\n",
-		dt.regimes, dt.cells, dt.restored, dt.refused, dt.wounded, dt.faults, elapsed.Round(time.Millisecond))
-}
-
-// runDiskFaults executes the disk-fault grid: every configured class x
-// dseeds seeds, each swept across dcuts crash cut points plus the no-cut
-// cell. Regimes fan over -j workers and merge in grid order, so the report
-// is identical for every -j. A diverging cell archives its salvage report
-// (when one exists) under -reports, flushes the tally, and fails the run.
-func runDiskFaults(ctx context.Context, o options, w io.Writer) error {
-	start := time.Now()
-	var dt diskTally
-	classes := strings.Split(o.dclasses, ",")
-	type cell struct {
-		res diffcheck.DiskResult
-		d   *diffcheck.DiskDivergence
-	}
-	var ferr error
-	parallel.ForEachOrdered(o.jobs, len(classes)*o.dseeds, func(i int) cell {
-		p := diffcheck.DiskParams{
-			Classes: []string{classes[i/o.dseeds]},
-			Seeds:   []int64{o.seed + int64(i%o.dseeds)},
-			Cuts:    o.dcuts,
-		}
-		res, d := diffcheck.RunDiskFaults(p, 1)
-		return cell{res, d}
-	}, func(i int, c cell) bool {
-		class := classes[i/o.dseeds]
-		if err := ctx.Err(); err != nil {
-			dt.flush(w, time.Since(start))
-			ferr = fmt.Errorf("interrupted after %d regimes: %w", dt.regimes, err)
-			return false
-		}
-		if c.d != nil {
-			fmt.Fprintln(w, c.d.Error())
-			if c.d.Report != nil {
-				archiveReport(o.reports, i, c.d.Report)
-			}
-			dt.flush(w, time.Since(start))
-			ferr = fmt.Errorf("disk-fault regime class=%s seed=%d diverged", class, c.d.Seed)
-			return false
-		}
-		dt.add(c.res)
-		if o.every > 0 && i%o.dseeds == o.dseeds-1 {
-			fmt.Fprintf(w, "disk class %s ok (%d cells so far, %v)\n",
-				class, dt.cells, time.Since(start).Round(time.Millisecond))
-		}
-		return true
-	})
-	if ferr != nil {
-		return ferr
-	}
-	dt.flush(w, time.Since(start))
-	return nil
-}
-
-// archiveReport writes a failing loop's salvage report under the reports
+// archiveReport writes a diverging cell's salvage report under the reports
 // directory so CI can upload it as an artifact.
-func archiveReport(dir string, loop int, rep interface{ JSON() ([]byte, error) }) {
+func archiveReport(dir string, cell int, rep *recovery.SalvageReport) {
 	if rep == nil {
 		return
 	}
@@ -366,103 +221,10 @@ func archiveReport(dir string, loop int, rep interface{ JSON() ([]byte, error) }
 		fmt.Fprintln(os.Stderr, "nvcheck: reports dir:", err)
 		return
 	}
-	path := filepath.Join(dir, fmt.Sprintf("salvage-loop-%03d.json", loop))
+	path := filepath.Join(dir, fmt.Sprintf("salvage-cell-%05d.json", cell))
 	if err := os.WriteFile(path, js, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "nvcheck: writing report:", err)
 	}
-}
-
-// runCrashSoak loops start child -> write -> kill -9 -> cold salvage ->
-// diff against golden. One control run (never killed) both validates the
-// happy path and measures the milestone count; each loop then kills at a
-// seeded milestone index, so a given -seed replays the same kill schedule
-// exactly. Any contract violation archives its salvage report and fails
-// the run.
-func runCrashSoak(ctx context.Context, o options, w io.Writer) error {
-	start := time.Now()
-	bin, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("nvcheck: locating binary: %w", err)
-	}
-	base := o.store
-	if base == "" {
-		base, err = os.MkdirTemp("", "nvsoak-*")
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := os.RemoveAll(base); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: cleanup:", err)
-			}
-		}()
-	} else if err := os.MkdirAll(base, 0o755); err != nil {
-		return err
-	}
-
-	// Control run: full completion, salvage must restore the final epoch.
-	p := soak.DefaultParams(filepath.Join(base, "control"), o.seed)
-	res, err := soak.Run(bin, nil, p, 1<<30)
-	if err != nil {
-		return fmt.Errorf("nvcheck: control run: %w", err)
-	}
-	rep, err := soak.CheckDir(p.Dir, res.DurableEpoch, soak.Golden(p))
-	if err != nil {
-		archiveReport(o.reports, -1, rep)
-		return fmt.Errorf("nvcheck: control run salvage: %w", err)
-	}
-	total := res.Milestones
-	fmt.Fprintf(w, "control run: %d milestones, restored epoch %d\n", total, rep.RestoredEpoch)
-
-	rng := sim.NewRNG(o.seed)
-	restored, refused := 0, 0
-	// Any mid-run failure — interrupt, a child dying (ENOSPC included), a
-	// salvage contract violation — flushes the partial tally before the
-	// non-zero exit, so an aborted soak still reports what it proved.
-	flush := func() {
-		fmt.Fprintf(w, "crash soak aborted: %d/%d loops completed (%d restored, %d justified refusals, %v)\n",
-			restored+refused, o.loops, restored, refused, time.Since(start).Round(time.Millisecond))
-	}
-	for i := 0; i < o.loops; i++ {
-		if err := ctx.Err(); err != nil {
-			flush()
-			return fmt.Errorf("nvcheck: interrupted after %d loops: %w", i, err)
-		}
-		killAt := int(rng.Uint64n(uint64(total)))
-		dir := filepath.Join(base, fmt.Sprintf("store-%03d", i))
-		lp := soak.DefaultParams(dir, o.seed+int64(i)+1)
-		res, err := soak.Run(bin, nil, lp, killAt)
-		if err != nil {
-			flush()
-			if soak.IsNoSpace(err) {
-				// The typed out-of-space path: the environment, not the store,
-				// is to blame, but the run still fails loudly.
-				return fmt.Errorf("nvcheck: loop %d ran out of disk space: %w", i, err)
-			}
-			return fmt.Errorf("nvcheck: loop %d: %w", i, err)
-		}
-		rep, err := soak.CheckDir(dir, res.DurableEpoch, soak.Golden(lp))
-		if err != nil {
-			archiveReport(o.reports, i, rep)
-			flush()
-			return fmt.Errorf("nvcheck: loop %d (killed at %d: %s, epoch %d; durable %d): %w",
-				i, res.KillIndex, res.KillPoint, res.KillEpoch, res.DurableEpoch, err)
-		}
-		if rep.Refused {
-			refused++
-		} else {
-			restored++
-		}
-		if err := os.RemoveAll(dir); err != nil {
-			flush()
-			return fmt.Errorf("nvcheck: loop %d cleanup: %w", i, err)
-		}
-		if o.every > 0 && (i+1)%o.every == 0 {
-			fmt.Fprintf(w, "%d/%d loops ok (%v)\n", i+1, o.loops, time.Since(start).Round(time.Millisecond))
-		}
-	}
-	fmt.Fprintf(w, "crash soak: %d kill-9 loops ok (%d restored, %d justified refusals, %d milestones/run, %v)\n",
-		o.loops, restored, refused, total, time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 // traceOkLine renders the standard per-trace verdict line.
@@ -482,12 +244,12 @@ func runRecord(o options, w io.Writer, start time.Time) error {
 	}
 	fmt.Fprintf(w, "recorded %d accesses in %d chunks (%d bytes) to %s\n",
 		info.Records, info.Chunks, info.Bytes, o.record)
-	res, d := diffcheck.Run(o.p)
+	res, d := diffcheck.Run(o.p, nil)
 	if d != nil {
 		fmt.Fprintln(w, d.Error())
 		return fmt.Errorf("1 divergence")
 	}
-	fres, fd, err := diffcheck.RunFile(fault.OS, o.record)
+	fres, fd, err := diffcheck.RunFile(fault.OS, o.record, nil)
 	if err != nil {
 		return fmt.Errorf("nvcheck: replaying %s: %w", o.record, err)
 	}
@@ -512,7 +274,7 @@ func runReplay(o options, w io.Writer, start time.Time) error {
 		return fmt.Errorf("nvcheck: reading %s: %w", o.replay, err)
 	}
 	fmt.Fprintf(w, "replaying %s: %s\n", o.replay, p.FlagString())
-	res, d, err := diffcheck.RunFile(fault.OS, o.replay)
+	res, d, err := diffcheck.RunFile(fault.OS, o.replay, nil)
 	if err != nil {
 		return fmt.Errorf("nvcheck: replaying %s: %w", o.replay, err)
 	}
@@ -537,14 +299,8 @@ func run(ctx context.Context, o options, w io.Writer) error {
 	if o.replay != "" {
 		return runReplay(o, w, start)
 	}
-	if o.crashsoak {
-		return runCrashSoak(ctx, o, w)
-	}
-	if o.diskfaults {
-		return runDiskFaults(ctx, o, w)
-	}
-	if o.faults {
-		return runFaults(ctx, o, w)
+	if o.sweep {
+		return runSweep(ctx, o, w)
 	}
 	if o.single {
 		// The bus only exists when -events or -timeline asked for it; nil
@@ -579,19 +335,19 @@ func run(ctx context.Context, o options, w io.Writer) error {
 			return nil
 		}
 		if o.p.Fault != "" {
-			var res diffcheck.FaultResult
-			var d *diffcheck.Divergence
-			if bus != nil {
-				res, d = diffcheck.RunFaultedObserved(o.p, bus)
-			} else {
-				res, d = diffcheck.RunFaultedJobs(o.p, o.jobs)
-			}
-			if d != nil {
+			sp := diffcheck.SweepParams{Classes: []string{diffcheck.LayerNVM + ":" + o.p.Fault},
+				Seeds: []int64{o.p.Seed}, Cuts: o.p.CrashPoints, Trace: o.p}
+			res, err := diffcheck.RunSweep(ctx, sp, o.jobs, bus)
+			var d *diffcheck.SweepDivergence
+			if errors.As(err, &d) {
 				fmt.Fprintln(w, d.Error())
 				return fmt.Errorf("1 divergence")
 			}
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(w, "faulted trace ok: %d cells (%d restored, %d walked back, %d refused), %d faults injected\n",
-				len(res.Points), res.Restored, res.WalkedBack, res.Refusals, res.Events)
+				res.Cells, res.PowerLoss.Restored, res.PowerLoss.WalkedBack, res.PowerLoss.Refused, res.Faults)
 			if err := report(); err != nil {
 				return err
 			}
@@ -601,7 +357,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 		if o.record != "" {
 			return runRecord(o, w, start)
 		}
-		res, d := diffcheck.RunObserved(o.p, bus)
+		res, d := diffcheck.Run(o.p, bus)
 		if d != nil {
 			fmt.Fprintln(w, d.Error())
 			return fmt.Errorf("1 divergence")
@@ -623,7 +379,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 	}
 	var ferr error
 	parallel.ForEachOrdered(o.jobs, o.traces, func(i int) cell {
-		res, d := diffcheck.Run(diffcheck.RegimeParams(i, o.seed))
+		res, d := diffcheck.Run(diffcheck.RegimeParams(i, o.seed), nil)
 		return cell{res, d}
 	}, func(i int, c cell) bool {
 		if err := ctx.Err(); err != nil {
@@ -725,12 +481,6 @@ func withProfiles(o options, f func() error) error {
 }
 
 func main() {
-	if soak.IsChild() {
-		// Spawned by a -crashsoak parent: become the store writer. This
-		// happens before flag parsing so the child is immune to the
-		// parent's own command line.
-		os.Exit(soak.ChildMain())
-	}
 	o, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -6,9 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/diffcheck"
 	"repro/internal/obs"
 )
 
@@ -74,75 +76,76 @@ func TestSingleFaultedTrace(t *testing.T) {
 	}
 }
 
+// TestFaultSoakMode drives -sweep over nvm classes end to end: every cell
+// must pass and the tally must report zero silent corruptions.
 func TestFaultSoakMode(t *testing.T) {
-	o, err := parseFlags([]string{"-faults", "-fclasses", "torn,loss", "-fseeds", "2", "-seed", "5"}, io.Discard)
+	o, err := parseFlags([]string{"-sweep", "-classes", "nvm:torn,nvm:loss", "-seeds", "2", "-seed", "5"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
 	if err := run(context.Background(), o, &out); err != nil {
-		t.Fatalf("fault soak failed: %v\n%s", err, out.String())
+		t.Fatalf("nvm sweep failed: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"class torn ok", "class loss ok", "fault soak: 4 regimes", "0 silent corruptions"} {
+	for _, want := range []string{"crash sweep: 36 cells", "power-loss: 36 states", "0 silent corruptions in 36 salvaged states"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
-// TestDiskFaultSoakMode drives the -diskfaults grid end to end: every
-// configured class must pass its salvage-or-refuse sweep and the tally line
-// must report zero silent corruptions.
+// TestDiskFaultSoakMode drives -sweep over disk classes end to end: every
+// cell must pass in both crash states.
 func TestDiskFaultSoakMode(t *testing.T) {
-	o, err := parseFlags([]string{"-diskfaults", "-dclasses", "crash,fsyncgate", "-dseeds", "2", "-dcuts", "3", "-seed", "5", "-j", "4"}, io.Discard)
+	o, err := parseFlags([]string{"-sweep", "-classes", "disk:crash,disk:fsyncgate", "-seeds", "2", "-cuts", "3", "-seed", "5", "-j", "4"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
 	if err := run(context.Background(), o, &out); err != nil {
-		t.Fatalf("disk-fault soak failed: %v\n%s", err, out.String())
+		t.Fatalf("disk sweep failed: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"disk class crash ok", "disk class fsyncgate ok",
-		"disk-fault soak: 4 regimes", "0 silent corruptions"} {
+	for _, want := range []string{"crash sweep: 16 cells", "power-loss: 16 states", "process-death: 16 states",
+		"0 silent corruptions in 32 salvaged states"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
-// TestDiskFaultSoakInterrupt: a cancelled disk-fault soak flushes its
-// partial tally and exits non-zero.
+// TestDiskFaultSoakInterrupt: a cancelled disk sweep flushes its partial
+// tally and exits non-zero.
 func TestDiskFaultSoakInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o, err := parseFlags([]string{"-diskfaults", "-dclasses", "crash", "-dseeds", "1", "-dcuts", "2"}, io.Discard)
+	o, err := parseFlags([]string{"-sweep", "-classes", "disk:crash", "-seeds", "1", "-cuts", "2"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
 	if err := run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("interrupted disk-fault soak must error, got %v", err)
+		t.Fatalf("interrupted disk sweep must error, got %v", err)
 	}
-	if !strings.Contains(out.String(), "disk-fault soak: 0 regimes") {
+	if !strings.Contains(out.String(), "crash sweep: 0 cells") {
 		t.Fatalf("partial tally not flushed:\n%s", out.String())
 	}
 }
 
-// TestInterruptFlushesPartialResults: a cancelled soak must flush its tally
+// TestInterruptFlushesPartialResults: a cancelled sweep must flush its tally
 // so far and exit non-zero rather than vanishing mid-run.
 func TestInterruptFlushesPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // interrupt before the first regime
+	cancel() // interrupt before the first cell
 
-	o, err := parseFlags([]string{"-faults", "-fclasses", "torn", "-fseeds", "1"}, io.Discard)
+	o, err := parseFlags([]string{"-sweep", "-classes", "nvm:torn", "-seeds", "1"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
 	if err := run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("interrupted fault soak must error, got %v", err)
+		t.Fatalf("interrupted nvm sweep must error, got %v", err)
 	}
-	if !strings.Contains(out.String(), "fault soak: 0 regimes") {
+	if !strings.Contains(out.String(), "crash sweep: 0 cells") {
 		t.Fatalf("partial tally not flushed:\n%s", out.String())
 	}
 
@@ -156,6 +159,21 @@ func TestInterruptFlushesPartialResults(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "interrupted: 0/4 traces ok") {
 		t.Fatalf("partial tally not flushed:\n%s", out.String())
+	}
+}
+
+// TestSweepReproducerRoundTrip: the -sweep line a divergence prints parses
+// back to exactly the one regime it names.
+func TestSweepReproducerRoundTrip(t *testing.T) {
+	p := diffcheck.SweepParams{Classes: diffcheck.ParseClasses("disk"), Seeds: []int64{1, 2, 3}, Cuts: 5}
+	cmd := p.Reproducer(diffcheck.LayerDisk, "eio", 2)
+	o, err := parseFlags(strings.Fields(strings.TrimPrefix(cmd, "go run ./cmd/nvcheck ")), io.Discard)
+	if err != nil {
+		t.Fatalf("%q: %v", cmd, err)
+	}
+	want := diffcheck.SweepParams{Classes: []string{"disk:eio"}, Seeds: []int64{2}, Cuts: 5}
+	if !o.sweep || !reflect.DeepEqual(o.sp, want) {
+		t.Fatalf("%q parsed to sweep=%v %+v, want %+v", cmd, o.sweep, o.sp, want)
 	}
 }
 
@@ -246,38 +264,35 @@ func TestParseFlagErrors(t *testing.T) {
 	if _, err := parseFlags([]string{"-fault", "melt"}, io.Discard); err == nil {
 		t.Fatal("unknown fault class accepted")
 	}
-	if _, err := parseFlags([]string{"-faults", "-fclasses", "torn,melt"}, io.Discard); err == nil {
-		t.Fatal("unknown soak class accepted")
+	if _, err := parseFlags([]string{"-sweep", "-classes", "nvm:torn,nvm:melt"}, io.Discard); err == nil {
+		t.Fatal("unknown nvm sweep class accepted")
 	}
-	if _, err := parseFlags([]string{"-faults", "-fseeds", "0"}, io.Discard); err == nil {
-		t.Fatal("zero fseeds accepted")
+	if _, err := parseFlags([]string{"-sweep", "-classes", "disk:eio,disk:melt"}, io.Discard); err == nil {
+		t.Fatal("unknown disk sweep class accepted")
 	}
-	if _, err := parseFlags([]string{"-faults", "-cores", "4"}, io.Discard); err == nil {
-		t.Fatal("-faults combined with single-trace flags accepted")
+	if _, err := parseFlags([]string{"-sweep", "-classes", "torn"}, io.Discard); err == nil {
+		t.Fatal("sweep class without a layer accepted")
 	}
-	if _, err := parseFlags([]string{"-faults", "-events", "x.jsonl"}, io.Discard); err == nil {
-		t.Fatal("-faults combined with -events accepted")
+	if _, err := parseFlags([]string{"-sweep", "-seeds", "0"}, io.Discard); err == nil {
+		t.Fatal("zero seeds accepted")
+	}
+	if _, err := parseFlags([]string{"-sweep", "-cuts=-1"}, io.Discard); err == nil {
+		t.Fatal("negative cuts accepted")
+	}
+	if _, err := parseFlags([]string{"-sweep", "-classes", "nvm", "-cuts", "600"}, io.Discard); err == nil {
+		t.Fatal("nvm cuts beyond the trace length accepted")
+	}
+	if _, err := parseFlags([]string{"-sweep", "-cores", "4"}, io.Discard); err == nil {
+		t.Fatal("-sweep combined with single-trace flags accepted")
+	}
+	if _, err := parseFlags([]string{"-sweep", "-events", "x.jsonl"}, io.Discard); err == nil {
+		t.Fatal("-sweep combined with -events accepted")
+	}
+	if _, err := parseFlags([]string{"-sweep", "-validate-events", "x.jsonl"}, io.Discard); err == nil {
+		t.Fatal("-sweep combined with -validate-events accepted")
 	}
 	if _, err := parseFlags([]string{"-validate-events", "x.jsonl", "-cores", "4"}, io.Discard); err == nil {
 		t.Fatal("-validate-events combined with trace flags accepted")
-	}
-	if _, err := parseFlags([]string{"-diskfaults", "-dclasses", "eio,melt"}, io.Discard); err == nil {
-		t.Fatal("unknown disk fault class accepted")
-	}
-	if _, err := parseFlags([]string{"-diskfaults", "-dseeds", "0"}, io.Discard); err == nil {
-		t.Fatal("zero dseeds accepted")
-	}
-	if _, err := parseFlags([]string{"-diskfaults", "-dcuts", "0"}, io.Discard); err == nil {
-		t.Fatal("zero dcuts accepted")
-	}
-	if _, err := parseFlags([]string{"-diskfaults", "-faults"}, io.Discard); err == nil {
-		t.Fatal("-diskfaults combined with -faults accepted")
-	}
-	if _, err := parseFlags([]string{"-diskfaults", "-crashsoak"}, io.Discard); err == nil {
-		t.Fatal("-diskfaults combined with -crashsoak accepted")
-	}
-	if _, err := parseFlags([]string{"-diskfaults", "-cores", "4"}, io.Discard); err == nil {
-		t.Fatal("-diskfaults combined with single-trace flags accepted")
 	}
 	if _, err := parseFlags([]string{"-replay", "x.trc", "-cores", "4"}, io.Discard); err == nil {
 		t.Fatal("-replay combined with trace flags accepted")

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/omc"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -69,7 +70,7 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 // refusal when nothing could be proven.
 func runStore(o options, w io.Writer) error {
 	fmt.Fprintf(w, "cold-opening store %s...\n", o.store)
-	out, rep, err := recovery.SalvageDir(o.store)
+	out, rep, err := recovery.SalvageDir(fault.OS, o.store)
 	if rep != nil {
 		if js, jerr := rep.JSON(); jerr == nil {
 			fmt.Fprintf(w, "%s\n", js)

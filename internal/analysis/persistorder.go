@@ -3,10 +3,10 @@ package analysis
 // PersistOrder enforces the durable-path ordering discipline of the
 // file-backed plane: data is written, then fsynced, and only then published
 // by rename — and a rename is not durable until the parent directory is
-// fsynced. PR 6's kill -9 soak checks this dynamically for the schedules it
-// happens to execute; this analyzer proves it for every path of every
-// function that opts in with `nvlint:durable` in its doc comment, inside
-// internal/mem and internal/soak.
+// fsynced. The crash-consistency sweep checks this dynamically for the
+// schedules it happens to execute; this analyzer proves it for every path
+// of every function that opts in with `nvlint:durable` in its doc comment,
+// inside internal/mem and internal/soak.
 //
 // The dataflow fact is a per-file-handle state machine
 //

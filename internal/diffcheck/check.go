@@ -61,16 +61,11 @@ func (d *Divergence) Error() string {
 
 // Run replays one trace through NVOverlay and the baseline rotation,
 // cross-checking every scheme against the golden model. It returns the
-// first divergence (with a minimized reproducer when possible) or nil.
-func Run(p Params) (Result, *Divergence) {
-	return RunObserved(p, nil)
-}
-
-// RunObserved is Run with the whole replay narrated on an observability
-// bus (nil behaves exactly like Run). The bus sees the NVOverlay replay
-// and every baseline in rotation order, so the stream is deterministic for
-// a given Params.
-func RunObserved(p Params, bus *obs.Bus) (Result, *Divergence) {
+// first divergence (with a minimized reproducer when possible) or nil. A
+// non-nil bus narrates the whole replay: the NVOverlay run and every
+// baseline in rotation order, so the stream is deterministic for a given
+// Params.
+func Run(p Params, bus *obs.Bus) (Result, *Divergence) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/parallel"
 	"repro/internal/sim"
@@ -146,7 +147,7 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 		// Back the content plane with the on-disk store. Attaching after
 		// construction is lossless: AttachPlane migrates committed words,
 		// and still-queued construction writes drain onto the new plane.
-		plane, err := mem.OpenFilePlane(cfg.StoreDir, cfg.CheckpointEvery)
+		plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, cfg.CheckpointEvery)
 		if err != nil {
 			return RunResult{}, err
 		}

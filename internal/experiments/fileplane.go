@@ -29,23 +29,16 @@ type FilePlaneStats struct {
 	DeltaRecords    uint64 `json:"delta_records"` // bursts written across the whole run
 }
 
-// FilePlaneProfile drives the file-backed plane through epochs seals of
-// perEpoch word bursts each, closes it, and cold-reopens the directory the
-// way a restarted process would. dir must be fresh (OpenFilePlane refuses
-// an existing store). The reopened image is checked against the plane's
-// own RAM mirror before the stats are returned, so a profile that would
-// publish numbers for a store that does not round-trip fails instead.
-func FilePlaneProfile(dir string, epochs, perEpoch, ckptEvery int, seed int64) (FilePlaneStats, error) {
-	return FilePlaneProfileFS(fault.OS, dir, epochs, perEpoch, ckptEvery, seed)
-}
-
-// FilePlaneProfileFS is FilePlaneProfile over an arbitrary filesystem.
-// BenchmarkFileSealFaulted runs it against a fault-injecting in-memory
-// store to price the retry policy; the profile's round-trip verification
-// still applies unchanged, so a schedule that corrupts the store fails the
-// profile rather than skewing its numbers.
-func FilePlaneProfileFS(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery int, seed int64) (FilePlaneStats, error) {
-	plane, err := mem.OpenFilePlaneFS(fsys, dir, ckptEvery)
+// FilePlaneProfile drives the file-backed plane on fsys through epochs
+// seals of perEpoch word bursts each, closes it, and cold-reopens the
+// directory the way a restarted process would. dir must be fresh
+// (OpenFilePlane refuses an existing store). The reopened image is checked
+// against the plane's own RAM mirror before the stats are returned, so a
+// profile that would publish numbers for a store that does not round-trip
+// fails instead — also when BenchmarkFileSealFaulted runs it over a
+// fault-injecting in-memory store to price the retry policy.
+func FilePlaneProfile(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery int, seed int64) (FilePlaneStats, error) {
+	plane, err := mem.OpenFilePlane(fsys, dir, ckptEvery)
 	if err != nil {
 		return FilePlaneStats{}, err
 	}
@@ -70,7 +63,7 @@ func FilePlaneProfileFS(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery i
 		return FilePlaneStats{}, err
 	}
 
-	img, drep, err := mem.LoadDirFS(fsys, dir)
+	img, drep, err := mem.LoadDir(fsys, dir)
 	if err != nil {
 		return FilePlaneStats{}, err
 	}

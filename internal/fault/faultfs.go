@@ -25,9 +25,10 @@ import (
 //     buffered-but-unsynced bytes, and a retried Sync succeeds without
 //     re-reporting the error — the data is simply gone (the trap that makes
 //     treating fsync as retryable a silent-corruption bug);
-//   - a crash cut point: at the Nth mutating syscall the filesystem loses
-//     power — the inner FS (a MemFS) discards everything unsynced and every
-//     later operation fails with ErrCrashed.
+//   - a crash cut point: at the Nth mutating syscall the process dies. That
+//     call and every later one fail with ErrCrashed without reaching the
+//     inner FS, which keeps exactly what the process had issued (the state
+//     SIGKILL leaves); MemFS.Crash on it then gives the power-loss state.
 //
 // Every draw is recorded as an ordered DiskEvent; Schedule() renders the
 // canonical, byte-stable schedule so a cell's fault history replays
@@ -39,8 +40,8 @@ var (
 	ErrDiskIO = errors.New("injected disk I/O error")
 	// ErrNoSpace: an injected ENOSPC.
 	ErrNoSpace = errors.New("injected device full")
-	// ErrCrashed: the filesystem hit its crash cut point; all state not
-	// fsynced before the cut is gone and every further call fails.
+	// ErrCrashed: the filesystem hit its crash cut point; that call and
+	// every further one fail without reaching the inner FS.
 	ErrCrashed = errors.New("filesystem crashed at injected cut point")
 )
 
@@ -160,9 +161,9 @@ type DiskConfig struct {
 	// SyncFailPer100 is the per-Sync probability (percent) of an fsyncgate
 	// failure: unsynced bytes dropped, error not re-reported on retry.
 	SyncFailPer100 int
-	// CrashAt, when positive, crashes the filesystem at the CrashAt-th
-	// mutating syscall: the inner FS reverts to its durable state and all
-	// further calls fail with ErrCrashed.
+	// CrashAt, when positive, stops the filesystem dead at the CrashAt-th
+	// mutating syscall: it and all further calls fail with ErrCrashed,
+	// leaving the inner FS as the process left it.
 	CrashAt int
 }
 
@@ -221,10 +222,6 @@ func (e DiskEvent) String() string {
 	return fmt.Sprintf("op=%d %s %s %s arg=%d", e.OpIndex, e.Class, e.Op, e.Path, e.Arg)
 }
 
-// Crasher is the optional inner-FS hook FaultFS uses at its crash cut
-// point; MemFS implements it.
-type Crasher interface{ Crash() }
-
 // syncDropper is the optional handle hook for fsyncgate content loss;
 // MemFS handles implement it.
 type syncDropper interface{ DropUnsynced() }
@@ -240,9 +237,7 @@ type FaultFS struct {
 	stat    map[DiskClass]int64
 }
 
-// NewFaultFS wraps inner with a seeded disk-fault schedule. For crash cut
-// points to discard unsynced state, inner must implement Crasher (MemFS);
-// other inners still get the error schedule.
+// NewFaultFS wraps inner with a seeded disk-fault schedule.
 func NewFaultFS(inner FS, cfg DiskConfig) *FaultFS {
 	return &FaultFS{
 		inner: inner,
@@ -251,13 +246,6 @@ func NewFaultFS(inner FS, cfg DiskConfig) *FaultFS {
 		stat:  make(map[DiskClass]int64),
 	}
 }
-
-// Inner returns the wrapped filesystem (post-crash salvage reads it
-// directly, the way a fresh process would).
-func (f *FaultFS) Inner() FS { return f.inner }
-
-// Crashed reports whether the crash cut point has fired.
-func (f *FaultFS) Crashed() bool { return f.crashed }
 
 // Ops returns the number of mutating syscalls observed so far — the axis
 // crash cut points are expressed on.
@@ -303,9 +291,6 @@ func (f *FaultFS) mutate(op, path string) error {
 	if f.cfg.CrashAt > 0 && f.ops >= f.cfg.CrashAt {
 		f.crashed = true
 		f.record(op, evName(path), DiskCrash, 0)
-		if c, ok := f.inner.(Crasher); ok {
-			c.Crash()
-		}
 		return &DiskError{Op: op, Path: evName(path), Class: DiskCrash, OpIndex: f.ops}
 	}
 	return nil

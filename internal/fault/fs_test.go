@@ -180,8 +180,9 @@ func TestMemFSRemoveDurability(t *testing.T) {
 	}
 }
 
-// TestFaultFSCrashCut: at the configured mutating-syscall ordinal the
-// filesystem reverts to durable state and every further op fails typed.
+// TestFaultFSCrashCut: at the configured mutating-syscall ordinal every
+// further op fails typed, and the inner FS keeps exactly what was issued
+// before the cut until a power loss drops the unsynced part.
 func TestFaultFSCrashCut(t *testing.T) {
 	m := NewMemFS()
 	ff := NewFaultFS(m, DiskConfig{CrashAt: 3})
@@ -195,19 +196,25 @@ func TestFaultFSCrashCut(t *testing.T) {
 	if err := f.Sync(); !errors.Is(err, ErrCrashed) { // op 3 → crash
 		t.Fatalf("sync at cut = %v, want ErrCrashed", err)
 	}
-	if !ff.Crashed() {
-		t.Fatal("Crashed() false after cut")
-	}
 	if _, err := ff.Create("b.log"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash create = %v, want ErrCrashed", err)
 	}
 	if _, err := ff.ReadFile("a.log"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash read through FaultFS = %v, want ErrCrashed", err)
 	}
-	// The inner FS carries the post-crash durable truth: nothing was synced,
-	// so nothing survives.
+	// The process died after two syscalls: the inner FS still holds the
+	// file and its unsynced bytes, as a SIGKILL leaves them, and nothing
+	// issued after the cut.
+	if got := readAll(t, m, "a.log"); len(got) != 8 {
+		t.Fatalf("process-death content = %d bytes, want 8", len(got))
+	}
+	if _, err := m.ReadFile("b.log"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("post-cut create reached the inner FS: %v", err)
+	}
+	// Power loss: nothing was synced, so nothing survives.
+	m.Crash()
 	if _, err := m.ReadFile("a.log"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("unsynced file survived crash: %v", err)
+		t.Fatalf("unsynced file survived power loss: %v", err)
 	}
 }
 

@@ -112,18 +112,12 @@ type FilePlane struct {
 	scratch []byte
 }
 
-// OpenFilePlane creates a fresh durable store in dir on the real
-// filesystem. See OpenFilePlaneFS.
-func OpenFilePlane(dir string, checkpointEvery int) (*FilePlane, error) {
-	return OpenFilePlaneFS(fault.OS, dir, checkpointEvery)
-}
-
-// OpenFilePlaneFS creates a fresh durable store in dir (created if needed)
-// of the given filesystem. It refuses a directory that already holds a
-// manifest or delta segments: writers always start clean, recovery of an
-// old store goes through LoadDir / recovery.SalvageDir. checkpointEvery
-// <= 0 selects DefaultCheckpointEvery.
-func OpenFilePlaneFS(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, error) {
+// OpenFilePlane creates a fresh durable store in dir (created if needed)
+// of fsys; production runs pass fault.OS. It refuses a directory that
+// already holds a manifest or delta segments: writers always start clean,
+// recovery of an old store goes through LoadDir / recovery.SalvageDir.
+// checkpointEvery <= 0 selects DefaultCheckpointEvery.
+func OpenFilePlane(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, error) {
 	if checkpointEvery <= 0 {
 		checkpointEvery = DefaultCheckpointEvery
 	}
@@ -171,9 +165,9 @@ func isCkptName(name string) bool {
 // every epoch seal: "segment-synced" (delta log fsynced, manifest not yet
 // rewritten), "checkpoint-written" (base image renamed into place),
 // "manifest-temp" (MANIFEST.tmp fsynced, rename pending) and
-// "manifest-renamed" (manifest and parent directory durable). The crash
-// soak parks the child writer on these points so kill -9 lands on exact,
-// seeded boundaries.
+// "manifest-renamed" (manifest and parent directory durable). The
+// crash-consistency sweep counts manifest renames to learn which epoch a
+// crash must not lose.
 func (p *FilePlane) SetSealHook(f func(point string, epoch uint64)) { p.hook = f }
 
 // AttachBus forwards the plane's I/O-fault, retry and wound events to the

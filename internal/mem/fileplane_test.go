@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -19,7 +20,7 @@ func applyBurst(p DurablePlane, e uint64, n int) {
 func openTestPlane(t *testing.T, every int) (*FilePlane, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
-	p, err := OpenFilePlane(dir, every)
+	p, err := OpenFilePlane(fault.OS, dir, every)
 	if err != nil {
 		t.Fatalf("OpenFilePlane: %v", err)
 	}
@@ -28,7 +29,7 @@ func openTestPlane(t *testing.T, every int) (*FilePlane, string) {
 
 func reload(t *testing.T, dir string) (*Image, *DirReport) {
 	t.Helper()
-	img, rep, err := LoadDir(dir)
+	img, rep, err := LoadDir(fault.OS, dir)
 	if err != nil {
 		t.Fatalf("LoadDir: %v (report %+v)", err, rep)
 	}
@@ -121,7 +122,7 @@ func TestOpenFilePlaneRefusesExistingStore(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := OpenFilePlane(dir, 0); err == nil {
+	if _, err := OpenFilePlane(fault.OS, dir, 0); err == nil {
 		t.Fatal("OpenFilePlane reopened a non-empty store")
 	}
 }
@@ -144,7 +145,7 @@ func TestLoadDirYoungRun(t *testing.T) {
 
 // TestLoadDirMissing: a nonexistent directory is a fatal store-missing.
 func TestLoadDirMissing(t *testing.T) {
-	_, rep, err := LoadDir(filepath.Join(t.TempDir(), "nope"))
+	_, rep, err := LoadDir(fault.OS, filepath.Join(t.TempDir(), "nope"))
 	if err == nil {
 		t.Fatal("LoadDir succeeded on a missing directory")
 	}

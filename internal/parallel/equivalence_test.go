@@ -9,6 +9,7 @@ package parallel_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -124,23 +125,26 @@ func TestScaleSweepEqualAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestFaultSweepEqualAcrossJobs checks the diffcheck crash-point grid: the
-// aggregate FaultResult — points, tallies and the concatenated canonical
-// fault Schedule string — must be deeply equal at 1 and 8 workers.
+// TestFaultSweepEqualAcrossJobs checks the crash-consistency sweep: nvm
+// regimes and the every-cut disk grid must yield deeply equal results —
+// points, tallies and the concatenated canonical fault schedule — at 1 and
+// 8 workers.
 func TestFaultSweepEqualAcrossJobs(t *testing.T) {
-	for _, class := range []string{"torn", "all"} {
-		p := diffcheck.FaultRegimeParams(class, 11)
-		serial, d1 := diffcheck.RunFaultedJobs(p, 1)
-		par, d8 := diffcheck.RunFaultedJobs(p, 8)
-		if d1 != nil || d8 != nil {
-			t.Fatalf("class %s: unexpected divergence (serial=%v parallel=%v)", class, d1, d8)
+	for _, p := range []diffcheck.SweepParams{
+		{Classes: []string{"nvm:torn", "nvm:all"}, Seeds: []int64{11}, Cuts: 8},
+		{Classes: []string{"disk:crash"}, Seeds: []int64{1, 2, 3}, Cuts: 1 << 20},
+	} {
+		serial, err1 := diffcheck.RunSweep(context.Background(), p, 1, nil)
+		par, err8 := diffcheck.RunSweep(context.Background(), p, 8, nil)
+		if err1 != nil || err8 != nil {
+			t.Fatalf("%v: unexpected error (serial=%v parallel=%v)", p.Classes, err1, err8)
 		}
-		if serial.Schedule == "" {
-			t.Fatalf("class %s: empty fault schedule", class)
+		if serial.Cells == 0 || serial.Schedule == "" {
+			t.Fatalf("%v: empty sweep", p.Classes)
 		}
 		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("class %s: fault sweep diverges between jobs=1 and jobs=8:\nserial: %+v\nparallel: %+v",
-				class, serial, par)
+			t.Fatalf("%v: sweep diverges between jobs=1 and jobs=8:\nserial: %+v\nparallel: %+v",
+				p.Classes, serial, par)
 		}
 	}
 }

@@ -21,8 +21,8 @@ func buildMemStore(t *testing.T) (*fault.MemFS, string, map[uint64]map[uint64]ui
 	t.Helper()
 	mfs := fault.NewMemFS()
 	p := soak.Params{Dir: "store", Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
-	if err := soak.WriteStoreFS(mfs, p, nil); err != nil {
-		t.Fatalf("WriteStoreFS: %v", err)
+	if err := soak.WriteStore(mfs, p, nil); err != nil {
+		t.Fatalf("WriteStore: %v", err)
 	}
 	return mfs, p.Dir, soak.Golden(p)
 }
@@ -88,7 +88,7 @@ func TestLoadDirEdgeCases(t *testing.T) {
 		name string
 		// mutate stages the edge case and returns the directory to salvage.
 		mutate func(t *testing.T, mfs *fault.MemFS, dir string) string
-		// dirKind is the exact FileDamage.Kind LoadDirFS must report
+		// dirKind is the exact FileDamage.Kind LoadDir must report
 		// ("": the damage list must be empty).
 		dirKind string
 		fatal   string // expected DirReport.Fatal ("": not fatal)
@@ -195,7 +195,7 @@ func TestLoadDirEdgeCases(t *testing.T) {
 			dir = tc.mutate(t, mfs, dir)
 
 			// File layer: the DirReport must name the exact damage kind.
-			_, drep, lerr := mem.LoadDirFS(mfs, dir)
+			_, drep, lerr := mem.LoadDir(mfs, dir)
 			if tc.dirKind == "" {
 				if len(drep.Damage) != 0 {
 					t.Fatalf("unexpected file damage: %+v", drep.Damage)
@@ -216,11 +216,11 @@ func TestLoadDirEdgeCases(t *testing.T) {
 				t.Fatalf("DirReport.Fatal = %q, want %q", drep.Fatal, tc.fatal)
 			}
 			if (tc.fatal != "") != (lerr != nil) {
-				t.Fatalf("LoadDirFS error %v inconsistent with fatal %q", lerr, tc.fatal)
+				t.Fatalf("LoadDir error %v inconsistent with fatal %q", lerr, tc.fatal)
 			}
 
 			// Full stack: salvage-or-refuse through the same filesystem.
-			out, rep, err := recovery.SalvageDirFS(mfs, dir)
+			out, rep, err := recovery.SalvageDir(mfs, dir)
 			if tc.want != nil {
 				if !errors.Is(err, tc.want) {
 					t.Fatalf("error %v, want %v", err, tc.want)

@@ -7,8 +7,10 @@ import (
 	"repro/internal/mem"
 )
 
-// SalvageDir opens a file-backed store directory cold — a fresh process,
-// no shared state with the writer that died — and runs the full recovery
+// SalvageDir opens a file-backed store directory of fsys cold — a fresh
+// process, no shared state with the writer that died; fault.OS for a real
+// directory, the surviving state of an in-memory store in the
+// crash-consistency sweep — and runs the full recovery
 // stack over it: mem.LoadDir replays manifest → checkpoint → delta logs
 // into the persisted word image, then Salvage applies the usual
 // salvage-or-refuse protocol to that image.
@@ -28,15 +30,8 @@ import (
 //
 // File-level findings are merged into the returned report with their kind
 // prefixed "file-" (OMC -1, epoch 0), before the image-level damage.
-func SalvageDir(dir string) (map[uint64]uint64, *SalvageReport, error) {
-	return SalvageDirFS(fault.OS, dir)
-}
-
-// SalvageDirFS is SalvageDir over an arbitrary filesystem. The
-// crash-consistency sweep salvages the surviving in-memory state of a
-// crashed fault-injected store through exactly this path.
-func SalvageDirFS(fsys fault.FS, dir string) (map[uint64]uint64, *SalvageReport, error) {
-	img, drep, err := mem.LoadDirFS(fsys, dir)
+func SalvageDir(fsys fault.FS, dir string) (map[uint64]uint64, *SalvageReport, error) {
+	img, drep, err := mem.LoadDir(fsys, dir)
 	if err != nil {
 		rep := &SalvageReport{Refused: true, Partitions: []PartitionReport{}, Damage: []Damage{}}
 		rep.Reason = fmt.Sprintf("store directory unusable: %s", drep.Fatal)

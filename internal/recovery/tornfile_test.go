@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/soak"
@@ -26,7 +27,7 @@ func buildStore(t *testing.T) (string, map[uint64]map[uint64]uint64) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
 	p := soak.Params{Dir: dir, Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
-	if err := soak.WriteStore(p, nil); err != nil {
+	if err := soak.WriteStore(fault.OS, p, nil); err != nil {
 		t.Fatalf("WriteStore: %v", err)
 	}
 	return dir, soak.Golden(p)
@@ -225,7 +226,7 @@ func TestTornFileCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, golden := buildStore(t)
 			tc.mutate(t, dir)
-			out, rep, err := recovery.SalvageDir(dir)
+			out, rep, err := recovery.SalvageDir(fault.OS, dir)
 			if tc.want != nil {
 				if err == nil {
 					t.Fatalf("salvage succeeded (restored %d), want %v", rep.RestoredEpoch, tc.want)
@@ -271,7 +272,7 @@ func TestTornFileCorruption(t *testing.T) {
 // sealed epoch surfaced in the report.
 func TestSalvageDirCleanStore(t *testing.T) {
 	dir, golden := buildStore(t)
-	out, rep, err := recovery.SalvageDir(dir)
+	out, rep, err := recovery.SalvageDir(fault.OS, dir)
 	if err != nil {
 		t.Fatalf("SalvageDir: %v", err)
 	}
@@ -288,7 +289,7 @@ func TestSalvageDirCleanStore(t *testing.T) {
 
 // TestSalvageDirEmptyDir: an empty directory refuses like an empty image.
 func TestSalvageDirEmptyDir(t *testing.T) {
-	_, rep, err := recovery.SalvageDir(t.TempDir())
+	_, rep, err := recovery.SalvageDir(fault.OS, t.TempDir())
 	if !errors.Is(err, recovery.ErrUnrecoverable) {
 		t.Fatalf("error %v, want ErrUnrecoverable", err)
 	}

@@ -1,24 +1,17 @@
-// Package soak implements the kill-9 crash-restart soak harness: a
-// deterministic writer that drives an OMC group onto a file-backed durable
-// plane in a child process, a milestone protocol that parks the child on
-// exact durable-path boundaries so the parent can SIGKILL it at seeded
-// points, and a checker that cold-salvages the directory in the parent and
-// compares the restored image against the golden diffcheck-style model.
+// Package soak is the deterministic durable-store writer the
+// crash-consistency sweep (internal/diffcheck) drives: WriteStore streams a
+// seeded version history through an OMC group onto a file-backed plane
+// over any fault.FS and announces every durable-path boundary to a hook,
+// Durable turns those announcements into the epoch a crash must not lose,
+// and Golden replays the same history into the image each epoch must
+// restore to.
 //
-// The writer and the golden model consume the same PRNG stream, so parent
-// and child agree on every version ever written without sharing state —
-// the only channel between them is the store directory itself, which is
-// the point: durability claims are tested across real process death.
+// The writer and the golden model consume the same PRNG stream, so the
+// checker knows every version ever written without sharing any state with
+// the writer: the only channel between them is the store directory.
 package soak
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"strings"
-
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/omc"
@@ -34,8 +27,8 @@ const Members = 2
 // epochs overlap heavily (overwrites exercise master-table merging).
 const pageSpan = 24
 
-// Params configures one soak run. The same Params must be given to the
-// child writer and the parent checker.
+// Params configures one writer run. WriteStore and Golden must be given the
+// same Params.
 type Params struct {
 	Dir             string
 	Seed            int64
@@ -44,107 +37,32 @@ type Params struct {
 	CheckpointEvery int
 }
 
-// DefaultParams returns the standard soak shape: 6 epochs of 24 versions
+// DefaultParams returns the standard writer shape: 6 epochs of 24 versions
 // with a base checkpoint every 3 segment seals, so a full run crosses
-// several checkpoint rewrites and dozens of kill-eligible boundaries.
+// several checkpoint rewrites and every kind of durable-path boundary.
 func DefaultParams(dir string, seed int64) Params {
 	return Params{Dir: dir, Seed: seed, Epochs: 6, PerEpoch: 24, CheckpointEvery: 3}
 }
 
-// Child-process environment protocol. A binary that wants to host the soak
-// writer (the recovery test binary, nvcheck) checks IsChild() at startup
-// and hands control to ChildMain.
-const (
-	envChild    = "NVSOAK_CHILD"
-	envDir      = "NVSOAK_DIR"
-	envSeed     = "NVSOAK_SEED"
-	envEpochs   = "NVSOAK_EPOCHS"
-	envPerEpoch = "NVSOAK_PEREPOCH"
-	envCkpt     = "NVSOAK_CKPT"
-)
-
-// IsChild reports whether this process was spawned as a soak writer child.
-func IsChild() bool { return os.Getenv(envChild) == "1" }
-
-// ChildEnv renders Params as the child's environment variables.
-func ChildEnv(p Params) []string {
-	return []string{
-		envChild + "=1",
-		envDir + "=" + p.Dir,
-		envSeed + "=" + strconv.FormatInt(p.Seed, 10),
-		envEpochs + "=" + strconv.Itoa(p.Epochs),
-		envPerEpoch + "=" + strconv.Itoa(p.PerEpoch),
-		envCkpt + "=" + strconv.Itoa(p.CheckpointEvery),
-	}
+// Durable tracks the newest epoch a crash must not lose: epoch e is durable
+// once all Members manifest renames for it were announced. Its Hit method
+// is a WriteStore hook.
+type Durable struct {
+	Epoch   uint64
+	renamed map[uint64]int
 }
 
-func paramsFromEnv() (Params, error) {
-	var p Params
-	p.Dir = os.Getenv(envDir)
-	if p.Dir == "" {
-		return p, fmt.Errorf("%s not set", envDir)
+// Hit counts one announced boundary.
+func (d *Durable) Hit(point string, epoch uint64) {
+	if point != "manifest-renamed" {
+		return
 	}
-	for _, v := range []struct {
-		env string
-		dst *int
-	}{
-		{envEpochs, &p.Epochs},
-		{envPerEpoch, &p.PerEpoch},
-		{envCkpt, &p.CheckpointEvery},
-	} {
-		n, err := strconv.Atoi(os.Getenv(v.env))
-		if err != nil {
-			return p, fmt.Errorf("%s: %w", v.env, err)
-		}
-		*v.dst = n
+	if d.renamed == nil {
+		d.renamed = make(map[uint64]int)
 	}
-	seed, err := strconv.ParseInt(os.Getenv(envSeed), 10, 64)
-	if err != nil {
-		return p, fmt.Errorf("%s: %w", envSeed, err)
-	}
-	p.Seed = seed
-	return p, nil
-}
-
-// ChildMain runs the soak writer in a child process: params from the
-// environment, milestones on stdout, permission to proceed read from
-// stdin. Returns the process exit code.
-func ChildMain() int {
-	p, err := paramsFromEnv()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvsoak child:", err)
-		return 2
-	}
-	ms := &milestones{out: os.Stdout, in: bufio.NewReader(os.Stdin)}
-	if err := WriteStore(p, ms.hit); err != nil {
-		fmt.Fprintln(os.Stderr, "nvsoak child:", err)
-		return 1
-	}
-	return 0
-}
-
-// milestones implements the child half of the park-and-kill protocol:
-// after every durable-path boundary the child prints one line
-//
-//	M <index> <point> <epoch>
-//
-// and blocks until the parent answers "GO". A SIGKILL therefore always
-// lands while the child is parked at a known boundary — the kill point is
-// exact and seeded, not racy.
-type milestones struct {
-	n   int
-	out io.Writer
-	in  *bufio.Reader
-}
-
-func (m *milestones) hit(point string, epoch uint64) {
-	fmt.Fprintf(m.out, "M %d %s %d\n", m.n, point, epoch)
-	m.n++
-	line, err := m.in.ReadString('\n')
-	if err != nil || strings.TrimSpace(line) != "GO" {
-		// Orphaned (parent gone) or protocol breakdown: nothing to salvage
-		// from this process, the store directory is the only output.
-		os.Exit(3)
+	d.renamed[epoch]++
+	if d.renamed[epoch] >= Members && epoch > d.Epoch {
+		d.Epoch = epoch
 	}
 }
 
@@ -166,32 +84,20 @@ func writerConfig(p Params) sim.Config {
 	return cfg
 }
 
-// WriteStore runs the deterministic soak writer to completion: a fresh
-// file-backed store in p.Dir, p.Epochs sealed epochs of p.PerEpoch
-// versions each. hit (may be nil) is invoked at every kill-eligible
-// boundary: the writer-level points "epoch-start", "mid-writes" and
-// "pre-seal", plus the plane's own durable-path points ("segment-synced",
-// "checkpoint-written", "manifest-temp", "manifest-renamed").
-//
-// It is also usable in-process (hit == nil): the corruption tests build a
-// complete store this way before mutilating its files.
-//
-// nvlint:durable
-func WriteStore(p Params, hit func(point string, epoch uint64)) error {
-	return WriteStoreFS(fault.OS, p, hit)
-}
-
-// WriteStoreFS is WriteStore over an arbitrary filesystem: the disk-fault
-// sweep drives exactly this writer against a fault-injecting in-memory
-// store. A fault-wounded plane surfaces here as the mem.ErrPlaneWounded
-// error ClosePlane returns; everything sealed before the wound is already
-// on the filesystem for salvage.
+// WriteStore runs the deterministic writer to completion over fsys: a fresh
+// store in p.Dir, p.Epochs sealed epochs of p.PerEpoch versions each. hit
+// (may be nil) is invoked at every boundary: the writer-level points
+// "epoch-start", "mid-writes", "pre-seal" and "run-done", plus the plane's
+// durable-path points ("segment-synced", "checkpoint-written",
+// "manifest-temp", "manifest-renamed"). A fault-wounded plane surfaces as
+// the mem.ErrPlaneWounded error ClosePlane returns; everything sealed
+// before the wound is already on the filesystem for salvage.
 //
 // nvlint:durable
-func WriteStoreFS(fsys fault.FS, p Params, hit func(point string, epoch uint64)) error {
+func WriteStore(fsys fault.FS, p Params, hit func(point string, epoch uint64)) error {
 	cfg := writerConfig(p)
 	nvm := mem.NewNVM(&cfg)
-	plane, err := mem.OpenFilePlaneFS(fsys, p.Dir, p.CheckpointEvery)
+	plane, err := mem.OpenFilePlane(fsys, p.Dir, p.CheckpointEvery)
 	if err != nil {
 		return err
 	}
