@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/omc"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -114,7 +115,7 @@ func run(o options, w io.Writer) error {
 		o.wlName, o.accesses, o.epoch)
 	sum := driver.Run()
 	fmt.Fprintf(w, "  done in %d cycles; %d lines written; rec-epoch %d\n\n",
-		sum.Cycles, len(sum.Final), nvo.Group().RecEpoch())
+		sum.Cycles, sum.Final.Len(), nvo.Group().RecEpoch())
 
 	// --- Crash recovery -----------------------------------------------
 	fmt.Fprintln(w, "crash recovery:")
@@ -203,14 +204,10 @@ func run(o options, w io.Writer) error {
 
 // hottestAddr picks the address with the most snapshot versions, which
 // makes for an interesting time-travel demonstration. The candidate sample
-// is taken from the sorted address list, not map order, so the same run
-// always demonstrates the same address.
-func hottestAddr(final map[uint64]uint64, nvo *core.NVOverlay) uint64 {
-	addrs := make([]uint64, 0, len(final))
-	for addr := range final {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+// is taken from the sorted address list, so the same run always
+// demonstrates the same address.
+func hottestAddr(final *mem.Table[uint64], nvo *core.NVOverlay) uint64 {
+	addrs := final.SortedKeys()
 	if len(addrs) > 256 {
 		addrs = addrs[:256]
 	}

@@ -48,7 +48,7 @@ func main() {
 
 	// Incremental epochs beat full-image shipping: compare the delta bytes
 	// to what shipping the whole working set every epoch would have cost.
-	fullPerEpoch := int64(len(sum.Final)) * 64
+	fullPerEpoch := int64(sum.Final.Len()) * 64
 	epochs := int64(shipped)
 	fmt.Printf("\nincremental: %d KB vs naive full-image: %d KB (%.1fx saved)\n",
 		replica.BytesReceived>>10, fullPerEpoch*epochs>>10,

@@ -47,7 +47,7 @@ func main() {
 	var addr uint64
 	best := 0
 	probed := 0
-	for a := range sum.Final {
+	for _, a := range sum.Final.SortedKeys() {
 		if n := len(recovery.History(nvo.Group(), a)); n > best {
 			best, addr = n, a
 		}

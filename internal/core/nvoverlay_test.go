@@ -62,14 +62,14 @@ func TestNVOverlayEndToEndWorkload(t *testing.T) {
 	}
 	// After the drain the recovered image equals the final write state.
 	img, _ := n.Group().RecoverImage()
-	if len(img) != len(sum.Final) {
-		t.Fatalf("image %d lines, final %d", len(img), len(sum.Final))
+	if len(img) != sum.Final.Len() {
+		t.Fatalf("image %d lines, final %d", len(img), sum.Final.Len())
 	}
-	for addr, want := range sum.Final {
+	sum.Final.ForEach(func(addr, want uint64) {
 		if img[addr] != want {
 			t.Fatalf("addr %#x = %d, want %d", addr, img[addr], want)
 		}
-	}
+	})
 	// Mid-run epochs advanced and merged.
 	if n.Stats().Get("epoch_advances") == 0 {
 		t.Fatal("no epoch advances")

@@ -160,8 +160,19 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 // CurEpoch returns a VD's current epoch.
 func (f *Frontend) CurEpoch(vd int) uint64 { return f.cur[vd] }
 
-// Stats returns the frontend counter set.
-func (f *Frontend) Stats() *stats.Set { return f.stat }
+// Stats returns the frontend counters: the event counters plus
+// evict_<reason>, rendered from the per-reason tallies for every reason
+// that has occurred.
+func (f *Frontend) Stats() *stats.Set {
+	s := stats.NewSet(f.stat.Name())
+	s.Merge(f.stat)
+	for r := Reason(0); r < numReasons; r++ {
+		if f.evicts[r] > 0 {
+			s.Add("evict_"+r.String(), int64(f.evicts[r]))
+		}
+	}
+	return s
+}
 
 // EvictReason returns how many versions were sent to the OMC for a reason.
 func (f *Frontend) EvictReason(r Reason) uint64 { return f.evicts[r] }
@@ -202,7 +213,6 @@ func (f *Frontend) sendVersion(ln cache.Line, reason Reason) {
 		debugSendHook(ln, reason)
 	}
 	f.evicts[reason]++
-	f.stat.Inc("evict_" + reason.String())
 	f.bus.Emit(obs.KindVersionEvict, f.now+f.stall, -1, ln.OID, ln.Tag, uint64(reason), 0)
 	// Bursts (walks, drains) issue at f.now advanced by the stalls already
 	// incurred in this access, so a full NVM queue delays a burst linearly

@@ -2,6 +2,7 @@ package diffcheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/baseline"
@@ -407,23 +408,20 @@ func runPrefix(p Params, n int) *Divergence {
 }
 
 // diffImages renders a deterministic, sorted sample of the differences
-// between a recovered image and the golden expectation. recovery.Verify
-// reports the first mismatch it hits in map order, which varies run to
-// run; divergence reports need stable text.
-func diffImages(got, want map[uint64]uint64) string {
-	addrs := make(map[uint64]bool, len(got)+len(want))
-	//nvlint:allow maprange building an address set; sortedAddrs2 orders it before rendering
-	for a := range got {
-		addrs[a] = true
-	}
-	//nvlint:allow maprange building an address set; sortedAddrs2 orders it before rendering
-	for a := range want {
-		addrs[a] = true
-	}
+// between a recovered image and the golden expectation, so divergence
+// reports have stable text.
+func diffImages(got map[uint64]uint64, want *mem.Table[uint64]) string {
+	addrs := sortedAddrs(got)
+	want.ForEach(func(a, _ uint64) {
+		if _, ok := got[a]; !ok {
+			addrs = append(addrs, a)
+		}
+	})
+	slices.Sort(addrs)
 	var diffs []string
-	for _, a := range sortedAddrs2(addrs) {
+	for _, a := range addrs {
 		g, gok := got[a]
-		w, wok := want[a]
+		w, wok := want.Get(a)
 		switch {
 		case !gok:
 			diffs = append(diffs, fmt.Sprintf("%#x: missing (want %d)", a, w))
@@ -444,15 +442,6 @@ func diffImages(got, want map[uint64]uint64) string {
 }
 
 func sortedAddrs(m map[uint64]uint64) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedAddrs2(m map[uint64]bool) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for a := range m {
 		out = append(out, a)

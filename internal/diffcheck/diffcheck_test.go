@@ -3,6 +3,8 @@ package diffcheck
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 // traceBudget is the sweep size. The -short acceptance budget is 504
@@ -110,18 +112,20 @@ func TestGoldenModel(t *testing.T) {
 	if g.Lines() != 3 {
 		t.Fatalf("Lines() = %d, want 3", g.Lines())
 	}
-	wantFinal := map[uint64]uint64{0x40: 13, 0x80: 11, 0xc0: 14}
-	for a, w := range wantFinal {
-		if got := g.Final()[a]; got != w {
-			t.Fatalf("Final()[%#x] = %d, want %d", a, got, w)
+	final := g.Final()
+	for _, w := range []struct{ a, v uint64 }{{0x40, 13}, {0x80, 11}, {0xc0, 14}} {
+		if got, _ := final.Get(w.a); got != w.v {
+			t.Fatalf("Final()[%#x] = %d, want %d", w.a, got, w.v)
 		}
 	}
 	img := g.ImageAt(2)
-	if len(img) != 2 || img[0x40] != 12 || img[0x80] != 11 {
-		t.Fatalf("ImageAt(2) = %v, want {0x40:12, 0x80:11}", img)
+	v40, _ := img.Get(0x40)
+	v80, _ := img.Get(0x80)
+	if img.Len() != 2 || v40 != 12 || v80 != 11 {
+		t.Fatalf("ImageAt(2) = %v, want {0x40:12, 0x80:11}", img.SortedKeys())
 	}
-	if img := g.ImageAt(0); len(img) != 0 {
-		t.Fatalf("ImageAt(0) = %v, want empty", img)
+	if img := g.ImageAt(0); img.Len() != 0 {
+		t.Fatalf("ImageAt(0) has %d lines, want empty", img.Len())
 	}
 	if d, e, ok := g.VersionAt(0x40, 5); !ok || d != 13 || e != 3 {
 		t.Fatalf("VersionAt(0x40, 5) = (%d,%d,%v), want (13,3,true)", d, e, ok)
@@ -223,12 +227,18 @@ func TestDivergenceReport(t *testing.T) {
 // TestDiffImages pins the deterministic divergence diff rendering.
 func TestDiffImages(t *testing.T) {
 	got := map[uint64]uint64{0x40: 1, 0x80: 2}
-	want := map[uint64]uint64{0x40: 1, 0x80: 3, 0xc0: 4}
+	want := mem.NewTable[uint64](0)
+	want.Put(0x40, 1)
+	want.Put(0x80, 3)
+	want.Put(0xc0, 4)
 	s := diffImages(got, want)
 	if !strings.Contains(s, "0x80: got 2 want 3") || !strings.Contains(s, "0xc0: missing (want 4)") {
 		t.Fatalf("diff = %q", s)
 	}
-	if s := diffImages(got, got); s != "images identical" {
+	same := mem.NewTable[uint64](0)
+	same.Put(0x40, 1)
+	same.Put(0x80, 2)
+	if s := diffImages(got, same); s != "images identical" {
 		t.Fatalf("self-diff = %q", s)
 	}
 }

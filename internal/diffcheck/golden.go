@@ -16,6 +16,8 @@ package diffcheck
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/mem"
 )
 
 // write is one store observed by the golden model.
@@ -25,52 +27,42 @@ type write struct {
 	data  uint64
 }
 
-// Golden is the trivially-correct shadow memory: a flat map keyed by line
-// address whose per-address history is versioned by the epoch tags the
-// hardware itself assigned. It has no caches, no protocol and no timing —
-// just the semantics the snapshot stack must preserve.
+// Golden is the trivially-correct shadow memory: a flat table keyed by
+// line address whose per-address history is versioned by the epoch tags
+// the hardware itself assigned. It has no caches, no protocol and no
+// timing — just the semantics the snapshot stack must preserve.
 type Golden struct {
-	hist map[uint64][]write
+	hist *mem.Table[[]write]
 }
 
 // NewGolden returns an empty shadow memory.
 func NewGolden() *Golden {
-	return &Golden{hist: make(map[uint64][]write)}
+	return &Golden{hist: mem.NewTable[[]write](0)}
 }
 
 // Store records a write of data to line addr tagged with epoch at trace
 // step. It returns an error when the tag regresses for the address — the
 // monotonicity invariant every later golden comparison relies on.
 func (g *Golden) Store(step int, addr, epoch, data uint64) error {
-	h := g.hist[addr]
-	if n := len(h); n > 0 && epoch < h[n-1].epoch {
+	h, _ := g.hist.Upsert(addr)
+	if n := len(*h); n > 0 && epoch < (*h)[n-1].epoch {
 		return fmt.Errorf("golden: line %#x tagged epoch %d at step %d after epoch %d at step %d",
-			addr, epoch, step, h[n-1].epoch, h[n-1].step)
+			addr, epoch, step, (*h)[n-1].epoch, (*h)[n-1].step)
 	}
-	g.hist[addr] = append(h, write{step: step, epoch: epoch, data: data})
+	*h = append(*h, write{step: step, epoch: epoch, data: data})
 	return nil
 }
 
 // Lines returns how many distinct line addresses have been written.
-func (g *Golden) Lines() int { return len(g.hist) }
+func (g *Golden) Lines() int { return g.hist.Len() }
 
 // Addrs returns every written line address in ascending order.
-func (g *Golden) Addrs() []uint64 {
-	out := make([]uint64, 0, len(g.hist))
-	for a := range g.hist {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Golden) Addrs() []uint64 { return g.hist.SortedKeys() }
 
 // Final returns the crash-free final image: the last write per address.
-func (g *Golden) Final() map[uint64]uint64 {
-	img := make(map[uint64]uint64, len(g.hist))
-	//nvlint:allow maprange map-to-map build keyed by the source map, order-independent
-	for a, h := range g.hist {
-		img[a] = h[len(h)-1].data
-	}
+func (g *Golden) Final() *mem.Table[uint64] {
+	img := mem.NewTable[uint64](g.hist.Len())
+	g.hist.ForEach(func(a uint64, h []write) { img.Put(a, h[len(h)-1].data) })
 	return img
 }
 
@@ -78,17 +70,16 @@ func (g *Golden) Final() map[uint64]uint64 {
 // the last write whose tag is <= epoch; addresses first written in a later
 // epoch are absent. This is what recovery.Recover must reproduce when the
 // recoverable epoch equals epoch.
-func (g *Golden) ImageAt(epoch uint64) map[uint64]uint64 {
-	img := make(map[uint64]uint64, len(g.hist))
-	//nvlint:allow maprange map-to-map build keyed by the source map, order-independent
-	for a, h := range g.hist {
+func (g *Golden) ImageAt(epoch uint64) *mem.Table[uint64] {
+	img := mem.NewTable[uint64](g.hist.Len())
+	g.hist.ForEach(func(a uint64, h []write) {
 		// Per-address epochs are non-decreasing, so the writes with tag
 		// <= epoch form a prefix of the history.
 		i := sort.Search(len(h), func(i int) bool { return h[i].epoch > epoch })
 		if i > 0 {
-			img[a] = h[i-1].data
+			img.Put(a, h[i-1].data)
 		}
-	}
+	})
 	return img
 }
 
@@ -97,7 +88,7 @@ func (g *Golden) ImageAt(epoch uint64) map[uint64]uint64 {
 // that epoch, and whether any such write exists. It is the golden
 // counterpart of recovery.TimeTravel under full retention.
 func (g *Golden) VersionAt(addr, epoch uint64) (data uint64, foundEpoch uint64, ok bool) {
-	h := g.hist[addr]
+	h, _ := g.hist.Get(addr)
 	i := sort.Search(len(h), func(i int) bool { return h[i].epoch > epoch })
 	if i == 0 {
 		return 0, 0, false

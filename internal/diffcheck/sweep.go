@@ -352,7 +352,7 @@ func (r *SweepResult) add(out cellOut) {
 // pass: pt.DurableEpoch is the floor, golden the model's image of an
 // epoch. It records the outcome on pt and returns the violation, if any.
 func judge(pt *Point, out map[uint64]uint64, rep *recovery.SalvageReport, err error,
-	golden func(epoch uint64) (map[uint64]uint64, bool)) *SweepDivergence {
+	golden func(epoch uint64) (*mem.Table[uint64], bool)) *SweepDivergence {
 	div := func(kind, format string, args ...interface{}) *SweepDivergence {
 		return &SweepDivergence{Cell: *pt, Kind: kind, Detail: fmt.Sprintf(format, args...), Report: rep}
 	}
@@ -430,7 +430,7 @@ func nvmCell(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (Point, s
 		sched = inj.Schedule()
 	}
 	out, rep, err := recovery.SalvageObserved(img, bus)
-	d := judge(&pt, out, rep, err, func(e uint64) (map[uint64]uint64, bool) { return g.ImageAt(e), true })
+	d := judge(&pt, out, rep, err, func(e uint64) (*mem.Table[uint64], bool) { return g.ImageAt(e), true })
 	return pt, sched, d
 }
 
@@ -468,7 +468,7 @@ func DiskCell(class string, seed int64, cut int) ([]Point, string, *SweepDiverge
 		pt.Err = werr.Error()
 	}
 	golden := soak.Golden(sp)
-	lookup := func(e uint64) (map[uint64]uint64, bool) {
+	lookup := func(e uint64) (*mem.Table[uint64], bool) {
 		g, ok := golden[e]
 		return g, ok
 	}

@@ -11,27 +11,34 @@ import (
 // bits or reserved words (§IV-A4). OIDs may be tracked per line or per
 // 4-line "super block" (§V-F); with super blocks the stored OID is only
 // raised, never lowered, exactly as the paper specifies.
+//
+// All per-line state lives in one table keyed by line address: a line's
+// slot holds its payload and the OID of its last accepted write-back, and
+// a granule's first line also holds the granule's side-band OID. With
+// per-line tracking a write-back is a single probe.
 type DRAM struct {
-	cfg  *sim.Config
-	oids map[uint64]uint64 // line (or super-block) address -> version
-	data map[uint64]uint64 // line address -> payload token
+	cfg    *sim.Config
+	lines  *Table[dramLine]
+	tagged int // granules holding a side-band OID
+
+	writebacks, staleDropped, oidLookups int64
+}
+
+// dramLine is one line's DRAM state.
+type dramLine struct {
+	oid  uint64 // side-band OID of the granule this line heads (if tagged)
+	data uint64 // payload token
 	// dataOID orders write-backs per line: a stale dirty copy evicted from
 	// the LLC after a newer version already reached DRAM (e.g. via the tag
 	// walker's working-copy refresh) must not clobber the newer data. Real
 	// systems get this ordering from coherence; the model enforces it here.
-	dataOID map[uint64]uint64
-	stat    *stats.Set
+	dataOID uint64
+	tagged  bool // oid is set: this line heads a tracked granule
 }
 
 // NewDRAM constructs the device.
 func NewDRAM(cfg *sim.Config) *DRAM {
-	return &DRAM{
-		cfg:     cfg,
-		oids:    make(map[uint64]uint64),
-		data:    make(map[uint64]uint64),
-		dataOID: make(map[uint64]uint64),
-		stat:    stats.NewSet("dram"),
-	}
+	return &DRAM{cfg: cfg, lines: NewTable[dramLine](0)}
 }
 
 // key maps a line address onto its OID tracking granule.
@@ -48,40 +55,65 @@ func (d *DRAM) Latency() uint64 { return d.cfg.DRAMLatency }
 // if the incoming OID is larger; the payload is always the newest data.
 func (d *DRAM) WriteBack(addr uint64, oid uint64, data uint64) {
 	k := d.key(addr)
-	if cur, ok := d.oids[k]; !ok || oid > cur {
-		d.oids[k] = oid
+	g, _ := d.lines.Upsert(k)
+	if !g.tagged {
+		g.tagged = true
+		g.oid = oid
+		d.tagged++
+	} else if oid > g.oid {
+		g.oid = oid
 	}
-	line := d.cfg.LineAddr(addr)
-	if cur, ok := d.dataOID[line]; !ok || oid >= cur {
-		d.data[line] = data
-		d.dataOID[line] = oid
+	e := g
+	if line := d.cfg.LineAddr(addr); line != k {
+		e, _ = d.lines.Upsert(line)
+	}
+	// An untouched line has dataOID 0, which every write-back passes.
+	if oid >= e.dataOID {
+		e.data = data
+		e.dataOID = oid
 	} else {
-		d.stat.Inc("stale_writebacks_dropped")
+		d.staleDropped++
 	}
-	d.stat.Inc("writebacks")
-	d.stat.Add("bytes_written", int64(d.cfg.LineSize))
+	d.writebacks++
 }
 
 // Data returns the payload token last written back to addr's line (zero for
 // untouched memory).
-func (d *DRAM) Data(addr uint64) uint64 { return d.data[d.cfg.LineAddr(addr)] }
+func (d *DRAM) Data(addr uint64) uint64 {
+	e, _ := d.lines.Get(d.cfg.LineAddr(addr))
+	return e.data
+}
 
 // OID returns the version tag stored for addr's granule (0 if never written:
 // version 0 predates all epochs, so fetching untouched memory never advances
 // anyone's epoch).
 func (d *DRAM) OID(addr uint64) uint64 {
-	d.stat.Inc("oid_lookups")
-	return d.oids[d.key(addr)]
+	d.oidLookups++
+	e, _ := d.lines.Get(d.key(addr))
+	return e.oid
 }
 
 // TaggedLines returns how many OID granules DRAM currently tracks; the
 // experiment harness uses it to report the side-band overhead trade-off of
 // super-block tracking.
-func (d *DRAM) TaggedLines() int { return len(d.oids) }
+func (d *DRAM) TaggedLines() int { return d.tagged }
 
 // SideBandBytes returns the bytes of OID metadata implied by the current
 // tracked set (2 bytes per granule, mirroring the 16-bit tag).
-func (d *DRAM) SideBandBytes() int64 { return int64(len(d.oids)) * 2 }
+func (d *DRAM) SideBandBytes() int64 { return int64(d.tagged) * 2 }
 
-// Stats exposes the device counter set.
-func (d *DRAM) Stats() *stats.Set { return d.stat }
+// Stats renders the device counters as a set.
+func (d *DRAM) Stats() *stats.Set {
+	s := stats.NewSet("dram")
+	if d.writebacks > 0 {
+		s.Add("writebacks", d.writebacks)
+		s.Add("bytes_written", d.writebacks*int64(d.cfg.LineSize))
+	}
+	if d.staleDropped > 0 {
+		s.Add("stale_writebacks_dropped", d.staleDropped)
+	}
+	if d.oidLookups > 0 {
+		s.Add("oid_lookups", d.oidLookups)
+	}
+	return s
+}

@@ -1,40 +1,26 @@
 package mem
 
-import "sort"
-
 // Image is the durable NVM content after a power cut: a sparse 8-byte word
 // array. Recovery reads it through Word and must treat every absence as a
 // write that never reached the array. The fuzz harness mutates images
 // directly through Delete and FlipBit to model corruption beyond what the
 // injector draws.
 type Image struct {
-	words map[uint64]uint64
+	words *Table[uint64] // word index (addr/8) -> word
 }
 
-func snapshotImage(store map[uint64]uint64) *Image {
-	words := make(map[uint64]uint64, len(store))
-	//nvlint:allow maprange copying into the Image snapshot map
-	for a, v := range store {
-		words[a] = v
-	}
-	return &Image{words: words}
-}
+// NewImage returns an empty image.
+func NewImage() *Image { return &Image{words: NewTable[uint64](0)} }
 
-// NewImage builds an image from an explicit word map (test helper).
-func NewImage(words map[uint64]uint64) *Image {
-	if words == nil {
-		words = make(map[uint64]uint64)
-	}
-	return &Image{words: words}
-}
+// put stores one word (cold loads and pending-queue overlays).
+func (im *Image) put(addr, v uint64) { im.words.Put(addr>>3, v) }
 
 // Word returns the persisted 8-byte word at addr and whether it exists.
 func (im *Image) Word(addr uint64) (uint64, bool) {
 	if im == nil {
 		return 0, false
 	}
-	v, ok := im.words[wordAlign(addr)]
-	return v, ok
+	return im.words.Get(addr >> 3)
 }
 
 // Len returns how many persisted words the image holds.
@@ -42,7 +28,7 @@ func (im *Image) Len() int {
 	if im == nil {
 		return 0
 	}
-	return len(im.words)
+	return im.words.Len()
 }
 
 // SortedAddrs returns every persisted word address in ascending order.
@@ -55,23 +41,25 @@ func (im *Image) SortedAddrs() []uint64 {
 
 // Delete removes a persisted word (corruption modelling: a write that was
 // thought durable but never reached the array).
-func (im *Image) Delete(addr uint64) { delete(im.words, wordAlign(addr)) }
+func (im *Image) Delete(addr uint64) { im.words.Delete(addr >> 3) }
 
 // FlipBit flips one bit of a persisted word; it is a no-op when the word
 // does not exist.
-func (im *Image) FlipBit(addr uint64, bit uint) {
-	a := wordAlign(addr)
-	if v, ok := im.words[a]; ok {
-		im.words[a] = v ^ (1 << (bit & 63))
+func (im *Image) FlipBit(addr uint64, bit uint) { xorWord(im.words, addr, 1<<(bit&63)) }
+
+// sortedWordAddrs returns the word addresses of a word-index table in
+// ascending order.
+func sortedWordAddrs(words *Table[uint64]) []uint64 {
+	addrs := words.SortedKeys()
+	for i := range addrs {
+		addrs[i] <<= 3
 	}
+	return addrs
 }
 
-func sortedWordAddrs(m map[uint64]uint64) []uint64 {
-	addrs := make([]uint64, 0, len(m))
-	//nvlint:allow maprange collect-then-sort
-	for a := range m {
-		addrs = append(addrs, a)
+// xorWord flips bits of the word at addr if it exists.
+func xorWord(words *Table[uint64], addr, mask uint64) {
+	if v, ok := words.Get(addr >> 3); ok {
+		words.Put(addr>>3, v^mask)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
 }

@@ -107,15 +107,15 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 			rep.addDamage("manifest-missing", manifestName, "sealed store state present but manifest destroyed")
 			return nil, rep, errors.New("mem: manifest missing from non-empty store")
 		}
-		words := make(map[uint64]uint64)
+		img := NewImage()
 		if haveDelta {
-			n, _, err := replaySegment(fsys, filepath.Join(dir, DeltaFileName(0)), words, false, rep)
+			n, _, err := replaySegment(fsys, filepath.Join(dir, DeltaFileName(0)), img, false, rep)
 			if err != nil && !errors.Is(err, errReplayStop) {
 				return nil, rep, err
 			}
 			rep.ActiveRecords = n
 		}
-		return NewImage(words), rep, nil
+		return img, rep, nil
 	case err != nil:
 		rep.Fatal = "manifest-unreadable"
 		rep.addDamage("manifest-unreadable", manifestName, err.Error())
@@ -149,10 +149,10 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 		return nil, rep, errors.New("mem: manifest corrupt: implausible sequence numbers")
 	}
 
-	words := make(map[uint64]uint64)
+	img := NewImage()
 	if ckptSeq >= 0 {
 		name := CheckpointFileName(ckptSeq)
-		if err := replayCheckpoint(fsys, filepath.Join(dir, name), words); err != nil {
+		if err := replayCheckpoint(fsys, filepath.Join(dir, name), img); err != nil {
 			if errors.Is(err, iofs.ErrNotExist) {
 				rep.Fatal = "checkpoint-missing"
 				rep.addDamage("checkpoint-missing", name, "manifest references a checkpoint that does not exist")
@@ -170,23 +170,23 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	// old and new words that never coexisted).
 	for seq := segBase; seq < segBase+segCount; seq++ {
 		name := DeltaFileName(seq)
-		_, sealed, err := replaySegment(fsys, filepath.Join(dir, name), words, true, rep)
+		_, sealed, err := replaySegment(fsys, filepath.Join(dir, name), img, true, rep)
 		if err != nil {
 			if errors.Is(err, iofs.ErrNotExist) {
 				rep.addDamage("segment-missing", name, "manifest references a sealed delta segment that does not exist")
 				rep.Truncated = true
-				return NewImage(words), rep, nil
+				return img, rep, nil
 			}
 			if errors.Is(err, errReplayStop) {
 				rep.Truncated = true
-				return NewImage(words), rep, nil
+				return img, rep, nil
 			}
 			return nil, rep, err
 		}
 		if !sealed {
 			rep.addDamage("segment-unsealed", name, "sealed delta segment has no seal record")
 			rep.Truncated = true
-			return NewImage(words), rep, nil
+			return img, rep, nil
 		}
 		rep.Segments++
 	}
@@ -195,21 +195,21 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	// is the expected kill -9 shape; the valid prefix still holds committed
 	// (but unsealed) writes that image-level salvage may use.
 	active := DeltaFileName(segBase + segCount)
-	n, _, err := replaySegment(fsys, filepath.Join(dir, active), words, false, rep)
+	n, _, err := replaySegment(fsys, filepath.Join(dir, active), img, false, rep)
 	if err != nil && !errors.Is(err, errReplayStop) && !errors.Is(err, iofs.ErrNotExist) {
 		return nil, rep, err
 	}
 	rep.ActiveRecords = n
-	return NewImage(words), rep, nil
+	return img, rep, nil
 }
 
-// replaySegment applies one delta log's valid record prefix into words.
+// replaySegment applies one delta log's valid record prefix into img.
 // sealed selects strict mode: damage in a manifest-listed segment is
 // reported as segment-torn and replay stops (errReplayStop); in the active
 // segment a torn tail is normal kill -9 evidence (active-torn) and the
 // valid prefix is kept. Returns the record count and whether a seal record
 // terminated the segment.
-func replaySegment(fsys fault.FS, path string, words map[uint64]uint64, sealed bool, rep *DirReport) (int, bool, error) {
+func replaySegment(fsys fault.FS, path string, img *Image, sealed bool, rep *DirReport) (int, bool, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -255,7 +255,7 @@ loop:
 				break loop
 			}
 			for i, v := range body[:n] {
-				words[addr+uint64(i*8)] = v
+				img.put(addr+uint64(i*8), v)
 			}
 			recs++
 		case FileSealMagic:
@@ -292,11 +292,11 @@ loop:
 	return recs, sawSeal, replayErr
 }
 
-// replayCheckpoint loads a base image into words, verifying the header
+// replayCheckpoint loads a base image into img, verifying the header
 // checksum and the running digest over all (addr, word) pairs. Any
 // mismatch is an error: a checkpoint is all-or-nothing, there is no older
 // state underneath it to fall back on.
-func replayCheckpoint(fsys fault.FS, path string, words map[uint64]uint64) error {
+func replayCheckpoint(fsys fault.FS, path string, img *Image) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
@@ -330,7 +330,7 @@ func replayCheckpoint(fsys fault.FS, path string, words map[uint64]uint64) error
 		if pair[0]&7 != 0 {
 			return fail("misaligned word address")
 		}
-		words[pair[0]] = pair[1]
+		img.put(pair[0], pair[1])
 		digest = PairMix(PairMix(digest, pair[0]), pair[1])
 	}
 	trailer, err := readWords(r, 1)

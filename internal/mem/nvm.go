@@ -61,7 +61,7 @@ type NVM struct {
 	bytes    [numWriteClasses]int64
 	writes   [numWriteClasses]int64
 
-	wear     map[uint64]int64 // per-page write counts (line writes land here)
+	wear     *Table[int64] // per-page write counts (line writes land here)
 	series   *stats.TimeSeries
 	progress func() float64 // supplied by the driver; nil means no series
 	stat     *stats.Set
@@ -77,17 +77,106 @@ type NVM struct {
 	// for the *stall* model), a write issued at cycle t can never be
 	// durable before t+latency.
 	plane    DurablePlane
-	pending  [][]pendingWrite
+	pending  []bankQueue
 	bankDone []uint64
 	inj      *fault.Injector
 	bus      *obs.Bus // nil when the run is unobserved
 }
 
-// pendingWrite is one word burst sitting in a bank's volatile queue.
+// pendingWrite is one word burst sitting in a bank's volatile queue. Its
+// payload is the next n words of the queue's word ring.
 type pendingWrite struct {
-	addr  uint64   // first word address (8-byte aligned)
-	words []uint64 // payload, 8 bytes per element
-	done  uint64   // device completion cycle; durable once done <= now
+	addr uint64 // first word address (8-byte aligned)
+	done uint64 // device completion cycle; durable once done <= now
+	n    int    // payload length in words
+}
+
+// bankQueue is one bank's FIFO of pending writes. The writes and their
+// payload words live in two ring buffers that advance in step: each
+// write's words follow the previous write's in the word ring, so queueing
+// a burst copies it without a per-write allocation and the caller's slice
+// is never retained. Each ring advances a head index as writes drain and
+// grows (unrolling its live contents to the front) only when full, to at
+// most twice its live length, so neither ever holds more than twice the
+// most the queue has had live.
+type bankQueue struct {
+	ring      []pendingWrite
+	head, n   int // oldest write and live write count
+	words     []uint64
+	whead, wn int      // oldest payload word and live word count
+	tmp       []uint64 // contiguous copy of a payload that wraps the word ring
+}
+
+// front returns the oldest live write.
+func (q *bankQueue) front() pendingWrite { return q.ring[q.head] }
+
+// push appends a write of words at the tail.
+func (q *bankQueue) push(addr, done uint64, words []uint64) {
+	if q.n == len(q.ring) {
+		ring := make([]pendingWrite, max(1, 2*q.n))
+		k := copy(ring, q.ring[q.head:])
+		copy(ring[k:], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[wrap(q.head+q.n, len(q.ring))] = pendingWrite{addr: addr, done: done, n: len(words)}
+	q.n++
+	if need := q.wn + len(words); need > len(q.words) {
+		buf := make([]uint64, max(need, 2*q.wn))
+		copy(buf, q.span(q.whead, q.wn))
+		q.words, q.whead = buf, 0
+	}
+	t := wrap(q.whead+q.wn, len(q.words))
+	for _, v := range words {
+		q.words[t] = v
+		if t++; t == len(q.words) {
+			t = 0
+		}
+	}
+	q.wn += len(words)
+}
+
+// pop removes the oldest write and returns it with its payload. The
+// payload is valid until the next push.
+func (q *bankQueue) pop() (pendingWrite, []uint64) {
+	w := q.ring[q.head]
+	q.head = wrap(q.head+1, len(q.ring))
+	q.n--
+	words := q.span(q.whead, w.n)
+	q.whead = wrap(q.whead+w.n, len(q.words))
+	q.wn -= w.n
+	return w, words
+}
+
+// each calls f for every live write, oldest first, without consuming.
+func (q *bankQueue) each(f func(w pendingWrite, words []uint64)) {
+	at := q.whead
+	for i := 0; i < q.n; i++ {
+		w := q.ring[wrap(q.head+i, len(q.ring))]
+		f(w, q.span(at, w.n))
+		at = wrap(at+w.n, len(q.words))
+	}
+}
+
+// span returns the n payload words starting at word-ring index at as one
+// slice, copied into tmp when they wrap around the ring end.
+func (q *bankQueue) span(at, n int) []uint64 {
+	if at+n <= len(q.words) {
+		return q.words[at : at+n]
+	}
+	k := len(q.words) - at
+	q.tmp = append(append(q.tmp[:0], q.words[at:]...), q.words[:n-k]...)
+	return q.tmp
+}
+
+// reset empties the queue, keeping its rings.
+func (q *bankQueue) reset() { q.head, q.n, q.whead, q.wn = 0, 0, 0, 0 }
+
+// wrap reduces a ring index that may have run at most one lap past size.
+func wrap(i, size int) int {
+	if i >= size {
+		return i - size
+	}
+	return i
 }
 
 // NewNVM constructs the device from the machine config.
@@ -96,11 +185,11 @@ func NewNVM(cfg *sim.Config) *NVM {
 		cfg:      cfg,
 		bankBusy: make([]uint64, cfg.NVMBanks),
 		lastLine: make([]uint64, cfg.NVMBanks),
-		wear:     make(map[uint64]int64),
+		wear:     NewTable[int64](0),
 		series:   stats.NewTimeSeries(cfg.TimeSeriesBuckets),
 		stat:     stats.NewSet("nvm"),
 		plane:    NewRAMPlane(),
-		pending:  make([][]pendingWrite, cfg.NVMBanks),
+		pending:  make([]bankQueue, cfg.NVMBanks),
 		bankDone: make([]uint64, cfg.NVMBanks),
 		bus:      cfg.Obs,
 	}
@@ -209,9 +298,8 @@ func (n *NVM) syncLine(addr uint64, size int, now uint64) uint64 {
 func (n *NVM) account(class WriteClass, addr uint64, size int) {
 	n.bytes[class] += int64(size)
 	n.writes[class]++
-	n.wear[n.cfg.PageAddr(addr)]++
-	n.stat.Add("bytes_"+class.String(), int64(size))
-	n.stat.Inc("writes_" + class.String())
+	w, _ := n.wear.Upsert(n.cfg.PageAddr(addr))
+	*w++
 	if n.progress != nil {
 		n.series.Record(n.progress(), int64(size))
 	}
@@ -256,20 +344,27 @@ func (n *NVM) TotalWrites() int64 {
 // MaxWear returns the highest per-page write count (endurance proxy).
 func (n *NVM) MaxWear() int64 {
 	var m int64
-	//nvlint:allow maprange commutative max over wear counters
-	for _, w := range n.wear {
-		if w > m {
-			m = w
-		}
-	}
+	n.wear.ForEach(func(_ uint64, w int64) { m = max(m, w) })
 	return m
 }
 
 // PagesTouched returns how many distinct NVM pages have been written.
-func (n *NVM) PagesTouched() int { return len(n.wear) }
+func (n *NVM) PagesTouched() int { return n.wear.Len() }
 
 // Series exposes the bandwidth time series (Fig 17).
 func (n *NVM) Series() *stats.TimeSeries { return n.series }
 
-// Stats exposes the device counter set.
-func (n *NVM) Stats() *stats.Set { return n.stat }
+// Stats returns the device counters: the event counters plus per-class
+// bytes_<class> and writes_<class>, rendered from the byte and write
+// tallies for every class written so far.
+func (n *NVM) Stats() *stats.Set {
+	s := stats.NewSet(n.stat.Name())
+	s.Merge(n.stat)
+	for c := WriteClass(0); c < numWriteClasses; c++ {
+		if n.writes[c] > 0 {
+			s.Add("bytes_"+c.String(), n.bytes[c])
+			s.Add("writes_"+c.String(), n.writes[c])
+		}
+	}
+	return s
+}

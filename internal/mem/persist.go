@@ -45,10 +45,10 @@ func (n *NVM) SealDurable(epoch, now uint64) {
 		return
 	}
 	for b := range n.pending {
-		q := n.pending[b]
-		n.pending[b] = nil
-		for _, w := range q {
-			n.commit(w, now)
+		q := &n.pending[b]
+		for q.n > 0 {
+			w, words := q.pop()
+			n.commit(w, words, now)
 		}
 		if n.bankDone[b] < now {
 			n.bankDone[b] = now
@@ -122,20 +122,19 @@ func (n *NVM) enqueue(addr uint64, words []uint64, now uint64, booked bool) {
 	}
 	// Drain the FIFO prefix that has already completed so queues stay
 	// short; order per bank (hence per word address) is preserved.
-	q := n.pending[b]
-	i := 0
-	for ; i < len(q) && q[i].done <= now; i++ {
-		n.commit(q[i], now)
+	q := &n.pending[b]
+	for q.n > 0 && q.front().done <= now {
+		w, words := q.pop()
+		n.commit(w, words, now)
 	}
-	q = append(q[i:], pendingWrite{addr: addr, words: words, done: done})
-	n.pending[b] = q
+	q.push(addr, done, words)
 }
 
 // commit applies a completed write to the persisted word array. now is the
 // cycle the drain was observed at (the write's own completion may be older).
-func (n *NVM) commit(w pendingWrite, now uint64) {
-	n.bus.Emit(obs.KindNVMDrain, now, n.bankOf(w.addr), 0, w.addr, uint64(len(w.words)), 0)
-	n.plane.Apply(w.addr, w.words)
+func (n *NVM) commit(w pendingWrite, words []uint64, now uint64) {
+	n.bus.Emit(obs.KindNVMDrain, now, n.bankOf(w.addr), 0, w.addr, uint64(len(words)), 0)
+	n.plane.Apply(w.addr, words)
 }
 
 // PowerCut simulates losing power at cycle now and returns the resulting
@@ -150,31 +149,31 @@ func (n *NVM) commit(w pendingWrite, now uint64) {
 // harness only reads the image), but content from before the cut is final.
 func (n *NVM) PowerCut(now uint64) *Image {
 	for b := range n.pending {
-		q := n.pending[b]
-		n.pending[b] = nil
+		q := &n.pending[b]
 		// Durable prefix: completed before the cut.
-		i := 0
-		for ; i < len(q) && q[i].done <= now; i++ {
-			n.commit(q[i], now)
+		for q.n > 0 && q.front().done <= now {
+			w, words := q.pop()
+			n.commit(w, words, now)
 		}
-		volatileQ := q[i:]
-		if len(volatileQ) == 0 {
+		if q.n == 0 {
 			continue
 		}
-		if n.inj.Enabled() && n.inj.BankLost(b, len(volatileQ)) {
-			n.stat.Add("cut_lost_writes", int64(len(volatileQ)))
+		if n.inj.Enabled() && n.inj.BankLost(b, q.n) {
+			n.stat.Add("cut_lost_writes", int64(q.n))
+			q.reset()
 			continue
 		}
 		// ADR drains the volatile queue in order; the injector may tear
 		// the last write in flight.
-		for j, w := range volatileQ {
-			if j == len(volatileQ)-1 && n.inj.Enabled() {
-				if keep, torn := n.inj.Tear(b, w.addr, len(w.words)); torn {
+		for q.n > 0 {
+			w, words := q.pop()
+			if q.n == 0 && n.inj.Enabled() {
+				if keep, torn := n.inj.Tear(b, w.addr, len(words)); torn {
 					n.stat.Inc("cut_torn_writes")
-					w.words = w.words[:keep]
+					words = words[:keep]
 				}
 			}
-			n.commit(w, now)
+			n.commit(w, words, now)
 		}
 	}
 	if n.inj.Enabled() {
@@ -194,11 +193,11 @@ func (n *NVM) PowerCut(now uint64) *Image {
 func (n *NVM) Image() *Image {
 	img := n.plane.Snapshot()
 	for b := range n.pending {
-		for _, w := range n.pending[b] {
-			for i, v := range w.words {
-				img.words[w.addr+uint64(i*8)] = v
+		n.pending[b].each(func(w pendingWrite, words []uint64) {
+			for j, v := range words {
+				img.put(w.addr+uint64(j*8), v)
 			}
-		}
+		})
 	}
 	return img
 }

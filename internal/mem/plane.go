@@ -49,20 +49,22 @@ type DurablePlane interface {
 	Close() error
 }
 
-// RAMPlane is the in-memory durable plane: a sparse 8-byte word array.
+// RAMPlane is the in-memory durable plane: a sparse 8-byte word array
+// held in a Table keyed by word index (addr/8).
 type RAMPlane struct {
-	words map[uint64]uint64
+	words *Table[uint64]
 }
 
 // NewRAMPlane returns an empty in-memory plane.
 func NewRAMPlane() *RAMPlane {
-	return &RAMPlane{words: make(map[uint64]uint64)}
+	return &RAMPlane{words: NewTable[uint64](0)}
 }
 
 // Apply implements DurablePlane.
 func (p *RAMPlane) Apply(addr uint64, words []uint64) {
+	w := addr >> 3
 	for i, v := range words {
-		p.words[addr+uint64(i*8)] = v
+		p.words.Put(w+uint64(i), v)
 	}
 }
 
@@ -73,26 +75,19 @@ func (p *RAMPlane) SealEpoch(epoch uint64) {}
 func (p *RAMPlane) Durable() bool { return false }
 
 // Word implements DurablePlane.
-func (p *RAMPlane) Word(addr uint64) (uint64, bool) {
-	v, ok := p.words[addr]
-	return v, ok
-}
+func (p *RAMPlane) Word(addr uint64) (uint64, bool) { return p.words.Get(addr >> 3) }
 
 // Words implements DurablePlane.
-func (p *RAMPlane) Words() int { return len(p.words) }
+func (p *RAMPlane) Words() int { return p.words.Len() }
 
 // SortedAddrs implements DurablePlane.
 func (p *RAMPlane) SortedAddrs() []uint64 { return sortedWordAddrs(p.words) }
 
 // XorWord implements DurablePlane.
-func (p *RAMPlane) XorWord(addr, mask uint64) {
-	if v, ok := p.words[addr]; ok {
-		p.words[addr] = v ^ mask
-	}
-}
+func (p *RAMPlane) XorWord(addr, mask uint64) { xorWord(p.words, addr, mask) }
 
 // Snapshot implements DurablePlane.
-func (p *RAMPlane) Snapshot() *Image { return snapshotImage(p.words) }
+func (p *RAMPlane) Snapshot() *Image { return &Image{words: p.words.Clone()} }
 
 // Err implements DurablePlane.
 func (p *RAMPlane) Err() error { return nil }

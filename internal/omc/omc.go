@@ -27,7 +27,7 @@ type OMC struct {
 	pool     *Pool
 	buf      *Buffer
 
-	payload  map[uint64]uint64 // nvmAddr -> data token ("NVM contents")
+	payload  *mem.Table[uint64] // nvmAddr -> data token ("NVM contents")
 	metaNext uint64
 
 	minVer   []uint64 // per VD: smallest possibly-unpersisted version
@@ -41,7 +41,7 @@ type OMC struct {
 
 	// subpage accounting: versions per (epoch, 4KB page) for the sparse
 	// sub-page statistic (§V-C / Page Overlays §4.4).
-	vpageCounts map[uint64]map[uint64]int
+	vpageCounts *mem.Table[*mem.Table[int]]
 
 	// now is the cycle of the in-flight operation; background work (merges,
 	// compaction, master-table writes) issues its NVM traffic at this time.
@@ -76,9 +76,9 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 		epochs:      make(map[uint64]*Table),
 		retained:    make(map[uint64]*Table),
 		pool:        NewPool(PoolBase+uint64(id)*omcRegion, cfg.PageSize, cfg.LineSize, cfg.NVMPoolPages),
-		payload:     make(map[uint64]uint64),
+		payload:     mem.NewTable[uint64](0),
 		minVer:      make([]uint64, cfg.VDs()),
-		vpageCounts: make(map[uint64]map[uint64]int),
+		vpageCounts: mem.NewTable[*mem.Table[int]](0),
 		stat:        stats.NewSet("omc"),
 		bus:         cfg.Obs,
 	}
@@ -162,7 +162,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	// reused pool addresses instead of trusting them.
 	stall += o.nvm.Persist(mem.WData, nvmAddr, o.cfg.LineSize,
 		[]uint64{v.Data, v.Epoch, LineCheck(v.Addr, v.Epoch, v.Data)}, now)
-	o.payload[nvmAddr] = v.Data
+	o.payload.Put(nvmAddr, v.Data)
 	t := o.epochs[v.Epoch]
 	if t == nil {
 		t = o.newEpochTable()
@@ -170,16 +170,16 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	}
 	if old, replaced := t.Insert(v.Addr, nvmAddr); replaced {
 		// The epoch's snapshot keeps only its newest version of an address.
-		delete(o.payload, old)
+		o.payload.Delete(old)
 		o.pool.Release(old)
 		o.stat.Inc("same_epoch_replacements")
 	} else {
-		vp := o.vpageCounts[v.Epoch]
-		if vp == nil {
-			vp = make(map[uint64]int)
-			o.vpageCounts[v.Epoch] = vp
+		vp, ok := o.vpageCounts.Upsert(v.Epoch)
+		if !ok {
+			*vp = mem.NewTable[int](0)
 		}
-		vp[o.cfg.PageAddr(v.Addr)]++
+		n, _ := (*vp).Upsert(o.cfg.PageAddr(v.Addr))
+		*n++
 	}
 	if o.pool.OverQuota() {
 		stall += o.Compact(now + stall)
@@ -281,7 +281,7 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 			// The unmapped version becomes stale; release unless retained
 			// for time travel.
 			if !o.retain {
-				delete(o.payload, old)
+				o.payload.Delete(old)
 				o.pool.Release(old)
 			}
 			o.stat.Inc("versions_unmapped")
@@ -294,7 +294,7 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 	o.stat.Inc("epochs_merged")
 	o.stat.Add("entries_merged", int64(t.Entries()))
 	delete(o.epochs, e)
-	delete(o.vpageCounts, e)
+	o.vpageCounts.Delete(e)
 	if o.retain {
 		o.retained[e] = t
 	}
@@ -330,12 +330,12 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 	})
 	for _, m := range moves {
 		newAddr, _ := o.pool.Alloc(o.maxEpoch)
-		data := o.payload[m.nvmAddr]
+		data, _ := o.payload.Get(m.nvmAddr)
 		stall += o.nvm.Persist(mem.WData, newAddr, o.cfg.LineSize,
 			[]uint64{data, o.maxEpoch, LineCheck(m.lineAddr, o.maxEpoch, data)}, now+stall)
-		o.payload[newAddr] = data
+		o.payload.Put(newAddr, data)
 		o.master.Insert(m.lineAddr, newAddr)
-		delete(o.payload, m.nvmAddr)
+		o.payload.Delete(m.nvmAddr)
 		o.pool.Release(m.nvmAddr)
 		o.stat.Inc("versions_compacted")
 	}
@@ -416,8 +416,7 @@ func (o *OMC) MasterRead(addr uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	data, ok := o.payload[nvmAddr]
-	return data, ok
+	return o.payload.Get(nvmAddr)
 }
 
 // TimeTravelRead returns the value of addr as of the given epoch using the
@@ -434,7 +433,7 @@ func (o *OMC) TimeTravelRead(addr uint64, epoch uint64) (data uint64, foundEpoch
 		if !hit {
 			return false
 		}
-		d, live := o.payload[nvmAddr]
+		d, live := o.payload.Get(nvmAddr)
 		if !live {
 			return false
 		}
@@ -459,7 +458,7 @@ func (o *OMC) RecoverImage() (map[uint64]uint64, uint64) {
 	img := make(map[uint64]uint64, o.master.Entries())
 	var lat uint64
 	o.master.ForEach(func(lineAddr, nvmAddr uint64) {
-		if data, ok := o.payload[nvmAddr]; ok {
+		if data, ok := o.payload.Get(nvmAddr); ok {
 			img[lineAddr] = data
 			lat += o.nvm.Read()
 		}
@@ -481,7 +480,7 @@ func (o *OMC) EpochDelta(e uint64) map[uint64]uint64 {
 	}
 	delta := make(map[uint64]uint64, t.Entries())
 	t.ForEach(func(lineAddr, nvmAddr uint64) {
-		if d, ok := o.payload[nvmAddr]; ok {
+		if d, ok := o.payload.Get(nvmAddr); ok {
 			delta[lineAddr] = d
 		}
 	})
@@ -510,13 +509,11 @@ func (o *OMC) Epochs() []uint64 {
 // pool's page-granular allocation.
 func (o *OMC) SubpageBytes() int64 {
 	var total int64
-	//nvlint:allow maprange commutative sum: addition is order-independent
-	for _, vp := range o.vpageCounts {
-		//nvlint:allow maprange commutative sum: addition is order-independent
-		for _, count := range vp {
+	o.vpageCounts.ForEach(func(_ uint64, vp *mem.Table[int]) {
+		vp.ForEach(func(_ uint64, count int) {
 			total += int64(SubpageSize(count, o.cfg.LineSize, o.cfg.PageSize))
-		}
-	}
+		})
+	})
 	return total
 }
 

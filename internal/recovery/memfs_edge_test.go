@@ -17,7 +17,7 @@ import (
 // (same shape as buildStore: checkpoint + two sealed segments + empty
 // active segment) so edge cases that are awkward to stage on a real disk —
 // zero-length files, vanished directories — are one map mutation away.
-func buildMemStore(t *testing.T) (*fault.MemFS, string, map[uint64]map[uint64]uint64) {
+func buildMemStore(t *testing.T) (*fault.MemFS, string, map[uint64]*mem.Table[uint64]) {
 	t.Helper()
 	mfs := fault.NewMemFS()
 	p := soak.Params{Dir: "store", Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}

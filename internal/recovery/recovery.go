@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mem"
 	"repro/internal/omc"
 )
 
@@ -34,22 +35,16 @@ func Recover(g *omc.Group) (map[uint64]uint64, Report) {
 	}
 }
 
-// Verify compares a recovered image against a golden address->payload map
-// and returns a descriptive error for the first divergence.
-func Verify(img, golden map[uint64]uint64) error {
-	if len(img) != len(golden) {
-		return fmt.Errorf("recovery: image has %d lines, golden has %d", len(img), len(golden))
+// Verify compares a recovered image against a golden address->payload
+// table and returns a descriptive error for the first divergence.
+func Verify(img map[uint64]uint64, golden *mem.Table[uint64]) error {
+	if len(img) != golden.Len() {
+		return fmt.Errorf("recovery: image has %d lines, golden has %d", len(img), golden.Len())
 	}
 	// Walk the golden image in address order so the first divergence
-	// reported is the same on every run (map order would make the error
-	// text nondeterministic).
-	addrs := make([]uint64, 0, len(golden))
-	for addr := range golden {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		want := golden[addr]
+	// reported is the same on every run.
+	for _, addr := range golden.SortedKeys() {
+		want, _ := golden.Get(addr)
 		got, ok := img[addr]
 		if !ok {
 			return fmt.Errorf("recovery: line %#x missing from image", addr)

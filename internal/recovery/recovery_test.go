@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -43,23 +44,23 @@ func TestRecoverMatchesGolden(t *testing.T) {
 	if rep.LinesRestored != len(golden) || rep.LatencyCycles == 0 {
 		t.Fatalf("report = %+v, golden lines %d", rep, len(golden))
 	}
-	if err := Verify(img, golden); err != nil {
+	if err := Verify(img, table(golden)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestVerifyDetectsDivergence(t *testing.T) {
 	img := map[uint64]uint64{0x40: 1, 0x80: 2}
-	if err := Verify(img, map[uint64]uint64{0x40: 1, 0x80: 2}); err != nil {
+	if err := Verify(img, table(map[uint64]uint64{0x40: 1, 0x80: 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(img, map[uint64]uint64{0x40: 1}); err == nil {
+	if err := Verify(img, table(map[uint64]uint64{0x40: 1})); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if err := Verify(img, map[uint64]uint64{0x40: 1, 0x80: 9}); err == nil {
+	if err := Verify(img, table(map[uint64]uint64{0x40: 1, 0x80: 9})); err == nil {
 		t.Fatal("value mismatch accepted")
 	}
-	if err := Verify(map[uint64]uint64{0x40: 1, 0xC0: 2}, map[uint64]uint64{0x40: 1, 0x80: 2}); err == nil {
+	if err := Verify(map[uint64]uint64{0x40: 1, 0xC0: 2}, table(map[uint64]uint64{0x40: 1, 0x80: 2})); err == nil {
 		t.Fatal("missing line accepted")
 	}
 }
@@ -74,7 +75,7 @@ func TestReplication(t *testing.T) {
 	if r.AppliedEpoch() != g.RecEpoch() {
 		t.Fatalf("replica at epoch %d, primary rec-epoch %d", r.AppliedEpoch(), g.RecEpoch())
 	}
-	if err := Verify(r.Image(), golden); err != nil {
+	if err := Verify(r.Image(), table(golden)); err != nil {
 		t.Fatalf("replica image diverged: %v", err)
 	}
 	if r.BytesReceived == 0 {
@@ -160,10 +161,24 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	}
 	nvo.Drain(clocks.Max())
 	img, rep := Recover(nvo.Group())
-	if err := Verify(img, golden); err != nil {
+	if err := Verify(img, table(golden)); err != nil {
 		t.Fatal(err)
 	}
 	if rep.LinesRestored != len(golden) {
 		t.Fatalf("restored %d, want %d", rep.LinesRestored, len(golden))
 	}
+}
+
+// table converts a golden map into the table Verify takes.
+func table(m map[uint64]uint64) *mem.Table[uint64] {
+	keys := make([]uint64, 0, len(m))
+	for a := range m {
+		keys = append(keys, a)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	t := mem.NewTable[uint64](len(keys))
+	for _, a := range keys {
+		t.Put(a, m[a])
+	}
+	return t
 }

@@ -144,7 +144,7 @@ func TestSalvageCleanImage(t *testing.T) {
 			t.Fatalf("clean image should restore via the master fast path: %+v", pr)
 		}
 	}
-	if err := Verify(restored, goldenAt[3]); err != nil {
+	if err := Verify(restored, table(goldenAt[3])); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -270,7 +270,7 @@ func TestSalvageErrorPaths(t *testing.T) {
 			var img *mem.Image
 			var goldenAt map[uint64]map[uint64]uint64
 			if tc.name == "empty NVM image" {
-				img = mem.NewImage(nil)
+				img = mem.NewImage()
 			} else {
 				img, goldenAt = buildSalvageImage(t)
 			}
@@ -293,7 +293,7 @@ func TestSalvageErrorPaths(t *testing.T) {
 				if rep.RestoredEpoch != tc.wantEpoch {
 					t.Fatalf("restored epoch %d, want %d\nreport: %+v", rep.RestoredEpoch, tc.wantEpoch, rep)
 				}
-				if verr := Verify(restored, goldenAt[tc.wantEpoch]); verr != nil {
+				if verr := Verify(restored, table(goldenAt[tc.wantEpoch])); verr != nil {
 					t.Fatalf("restored image diverges from golden at epoch %d: %v", tc.wantEpoch, verr)
 				}
 				if rep.WalkedBack != (tc.wantEpoch < rep.ClaimedEpoch) {

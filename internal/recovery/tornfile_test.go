@@ -23,7 +23,7 @@ import (
 //
 // (12 seals total: 6 epochs x 2 members; checkpoints after seals 5 and
 // 10; epoch 6 is sealed by segments 10 and 11.)
-func buildStore(t *testing.T) (string, map[uint64]map[uint64]uint64) {
+func buildStore(t *testing.T) (string, map[uint64]*mem.Table[uint64]) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
 	p := soak.Params{Dir: dir, Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}

@@ -132,21 +132,16 @@ func WriteStore(fsys fault.FS, p Params, hit func(point string, epoch uint64)) e
 // returns the cumulative last-write-wins image after each epoch;
 // golden[0] is the empty pre-run state. This is the diffcheck-style model
 // the salvaged image must match byte-for-byte.
-func Golden(p Params) map[uint64]map[uint64]uint64 {
+func Golden(p Params) map[uint64]*mem.Table[uint64] {
 	rng := sim.NewRNG(p.Seed)
-	golden := map[uint64]map[uint64]uint64{0: {}}
-	cur := map[uint64]uint64{}
+	cur := mem.NewTable[uint64](0)
+	golden := map[uint64]*mem.Table[uint64]{0: cur.Clone()}
 	for e := uint64(1); e <= uint64(p.Epochs); e++ {
 		for i := 0; i < p.PerEpoch; i++ {
 			v := nextVersion(rng, e)
-			cur[v.Addr] = v.Data
+			cur.Put(v.Addr, v.Data)
 		}
-		snap := make(map[uint64]uint64, len(cur))
-		//nvlint:allow maprange golden snapshot copy, order-independent
-		for a, d := range cur {
-			snap[a] = d
-		}
-		golden[e] = snap
+		golden[e] = cur.Clone()
 	}
 	return golden
 }

@@ -131,14 +131,14 @@ func TestDriverRecordReplayIdentical(t *testing.T) {
 			t.Fatalf("access %d went to tid %d, recorded tid %d", i, rep.seen[i], rec.seen[i])
 		}
 	}
-	if len(got.Final) != len(want.Final) {
-		t.Fatalf("replay final image has %d lines, want %d", len(got.Final), len(want.Final))
+	if got.Final.Len() != want.Final.Len() {
+		t.Fatalf("replay final image has %d lines, want %d", got.Final.Len(), want.Final.Len())
 	}
-	for addr, tok := range want.Final {
-		if got.Final[addr] != tok {
-			t.Fatalf("final[%#x] = %d, want %d", addr, got.Final[addr], tok)
+	want.Final.ForEach(func(addr, tok uint64) {
+		if g, _ := got.Final.Get(addr); g != tok {
+			t.Fatalf("final[%#x] = %d, want %d", addr, g, tok)
 		}
-	}
+	})
 	if got.Workload != "replay" || got.Ops != 0 {
 		t.Fatalf("replay summary identity: %+v", got)
 	}

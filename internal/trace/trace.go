@@ -196,7 +196,7 @@ type Summary struct {
 	Footprint int64
 	// Final holds the last token written per line address (the golden
 	// image used by recovery verification).
-	Final map[uint64]uint64
+	Final *mem.Table[uint64]
 }
 
 // Driver interleaves worker threads over a scheme: the thread with the
@@ -210,7 +210,7 @@ type Driver struct {
 	heap    *Heap
 	clocks  *sim.Clocks
 	rngs    []*sim.RNG
-	final   map[uint64]uint64
+	final   *mem.Table[uint64]
 	issued  uint64
 	target  uint64
 	perOpNs uint64
@@ -233,7 +233,7 @@ func NewDriver(cfg *sim.Config, scheme Scheme, wl Workload, maxAccesses uint64) 
 		heap:   NewHeap(cfg),
 		clocks: sim.NewClocks(cfg.Cores),
 		rngs:   make([]*sim.RNG, cfg.Cores),
-		final:  make(map[uint64]uint64),
+		final:  mem.NewTable[uint64](0),
 		target: maxAccesses,
 	}
 	for i := range d.rngs {
@@ -284,7 +284,7 @@ func (d *Driver) issue(tid int, addr uint64, write bool, data uint64, stores *ui
 	d.issued++
 	if write {
 		*stores++
-		d.final[d.cfg.LineAddr(addr)] = data
+		d.final.Put(d.cfg.LineAddr(addr), data)
 	}
 	if d.sink != nil && d.sinkErr == nil {
 		if err := d.sink.Append(Access{Tid: tid, Addr: addr, Write: write, Data: data}); err != nil {

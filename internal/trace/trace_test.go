@@ -137,8 +137,8 @@ func TestDriverRunCompletesAndSummarises(t *testing.T) {
 	if sum.Cycles != 5*(10+pipelineCost) {
 		t.Fatalf("cycles = %d", sum.Cycles)
 	}
-	if len(sum.Final) != int(want) {
-		t.Fatalf("final map = %d entries", len(sum.Final))
+	if sum.Final.Len() != int(want) {
+		t.Fatalf("final image = %d entries", sum.Final.Len())
 	}
 	if sum.Scheme != "fixed" || sum.Workload != "count" {
 		t.Fatal("names")
@@ -178,14 +178,14 @@ func TestDriverFinalTracksLastStore(t *testing.T) {
 	wl := &rewriteWorkload{}
 	d := NewDriver(c, s, wl, 1<<20)
 	sum := d.Run()
-	if len(sum.Final) != 1 {
-		t.Fatalf("final = %v", sum.Final)
+	if sum.Final.Len() != 1 {
+		t.Fatalf("final = %v", sum.Final.SortedKeys())
 	}
-	for _, tok := range sum.Final {
+	sum.Final.ForEach(func(_, tok uint64) {
 		if tok != wl.last {
 			t.Fatalf("final token %d, want %d", tok, wl.last)
 		}
-	}
+	})
 }
 
 type rewriteWorkload struct {
