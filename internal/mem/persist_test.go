@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -143,5 +145,59 @@ func TestImageIncludesPending(t *testing.T) {
 	}
 	if v, ok := n.Image().Word(0xA000); !ok || v != 9 {
 		t.Fatalf("second Image read diverged: %v %v", v, ok)
+	}
+}
+
+// TestBankQueueRing drives one bank queue through random pushes and pops
+// against a slice reference: payloads come back intact across ring wraps
+// and growth, each is a copy of the caller's slice, and neither ring ever
+// holds more than twice the most the queue has had live.
+func TestBankQueueRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q bankQueue
+	type ref struct {
+		addr  uint64
+		words []uint64
+	}
+	var want []ref
+	peak, peakWords, live := 0, 0, 0
+	next := uint64(1)
+	for step := 0; step < 20000; step++ {
+		if len(want) == 0 || rng.Intn(100) < 52 {
+			words := make([]uint64, 1+rng.Intn(12))
+			for i := range words {
+				words[i] = next
+				next++
+			}
+			addr := uint64(step) * 8
+			q.push(addr, uint64(step), words)
+			want = append(want, ref{addr, append([]uint64(nil), words...)})
+			words[0] = 0 // the queue must hold a copy
+			live += len(words)
+		} else {
+			w, words := q.pop()
+			if w.addr != want[0].addr || !reflect.DeepEqual(words, want[0].words) {
+				t.Fatalf("step %d: popped %#x %v, want %#x %v", step, w.addr, words, want[0].addr, want[0].words)
+			}
+			live -= len(want[0].words)
+			want = want[1:]
+		}
+		peak, peakWords = max(peak, len(want)), max(peakWords, live)
+		if q.n != len(want) || q.wn != live {
+			t.Fatalf("step %d: queue holds %d writes / %d words, want %d / %d", step, q.n, q.wn, len(want), live)
+		}
+		if len(q.ring) > 2*peak || len(q.words) > 2*peakWords {
+			t.Fatalf("step %d: rings %d/%d exceed twice the peak %d/%d", step, len(q.ring), len(q.words), peak, peakWords)
+		}
+	}
+	i := 0
+	q.each(func(w pendingWrite, words []uint64) {
+		if w.addr != want[i].addr || !reflect.DeepEqual(words, want[i].words) {
+			t.Fatalf("each visits %#x %v at %d, want %#x %v", w.addr, words, i, want[i].addr, want[i].words)
+		}
+		i++
+	})
+	if i != len(want) {
+		t.Fatalf("each visited %d writes, want %d", i, len(want))
 	}
 }
