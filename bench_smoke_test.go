@@ -53,6 +53,7 @@ func TestBenchmarkSmoke(t *testing.T) {
 		{"TraceEncode", BenchmarkTraceEncode},
 		{"TraceDecode", BenchmarkTraceDecode},
 		{"WrapAround", BenchmarkWrapAround},
+		{"NVOverlayStorePath", BenchmarkNVOverlayStorePath},
 	}
 	for _, bench := range benches {
 		bench := bench

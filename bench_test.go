@@ -13,11 +13,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
+	"repro/internal/workload"
 )
 
 // BenchmarkTable2 measures raw simulator throughput on the ideal machine
@@ -353,4 +355,70 @@ func BenchmarkWrapAround(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// smokeConfig returns the machine experiments.Run builds at Smoke scale.
+func smokeConfig() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.EpochSize = experiments.Smoke.EpochSize
+	experiments.Smoke.Machine(&cfg)
+	return cfg
+}
+
+// recordStoreTrace runs hashtable (about 60% stores) under the Ideal
+// scheme at Smoke scale with the driver's record sink attached, writing
+// the access stream as a TRC1 trace on fsys.
+func recordStoreTrace(b *testing.B, fsys fault.FS, path string) {
+	cfg := smokeConfig()
+	wl, err := workload.Get("hashtable")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := tracefile.Create(fsys, path, tracefile.Shape{
+		Cores: cfg.Cores, CoresPerVD: cfg.CoresPerVD, LineSize: cfg.LineSize, Seed: cfg.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ideal, err := experiments.NewScheme("Ideal", &cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := trace.NewDriver(&cfg, ideal, wl, experiments.Smoke.MaxAccesses)
+	d.SetSink(w)
+	d.Run()
+	if err := d.SinkErr(); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkNVOverlayStorePath gates NVOverlay's store path: the version
+// access protocol, the OMCs, the NVM bank queues and the RAM content
+// plane. Each iteration replays a write-heavy trace, recorded once in
+// process, through a fresh NVOverlay, so no workload generator runs in
+// the timed loop.
+func BenchmarkNVOverlayStorePath(b *testing.B) {
+	fsys := fault.NewMemFS()
+	recordStoreTrace(b, fsys, "store.trc")
+	b.ResetTimer()
+	var accesses uint64
+	for i := 0; i < b.N; i++ {
+		cfg := smokeConfig()
+		r, err := tracefile.OpenReader(fsys, "store.trc")
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := trace.NewDriver(&cfg, core.New(&cfg), nil, experiments.Smoke.MaxAccesses)
+		sum, err := d.RunReplay(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		accesses += sum.Accesses
+	}
+	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/sec")
 }
