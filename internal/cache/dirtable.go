@@ -1,226 +1,44 @@
 package cache
 
+import "repro/internal/mem"
+
 // DirEntry is one coherence-directory entry: the set of versioned domains
 // holding a shared copy of a line, and the domain holding it exclusively
 // (or -1). Both hierarchies (internal/coherence's MESI directory and
 // internal/cst's version-access-protocol directory) track exactly this
-// shape per line address, which is why the table lives here next to the
-// cache arrays they also share.
+// shape per line address, which is why the directory lives here next to
+// the cache arrays they also share.
 type DirEntry struct {
 	Sharers SharerSet // VDs with a (shared) copy
 	Owner   int       // VD holding E/M, or -1
 }
 
-// Directory is a sharded open-addressing hash table from line address to
-// DirEntry, replacing the built-in map on the per-access hot path: no
-// per-entry heap allocation (entries live inline in slab slices), no
-// hash-seed randomisation (iteration in slot order is deterministic, unlike
-// Go map ranges), and deletion by tombstone so entry pointers handed out by
-// GetOrCreate stay valid across deletions of *other* addresses within the
-// same simulated access.
-//
-// Pointer validity contract: a *DirEntry returned by Get/GetOrCreate is
-// invalidated by the next GetOrCreate (which may grow a shard) — callers
-// resolve their entry once per simulated access and finish with it before
-// installing new lines, matching how both hierarchies already sequence
-// their directory traffic.
+// Directory maps line addresses to DirEntry. It is a mem.Table, so every
+// entry pointer it hands out (GetOrCreate, Ptr) is valid only until the
+// next insertion or deletion: deleting one address may shift another
+// entry back in its probe run. Callers look an entry up again after any
+// call that may evict lines.
 type Directory struct {
-	shards [dirShards]dirShard
-	n      int // live entries across all shards
-}
-
-const (
-	dirShards    = 16 // power of two
-	dirMinSlots  = 64 // initial slots per shard (power of two)
-	slotEmpty    = 0
-	slotUsed     = 1
-	slotDeleted  = 2
-	dirHashMulti = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
-)
-
-type dirShard struct {
-	state   []uint8
-	keys    []uint64
-	entries []DirEntry
-	used    int // live entries
-	dead    int // tombstones
+	mem.Table[DirEntry]
 }
 
 // NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{}
-}
+func NewDirectory() *Directory { return &Directory{} }
 
-// hash spreads the line address; line addresses differ only in upper bits
-// (the low log2(lineSize) bits are zero), so a multiplicative mix is needed
-// before masking.
-func dirHash(addr uint64) uint64 { return addr * dirHashMulti }
-
-func (d *Directory) shardOf(h uint64) *dirShard {
-	return &d.shards[h&(dirShards-1)]
-}
-
-// Len returns the number of live entries.
-func (d *Directory) Len() int { return d.n }
-
-// Get returns the entry for addr, or nil when absent. The pointer is valid
-// until the next GetOrCreate call (see the type comment).
-func (d *Directory) Get(addr uint64) *DirEntry {
-	h := dirHash(addr)
-	s := d.shardOf(h)
-	if s.used == 0 {
-		return nil
-	}
-	mask := uint64(len(s.keys) - 1)
-	for i := (h >> 4) & mask; ; i = (i + 1) & mask {
-		switch s.state[i] {
-		case slotEmpty:
-			return nil
-		case slotUsed:
-			if s.keys[i] == addr {
-				return &s.entries[i]
-			}
-		}
-	}
-}
-
-// GetOrCreate returns the entry for addr, inserting {Owner: -1} when
-// absent. Insertion may grow the shard, invalidating previously returned
-// entry pointers.
+// GetOrCreate returns addr's entry, inserting {Owner: -1} when absent.
 func (d *Directory) GetOrCreate(addr uint64) *DirEntry {
-	h := dirHash(addr)
-	s := d.shardOf(h)
-	if len(s.keys) == 0 || (s.used+s.dead+1)*4 > len(s.keys)*3 {
-		s.rehash()
+	e, existed := d.Upsert(addr)
+	if !existed {
+		e.Owner = -1
 	}
-	mask := uint64(len(s.keys) - 1)
-	firstDead := -1
-	for i := (h >> 4) & mask; ; i = (i + 1) & mask {
-		switch s.state[i] {
-		case slotEmpty:
-			slot := i
-			if firstDead >= 0 {
-				slot = uint64(firstDead)
-				s.dead--
-			}
-			s.state[slot] = slotUsed
-			s.keys[slot] = addr
-			s.entries[slot] = DirEntry{Owner: -1}
-			s.used++
-			d.n++
-			return &s.entries[slot]
-		case slotUsed:
-			if s.keys[i] == addr {
-				return &s.entries[i]
-			}
-		case slotDeleted:
-			if firstDead < 0 {
-				firstDead = int(i)
-			}
-		}
-	}
-}
-
-// Delete removes addr's entry if present. Tombstone deletion: no other
-// entry moves, so outstanding pointers to other entries stay valid.
-func (d *Directory) Delete(addr uint64) {
-	h := dirHash(addr)
-	s := d.shardOf(h)
-	if s.used == 0 {
-		return
-	}
-	mask := uint64(len(s.keys) - 1)
-	for i := (h >> 4) & mask; ; i = (i + 1) & mask {
-		switch s.state[i] {
-		case slotEmpty:
-			return
-		case slotUsed:
-			if s.keys[i] == addr {
-				s.state[i] = slotDeleted
-				s.entries[i] = DirEntry{}
-				s.used--
-				s.dead++
-				d.n--
-				return
-			}
-		}
-	}
+	return e
 }
 
 // DeleteIfEmpty removes addr's entry when it records no sharers and no
 // owner — the idiom both hierarchies use to keep the directory pruned to
 // lines actually cached somewhere.
 func (d *Directory) DeleteIfEmpty(addr uint64) {
-	if e := d.Get(addr); e != nil && e.Sharers.None() && e.Owner == -1 {
+	if e := d.Ptr(addr); e != nil && e.Sharers.None() && e.Owner == -1 {
 		d.Delete(addr)
-	}
-}
-
-// Reset empties the directory, retaining shard capacity for reuse.
-func (d *Directory) Reset() {
-	for i := range d.shards {
-		s := &d.shards[i]
-		for j := range s.state {
-			s.state[j] = slotEmpty
-		}
-		s.used, s.dead = 0, 0
-	}
-	d.n = 0
-}
-
-// ForEach invokes fn on every live entry in deterministic (shard, slot)
-// order. fn may mutate the entry and may Delete the entry it was handed
-// (tombstones never move survivors); it must not insert.
-func (d *Directory) ForEach(fn func(addr uint64, e *DirEntry)) {
-	for i := range d.shards {
-		s := &d.shards[i]
-		for j := range s.state {
-			if s.state[j] == slotUsed {
-				fn(s.keys[j], &s.entries[j])
-			}
-		}
-	}
-}
-
-// AppendKeys appends every live address to dst and returns it; callers sort
-// the result when they need address order (invariant checks report the
-// first violation in a stable order that way).
-func (d *Directory) AppendKeys(dst []uint64) []uint64 {
-	for i := range d.shards {
-		s := &d.shards[i]
-		for j := range s.state {
-			if s.state[j] == slotUsed {
-				dst = append(dst, s.keys[j])
-			}
-		}
-	}
-	return dst
-}
-
-// rehash grows (or compacts, when most slots are tombstones) the shard.
-func (s *dirShard) rehash() {
-	newLen := dirMinSlots
-	for newLen < (s.used+1)*2 {
-		newLen *= 2
-	}
-	oldState, oldKeys, oldEntries := s.state, s.keys, s.entries
-	s.state = make([]uint8, newLen)
-	s.keys = make([]uint64, newLen)
-	s.entries = make([]DirEntry, newLen)
-	s.dead = 0
-	mask := uint64(newLen - 1)
-	for i := range oldState {
-		if oldState[i] != slotUsed {
-			continue
-		}
-		h := dirHash(oldKeys[i])
-		for j := (h >> 4) & mask; ; j = (j + 1) & mask {
-			if s.state[j] == slotEmpty {
-				s.state[j] = slotUsed
-				s.keys[j] = oldKeys[i]
-				s.entries[j] = oldEntries[i]
-				break
-			}
-		}
 	}
 }

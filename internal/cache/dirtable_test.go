@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 // refDir mirrors Directory operations on a plain map for cross-checking.
 type refDir map[uint64]DirEntry
@@ -30,20 +27,20 @@ func TestDirectoryAgainstMapModel(t *testing.T) {
 			e.Sharers.Add(int(rnd() % 8))
 			e.Owner = int(rnd()%8) - 1
 			ref[addr] = *e
-		case 2: // Get
-			e := d.Get(addr)
+		case 2: // Ptr
+			e := d.Ptr(addr)
 			re, ok := ref[addr]
 			if (e != nil) != ok {
-				t.Fatalf("step %d: Get(%#x) presence %v, want %v", step, addr, e != nil, ok)
+				t.Fatalf("step %d: Ptr(%#x) presence %v, want %v", step, addr, e != nil, ok)
 			}
 			if e != nil && (*e != re) {
-				t.Fatalf("step %d: Get(%#x) = %+v, want %+v", step, addr, *e, re)
+				t.Fatalf("step %d: Ptr(%#x) = %+v, want %+v", step, addr, *e, re)
 			}
 		case 3: // Delete
 			d.Delete(addr)
 			delete(ref, addr)
 		case 4: // DeleteIfEmpty
-			if e := d.Get(addr); e != nil {
+			if e := d.Ptr(addr); e != nil {
 				if rnd()%2 == 0 {
 					e.Sharers = SharerSet{}
 					e.Owner = -1
@@ -59,22 +56,26 @@ func TestDirectoryAgainstMapModel(t *testing.T) {
 			t.Fatalf("step %d: Len() = %d, want %d", step, d.Len(), len(ref))
 		}
 	}
-	// Full-content comparison via AppendKeys.
-	keys := d.AppendKeys(nil)
+	// Full-content comparison via SortedKeys.
+	keys := d.SortedKeys()
 	if len(keys) != len(ref) {
-		t.Fatalf("AppendKeys returned %d keys, want %d", len(keys), len(ref))
+		t.Fatalf("SortedKeys returned %d keys, want %d", len(keys), len(ref))
 	}
 	for _, k := range keys {
 		re, ok := ref[k]
 		if !ok {
 			t.Fatalf("spurious key %#x", k)
 		}
-		if e := d.Get(k); *e != re {
+		if e := d.Ptr(k); *e != re {
 			t.Fatalf("key %#x = %+v, want %+v", k, *e, re)
 		}
 	}
 }
 
+// TestDirectoryForEachDeterministicAndDeleteSafe checks that ForEach
+// visits entries in the same order for the same operation sequence, and
+// that the collect-then-delete pattern (the table forbids deleting during
+// ForEach) prunes exactly the chosen entries and leaves the rest intact.
 func TestDirectoryForEachDeterministicAndDeleteSafe(t *testing.T) {
 	build := func() *Directory {
 		d := NewDirectory()
@@ -85,8 +86,8 @@ func TestDirectoryForEachDeterministicAndDeleteSafe(t *testing.T) {
 		return d
 	}
 	var order1, order2 []uint64
-	build().ForEach(func(addr uint64, e *DirEntry) { order1 = append(order1, addr) })
-	build().ForEach(func(addr uint64, e *DirEntry) { order2 = append(order2, addr) })
+	build().ForEach(func(addr uint64, _ DirEntry) { order1 = append(order1, addr) })
+	build().ForEach(func(addr uint64, _ DirEntry) { order2 = append(order2, addr) })
 	if len(order1) != 1000 || len(order2) != 1000 {
 		t.Fatalf("ForEach visited %d/%d entries, want 1000", len(order1), len(order2))
 	}
@@ -95,71 +96,54 @@ func TestDirectoryForEachDeterministicAndDeleteSafe(t *testing.T) {
 			t.Fatalf("ForEach order differs at %d: %#x vs %#x", i, order1[i], order2[i])
 		}
 	}
-	// Deleting the visited entry mid-iteration must not skip or repeat.
+	// Collect, then empty and prune every other entry.
 	d := build()
-	visited := map[uint64]bool{}
-	d.ForEach(func(addr uint64, e *DirEntry) {
-		if visited[addr] {
-			t.Fatalf("entry %#x visited twice", addr)
-		}
-		visited[addr] = true
+	var addrs []uint64
+	d.ForEach(func(addr uint64, _ DirEntry) { addrs = append(addrs, addr) })
+	for _, addr := range addrs {
 		if addr%(2<<6) == 0 {
-			d.Delete(addr)
+			d.Ptr(addr).Sharers = SharerSet{}
 		}
-	})
-	if len(visited) != 1000 {
-		t.Fatalf("visited %d entries, want 1000", len(visited))
+		d.DeleteIfEmpty(addr)
 	}
 	if d.Len() != 500 {
-		t.Fatalf("after deleting half: Len() = %d, want 500", d.Len())
+		t.Fatalf("after pruning half: Len() = %d, want 500", d.Len())
 	}
-}
-
-func TestDirectoryPointerStableAcrossForeignDeletes(t *testing.T) {
-	d := NewDirectory()
-	addrs := make([]uint64, 256)
-	for i := range addrs {
-		addrs[i] = uint64(i+1) << 6
-		d.GetOrCreate(addrs[i])
-	}
-	e := d.Get(addrs[17])
-	want := SharerSet{}
-	for _, vd := range []int{0, 1, 3, 5, 7} {
-		e.Sharers.Add(vd)
-		want.Add(vd)
-	}
-	e.Owner = 3
-	// Tombstone-delete many other addresses; the pointer must stay valid
-	// (no insertions happen, so no rehash can move it).
-	for i, a := range addrs {
-		if i != 17 {
-			d.Delete(a)
+	for i := uint64(0); i < 1000; i++ {
+		e := d.Ptr(i << 6)
+		if i%2 == 0 {
+			if e != nil {
+				t.Fatalf("pruned entry %#x still present", i<<6)
+			}
+			continue
 		}
-	}
-	if e.Sharers != want || e.Owner != 3 {
-		t.Fatalf("entry moved or corrupted by foreign deletes: %+v", *e)
-	}
-	if got := d.Get(addrs[17]); got != e {
-		t.Fatalf("lookup after deletes returned a different slot")
+		if e == nil || !e.Sharers.Only(int(i%256)) || e.Owner != -1 {
+			t.Fatalf("surviving entry %#x = %+v, want sharer %d only", i<<6, e, i%256)
+		}
 	}
 }
 
 func TestDirectoryReset(t *testing.T) {
 	d := NewDirectory()
 	for i := uint64(0); i < 100; i++ {
-		d.GetOrCreate(i << 6)
+		e := d.GetOrCreate(i << 6)
+		e.Sharers.Add(1)
+		e.Owner = 2
 	}
 	d.Reset()
 	if d.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", d.Len())
 	}
-	if keys := d.AppendKeys(nil); len(keys) != 0 {
-		t.Fatalf("AppendKeys after Reset = %v", keys)
+	if keys := d.SortedKeys(); len(keys) != 0 {
+		t.Fatalf("SortedKeys after Reset = %v", keys)
 	}
-	// Reusable after reset.
-	d.GetOrCreate(64).Sharers.Add(0)
-	keys := d.AppendKeys(nil)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// Reusable after reset, and a re-created entry starts empty.
+	e := d.GetOrCreate(64)
+	if !e.Sharers.None() || e.Owner != -1 {
+		t.Fatalf("entry re-created after Reset = %+v, want {Owner: -1}", *e)
+	}
+	e.Sharers.Add(0)
+	keys := d.SortedKeys()
 	if len(keys) != 1 || keys[0] != 64 {
 		t.Fatalf("post-Reset insert: keys = %v", keys)
 	}

@@ -194,8 +194,9 @@ func (f *Frontend) sliceOf(addr uint64) *cache.Cache {
 }
 
 // entry resolves addr's directory entry, creating it on first touch. The
-// pointer is valid until the next GetOrCreate (miss paths resolve it once
-// per access and finish with it before installing new lines).
+// pointer is valid until the next directory insertion or deletion (miss
+// paths resolve it once per access and finish with it before installing
+// new lines, whose L2 victims may delete entries).
 func (f *Frontend) entry(addr uint64) *cache.DirEntry {
 	return f.dir.GetOrCreate(addr)
 }
@@ -645,7 +646,7 @@ func (f *Frontend) evictL2Victim(vd int, victim cache.Line, reason Reason) {
 			victim.Data = removed.Data
 		}
 	}
-	if e := f.dir.Get(victim.Tag); e != nil {
+	if e := f.dir.Ptr(victim.Tag); e != nil {
 		e.Sharers.Remove(vd)
 		if e.Owner == vd {
 			e.Owner = -1
@@ -852,7 +853,7 @@ func (f *Frontend) invalidateVD(vd int, addr uint64) (newest cache.Line, wasDirt
 			newest = removed
 		}
 	}
-	if e := f.dir.Get(addr); e != nil {
+	if e := f.dir.Ptr(addr); e != nil {
 		e.Sharers.Remove(vd)
 		if e.Owner == vd {
 			e.Owner = -1
@@ -986,7 +987,7 @@ func (f *Frontend) CheckInvariants() error {
 			if err != nil {
 				return
 			}
-			e := f.dir.Get(ln.Tag)
+			e := f.dir.Ptr(ln.Tag)
 			if e == nil {
 				err = fmt.Errorf("L2 %d holds %#x with no directory entry", vd, ln.Tag)
 				return

@@ -40,6 +40,9 @@ func checkTable(t *testing.T, ops []tableOp) {
 			if got != want || ok != wok {
 				t.Fatalf("op %d: Get(%#x) = (%d, %v), want (%d, %v)", i, o.key, got, ok, want, wok)
 			}
+			if p := tab.Ptr(o.key); (p != nil) != wok || (p != nil && *p != want) {
+				t.Fatalf("op %d: Ptr(%#x) = %v, want present=%v value %d", i, o.key, p, wok, want)
+			}
 		case 3:
 			p, existed := tab.Upsert(o.key)
 			if _, had := ref[o.key]; existed != had {
