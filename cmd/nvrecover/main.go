@@ -87,7 +87,7 @@ func runStore(o options, w io.Writer) error {
 		verdict = "walked back and restored"
 	}
 	fmt.Fprintf(w, "%s epoch %d: %d lines (store manifest claimed epoch %d, %d file findings)\n",
-		verdict, rep.RestoredEpoch, len(out), rep.StoreSealedEpoch, len(rep.Damage))
+		verdict, rep.RestoredEpoch, out.Len(), rep.StoreSealedEpoch, len(rep.Damage))
 	return nil
 }
 

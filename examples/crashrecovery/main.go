@@ -81,8 +81,8 @@ func main() {
 	// Consistency checks: every recovered value must be one the program
 	// actually wrote to that address — nothing invented, nothing torn.
 	checked := 0
-	for addr, val := range img {
-		if !history[addr][val] {
+	for _, addr := range img.SortedKeys() {
+		if val, _ := img.Get(addr); !history[addr][val] {
 			panic(fmt.Sprintf("recovered %#x = %d was never written there", addr, val))
 		}
 		checked++

@@ -62,12 +62,12 @@ func TestNVOverlayEndToEndWorkload(t *testing.T) {
 	}
 	// After the drain the recovered image equals the final write state.
 	img, _ := n.Group().RecoverImage()
-	if len(img) != sum.Final.Len() {
-		t.Fatalf("image %d lines, final %d", len(img), sum.Final.Len())
+	if img.Len() != sum.Final.Len() {
+		t.Fatalf("image %d lines, final %d", img.Len(), sum.Final.Len())
 	}
 	sum.Final.ForEach(func(addr, want uint64) {
-		if img[addr] != want {
-			t.Fatalf("addr %#x = %d, want %d", addr, img[addr], want)
+		if got, _ := img.Get(addr); got != want {
+			t.Fatalf("addr %#x = %d, want %d", addr, got, want)
 		}
 	})
 	// Mid-run epochs advanced and merged.

@@ -82,9 +82,9 @@ func TestWrapAroundEndToEnd(t *testing.T) {
 	g.Seal(20000)
 	img, _ := g.RecoverImage()
 	for addr, want := range final {
-		if img[addr] != want {
+		if got, _ := img.Get(addr); got != want {
 			t.Fatalf("addr %#x = %d, want %d (wrap-around corrupted a snapshot)",
-				addr, img[addr], want)
+				addr, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package diffcheck
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/baseline"
 	"repro/internal/cache"
@@ -275,7 +274,7 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 		return &Divergence{Params: p, Scheme: name, Kind: kind, Step: step,
 			Detail: fmt.Sprintf(format, args...)}
 	}
-	last := make(map[uint64]uint64)
+	last := mem.NewTable[uint64](0)
 	crash := p.crashSteps()
 	prevEpoch := s.Epoch()
 	var dd *Divergence
@@ -283,7 +282,7 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 		lat := s.Access(op.Tid, op.Addr, op.Write, op.Data)
 		clocks.Advance(op.Tid, lat+pipelineCost)
 		if op.Write {
-			last[cfg.LineAddr(op.Addr)] = op.Data
+			last.Put(cfg.LineAddr(op.Addr), op.Data)
 		}
 		if e := s.Epoch(); e != prevEpoch {
 			if e < prevEpoch {
@@ -311,9 +310,10 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 		return dd, nil
 	}
 	s.Drain(clocks.Max())
-	for _, addr := range sortedAddrs(last) {
-		if got := s.DRAM().Data(addr); got != last[addr] {
-			return div("final-dram", -1, "line %#x = %d after drain, want %d", addr, got, last[addr]), nil
+	for _, addr := range last.SortedKeys() {
+		want, _ := last.Get(addr)
+		if got := s.DRAM().Data(addr); got != want {
+			return div("final-dram", -1, "line %#x = %d after drain, want %d", addr, got, want), nil
 		}
 	}
 	return nil, nil
@@ -328,7 +328,7 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 // walker (the ablation regime), the PiCL variants skip their walk entirely
 // and any dirty line is legal — only the DRAM contract for clean lines
 // remains checkable.
-func checkBaselineBoundary(p Params, name string, s baselineScheme, cfg *sim.Config, last map[uint64]uint64, step int) *Divergence {
+func checkBaselineBoundary(p Params, name string, s baselineScheme, cfg *sim.Config, last *mem.Table[uint64], step int) *Divergence {
 	h := s.Hierarchy()
 	walks := p.Walker || (name != "PiCL" && name != "PiCL-L2")
 	dirty := make(map[uint64]bool)
@@ -362,13 +362,14 @@ func checkBaselineBoundary(p Params, name string, s baselineScheme, cfg *sim.Con
 			return d
 		}
 	}
-	for _, addr := range sortedAddrs(last) {
+	for _, addr := range last.SortedKeys() {
 		if dirty[addr] {
 			continue
 		}
-		if got := s.DRAM().Data(addr); got != last[addr] {
+		want, _ := last.Get(addr)
+		if got := s.DRAM().Data(addr); got != want {
 			return &Divergence{Params: p, Scheme: name, Kind: "boundary-dram", Step: step,
-				Detail: fmt.Sprintf("line %#x = %d in DRAM after boundary, want %d", addr, got, last[addr])}
+				Detail: fmt.Sprintf("line %#x = %d in DRAM after boundary, want %d", addr, got, want)}
 		}
 	}
 	return nil
@@ -410,17 +411,17 @@ func runPrefix(p Params, n int) *Divergence {
 // diffImages renders a deterministic, sorted sample of the differences
 // between a recovered image and the golden expectation, so divergence
 // reports have stable text.
-func diffImages(got map[uint64]uint64, want *mem.Table[uint64]) string {
-	addrs := sortedAddrs(got)
+func diffImages(got, want *mem.Table[uint64]) string {
+	addrs := got.SortedKeys()
 	want.ForEach(func(a, _ uint64) {
-		if _, ok := got[a]; !ok {
+		if _, ok := got.Get(a); !ok {
 			addrs = append(addrs, a)
 		}
 	})
 	slices.Sort(addrs)
 	var diffs []string
 	for _, a := range addrs {
-		g, gok := got[a]
+		g, gok := got.Get(a)
 		w, wok := want.Get(a)
 		switch {
 		case !gok:
@@ -439,13 +440,4 @@ func diffImages(got map[uint64]uint64, want *mem.Table[uint64]) string {
 		return "images identical"
 	}
 	return fmt.Sprintf("first diffs (sorted): %v", diffs)
-}
-
-func sortedAddrs(m map[uint64]uint64) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -226,7 +226,9 @@ func TestDivergenceReport(t *testing.T) {
 
 // TestDiffImages pins the deterministic divergence diff rendering.
 func TestDiffImages(t *testing.T) {
-	got := map[uint64]uint64{0x40: 1, 0x80: 2}
+	got := mem.NewTable[uint64](0)
+	got.Put(0x40, 1)
+	got.Put(0x80, 2)
 	want := mem.NewTable[uint64](0)
 	want.Put(0x40, 1)
 	want.Put(0x80, 3)

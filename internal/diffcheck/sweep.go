@@ -351,7 +351,7 @@ func (r *SweepResult) add(out cellOut) {
 // judge is the salvage-or-refuse verdict every salvaged crash state must
 // pass: pt.DurableEpoch is the floor, golden the model's image of an
 // epoch. It records the outcome on pt and returns the violation, if any.
-func judge(pt *Point, out map[uint64]uint64, rep *recovery.SalvageReport, err error,
+func judge(pt *Point, out *mem.Table[uint64], rep *recovery.SalvageReport, err error,
 	golden func(epoch uint64) (*mem.Table[uint64], bool)) *SweepDivergence {
 	div := func(kind, format string, args ...interface{}) *SweepDivergence {
 		return &SweepDivergence{Cell: *pt, Kind: kind, Detail: fmt.Sprintf(format, args...), Report: rep}
@@ -429,7 +429,7 @@ func nvmCell(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (Point, s
 		pt.Faults = inj.Total()
 		sched = inj.Schedule()
 	}
-	out, rep, err := recovery.SalvageObserved(img, bus)
+	out, rep, err := recovery.Salvage(img, bus)
 	d := judge(&pt, out, rep, err, func(e uint64) (*mem.Table[uint64], bool) { return g.ImageAt(e), true })
 	return pt, sched, d
 }

@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+
+	"repro/internal/mem"
 )
 
 // Snapshot export/import: the paper's snapshots are random-accessible NVM
@@ -44,7 +45,6 @@ func (g *Group) Export(w io.Writer) error {
 	// Epoch 0: the master image.
 	img, _ := g.RecoverImage()
 	epochs := g.Epochs()
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	if err := write64(uint64(len(epochs)) + 1); err != nil {
 		return err
 	}
@@ -59,23 +59,16 @@ func (g *Group) Export(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeDelta(w io.Writer, epoch uint64, delta map[uint64]uint64) error {
+func writeDelta(w io.Writer, epoch uint64, delta *mem.Table[uint64]) error {
 	if err := binary.Write(w, binary.LittleEndian, epoch); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(delta))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint64(delta.Len())); err != nil {
 		return err
 	}
-	addrs := make([]uint64, 0, len(delta))
-	for a := range delta {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		if err := binary.Write(w, binary.LittleEndian, a); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, delta[a]); err != nil {
+	for _, a := range delta.SortedKeys() {
+		d, _ := delta.Get(a)
+		if err := binary.Write(w, binary.LittleEndian, [2]uint64{a, d}); err != nil {
 			return err
 		}
 	}
@@ -85,8 +78,8 @@ func writeDelta(w io.Writer, epoch uint64, delta map[uint64]uint64) error {
 // SnapshotFile is a deserialised snapshot archive.
 type SnapshotFile struct {
 	RecEpoch uint64
-	Master   map[uint64]uint64            // consistent image at RecEpoch
-	Deltas   map[uint64]map[uint64]uint64 // per-epoch incremental changes
+	Master   *mem.Table[uint64]             // consistent image at RecEpoch
+	Deltas   *mem.Table[*mem.Table[uint64]] // per-epoch incremental changes
 }
 
 // Import parses a snapshot archive written by Export.
@@ -112,7 +105,7 @@ func Import(r io.Reader) (*SnapshotFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("omc: reading epoch count: %w", err)
 	}
-	sf := &SnapshotFile{RecEpoch: rec, Deltas: make(map[uint64]map[uint64]uint64)}
+	sf := &SnapshotFile{RecEpoch: rec, Deltas: mem.NewTable[*mem.Table[uint64]](0)}
 	for i := uint64(0); i < nEpochs; i++ {
 		epoch, err := read64()
 		if err != nil {
@@ -122,7 +115,7 @@ func Import(r io.Reader) (*SnapshotFile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("omc: reading entry count of epoch %d: %w", epoch, err)
 		}
-		delta := make(map[uint64]uint64, n)
+		delta := mem.NewTable[uint64](0)
 		for j := uint64(0); j < n; j++ {
 			addr, err := read64()
 			if err != nil {
@@ -132,12 +125,12 @@ func Import(r io.Reader) (*SnapshotFile, error) {
 			if err != nil {
 				return nil, fmt.Errorf("omc: reading entry %d of epoch %d: %w", j, epoch, err)
 			}
-			delta[addr] = data
+			delta.Put(addr, data)
 		}
 		if epoch == 0 {
 			sf.Master = delta
 		} else {
-			sf.Deltas[epoch] = delta
+			sf.Deltas.Put(epoch, delta)
 		}
 	}
 	if sf.Master == nil {
@@ -152,23 +145,21 @@ func (sf *SnapshotFile) ReadAt(addr, epoch uint64) (uint64, bool) {
 	var best uint64
 	found := false
 	var bestEpoch uint64
-	//nvlint:allow maprange commutative max-selection: the largest qualifying epoch wins regardless of visit order
-	for e, delta := range sf.Deltas {
+	sf.Deltas.ForEach(func(e uint64, delta *mem.Table[uint64]) {
 		if e > epoch || (found && e <= bestEpoch) {
-			continue
+			return
 		}
-		if d, ok := delta[addr]; ok {
+		if d, ok := delta.Get(addr); ok {
 			best, bestEpoch, found = d, e, true
 		}
-	}
+	})
 	if found {
 		return best, true
 	}
 	// The master holds the image of RecEpoch; it answers queries at or
 	// beyond it for addresses no retained delta covers.
 	if epoch >= sf.RecEpoch {
-		d, ok := sf.Master[addr]
-		return d, ok
+		return sf.Master.Get(addr)
 	}
 	return 0, false
 }

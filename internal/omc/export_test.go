@@ -38,16 +38,16 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("rec epoch = %d", sf.RecEpoch)
 	}
 	img, _ := g.RecoverImage()
-	if len(sf.Master) != len(img) {
-		t.Fatalf("master has %d lines, want %d", len(sf.Master), len(img))
+	if sf.Master.Len() != img.Len() {
+		t.Fatalf("master has %d lines, want %d", sf.Master.Len(), img.Len())
 	}
-	for a, d := range img {
-		if sf.Master[a] != d {
-			t.Fatalf("master[%#x] = %d, want %d", a, sf.Master[a], d)
+	img.ForEach(func(a, d uint64) {
+		if got, _ := sf.Master.Get(a); got != d {
+			t.Fatalf("master[%#x] = %d, want %d", a, got, d)
 		}
-	}
-	if len(sf.Deltas) != 3 {
-		t.Fatalf("deltas = %d", len(sf.Deltas))
+	})
+	if sf.Deltas.Len() != 3 {
+		t.Fatalf("deltas = %d", sf.Deltas.Len())
 	}
 }
 

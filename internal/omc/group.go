@@ -1,7 +1,7 @@
 package omc
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -184,16 +184,11 @@ func (g *Group) Seal(now uint64) {
 }
 
 // RecoverImage materialises the consistent image across all partitions.
-func (g *Group) RecoverImage() (map[uint64]uint64, uint64) {
-	img := make(map[uint64]uint64)
+func (g *Group) RecoverImage() (*mem.Table[uint64], uint64) {
+	img := mem.NewTable[uint64](g.MasterEntries())
 	var lat uint64
 	for _, o := range g.omcs {
-		part, l := o.RecoverImage()
-		//nvlint:allow maprange map-to-map merge: partitions are address-disjoint, order-independent
-		for a, d := range part {
-			img[a] = d
-		}
-		lat += l
+		lat += o.recoverInto(img)
 	}
 	return img, lat
 }
@@ -209,13 +204,10 @@ func (g *Group) MasterRead(addr uint64) (uint64, bool) {
 }
 
 // EpochDelta merges the per-partition deltas of epoch e.
-func (g *Group) EpochDelta(e uint64) map[uint64]uint64 {
-	delta := make(map[uint64]uint64)
+func (g *Group) EpochDelta(e uint64) *mem.Table[uint64] {
+	delta := mem.NewTable[uint64](0)
 	for _, o := range g.omcs {
-		//nvlint:allow maprange map-to-map merge: partitions are address-disjoint, order-independent
-		for a, d := range o.EpochDelta(e) {
-			delta[a] = d
-		}
+		o.deltaInto(e, delta)
 	}
 	return delta
 }
@@ -224,18 +216,12 @@ func (g *Group) EpochDelta(e uint64) map[uint64]uint64 {
 // deduplicated and sorted ascending so exports and replication walk the
 // epochs in a byte-stable order.
 func (g *Group) Epochs() []uint64 {
-	seen := map[uint64]bool{}
 	var out []uint64
 	for _, o := range g.omcs {
-		for _, e := range o.Epochs() {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
-		}
+		out = append(out, o.Epochs()...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // MasterBytes returns the total persistent Master Table footprint (Fig 13).

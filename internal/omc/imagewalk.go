@@ -1,10 +1,6 @@
 package omc
 
-import (
-	"sort"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // WalkImageTable re-walks a mapping table (master or sealed per-epoch)
 // from the durable NVM image alone, with no access to volatile state: the
@@ -18,8 +14,8 @@ import (
 // OMC id's metadata region, or a leaf slot outside its pool region. Words
 // that are simply absent read as empty slots; the digest/entry-count
 // comparison against the record is what catches those.
-func WalkImageTable(img *mem.Image, id int, rootAddr uint64) (entries map[uint64]uint64, digest uint64, ok bool) {
-	entries = make(map[uint64]uint64)
+func WalkImageTable(img *mem.Image, id int, rootAddr uint64) (entries *mem.Table[uint64], digest uint64, ok bool) {
+	entries = mem.NewTable[uint64](0)
 	if rootAddr == 0 {
 		return entries, 0, true // empty table: nothing was ever inserted
 	}
@@ -51,7 +47,7 @@ func WalkImageTable(img *mem.Image, id int, rootAddr uint64) (entries map[uint64
 						return false
 					}
 					line := p | uint64(s)<<6
-					entries[line] = v
+					entries.Put(line, v)
 					digest ^= PairMix(line, v)
 				}
 			} else {
@@ -69,16 +65,4 @@ func WalkImageTable(img *mem.Image, id int, rootAddr uint64) (entries map[uint64
 		return nil, 0, false
 	}
 	return entries, digest, true
-}
-
-// SortedKeys returns the keys of a reconstructed mapping in ascending
-// order, the iteration order recovery uses everywhere for determinism.
-func SortedKeys(m map[uint64]uint64) []uint64 {
-	out := make([]uint64, 0, len(m))
-	//nvlint:allow maprange collect-then-sort
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

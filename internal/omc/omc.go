@@ -1,7 +1,7 @@
 package omc
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -20,8 +20,8 @@ type OMC struct {
 	nvm *mem.NVM
 	id  int
 
-	epochs   map[uint64]*Table // volatile per-epoch tables, unmerged
-	retained map[uint64]*Table // merged tables kept for time-travel reads
+	epochs   *mem.Table[*Table] // volatile per-epoch tables, unmerged
+	retained *mem.Table[*Table] // merged tables kept for time-travel reads
 	retain   bool
 	master   *Table
 	pool     *Pool
@@ -73,8 +73,8 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 		cfg:         cfg,
 		nvm:         nvm,
 		id:          id,
-		epochs:      make(map[uint64]*Table),
-		retained:    make(map[uint64]*Table),
+		epochs:      mem.NewTable[*Table](0),
+		retained:    mem.NewTable[*Table](0),
 		pool:        NewPool(PoolBase+uint64(id)*omcRegion, cfg.PageSize, cfg.LineSize, cfg.NVMPoolPages),
 		payload:     mem.NewTable[uint64](0),
 		minVer:      make([]uint64, cfg.VDs()),
@@ -163,11 +163,11 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	stall += o.nvm.Persist(mem.WData, nvmAddr, o.cfg.LineSize,
 		[]uint64{v.Data, v.Epoch, LineCheck(v.Addr, v.Epoch, v.Data)}, now)
 	o.payload.Put(nvmAddr, v.Data)
-	t := o.epochs[v.Epoch]
-	if t == nil {
-		t = o.newEpochTable()
-		o.epochs[v.Epoch] = t
+	tp, ok := o.epochs.Upsert(v.Epoch)
+	if !ok {
+		*tp = o.newEpochTable()
 	}
+	t := *tp
 	if old, replaced := t.Insert(v.Addr, nvmAddr); replaced {
 		// The epoch's snapshot keeps only its newest version of an address.
 		o.payload.Delete(old)
@@ -245,15 +245,10 @@ func (o *OMC) advanceRecEpochTo(er, now uint64) {
 		}
 	}
 	// Merge every newly recoverable epoch, in order.
-	var pending []uint64
-	for e := range o.epochs {
+	for _, e := range o.epochs.SortedKeys() {
 		if e > o.recEpoch && e <= er {
-			pending = append(pending, e)
+			o.mergeEpoch(e, now)
 		}
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, e := range pending {
-		o.mergeEpoch(e, now)
 	}
 	o.recEpoch = er
 	o.bus.Emit(obs.KindRecEpoch, now, o.id, er, 0, 0, 0)
@@ -271,7 +266,7 @@ func (o *OMC) advanceRecEpochTo(er, now uint64) {
 // mergeEpoch folds M_e into the Master Table: table entries are copied, no
 // data pages move (paper §V-C).
 func (o *OMC) mergeEpoch(e uint64, now uint64) {
-	t := o.epochs[e]
+	t, _ := o.epochs.Get(e)
 	if t == nil {
 		return
 	}
@@ -293,10 +288,10 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 	o.pool.CloseEpoch(e)
 	o.stat.Inc("epochs_merged")
 	o.stat.Add("entries_merged", int64(t.Entries()))
-	delete(o.epochs, e)
+	o.epochs.Delete(e)
 	o.vpageCounts.Delete(e)
 	if o.retain {
-		o.retained[e] = t
+		o.retained.Put(e, t)
 	}
 }
 
@@ -376,12 +371,7 @@ func (o *OMC) SealTo(now, floor uint64) {
 			o.now += o.writeVersion(fv, o.now)
 		}
 	}
-	var pending []uint64
-	for e := range o.epochs {
-		pending = append(pending, e)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, e := range pending {
+	for _, e := range o.epochs.SortedKeys() {
 		o.mergeEpoch(e, now)
 	}
 	if o.maxEpoch > o.recEpoch {
@@ -425,83 +415,81 @@ func (o *OMC) MasterRead(addr uint64) (uint64, bool) {
 // retention is enabled. The boolean reports whether any version <= epoch
 // exists and is still materialised (compaction may have reclaimed it).
 func (o *OMC) TimeTravelRead(addr uint64, epoch uint64) (data uint64, foundEpoch uint64, ok bool) {
-	lookup := func(e uint64, t *Table) bool {
+	lookup := func(e uint64, t *Table) {
 		if e > epoch || (ok && e <= foundEpoch) {
-			return false
+			return
 		}
 		nvmAddr, hit := t.Lookup(addr)
 		if !hit {
-			return false
+			return
 		}
-		d, live := o.payload.Get(nvmAddr)
-		if !live {
-			return false
+		if d, live := o.payload.Get(nvmAddr); live {
+			data, foundEpoch, ok = d, e, true
 		}
-		data, foundEpoch, ok = d, e, true
-		return true
 	}
-	//nvlint:allow maprange commutative max-selection: lookup keeps the largest qualifying epoch regardless of visit order
-	for e, t := range o.epochs {
-		lookup(e, t)
-	}
-	//nvlint:allow maprange commutative max-selection: lookup keeps the largest qualifying epoch regardless of visit order
-	for e, t := range o.retained {
-		lookup(e, t)
-	}
+	o.epochs.ForEach(lookup)
+	o.retained.ForEach(lookup)
 	return data, foundEpoch, ok
 }
 
 // RecoverImage materialises the consistent memory image of rec-epoch as an
-// address->payload map and returns it with the simulated recovery latency
-// (NVM reads for every mapped line, paper §V-E).
-func (o *OMC) RecoverImage() (map[uint64]uint64, uint64) {
-	img := make(map[uint64]uint64, o.master.Entries())
-	var lat uint64
+// address->payload table and returns it with the simulated recovery
+// latency (NVM reads for every mapped line, paper §V-E).
+func (o *OMC) RecoverImage() (*mem.Table[uint64], uint64) {
+	img := mem.NewTable[uint64](o.master.Entries())
+	return img, o.recoverInto(img)
+}
+
+// recoverInto adds the consistent image of rec-epoch to img and returns
+// the recovery latency.
+func (o *OMC) recoverInto(img *mem.Table[uint64]) (lat uint64) {
 	o.master.ForEach(func(lineAddr, nvmAddr uint64) {
 		if data, ok := o.payload.Get(nvmAddr); ok {
-			img[lineAddr] = data
+			img.Put(lineAddr, data)
 			lat += o.nvm.Read()
 		}
 	})
-	return img, lat
+	return lat
 }
 
 // EpochDelta returns the incremental changes captured by epoch e as an
-// address->payload map (unmerged or retained epochs only). This is the
-// unit of remote replication (§V-E): each delta can be shipped and
-// replayed as a redo log on a backup machine.
-func (o *OMC) EpochDelta(e uint64) map[uint64]uint64 {
-	t := o.epochs[e]
-	if t == nil {
-		t = o.retained[e]
-	}
-	if t == nil {
+// address->payload table (unmerged or retained epochs only), or nil when
+// no table of e is accessible. This is the unit of remote replication
+// (§V-E): each delta can be shipped and replayed as a redo log on a
+// backup machine.
+func (o *OMC) EpochDelta(e uint64) *mem.Table[uint64] {
+	delta := mem.NewTable[uint64](0)
+	if !o.deltaInto(e, delta) {
 		return nil
 	}
-	delta := make(map[uint64]uint64, t.Entries())
+	return delta
+}
+
+// deltaInto adds epoch e's incremental changes to delta and reports
+// whether a table of e is accessible.
+func (o *OMC) deltaInto(e uint64, delta *mem.Table[uint64]) bool {
+	t, _ := o.epochs.Get(e)
+	if t == nil {
+		t, _ = o.retained.Get(e)
+	}
+	if t == nil {
+		return false
+	}
 	t.ForEach(func(lineAddr, nvmAddr uint64) {
 		if d, ok := o.payload.Get(nvmAddr); ok {
-			delta[lineAddr] = d
+			delta.Put(lineAddr, d)
 		}
 	})
-	return delta
+	return true
 }
 
 // Epochs returns the ids of all epochs with accessible tables (unmerged
 // plus retained), sorted ascending so reports and exports derived from it
 // are byte-stable across runs.
 func (o *OMC) Epochs() []uint64 {
-	var out []uint64
-	for e := range o.epochs {
-		out = append(out, e)
-	}
-	for e := range o.retained {
-		if _, dup := o.epochs[e]; !dup {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := append(o.epochs.SortedKeys(), o.retained.SortedKeys()...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SubpageBytes estimates the storage the current unmerged epochs would use

@@ -113,8 +113,8 @@ func TestSealMergesEverything(t *testing.T) {
 		t.Fatalf("recEpoch after seal = %d", o.RecEpoch())
 	}
 	img, lat := o.RecoverImage()
-	if len(img) != 2 || img[0x40] != 1 || img[0x80] != 5 {
-		t.Fatalf("recovered image = %v", img)
+	if img.Len() != 2 || imgAt(img, 0x40) != 1 || imgAt(img, 0x80) != 5 {
+		t.Fatalf("recovered image has lines %#x", img.SortedKeys())
 	}
 	if lat == 0 {
 		t.Fatal("recovery latency should be non-zero")
@@ -199,8 +199,8 @@ func TestCompaction(t *testing.T) {
 	img, _ := o.RecoverImage()
 	want := map[uint64]uint64{0x40: 1, 0x80: 2, 0x1040: 3, 0x2040: 4}
 	for a, d := range want {
-		if img[a] != d {
-			t.Fatalf("addr %#x = %d, want %d (image corrupted by compaction)", a, img[a], d)
+		if got := imgAt(img, a); got != d {
+			t.Fatalf("addr %#x = %d, want %d (image corrupted by compaction)", a, got, d)
 		}
 	}
 	if o.Pool().Frees == 0 {
@@ -250,8 +250,8 @@ func TestOMCBufferEpochTurnoverFlushesOldVersion(t *testing.T) {
 	}
 	o.Seal(0)
 	img, _ := o.RecoverImage()
-	if img[0x40] != 2 {
-		t.Fatalf("image = %v", img)
+	if got := imgAt(img, 0x40); got != 2 {
+		t.Fatalf("image[0x40] = %d, want 2", got)
 	}
 }
 
@@ -298,11 +298,11 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 		t.Fatalf("group recEpoch = %d", g.RecEpoch())
 	}
 	img, _ := g.RecoverImage()
-	if len(img) != 32 {
-		t.Fatalf("image size = %d", len(img))
+	if img.Len() != 32 {
+		t.Fatalf("image size = %d", img.Len())
 	}
 	for i := 0; i < 32; i++ {
-		if img[uint64(i)<<12] != uint64(i+1) {
+		if imgAt(img, uint64(i)<<12) != uint64(i+1) {
 			t.Fatalf("addr %d corrupted", i)
 		}
 	}
@@ -339,4 +339,10 @@ func TestGroupSealAndTimeTravel(t *testing.T) {
 	if g.BufferHitRate() != 0 {
 		t.Fatal("buffer hit rate without buffers should be 0")
 	}
+}
+
+// imgAt reads one line of a recovered image; absent lines read as 0.
+func imgAt(img *mem.Table[uint64], addr uint64) uint64 {
+	v, _ := img.Get(addr)
+	return v
 }

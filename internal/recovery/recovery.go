@@ -7,7 +7,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/omc"
@@ -26,26 +25,26 @@ type Report struct {
 // ("the recovery procedure loads the consistent image from the NVM by
 // scanning Mmaster and reading all versions into their corresponding
 // addresses", §V-E) and returns it with a report.
-func Recover(g *omc.Group) (map[uint64]uint64, Report) {
+func Recover(g *omc.Group) (*mem.Table[uint64], Report) {
 	img, lat := g.RecoverImage()
 	return img, Report{
 		RecEpoch:      g.RecEpoch(),
-		LinesRestored: len(img),
+		LinesRestored: img.Len(),
 		LatencyCycles: lat,
 	}
 }
 
 // Verify compares a recovered image against a golden address->payload
 // table and returns a descriptive error for the first divergence.
-func Verify(img map[uint64]uint64, golden *mem.Table[uint64]) error {
-	if len(img) != golden.Len() {
-		return fmt.Errorf("recovery: image has %d lines, golden has %d", len(img), golden.Len())
+func Verify(img, golden *mem.Table[uint64]) error {
+	if img.Len() != golden.Len() {
+		return fmt.Errorf("recovery: image has %d lines, golden has %d", img.Len(), golden.Len())
 	}
 	// Walk the golden image in address order so the first divergence
 	// reported is the same on every run.
 	for _, addr := range golden.SortedKeys() {
 		want, _ := golden.Get(addr)
-		got, ok := img[addr]
+		got, ok := img.Get(addr)
 		if !ok {
 			return fmt.Errorf("recovery: line %#x missing from image", addr)
 		}
@@ -60,9 +59,9 @@ func Verify(img map[uint64]uint64, golden *mem.Table[uint64]) error {
 // it receives per-epoch snapshot deltas over the (abstracted) network and
 // replays them, in epoch order, as redo logs into its own image.
 type Replica struct {
-	pending map[uint64]map[uint64]uint64 // epoch -> delta
+	pending *mem.Table[*mem.Table[uint64]] // epoch -> delta
 	applied uint64
-	image   map[uint64]uint64
+	image   *mem.Table[uint64]
 
 	// BytesReceived counts delta payload shipped to this replica.
 	BytesReceived int64
@@ -71,57 +70,49 @@ type Replica struct {
 // NewReplica creates an empty backup machine.
 func NewReplica() *Replica {
 	return &Replica{
-		pending: make(map[uint64]map[uint64]uint64),
-		image:   make(map[uint64]uint64),
+		pending: mem.NewTable[*mem.Table[uint64]](0),
+		image:   mem.NewTable[uint64](0),
 	}
 }
 
 // Receive accepts epoch e's delta. Deltas may arrive out of order; replay
 // applies them in epoch order.
-func (r *Replica) Receive(e uint64, delta map[uint64]uint64) {
-	cp := make(map[uint64]uint64, len(delta))
-	//nvlint:allow maprange map copy plus size accounting, order-independent
-	for a, d := range delta {
-		cp[a] = d
-		r.BytesReceived += 64 // one line per entry on the wire
-	}
-	r.pending[e] = cp
+func (r *Replica) Receive(e uint64, delta *mem.Table[uint64]) {
+	cp := mem.NewTable[uint64](delta.Len())
+	delta.ForEach(cp.Put)
+	r.BytesReceived += 64 * int64(cp.Len()) // one line per entry on the wire
+	r.pending.Put(e, cp)
 }
 
 // ReplayTo applies all pending deltas with epoch <= target, in order, and
 // returns how many epochs were applied. Epochs at or below the already
 // applied point are ignored (idempotent redo).
 func (r *Replica) ReplayTo(target uint64) int {
-	var epochs []uint64
-	for e := range r.pending {
-		if e > r.applied && e <= target {
-			epochs = append(epochs, e)
+	n := 0
+	for _, e := range r.pending.SortedKeys() {
+		if e <= r.applied || e > target {
+			continue
 		}
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, e := range epochs {
-		//nvlint:allow maprange redo-log apply into a map: last write per address within one epoch delta is unique
-		for a, d := range r.pending[e] {
-			r.image[a] = d
-		}
-		delete(r.pending, e)
+		delta, _ := r.pending.Get(e)
+		delta.ForEach(r.image.Put)
+		r.pending.Delete(e)
 		r.applied = e
+		n++
 	}
-	return len(epochs)
+	return n
 }
 
 // AppliedEpoch returns the newest epoch reflected in the replica's image.
 func (r *Replica) AppliedEpoch() uint64 { return r.applied }
 
 // Image returns the replica's current materialised state.
-func (r *Replica) Image() map[uint64]uint64 { return r.image }
+func (r *Replica) Image() *mem.Table[uint64] { return r.image }
 
 // Replicate ships every accessible epoch of the primary's MNM backend to
 // the replica and replays up to the recoverable epoch. It returns the
 // number of epochs shipped.
 func Replicate(g *omc.Group, r *Replica) int {
 	epochs := g.Epochs()
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	for _, e := range epochs {
 		r.Receive(e, g.EpochDelta(e))
 	}
@@ -146,14 +137,10 @@ type Version struct {
 
 // History enumerates addr's versions.
 func History(g *omc.Group, addr uint64) []Version {
-	epochs := g.Epochs()
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	var out []Version
-	for _, e := range epochs {
-		if delta := g.EpochDelta(e); delta != nil {
-			if d, ok := delta[addr]; ok {
-				out = append(out, Version{Epoch: e, Data: d})
-			}
+	for _, e := range g.Epochs() {
+		if d, ok := g.EpochDelta(e).Get(addr); ok {
+			out = append(out, Version{Epoch: e, Data: d})
 		}
 	}
 	return out

@@ -50,7 +50,7 @@ func TestRecoverMatchesGolden(t *testing.T) {
 }
 
 func TestVerifyDetectsDivergence(t *testing.T) {
-	img := map[uint64]uint64{0x40: 1, 0x80: 2}
+	img := table(map[uint64]uint64{0x40: 1, 0x80: 2})
 	if err := Verify(img, table(map[uint64]uint64{0x40: 1, 0x80: 2})); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestVerifyDetectsDivergence(t *testing.T) {
 	if err := Verify(img, table(map[uint64]uint64{0x40: 1, 0x80: 9})); err == nil {
 		t.Fatal("value mismatch accepted")
 	}
-	if err := Verify(map[uint64]uint64{0x40: 1, 0xC0: 2}, table(map[uint64]uint64{0x40: 1, 0x80: 2})); err == nil {
+	if err := Verify(table(map[uint64]uint64{0x40: 1, 0xC0: 2}), table(map[uint64]uint64{0x40: 1, 0x80: 2})); err == nil {
 		t.Fatal("missing line accepted")
 	}
 }
@@ -85,19 +85,19 @@ func TestReplication(t *testing.T) {
 
 func TestReplicaOutOfOrderDeltas(t *testing.T) {
 	r := NewReplica()
-	r.Receive(2, map[uint64]uint64{0x40: 20})
-	r.Receive(1, map[uint64]uint64{0x40: 10, 0x80: 11})
-	r.Receive(3, map[uint64]uint64{0x80: 30})
+	r.Receive(2, table(map[uint64]uint64{0x40: 20}))
+	r.Receive(1, table(map[uint64]uint64{0x40: 10, 0x80: 11}))
+	r.Receive(3, table(map[uint64]uint64{0x80: 30}))
 	if n := r.ReplayTo(2); n != 2 {
 		t.Fatalf("replayed %d epochs, want 2", n)
 	}
-	if r.Image()[0x40] != 20 || r.Image()[0x80] != 11 {
-		t.Fatalf("image after epoch 2 = %v", r.Image())
+	if lineOf(r.Image(), 0x40) != 20 || lineOf(r.Image(), 0x80) != 11 {
+		t.Fatalf("image after epoch 2: 0x40=%d 0x80=%d", lineOf(r.Image(), 0x40), lineOf(r.Image(), 0x80))
 	}
 	if n := r.ReplayTo(3); n != 1 {
 		t.Fatalf("replayed %d, want 1", n)
 	}
-	if r.Image()[0x80] != 30 {
+	if lineOf(r.Image(), 0x80) != 30 {
 		t.Fatal("epoch 3 not applied")
 	}
 	// Replays are idempotent.
@@ -167,6 +167,12 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	if rep.LinesRestored != len(golden) {
 		t.Fatalf("restored %d, want %d", rep.LinesRestored, len(golden))
 	}
+}
+
+// lineOf reads one line of an image; absent lines read as 0.
+func lineOf(img *mem.Table[uint64], addr uint64) uint64 {
+	v, _ := img.Get(addr)
+	return v
 }
 
 // table converts a golden map into the table Verify takes.

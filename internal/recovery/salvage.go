@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -126,7 +125,7 @@ type sealInfo struct {
 	digest  uint64
 
 	walked  bool
-	mapping map[uint64]uint64
+	mapping *mem.Table[uint64]
 	tableOK bool
 }
 
@@ -153,7 +152,7 @@ type partition struct {
 	coverage uint64
 
 	masterChecked bool
-	masterImage   map[uint64]uint64 // lineAddr -> data, validated
+	masterImage   *mem.Table[uint64] // lineAddr -> data, validated
 	masterOK      bool
 }
 
@@ -260,10 +259,10 @@ func (p *partition) walkSeal(s *sealInfo) bool {
 	}
 	s.walked = true
 	mapping, digest, structOK := omc.WalkImageTable(p.img, p.id, s.root)
-	if !structOK || digest != s.digest || len(mapping) != s.entries {
+	if !structOK || digest != s.digest || mapping.Len() != s.entries {
 		p.rep.addDamage("table-digest", p.id, s.epoch, s.root,
 			fmt.Sprintf("sealed table of epoch %d does not match its record (walk ok=%v, %d entries)",
-				s.epoch, structOK, len(mapping)))
+				s.epoch, structOK, mapping.Len()))
 		s.tableOK = false
 		return false
 	}
@@ -284,15 +283,15 @@ func (p *partition) checkMaster() bool {
 		return false
 	}
 	mapping, digest, structOK := omc.WalkImageTable(p.img, p.id, p.commitRoot)
-	if !structOK || digest != p.commitDigest || len(mapping) != p.commitEntries {
+	if !structOK || digest != p.commitDigest || mapping.Len() != p.commitEntries {
 		p.rep.addDamage("table-digest", p.id, p.commitEpoch, p.commitRoot,
 			fmt.Sprintf("master table does not match commit record at epoch %d (walk ok=%v, %d entries, want %d)",
-				p.commitEpoch, structOK, len(mapping), p.commitEntries))
+				p.commitEpoch, structOK, mapping.Len(), p.commitEntries))
 		return false
 	}
-	img := make(map[uint64]uint64, len(mapping))
-	for _, line := range omc.SortedKeys(mapping) {
-		poolAddr := mapping[line]
+	img := mem.NewTable[uint64](mapping.Len())
+	for _, line := range mapping.SortedKeys() {
+		poolAddr, _ := mapping.Get(line)
 		data, etag, present, valid := payloadAt(p.img, line, poolAddr)
 		switch {
 		case !present:
@@ -309,7 +308,7 @@ func (p *partition) checkMaster() bool {
 					line, etag, p.commitEpoch))
 			return false
 		}
-		img[line] = data
+		img.Put(line, data)
 	}
 	p.masterImage = img
 	p.masterOK = true
@@ -319,7 +318,7 @@ func (p *partition) checkMaster() bool {
 // restoreAt returns the largest epoch e <= target this partition can
 // restore exactly, with the restored partition image. It always succeeds
 // at some e >= 0 (e = 0 is the empty pre-run image).
-func (p *partition) restoreAt(target uint64) (uint64, map[uint64]uint64) {
+func (p *partition) restoreAt(target uint64) (uint64, *mem.Table[uint64]) {
 	if p.commitValid && target == p.commitEpoch && p.checkMaster() {
 		return target, p.masterImage
 	}
@@ -351,26 +350,20 @@ func (p *partition) restoreAt(target uint64) (uint64, map[uint64]uint64) {
 			poolAddr uint64
 			epoch    uint64
 		}
-		win := make(map[uint64]winner)
+		win := mem.NewTable[winner](0)
 		for _, s := range p.seals {
 			if s.epoch > e {
 				break
 			}
-			for _, line := range omc.SortedKeys(s.mapping) {
-				win[line] = winner{poolAddr: s.mapping[line], epoch: s.epoch}
-			}
+			s.mapping.ForEach(func(line, poolAddr uint64) {
+				win.Put(line, winner{poolAddr: poolAddr, epoch: s.epoch})
+			})
 		}
-		lines := make([]uint64, 0, len(win))
-		//nvlint:allow maprange collect-then-sort
-		for line := range win {
-			lines = append(lines, line)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		img := make(map[uint64]uint64, len(win))
+		img := mem.NewTable[uint64](win.Len())
 		damaged := false
 		lowest := e
-		for _, line := range lines {
-			w := win[line]
+		for _, line := range win.SortedKeys() {
+			w, _ := win.Get(line)
 			data, etag, present, valid := payloadAt(p.img, line, w.poolAddr)
 			switch {
 			case !present:
@@ -383,7 +376,7 @@ func (p *partition) restoreAt(target uint64) (uint64, map[uint64]uint64) {
 				p.rep.addDamage("payload-epoch", p.id, w.epoch, w.poolAddr,
 					fmt.Sprintf("payload of line %#x tagged epoch %d where table claims %d", line, etag, w.epoch))
 			default:
-				img[line] = data
+				img.Put(line, data)
 				continue
 			}
 			damaged = true
@@ -397,7 +390,7 @@ func (p *partition) restoreAt(target uint64) (uint64, map[uint64]uint64) {
 		}
 		return e, img
 	}
-	return 0, map[uint64]uint64{}
+	return 0, mem.NewTable[uint64](0)
 }
 
 // Salvage reconstructs the newest provably-consistent memory image from a
@@ -411,7 +404,42 @@ func (p *partition) restoreAt(target uint64) (uint64, map[uint64]uint64) {
 //
 // Every partition must restore the same epoch; the global fixpoint walks
 // all partitions back to the highest epoch they can all prove.
-func Salvage(img *mem.Image) (map[uint64]uint64, *SalvageReport, error) {
+//
+// A non-nil bus also narrates the decisions as KindSalvage events, in
+// report order: one per damage finding (Note = the damage kind), one per
+// partition verdict (Note = "restored", Arg = 1 when the master fast path
+// applied), and one final group decision (Note = "refused", "walked-back"
+// or "restored"). Recovery runs outside simulated time, so salvage events
+// carry cycle 0.
+func Salvage(img *mem.Image, bus *obs.Bus) (*mem.Table[uint64], *SalvageReport, error) {
+	out, rep, err := salvage(img)
+	if bus == nil {
+		return out, rep, err
+	}
+	for _, d := range rep.Damage {
+		bus.EmitNote(obs.KindSalvage, 0, d.OMC, d.Epoch, d.Addr, 0, 0, d.Kind)
+	}
+	for _, p := range rep.Partitions {
+		var master uint64
+		if p.UsedMaster {
+			master = 1
+		}
+		bus.EmitNote(obs.KindSalvage, 0, p.ID, p.RestoredEpoch, 0, master, 0, "restored")
+	}
+	decision := "restored"
+	switch {
+	case rep.Refused:
+		decision = "refused"
+	case rep.WalkedBack:
+		decision = "walked-back"
+	}
+	bus.EmitNote(obs.KindSalvage, 0, -1, rep.RestoredEpoch, 0,
+		uint64(rep.LinesRestored), rep.ClaimedEpoch, decision)
+	return out, rep, err
+}
+
+// salvage is Salvage without the narration; its report is never nil.
+func salvage(img *mem.Image) (*mem.Table[uint64], *SalvageReport, error) {
 	rep := &SalvageReport{Partitions: []PartitionReport{}, Damage: []Damage{}}
 	if img.Len() == 0 {
 		rep.Refused = true
@@ -483,7 +511,7 @@ func Salvage(img *mem.Image) (map[uint64]uint64, *SalvageReport, error) {
 
 	// Global fixpoint: every partition must restore the same epoch.
 	target := claim
-	images := make([]map[uint64]uint64, n)
+	images := make([]*mem.Table[uint64], n)
 	restored := make([]uint64, n)
 	for {
 		lowest := target
@@ -524,48 +552,12 @@ func Salvage(img *mem.Image) (map[uint64]uint64, *SalvageReport, error) {
 		return nil, rep, fmt.Errorf("recovery: %s: %w", rep.Reason, kind)
 	}
 
-	out := make(map[uint64]uint64)
-	for i := range images {
-		// Partitions own disjoint address sets; merge order is irrelevant
-		// but iterate deterministically anyway.
-		for _, line := range omc.SortedKeys(images[i]) {
-			out[line] = images[i][line]
-		}
+	out := mem.NewTable[uint64](0)
+	for _, part := range images {
+		part.ForEach(out.Put) // partitions own disjoint address sets
 	}
-	rep.LinesRestored = len(out)
+	rep.LinesRestored = out.Len()
 	return out, rep, nil
-}
-
-// SalvageObserved runs Salvage and additionally narrates its decisions on
-// the observability bus as KindSalvage events, in report order: one per
-// damage finding (Note = the damage kind), one per partition verdict (Note
-// = "restored", Arg = 1 when the master fast path applied), and one final
-// group decision (Note = "refused", "walked-back" or "restored"). Recovery
-// runs outside simulated time, so salvage events carry cycle 0.
-func SalvageObserved(img *mem.Image, bus *obs.Bus) (map[uint64]uint64, *SalvageReport, error) {
-	out, rep, err := Salvage(img)
-	if bus != nil && rep != nil {
-		for _, d := range rep.Damage {
-			bus.EmitNote(obs.KindSalvage, 0, d.OMC, d.Epoch, d.Addr, 0, 0, d.Kind)
-		}
-		for _, p := range rep.Partitions {
-			var master uint64
-			if p.UsedMaster {
-				master = 1
-			}
-			bus.EmitNote(obs.KindSalvage, 0, p.ID, p.RestoredEpoch, 0, master, 0, "restored")
-		}
-		decision := "restored"
-		switch {
-		case rep.Refused:
-			decision = "refused"
-		case rep.WalkedBack:
-			decision = "walked-back"
-		}
-		bus.EmitNote(obs.KindSalvage, 0, -1, rep.RestoredEpoch, 0,
-			uint64(rep.LinesRestored), rep.ClaimedEpoch, decision)
-	}
-	return out, rep, err
 }
 
 // classifyRefusal picks the typed error matching the observed damage:

@@ -122,7 +122,7 @@ func payloadAddrOf(t *testing.T, img *mem.Image, lineAddr uint64) map[uint64]uin
 			if !ok {
 				t.Fatalf("clean image: sealed table of epoch %d failed to walk", e)
 			}
-			if pa, hit := mapping[lineAddr]; hit {
+			if pa, hit := mapping.Get(lineAddr); hit {
 				out[e] = pa
 			}
 		}
@@ -132,7 +132,7 @@ func payloadAddrOf(t *testing.T, img *mem.Image, lineAddr uint64) map[uint64]uin
 
 func TestSalvageCleanImage(t *testing.T) {
 	img, goldenAt := buildSalvageImage(t)
-	restored, rep, err := Salvage(img)
+	restored, rep, err := Salvage(img, nil)
 	if err != nil {
 		t.Fatalf("clean image refused: %v\n%+v", err, rep)
 	}
@@ -275,7 +275,7 @@ func TestSalvageErrorPaths(t *testing.T) {
 				img, goldenAt = buildSalvageImage(t)
 			}
 			tc.mutate(t, img)
-			restored, rep, err := Salvage(img)
+			restored, rep, err := Salvage(img, nil)
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want %v\nreport: %+v", err, tc.wantErr, rep)
@@ -334,9 +334,9 @@ func TestSalvageSealLogLoss(t *testing.T) {
 			img.Delete(omc.SealRecAddr(0, seq) + uint64(i*8))
 		}
 	}
-	restored, rep, err := Salvage(img)
+	restored, rep, err := Salvage(img, nil)
 	if err == nil {
-		t.Fatalf("salvage accepted an incomplete seal log: %+v (%d lines)", rep, len(restored))
+		t.Fatalf("salvage accepted an incomplete seal log: %+v (%d lines)", rep, restored.Len())
 	}
 	found := false
 	for _, d := range rep.Damage {

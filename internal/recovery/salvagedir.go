@@ -30,7 +30,7 @@ import (
 //
 // File-level findings are merged into the returned report with their kind
 // prefixed "file-" (OMC -1, epoch 0), before the image-level damage.
-func SalvageDir(fsys fault.FS, dir string) (map[uint64]uint64, *SalvageReport, error) {
+func SalvageDir(fsys fault.FS, dir string) (*mem.Table[uint64], *SalvageReport, error) {
 	img, drep, err := mem.LoadDir(fsys, dir)
 	if err != nil {
 		rep := &SalvageReport{Refused: true, Partitions: []PartitionReport{}, Damage: []Damage{}}
@@ -47,7 +47,7 @@ func SalvageDir(fsys fault.FS, dir string) (map[uint64]uint64, *SalvageReport, e
 		}
 		return nil, rep, fmt.Errorf("recovery: %w: %w", err, typed)
 	}
-	out, rep, serr := Salvage(img)
+	out, rep, serr := Salvage(img, nil)
 	mergeFileDamage(rep, drep)
 	rep.StoreSealedEpoch = drep.SealedEpoch
 	return out, rep, serr
