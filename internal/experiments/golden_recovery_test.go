@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -68,24 +67,5 @@ func TestRecoveryOutputsGolden(t *testing.T) {
 	fmt.Fprintf(&got, "tally states=%d restored=%d walked_back=%d refused=%d\n",
 		tl.States, tl.Restored, tl.WalkedBack, tl.Refused)
 
-	if *update {
-		if err := os.WriteFile(goldenRecoveryFile, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenRecoveryFile)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	gotLines := strings.Split(got.String(), "\n")
-	for i, w := range strings.Split(string(want), "\n") {
-		if i >= len(gotLines) || gotLines[i] != w {
-			g := ""
-			if i < len(gotLines) {
-				g = gotLines[i]
-			}
-			t.Errorf("line %d changed:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	compareGolden(t, goldenRecoveryFile, got.String())
 }
