@@ -151,7 +151,7 @@ func (b *base) stallAll(cost uint64) {
 // lines are also marked clean in place and the DRAM working copy is
 // refreshed so the oracle stays consistent.
 func (b *base) flushDirtySync(maxOID uint64, region uint64, class mem.WriteClass) uint64 {
-	lines := b.h.DirtyLines(maxOID)
+	lines := b.h.DirtyLines(maxOID, cache.LevelLLC)
 	now := b.maxNow()
 	var finish uint64
 	for _, ln := range lines {
@@ -168,7 +168,7 @@ func (b *base) flushDirtySync(maxOID uint64, region uint64, class mem.WriteClass
 // flushDirtyAsync writes the dirty lines in the background (bank bookings
 // only) — used by the hardware schemes that overlap persistence.
 func (b *base) flushDirtyAsync(maxOID uint64, region uint64, class mem.WriteClass) (stall uint64) {
-	lines := b.h.DirtyLines(maxOID)
+	lines := b.h.DirtyLines(maxOID, cache.LevelLLC)
 	now := b.maxNow()
 	for _, ln := range lines {
 		stall += b.nvm.Write(class, region+ln.Tag, b.cfg.LineSize, now+stall)
@@ -176,6 +176,26 @@ func (b *base) flushDirtyAsync(maxOID uint64, region uint64, class mem.WriteClas
 	b.markClean(lines)
 	b.stat.Add("flushed_lines", int64(len(lines)))
 	return stall
+}
+
+// ackWalk is the PiCL tag walk (ACS) at an epoch boundary: every dirty
+// line tagged <= closing, from the L1s down to deepest (the LLC for PiCL,
+// the L2s for PiCL-L2), is written home in the background and marked
+// clean. When the walker is disabled (ablation), dirty lines persist only
+// through natural evictions.
+func (b *base) ackWalk(closing uint64, deepest cache.Level) {
+	if !b.cfg.TagWalker {
+		return
+	}
+	lines := b.h.DirtyLines(closing, deepest)
+	now := b.maxNow()
+	for _, ln := range lines {
+		now += b.nvm.Write(mem.WData, ln.Tag, b.cfg.LineSize, now)
+	}
+	b.markClean(lines)
+	b.evWalk += uint64(len(lines))
+	b.stat.Add("acs_writebacks", int64(len(lines)))
+	b.stat.Inc("acs_walks")
 }
 
 // markClean clears the dirty bit of the given addresses throughout the
@@ -186,34 +206,20 @@ func (b *base) markClean(lines []cache.Line) {
 	for _, ln := range lines {
 		addrs[ln.Tag] = ln
 	}
-	clean := func(c *cache.Cache) {
-		c.ForEach(func(ln *cache.Line) {
-			if newest, ok := addrs[ln.Tag]; ok {
-				// The checkpoint persisted the newest copy; every cached
-				// copy — including stale clean ones in the inclusive LLC —
-				// is synchronised to it, so nothing stale can resurface
-				// after the newest copies lose their dirty bits and are
-				// silently dropped.
-				ln.Dirty = false
-				ln.Data = newest.Data
-				ln.OID = newest.OID
-			}
-		})
+	clean := func(ln *cache.Line) {
+		if newest, ok := addrs[ln.Tag]; ok {
+			// The checkpoint persisted the newest copy; every cached
+			// copy — including stale clean ones in the inclusive LLC —
+			// is synchronised to it, so nothing stale can resurface
+			// after the newest copies lose their dirty bits and are
+			// silently dropped.
+			ln.Dirty = false
+			ln.Data = newest.Data
+			ln.OID = newest.OID
+		}
 	}
-	for tid := 0; tid < b.cfg.Cores; tid++ {
-		clean(b.h.L1(tid))
-	}
-	for vd := 0; vd < b.cfg.VDs(); vd++ {
-		clean(b.h.L2(vd))
-	}
-	for i := 0; i < b.h.Slices(); i++ {
-		clean(b.h.LLCSlice(i))
-	}
+	b.h.Walk(cache.AllVDs, cache.LevelLLC, func(_ cache.Level, c *cache.Cache) { c.ForEach(clean) })
 	for _, ln := range lines {
 		b.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
 	}
 }
-
-var (
-	_ = tableBase
-)

@@ -28,7 +28,7 @@ func NewHWShadow(cfg *sim.Config) *HWShadow {
 			ln.OID = s.epoch
 			return 0
 		},
-		OnLLCWriteBack: func(ln cache.Line, reason coherence.Reason) uint64 {
+		OnLLCWriteBack: func(ln cache.Line, reason cache.Reason) uint64 {
 			// Dirty data leaving the LLC mid-epoch is persisted to its
 			// shadow location in the background.
 			s.evCapacity++
@@ -50,7 +50,7 @@ func (s *HWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 
 	}
 	s.bumpStore(func(closing uint64) {
 		// Data persistence overlaps with execution: background writes only.
-		lines := s.h.DirtyLines(closing)
+		lines := s.h.DirtyLines(closing, cache.LevelLLC)
 		now := s.maxNow()
 		for _, ln := range lines {
 			now += s.nvm.Write(mem.WData, shadowBase+ln.Tag, s.cfg.LineSize, now)

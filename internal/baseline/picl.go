@@ -35,7 +35,7 @@ func NewPiCL(cfg *sim.Config) *PiCL {
 			ln.OID = s.epoch
 			return extra
 		},
-		OnLLCWriteBack: func(ln cache.Line, reason coherence.Reason) uint64 {
+		OnLLCWriteBack: func(ln cache.Line, reason cache.Reason) uint64 {
 			// A dirty line leaving the LLC writes its NVM home.
 			s.evCapacity++
 			s.stat.Inc("home_writes")
@@ -59,28 +59,8 @@ func (s *PiCL) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
 		ln.Data = data
 	}
-	s.bumpStore(func(closing uint64) { s.ackWalk(closing) })
+	s.bumpStore(func(closing uint64) { s.ackWalk(closing, cache.LevelLLC) })
 	return lat
-}
-
-// ackWalk is PiCL's epoch-boundary tag walk over the LLC: upper-level dirty
-// lines of the closing epoch are first folded into the LLC, then every LLC
-// dirty line tagged <= closing is written home in the background and marked
-// clean. When the walker is disabled (ablation), dirty lines persist only
-// through natural evictions.
-func (s *PiCL) ackWalk(closing uint64) {
-	if !s.cfg.TagWalker {
-		return
-	}
-	lines := s.h.DirtyLines(closing)
-	now := s.maxNow()
-	for _, ln := range lines {
-		now += s.nvm.Write(mem.WData, ln.Tag, s.cfg.LineSize, now)
-	}
-	s.markClean(lines)
-	s.evWalk += uint64(len(lines))
-	s.stat.Add("acs_writebacks", int64(len(lines)))
-	s.stat.Inc("acs_walks")
 }
 
 // Drain implements trace.Scheme.
@@ -115,10 +95,10 @@ func NewPiCLL2(cfg *sim.Config) *PiCLL2 {
 			ln.OID = s.epoch
 			return extra
 		},
-		OnL2WriteBack: func(vd int, ln cache.Line, reason coherence.Reason) uint64 {
+		OnL2WriteBack: func(vd int, ln cache.Line, reason cache.Reason) uint64 {
 			// Dirty data leaving an L2 writes its NVM home (the L2 is the
 			// last tracked level).
-			if reason == coherence.ReasonCoherence {
+			if reason == cache.ReasonCoherence {
 				s.evCoherence++
 			} else {
 				s.evCapacity++
@@ -143,46 +123,8 @@ func (s *PiCLL2) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
 		ln.Data = data
 	}
-	s.bumpStore(func(closing uint64) { s.ackWalk(closing) })
+	s.bumpStore(func(closing uint64) { s.ackWalk(closing, cache.LevelL2) })
 	return lat
-}
-
-// ackWalk walks every VD's L1+L2 at the boundary, writing dirty lines of
-// the closing epoch home in the background.
-func (s *PiCLL2) ackWalk(closing uint64) {
-	if !s.cfg.TagWalker {
-		return
-	}
-	now := s.maxNow()
-	var count int64
-	var lines []cache.Line
-	collect := func(c *cache.Cache) {
-		c.ForEach(func(ln *cache.Line) {
-			if ln.Dirty && ln.OID <= closing {
-				lines = append(lines, *ln)
-			}
-		})
-	}
-	for tid := 0; tid < s.cfg.Cores; tid++ {
-		collect(s.h.L1(tid))
-	}
-	for vd := 0; vd < s.cfg.VDs(); vd++ {
-		collect(s.h.L2(vd))
-	}
-	seen := map[uint64]bool{}
-	var uniq []cache.Line
-	for _, ln := range lines {
-		if !seen[ln.Tag] {
-			seen[ln.Tag] = true
-			uniq = append(uniq, ln)
-			now += s.nvm.Write(mem.WData, ln.Tag, s.cfg.LineSize, now)
-			count++
-		}
-	}
-	s.markClean(uniq)
-	s.evWalk += uint64(count)
-	s.stat.Add("acs_writebacks", count)
-	s.stat.Inc("acs_walks")
 }
 
 // Drain implements trace.Scheme.

@@ -6,7 +6,7 @@ import "testing"
 type refDir map[uint64]DirEntry
 
 func TestDirectoryAgainstMapModel(t *testing.T) {
-	d := NewDirectory()
+	d := &Directory{}
 	ref := refDir{}
 	// Deterministic pseudo-random op stream over a working set with heavy
 	// collisions (line-aligned addresses, as the hierarchies produce).
@@ -78,7 +78,7 @@ func TestDirectoryAgainstMapModel(t *testing.T) {
 // ForEach) prunes exactly the chosen entries and leaves the rest intact.
 func TestDirectoryForEachDeterministicAndDeleteSafe(t *testing.T) {
 	build := func() *Directory {
-		d := NewDirectory()
+		d := &Directory{}
 		for i := uint64(0); i < 1000; i++ {
 			e := d.GetOrCreate(i << 6)
 			e.Sharers.Add(int(i % 256))
@@ -124,7 +124,7 @@ func TestDirectoryForEachDeterministicAndDeleteSafe(t *testing.T) {
 }
 
 func TestDirectoryReset(t *testing.T) {
-	d := NewDirectory()
+	d := &Directory{}
 	for i := uint64(0); i < 100; i++ {
 		e := d.GetOrCreate(i << 6)
 		e.Sharers.Add(1)

@@ -1,14 +1,14 @@
-// Package coherence implements a directory-based MESI cache hierarchy for
-// the simulated multicore: per-core L1s, per-VD shared L2s, and a shared,
-// address-interleaved, *inclusive* LLC. The five baseline schemes (software
-// logging/shadowing, hardware shadow, PiCL, PiCL-L2) run on this hierarchy
-// and observe protocol events through Callbacks.
+// Package coherence runs a directory-based MESI protocol over the
+// simulated multicore of cache.Levels: per-core L1s, per-VD shared L2s,
+// and a shared, address-interleaved, *inclusive* LLC. The five baseline
+// schemes (software logging/shadowing, hardware shadow, PiCL, PiCL-L2) run
+// on this hierarchy and observe protocol events through Callbacks.
 //
-// NVOverlay's Coherent Snapshot Tracking needs deeper protocol changes
-// (store-eviction, multi-version residency, a non-inclusive LLC with an OMC
-// bypass path) and therefore implements its own versioned hierarchy in
-// internal/cst; the two share internal/cache's cache arrays and its
-// directory (cache.Directory, a mem.Table of DirEntry per line address).
+// NVOverlay's Coherent Snapshot Tracking runs a different protocol over
+// the same cache.Levels in internal/cst: store-eviction, multi-version
+// residency, and a non-inclusive victim LLC with an OMC bypass path. The
+// arrays, the directory, the cache walk and the shared invariant rules
+// live in cache.Levels; each package keeps only its protocol.
 package coherence
 
 import (
@@ -21,33 +21,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Reason classifies why a dirty line was written back.
-type Reason int
-
-// Write-back reasons, used for the paper's Fig 15 evict-reason decomposition.
-const (
-	ReasonCapacity  Reason = iota // LRU victim on a fill
-	ReasonCoherence               // invalidation or downgrade from another VD
-	ReasonWalk                    // tag-walker write-back
-	ReasonDrain                   // end-of-run or epoch flush
-)
-
-// String names the reason.
-func (r Reason) String() string {
-	switch r {
-	case ReasonCapacity:
-		return "capacity"
-	case ReasonCoherence:
-		return "coherence"
-	case ReasonWalk:
-		return "walk"
-	case ReasonDrain:
-		return "drain"
-	default:
-		return fmt.Sprintf("reason%d", int(r))
-	}
-}
-
 // Callbacks let a scheme observe and extend the protocol. Any field may be
 // nil. Extra cycles returned by write-back hooks are added to the latency of
 // the access that triggered the write-back (modelling backpressure).
@@ -57,9 +30,9 @@ type Callbacks struct {
 	// and retag the line.
 	OnStore func(tid, vd int, ln *cache.Line) (extra uint64)
 	// OnL2WriteBack fires when a dirty line leaves a VD for the LLC.
-	OnL2WriteBack func(vd int, ln cache.Line, reason Reason) (extra uint64)
+	OnL2WriteBack func(vd int, ln cache.Line, reason cache.Reason) (extra uint64)
 	// OnLLCWriteBack fires when a dirty line leaves the LLC for DRAM.
-	OnLLCWriteBack func(ln cache.Line, reason Reason) (extra uint64)
+	OnLLCWriteBack func(ln cache.Line, reason cache.Reason) (extra uint64)
 	// OnResponse fires with the version (OID) of data delivered to a VD.
 	OnResponse func(vd int, rv uint64) (extra uint64)
 	// OnL2Fill fires when a line is installed in a VD's L2 on a miss fill;
@@ -71,16 +44,12 @@ type Callbacks struct {
 	OnLLCFill func(ln *cache.Line)
 }
 
-// Hierarchy is the full cache system of the simulated machine. The
-// directory is a cache.Directory, a flat mem.Table keyed by line address:
-// no per-entry allocation and no hash-seed randomisation on the per-access
-// lookups that dominate the simulator's hot path.
+// Hierarchy is the full cache system of the simulated machine: the MESI
+// protocol over the shared cache.Levels, which it embeds by value so the
+// per-access paths reach the arrays and the directory without an extra
+// pointer hop.
 type Hierarchy struct {
-	cfg  *sim.Config
-	l1   []*cache.Cache // per core
-	l2   []*cache.Cache // per VD
-	llc  []*cache.Cache // slices
-	dir  *cache.Directory
+	cache.Levels
 	dram *mem.DRAM
 	cb   Callbacks
 	stat *stats.Set
@@ -89,84 +58,40 @@ type Hierarchy struct {
 
 // New builds the hierarchy from the machine configuration.
 func New(cfg *sim.Config, dram *mem.DRAM, cb Callbacks) *Hierarchy {
-	h := &Hierarchy{
-		cfg:  cfg,
-		l1:   make([]*cache.Cache, cfg.Cores),
-		l2:   make([]*cache.Cache, cfg.VDs()),
-		llc:  make([]*cache.Cache, cfg.LLCSlices),
-		dir:  cache.NewDirectory(),
-		dram: dram,
-		cb:   cb,
-		stat: stats.NewSet("coherence"),
-		bus:  cfg.Obs,
+	return &Hierarchy{
+		Levels: cache.NewLevels(cfg),
+		dram:   dram,
+		cb:     cb,
+		stat:   stats.NewSet("coherence"),
+		bus:    cfg.Obs,
 	}
-	for i := range h.l1 {
-		h.l1[i] = cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cfg.LineSize)
-	}
-	for i := range h.l2 {
-		h.l2[i] = cache.New(fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways, cfg.LineSize)
-	}
-	sliceSize := cfg.LLCSize / cfg.LLCSlices
-	for i := range h.llc {
-		h.llc[i] = cache.NewStrided(fmt.Sprintf("llc.%d", i), sliceSize, cfg.LLCWays,
-			cfg.LineSize, cfg.LLCSlices)
-	}
-	return h
 }
-
-// L1 returns core tid's L1 array.
-func (h *Hierarchy) L1(tid int) *cache.Cache { return h.l1[tid] }
-
-// L2 returns versioned domain vd's L2 array.
-func (h *Hierarchy) L2(vd int) *cache.Cache { return h.l2[vd] }
-
-// LLCSlice returns LLC slice i.
-func (h *Hierarchy) LLCSlice(i int) *cache.Cache { return h.llc[i] }
-
-// Slices returns the number of LLC slices.
-func (h *Hierarchy) Slices() int { return len(h.llc) }
 
 // Stats returns the hierarchy counter set.
 func (h *Hierarchy) Stats() *stats.Set { return h.stat }
 
-func (h *Hierarchy) sliceOf(addr uint64) *cache.Cache {
-	return h.llc[int((addr/uint64(h.cfg.LineSize))%uint64(len(h.llc)))]
-}
-
-// entry resolves addr's directory entry, creating it when absent. The
-// returned pointer is valid until the next directory insertion or
-// deletion, so a caller that evicts lines (which deletes their entries)
-// resolves its entry again afterwards.
-func (h *Hierarchy) entry(addr uint64) *cache.DirEntry {
-	return h.dir.GetOrCreate(addr)
-}
-
-func (h *Hierarchy) coresOf(vd int) (lo, hi int) {
-	return vd * h.cfg.CoresPerVD, (vd + 1) * h.cfg.CoresPerVD
-}
-
 // Load performs a read by thread tid and returns its latency in cycles.
 func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
-	addr = h.cfg.LineAddr(addr)
-	vd := h.cfg.VDOf(tid)
-	lat := h.cfg.L1Latency
-	if ln := h.l1[tid].Lookup(addr); ln != nil {
+	addr = h.Cfg.LineAddr(addr)
+	vd := h.Cfg.VDOf(tid)
+	lat := h.Cfg.L1Latency
+	if ln := h.L1(tid).Lookup(addr); ln != nil {
 		h.stat.Inc("l1_load_hits")
 		return lat
 	}
-	lat += h.cfg.L2Latency
-	if ln := h.l2[vd].Lookup(addr); ln != nil {
+	lat += h.Cfg.L2Latency
+	if ln := h.L2(vd).Lookup(addr); ln != nil {
 		h.stat.Inc("l2_load_hits")
 		lat += h.response(vd, ln.OID)
 		// If a sibling L1 holds the line writable, downgrade it to Shared
 		// (its dirty data merges into the L2) so no two L1s are writable.
 		sibling := false
-		lo, hi := h.coresOf(vd)
+		lo, hi := h.CoresOf(vd)
 		for c := lo; c < hi; c++ {
 			if c == tid {
 				continue
 			}
-			if sib := h.l1[c].Peek(addr); sib != nil {
+			if sib := h.L1(c).Peek(addr); sib != nil {
 				sibling = true
 				if sib.Dirty {
 					ln.Dirty = true
@@ -184,11 +109,11 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 		lat += h.fillL1(tid, addr, state, ln.OID, ln.Data)
 		return lat
 	}
-	lat += h.cfg.LLCLatency
+	lat += h.Cfg.LLCLatency
 	rv, data, extra := h.fetch(vd, addr, false)
 	lat += extra
 	lat += h.response(vd, rv)
-	e := h.entry(addr)
+	e := h.Entry(addr)
 	state := cache.Shared
 	if e.Sharers.Only(vd) && e.Owner == -1 {
 		state = cache.Exclusive
@@ -196,7 +121,7 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 		e.Owner = vd
 	}
 	lat += h.fillL2(vd, addr, state, rv, data)
-	if l2ln := h.l2[vd].Peek(addr); l2ln != nil {
+	if l2ln := h.L2(vd).Peek(addr); l2ln != nil {
 		rv = l2ln.OID // the OnL2Fill hook may have adjusted the tag
 	}
 	lat += h.fillL1(tid, addr, state, rv, data)
@@ -205,24 +130,24 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 
 // Store performs a write by thread tid and returns its latency in cycles.
 func (h *Hierarchy) Store(tid int, addr uint64) uint64 {
-	addr = h.cfg.LineAddr(addr)
-	vd := h.cfg.VDOf(tid)
-	lat := h.cfg.L1Latency
-	if ln := h.l1[tid].Lookup(addr); ln != nil && ln.State.Writable() {
+	addr = h.Cfg.LineAddr(addr)
+	vd := h.Cfg.VDOf(tid)
+	lat := h.Cfg.L1Latency
+	if ln := h.L1(tid).Lookup(addr); ln != nil && ln.State.Writable() {
 		h.stat.Inc("l1_store_hits")
 		lat += h.store(tid, vd, ln)
 		return lat
 	}
-	lat += h.cfg.L2Latency
-	if l2ln := h.l2[vd].Lookup(addr); l2ln != nil && l2ln.State.Writable() {
+	lat += h.Cfg.L2Latency
+	if l2ln := h.L2(vd).Lookup(addr); l2ln != nil && l2ln.State.Writable() {
 		h.stat.Inc("l2_store_hits")
 		// Invalidate sibling L1 copies within the VD, merging dirty data.
-		lo, hi := h.coresOf(vd)
+		lo, hi := h.CoresOf(vd)
 		for c := lo; c < hi; c++ {
 			if c == tid {
 				continue
 			}
-			if removed, ok := h.l1[c].Invalidate(addr); ok && removed.Dirty {
+			if removed, ok := h.L1(c).Invalidate(addr); ok && removed.Dirty {
 				l2ln.Dirty = true
 				l2ln.OID = removed.OID
 				l2ln.Data = removed.Data
@@ -231,31 +156,31 @@ func (h *Hierarchy) Store(tid int, addr uint64) uint64 {
 		lat += h.response(vd, l2ln.OID)
 		l2ln.State = cache.Modified
 		lat += h.fillL1(tid, addr, cache.Exclusive, l2ln.OID, l2ln.Data)
-		ln := h.l1[tid].Peek(addr)
+		ln := h.L1(tid).Peek(addr)
 		lat += h.store(tid, vd, ln)
 		return lat
 	}
-	lat += h.cfg.LLCLatency
+	lat += h.Cfg.LLCLatency
 	rv, data, extra := h.fetch(vd, addr, true)
 	lat += extra
 	lat += h.response(vd, rv)
 	// Invalidate stale shared copies held by sibling L1s within this VD.
-	lo, hi := h.coresOf(vd)
+	lo, hi := h.CoresOf(vd)
 	for c := lo; c < hi; c++ {
 		if c == tid {
 			continue
 		}
-		h.l1[c].Invalidate(addr)
+		h.L1(c).Invalidate(addr)
 	}
-	e := h.entry(addr)
+	e := h.Entry(addr)
 	e.Sharers = cache.SharerSet{}
 	e.Owner = vd
 	lat += h.fillL2(vd, addr, cache.Modified, rv, data)
-	if l2ln := h.l2[vd].Peek(addr); l2ln != nil {
+	if l2ln := h.L2(vd).Peek(addr); l2ln != nil {
 		rv = l2ln.OID // the OnL2Fill hook may have adjusted the tag
 	}
 	lat += h.fillL1(tid, addr, cache.Exclusive, rv, data)
-	ln := h.l1[tid].Peek(addr)
+	ln := h.L1(tid).Peek(addr)
 	lat += h.store(tid, vd, ln)
 	return lat
 }
@@ -283,13 +208,13 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 	// Work on a copy of addr's entry and store it back at the end: the LLC
 	// installs below may evict a victim, and deleting its entry can move
 	// addr's entry within the directory table.
-	e := *h.entry(addr)
+	e := *h.Entry(addr)
 
 	// Resolve remote copies.
 	if e.Owner != -1 && e.Owner != vd {
-		lat += h.cfg.RemoteL2Lat
+		lat += h.Cfg.RemoteL2Lat
 		if exclusive {
-			h.invalidateVD(e.Owner, addr, ReasonCoherence)
+			h.invalidateVD(e.Owner, addr, cache.ReasonCoherence)
 			e.Owner = -1
 			h.stat.Inc("remote_invalidations")
 		} else {
@@ -307,15 +232,15 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 			if other == vd {
 				return
 			}
-			lat += h.cfg.RemoteL2Lat
-			h.invalidateVD(other, addr, ReasonCoherence)
+			lat += h.Cfg.RemoteL2Lat
+			h.invalidateVD(other, addr, cache.ReasonCoherence)
 			e.Sharers.Remove(other)
 			h.stat.Inc("remote_invalidations")
 		})
 	}
 
 	// Ensure LLC residency (inclusive LLC: every VD-cached line is here).
-	slice := h.sliceOf(addr)
+	slice := h.SliceOf(addr)
 	if ln := slice.Lookup(addr); ln != nil {
 		h.stat.Inc("llc_hits")
 		rv = ln.OID
@@ -327,7 +252,7 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 		data = h.dram.Data(addr)
 		lat += h.installLLC(addr, rv, data, false)
 		if h.cb.OnLLCFill != nil {
-			if ln := h.sliceOf(addr).Peek(addr); ln != nil {
+			if ln := h.SliceOf(addr).Peek(addr); ln != nil {
 				h.cb.OnLLCFill(ln)
 				rv = ln.OID
 			}
@@ -336,14 +261,14 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 	if !exclusive {
 		e.Sharers.Add(vd)
 	}
-	*h.entry(addr) = e
+	*h.Entry(addr) = e
 	return rv, data, lat
 }
 
 // installLLC inserts addr into its LLC slice, handling the victim with
 // back-invalidation (inclusive LLC) and DRAM write-back.
 func (h *Hierarchy) installLLC(addr uint64, oid, data uint64, dirty bool) (lat uint64) {
-	slice := h.sliceOf(addr)
+	slice := h.SliceOf(addr)
 	ln, victim, evicted := slice.Insert(addr)
 	if evicted {
 		lat += h.evictLLCVictim(victim)
@@ -356,10 +281,9 @@ func (h *Hierarchy) installLLC(addr uint64, oid, data uint64, dirty bool) (lat u
 }
 
 func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
-	// Back-invalidate all
-
-	// VD copies; their dirty data merges into the victim before write-back.
-	if e := h.dir.Ptr(victim.Tag); e != nil {
+	// Back-invalidate all VD copies; their dirty data merges into the
+	// victim before write-back.
+	if e := h.Dir.Ptr(victim.Tag); e != nil {
 		vds := e.Sharers
 		if e.Owner != -1 {
 			vds.Add(e.Owner)
@@ -372,13 +296,13 @@ func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
 			}
 			h.stat.Inc("back_invalidations")
 		})
-		h.dir.Delete(victim.Tag)
+		h.Dir.Delete(victim.Tag)
 	}
 	if victim.Dirty {
 		h.dram.WriteBack(victim.Tag, victim.OID, victim.Data)
 		h.stat.Inc("llc_dirty_evictions")
 		if h.cb.OnLLCWriteBack != nil {
-			lat += h.cb.OnLLCWriteBack(victim, ReasonCapacity)
+			lat += h.cb.OnLLCWriteBack(victim, cache.ReasonCapacity)
 		}
 	}
 	return lat
@@ -388,14 +312,14 @@ func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
 // returns the newest dirty line, if any. No LLC interaction: the caller owns
 // the LLC side.
 func (h *Hierarchy) recallVD(vd int, addr uint64) (newest cache.Line, dirty bool) {
-	lo, hi := h.coresOf(vd)
+	lo, hi := h.CoresOf(vd)
 	for c := lo; c < hi; c++ {
-		if removed, ok := h.l1[c].Invalidate(addr); ok && removed.Dirty {
+		if removed, ok := h.L1(c).Invalidate(addr); ok && removed.Dirty {
 			newest = removed
 			dirty = true
 		}
 	}
-	if removed, ok := h.l2[vd].Invalidate(addr); ok && removed.Dirty && !dirty {
+	if removed, ok := h.L2(vd).Invalidate(addr); ok && removed.Dirty && !dirty {
 		newest = removed
 		dirty = true
 	}
@@ -404,7 +328,7 @@ func (h *Hierarchy) recallVD(vd int, addr uint64) (newest cache.Line, dirty bool
 
 // invalidateVD removes addr from a VD in response to a remote GETX; dirty
 // data is merged into the LLC line and reported via OnL2WriteBack.
-func (h *Hierarchy) invalidateVD(vd int, addr uint64, reason Reason) {
+func (h *Hierarchy) invalidateVD(vd int, addr uint64, reason cache.Reason) {
 	if wb, ok := h.recallVD(vd, addr); ok {
 		h.mergeIntoLLC(wb)
 		if h.cb.OnL2WriteBack != nil {
@@ -418,7 +342,7 @@ func (h *Hierarchy) invalidateVD(vd int, addr uint64, reason Reason) {
 // noteWriteBack reports a dirty line leaving a VD on the observability bus.
 // The hierarchy itself is clockless (schemes keep their own time), so these
 // events carry cycle 0; the bus sequence still preserves their order.
-func (h *Hierarchy) noteWriteBack(vd int, ln cache.Line, reason Reason) {
+func (h *Hierarchy) noteWriteBack(vd int, ln cache.Line, reason cache.Reason) {
 	h.bus.Emit(obs.KindVersionEvict, 0, vd, ln.OID, ln.Tag, uint64(reason), 0)
 }
 
@@ -427,9 +351,9 @@ func (h *Hierarchy) noteWriteBack(vd int, ln cache.Line, reason Reason) {
 func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 	var wb cache.Line
 	dirty := false
-	lo, hi := h.coresOf(vd)
+	lo, hi := h.CoresOf(vd)
 	for c := lo; c < hi; c++ {
-		if ln := h.l1[c].Peek(addr); ln != nil {
+		if ln := h.L1(c).Peek(addr); ln != nil {
 			if ln.Dirty {
 				wb = *ln
 				dirty = true
@@ -438,7 +362,7 @@ func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 			ln.State = cache.Shared
 		}
 	}
-	if ln := h.l2[vd].Peek(addr); ln != nil {
+	if ln := h.L2(vd).Peek(addr); ln != nil {
 		if ln.Dirty {
 			if !dirty {
 				wb = *ln
@@ -457,9 +381,9 @@ func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 	if dirty {
 		h.mergeIntoLLC(wb)
 		if h.cb.OnL2WriteBack != nil {
-			h.cb.OnL2WriteBack(vd, wb, ReasonCoherence)
+			h.cb.OnL2WriteBack(vd, wb, cache.ReasonCoherence)
 		}
-		h.noteWriteBack(vd, wb, ReasonCoherence)
+		h.noteWriteBack(vd, wb, cache.ReasonCoherence)
 		h.stat.Inc("coherence_writebacks")
 	}
 }
@@ -467,7 +391,7 @@ func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 // mergeIntoLLC folds a dirty line written back by a VD into the inclusive
 // LLC copy (which must exist; defensively installs it otherwise).
 func (h *Hierarchy) mergeIntoLLC(wb cache.Line) {
-	slice := h.sliceOf(wb.Tag)
+	slice := h.SliceOf(wb.Tag)
 	if ln := slice.Peek(wb.Tag); ln != nil {
 		ln.Dirty = true
 		ln.OID = wb.OID
@@ -480,9 +404,9 @@ func (h *Hierarchy) mergeIntoLLC(wb cache.Line) {
 // fillL2 installs addr into vd's L2; the victim is written back and its L1
 // copies recalled (inclusive L2).
 func (h *Hierarchy) fillL2(vd int, addr uint64, state cache.State, oid, data uint64) (lat uint64) {
-	ln, victim, evicted := h.l2[vd].Insert(addr)
+	ln, victim, evicted := h.L2(vd).Insert(addr)
 	if evicted {
-		lat += h.evictL2Victim(vd, victim, ReasonCapacity)
+		lat += h.evictL2Victim(vd, victim, cache.ReasonCapacity)
 	}
 	ln.State = state
 	ln.OID = oid
@@ -494,24 +418,17 @@ func (h *Hierarchy) fillL2(vd int, addr uint64, state cache.State, oid, data uin
 	return lat
 }
 
-func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason Reason) (lat uint64) {
+func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason cache.Reason) (lat uint64) {
 	// Recall L1 copies first (inclusive L2); newest dirty data wins.
-	lo, hi := h.coresOf(vd)
+	lo, hi := h.CoresOf(vd)
 	for c := lo; c < hi; c++ {
-		if removed, ok := h.l1[c].Invalidate(victim.Tag); ok && removed.Dirty {
+		if removed, ok := h.L1(c).Invalidate(victim.Tag); ok && removed.Dirty {
 			victim.Dirty = true
 			victim.OID = removed.OID
 			victim.Data = removed.Data
 		}
 	}
-	// Directory: this VD no longer caches the line.
-	if e := h.dir.Ptr(victim.Tag); e != nil {
-		e.Sharers.Remove(vd)
-		if e.Owner == vd {
-			e.Owner = -1
-		}
-		h.dir.DeleteIfEmpty(victim.Tag)
-	}
+	h.DropVD(vd, victim.Tag)
 	if victim.Dirty {
 		h.mergeIntoLLC(victim)
 		if h.cb.OnL2WriteBack != nil {
@@ -526,10 +443,10 @@ func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason Reason) (lat
 // fillL1 installs addr into tid's L1 with the given state; a dirty victim is
 // written back into the L2 (which holds it by inclusion).
 func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data uint64) (lat uint64) {
-	vd := h.cfg.VDOf(tid)
-	ln, victim, evicted := h.l1[tid].Insert(addr)
+	vd := h.Cfg.VDOf(tid)
+	ln, victim, evicted := h.L1(tid).Insert(addr)
 	if evicted && victim.Dirty {
-		if l2ln := h.l2[vd].Peek(victim.Tag); l2ln != nil {
+		if l2ln := h.L2(vd).Peek(victim.Tag); l2ln != nil {
 			l2ln.Dirty = true
 			l2ln.OID = victim.OID
 			l2ln.Data = victim.Data
@@ -547,57 +464,11 @@ func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data ui
 	return lat
 }
 
-// WriteBackLLCLine persists an LLC-resident dirty line in place (tag-walk
-// style): the line is downgraded to clean Exclusive-equivalent without
-// leaving the LLC. Returns false if the line is not dirty/resident.
-func (h *Hierarchy) WriteBackLLCLine(addr uint64) (cache.Line, bool) {
-	slice := h.sliceOf(addr)
-	ln := slice.Peek(addr)
-	if ln == nil || !ln.Dirty {
-		return cache.Line{}, false
-	}
-	copyLn := *ln
-	ln.Dirty = false
-	h.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-	return copyLn, true
-}
-
-// FlushVD recalls every line of a VD (L1s + L2), returning all dirty lines.
-// Used by epoch drains in schemes that track at VD granularity.
-func (h *Hierarchy) FlushVD(vd int) []cache.Line {
-	var dirty []cache.Line
-	lo, hi := h.coresOf(vd)
-	for c := lo; c < hi; c++ {
-		for _, ln := range h.l1[c].Flush() {
-			dirty = append(dirty, ln)
-		}
-	}
-	for _, ln := range h.l2[vd].Flush() {
-		dirty = append(dirty, ln)
-	}
-	// Merge into LLC and fix the directory.
-	for _, ln := range dirty {
-		h.mergeIntoLLC(ln)
-	}
-	// The directory may not be modified while it is iterated: collect the
-	// addresses first, then update and prune.
-	addrs := make([]uint64, 0, h.dir.Len())
-	h.dir.ForEach(func(addr uint64, _ cache.DirEntry) { addrs = append(addrs, addr) })
-	for _, addr := range addrs {
-		e := h.dir.Ptr(addr)
-		e.Sharers.Remove(vd)
-		if e.Owner == vd {
-			e.Owner = -1
-		}
-		h.dir.DeleteIfEmpty(addr)
-	}
-	return dirty
-}
-
-// DirtyLines returns copies of all dirty lines currently in the hierarchy
-// whose OID is at most maxOID, deduplicated by address keeping the newest
-// copy (L1 over L2 over LLC). Schemes use it for epoch-boundary flushes.
-func (h *Hierarchy) DirtyLines(maxOID uint64) []cache.Line {
+// DirtyLines returns copies of the dirty lines from the L1s down to
+// deepest whose OID is at most maxOID, deduplicated by address keeping the
+// newest copy (L1 over L2 over LLC). Schemes use it for epoch-boundary
+// flushes and tag walks.
+func (h *Hierarchy) DirtyLines(maxOID uint64, deepest cache.Level) []cache.Line {
 	seen := make(map[uint64]bool)
 	var out []cache.Line
 	add := func(ln *cache.Line) {
@@ -606,92 +477,18 @@ func (h *Hierarchy) DirtyLines(maxOID uint64) []cache.Line {
 			out = append(out, *ln)
 		}
 	}
-	for _, c := range h.l1 {
-		c.ForEach(add)
-	}
-	for _, c := range h.l2 {
-		c.ForEach(add)
-	}
-	for _, c := range h.llc {
-		c.ForEach(add)
-	}
+	h.Walk(cache.AllVDs, deepest, func(_ cache.Level, c *cache.Cache) { c.ForEach(add) })
 	return out
 }
 
-// CheckInvariants validates inclusion and directory consistency; tests call
-// it after randomised access sequences. It returns the first violation.
+// CheckInvariants validates the shared hierarchy rules plus L2 ⊆ LLC
+// inclusion; tests call it after randomised access sequences. It returns
+// the first violation.
 func (h *Hierarchy) CheckInvariants() error {
-	// L1 ⊆ L2 ⊆ LLC.
-	for tid, l1 := range h.l1 {
-		vd := h.cfg.VDOf(tid)
-		var err error
-		l1.ForEach(func(ln *cache.Line) {
-			if err != nil {
-				return
-			}
-			if h.l2[vd].Peek(ln.Tag) == nil {
-				err = fmt.Errorf("L1 %d holds %#x but L2 %d does not (inclusion)", tid, ln.Tag, vd)
-			}
-		})
-		if err != nil {
-			return err
+	return h.CheckShared(func(lv cache.Level, vd int, ln *cache.Line) error {
+		if lv == cache.LevelL2 && h.SliceOf(ln.Tag).Peek(ln.Tag) == nil {
+			return fmt.Errorf("L2 %d holds %#x but LLC does not (inclusion)", vd, ln.Tag)
 		}
-	}
-	for vd, l2 := range h.l2 {
-		var err error
-		l2.ForEach(func(ln *cache.Line) {
-			if err != nil {
-				return
-			}
-			if h.sliceOf(ln.Tag).Peek(ln.Tag) == nil {
-				err = fmt.Errorf("L2 %d holds %#x but LLC does not (inclusion)", vd, ln.Tag)
-			}
-			e := h.dir.Ptr(ln.Tag)
-			if e == nil {
-				err = fmt.Errorf("L2 %d holds %#x with no directory entry", vd, ln.Tag)
-				return
-			}
-			if e.Owner != vd && !e.Sharers.Has(vd) {
-				err = fmt.Errorf("L2 %d holds %#x but directory disagrees (owner=%d sharers=%s)",
-					vd, ln.Tag, e.Owner, e.Sharers)
-			}
-			if ln.State.Writable() && e.Owner != vd {
-				err = fmt.Errorf("L2 %d holds %#x writable but owner=%d", vd, ln.Tag, e.Owner)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	// At most one writable VD per address. Walk the directory in address
-	// order so the first violation reported is stable across runs.
-	for _, addr := range h.dir.SortedKeys() {
-		e := h.dir.Ptr(addr)
-		if e.Owner != -1 && e.Sharers.Has(e.Owner) {
-			return fmt.Errorf("addr %#x: owner %d also listed as sharer", addr, e.Owner)
-		}
-	}
-	// At most one writable L1 copy per address within a VD.
-	for tid, l1 := range h.l1 {
-		vd := h.cfg.VDOf(tid)
-		var err error
-		l1.ForEach(func(ln *cache.Line) {
-			if err != nil || !ln.State.Writable() {
-				return
-			}
-			lo, hi := h.coresOf(vd)
-			for c := lo; c < hi; c++ {
-				if c == tid {
-					continue
-				}
-				if h.l1[c].Peek(ln.Tag) != nil {
-					err = fmt.Errorf("L1 %d holds %#x writable while sibling %d caches it", tid, ln.Tag, c)
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }

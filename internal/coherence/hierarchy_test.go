@@ -71,8 +71,8 @@ func TestRemoteInvalidationOnStore(t *testing.T) {
 	cfg := smallCfg()
 	var coherenceWBs int
 	h := newH(cfg, Callbacks{
-		OnL2WriteBack: func(vd int, ln cache.Line, reason Reason) uint64 {
-			if reason == ReasonCoherence {
+		OnL2WriteBack: func(vd int, ln cache.Line, reason cache.Reason) uint64 {
+			if reason == cache.ReasonCoherence {
 				coherenceWBs++
 			}
 			return 0
@@ -176,7 +176,7 @@ func TestLLCEvictionWritesDRAM(t *testing.T) {
 	dram := mem.NewDRAM(cfg)
 	var llcWBs int
 	h := New(cfg, dram, Callbacks{
-		OnLLCWriteBack: func(ln cache.Line, reason Reason) uint64 { llcWBs++; return 0 },
+		OnLLCWriteBack: func(ln cache.Line, reason cache.Reason) uint64 { llcWBs++; return 0 },
 	})
 	// Dirty many distinct lines mapping across the tiny LLC to force
 	// capacity evictions.
@@ -269,65 +269,11 @@ func TestDirtyLines(t *testing.T) {
 	})
 	h.Store(0, 0x40)
 	h.Store(2, 0x80)
-	dirty := h.DirtyLines(10)
+	dirty := h.DirtyLines(10, cache.LevelLLC)
 	if len(dirty) != 2 {
 		t.Fatalf("dirty lines = %d, want 2", len(dirty))
 	}
-	if got := h.DirtyLines(4); len(got) != 0 {
+	if got := h.DirtyLines(4, cache.LevelLLC); len(got) != 0 {
 		t.Fatalf("maxOID filter failed: %d lines", len(got))
-	}
-}
-
-func TestFlushVD(t *testing.T) {
-	cfg := smallCfg()
-	h := newH(cfg, Callbacks{})
-	h.Store(0, 0x40)
-	h.Store(1, 0x80)
-	dirty := h.FlushVD(0)
-	if len(dirty) != 2 {
-		t.Fatalf("flush returned %d dirty lines, want 2", len(dirty))
-	}
-	if h.L1(0).CountValid() != 0 || h.L2(0).CountValid() != 0 {
-		t.Fatal("VD0 not empty after flush")
-	}
-	// LLC retains the merged dirty data.
-	if ln := h.LLCSlice(1).Peek(0x40); ln == nil || !ln.Dirty {
-		// address 0x40 -> line 1 -> slice 1
-		t.Fatal("flushed dirty line not merged into LLC")
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteBackLLCLine(t *testing.T) {
-	cfg := smallCfg()
-	dram := mem.NewDRAM(cfg)
-	h := New(cfg, dram, Callbacks{})
-	h.Store(0, 0x40)
-	h.FlushVD(0) // dirty line now in LLC
-	ln, ok := h.WriteBackLLCLine(0x40)
-	if !ok || ln.Tag != 0x40 {
-		t.Fatalf("WriteBackLLCLine = %+v, %v", ln, ok)
-	}
-	if dram.Stats().Get("writebacks") == 0 {
-		t.Fatal("walk write-back did not reach DRAM")
-	}
-	if _, ok := h.WriteBackLLCLine(0x40); ok {
-		t.Fatal("clean line written back twice")
-	}
-}
-
-func TestReasonString(t *testing.T) {
-	for r, want := range map[Reason]string{
-		ReasonCapacity: "capacity", ReasonCoherence: "coherence",
-		ReasonWalk: "walk", ReasonDrain: "drain",
-	} {
-		if r.String() != want {
-			t.Fatalf("%d.String() = %q", r, r.String())
-		}
-	}
-	if Reason(9).String() != "reason9" {
-		t.Fatal("unknown reason")
 	}
 }

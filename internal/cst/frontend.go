@@ -11,37 +11,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Reason classifies why a version was sent to the OMC, feeding the paper's
-// Fig 15 evict-reason decomposition.
-type Reason int
+// Reason classifies why a version was sent to the OMC; the enum is shared
+// with the baselines' hierarchy.
+type Reason = cache.Reason
 
 // Version write-back reasons.
 const (
-	ReasonCapacity   Reason = iota // L2 LRU victim
-	ReasonCoherence                // inter-VD invalidation / downgrade
-	ReasonWalk                     // tag-walker write-back
-	ReasonStoreEvict               // store-eviction displaced an old version out of L2
-	ReasonDrain                    // end-of-run flush
-	numReasons
+	ReasonCapacity   = cache.ReasonCapacity   // L2 LRU victim
+	ReasonCoherence  = cache.ReasonCoherence  // inter-VD invalidation / downgrade
+	ReasonWalk       = cache.ReasonWalk       // tag-walker write-back
+	ReasonStoreEvict = cache.ReasonStoreEvict // store-eviction displaced an old version out of L2
+	ReasonDrain      = cache.ReasonDrain      // end-of-run flush
 )
-
-// String names the reason.
-func (r Reason) String() string {
-	switch r {
-	case ReasonCapacity:
-		return "capacity"
-	case ReasonCoherence:
-		return "coherence"
-	case ReasonWalk:
-		return "walk"
-	case ReasonStoreEvict:
-		return "storeevict"
-	case ReasonDrain:
-		return "drain"
-	default:
-		return fmt.Sprintf("reason%d", int(r))
-	}
-}
 
 // Backend is the MNM side of NVOverlay as seen by the frontend; *omc.Group
 // implements it. The returned cycles are NVM backpressure charged to the
@@ -67,19 +48,14 @@ type Result struct {
 	StoreOID uint64
 }
 
-// Frontend is the version-tagged cache hierarchy of NVOverlay: per-core
-// L1s and per-VD inclusive L2s running the version access protocol, over a
-// non-inclusive victim LLC. Snapshot versions leaving a VD go to the
-// Backend via the LLC-bypass path.
+// Frontend is the version-tagged cache hierarchy of NVOverlay: the version
+// access protocol over the shared cache.Levels (embedded by value), with
+// per-VD inclusive L2s over a non-inclusive victim LLC. Snapshot versions
+// leaving a VD go to the Backend via the LLC-bypass path.
 type Frontend struct {
-	cfg     *sim.Config
+	cache.Levels
 	backend Backend
 	dram    *mem.DRAM
-
-	l1  []*cache.Cache
-	l2  []*cache.Cache
-	llc []*cache.Cache
-	dir *cache.Directory
 
 	cur       []uint64 // per-VD current epoch (starts at 1)
 	storeCnt  []int    // stores in the current epoch, per VD
@@ -111,7 +87,7 @@ type Frontend struct {
 	vdStall  uint64
 	storeOID uint64
 
-	evicts [numReasons]uint64
+	evicts [cache.NumReasons]uint64
 	stat   *stats.Set
 	bus    *obs.Bus // nil when the run is unobserved
 }
@@ -120,13 +96,9 @@ type Frontend struct {
 // wrap-around protocol per cfg.WrapEpochs.
 func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 	f := &Frontend{
-		cfg:         cfg,
+		Levels:      cache.NewLevels(cfg),
 		backend:     backend,
 		dram:        dram,
-		l1:          make([]*cache.Cache, cfg.Cores),
-		l2:          make([]*cache.Cache, cfg.VDs()),
-		llc:         make([]*cache.Cache, cfg.LLCSlices),
-		dir:         cache.NewDirectory(),
 		cur:         make([]uint64, cfg.VDs()),
 		storeCnt:    make([]int, cfg.VDs()),
 		totStores:   make([]uint64, cfg.VDs()),
@@ -136,17 +108,6 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 		walker:      cfg.TagWalker,
 		stat:        stats.NewSet("cst"),
 		bus:         cfg.Obs,
-	}
-	for i := range f.l1 {
-		f.l1[i] = cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cfg.LineSize)
-	}
-	for i := range f.l2 {
-		f.l2[i] = cache.New(fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways, cfg.LineSize)
-	}
-	sliceSize := cfg.LLCSize / cfg.LLCSlices
-	for i := range f.llc {
-		f.llc[i] = cache.NewStrided(fmt.Sprintf("llc.%d", i), sliceSize, cfg.LLCWays,
-			cfg.LineSize, cfg.LLCSlices)
 	}
 	for vd := range f.cur {
 		f.cur[vd] = 1 // epoch 0 is reserved as "before all snapshots"
@@ -166,7 +127,7 @@ func (f *Frontend) CurEpoch(vd int) uint64 { return f.cur[vd] }
 func (f *Frontend) Stats() *stats.Set {
 	s := stats.NewSet(f.stat.Name())
 	s.Merge(f.stat)
-	for r := Reason(0); r < numReasons; r++ {
+	for r := Reason(0); r < cache.NumReasons; r++ {
 		if f.evicts[r] > 0 {
 			s.Add("evict_"+r.String(), int64(f.evicts[r]))
 		}
@@ -177,33 +138,8 @@ func (f *Frontend) Stats() *stats.Set {
 // EvictReason returns how many versions were sent to the OMC for a reason.
 func (f *Frontend) EvictReason(r Reason) uint64 { return f.evicts[r] }
 
-// L1 exposes core tid's L1 (tests and the walker use it).
-func (f *Frontend) L1(tid int) *cache.Cache { return f.l1[tid] }
-
-// L2 exposes VD vd's L2.
-func (f *Frontend) L2(vd int) *cache.Cache { return f.l2[vd] }
-
-// LLCSlice exposes LLC slice i.
-func (f *Frontend) LLCSlice(i int) *cache.Cache { return f.llc[i] }
-
 // WrapFlushes returns how many group-transition flushes occurred.
 func (f *Frontend) WrapFlushes() int { return f.wrapFlush }
-
-func (f *Frontend) sliceOf(addr uint64) *cache.Cache {
-	return f.llc[int((addr/uint64(f.cfg.LineSize))%uint64(len(f.llc)))]
-}
-
-// entry resolves addr's directory entry, creating it on first touch. The
-// pointer is valid until the next directory insertion or deletion (miss
-// paths resolve it once per access and finish with it before installing
-// new lines, whose L2 victims may delete entries).
-func (f *Frontend) entry(addr uint64) *cache.DirEntry {
-	return f.dir.GetOrCreate(addr)
-}
-
-func (f *Frontend) coresOf(vd int) (int, int) {
-	return vd * f.cfg.CoresPerVD, (vd + 1) * f.cfg.CoresPerVD
-}
 
 // debugSendHook, when non-nil, observes every version send (test-only).
 var debugSendHook func(ln cache.Line, reason Reason)
@@ -226,7 +162,7 @@ func (f *Frontend) sendVersion(ln cache.Line, reason Reason) {
 // Access performs one memory operation and returns its timing. data is the
 // payload token written by stores (ignored for loads).
 func (f *Frontend) Access(tid int, addr uint64, write bool, data uint64, now uint64) Result {
-	addr = f.cfg.LineAddr(addr)
+	addr = f.Cfg.LineAddr(addr)
 	f.now = now
 	f.stall = 0
 	f.vdStall = 0
@@ -237,7 +173,7 @@ func (f *Frontend) Access(tid int, addr uint64, write bool, data uint64, now uin
 	} else {
 		lat = f.load(tid, addr)
 	}
-	f.drainWalk(f.cfg.VDOf(tid))
+	f.drainWalk(f.Cfg.VDOf(tid))
 	return Result{Lat: lat + f.stall, VDStall: f.vdStall, StoreOID: f.storeOID}
 }
 
@@ -301,11 +237,7 @@ func (f *Frontend) reportMinVer(vd int) {
 				min = ln.OID
 			}
 		}
-		lo, hi := f.coresOf(vd)
-		for c := lo; c < hi; c++ {
-			f.l1[c].ForEach(scan)
-		}
-		f.l2[vd].ForEach(scan)
+		f.Walk(vd, cache.LevelL2, func(_ cache.Level, c *cache.Cache) { c.ForEach(scan) })
 	}
 	for _, q := range f.walkQ[vd] {
 		if q.OID < min {
@@ -321,25 +253,25 @@ func (f *Frontend) reportMinVer(vd int) {
 // Loads (§IV-A1: lookup ignores the OID tag)
 
 func (f *Frontend) load(tid int, addr uint64) uint64 {
-	vd := f.cfg.VDOf(tid)
-	lat := f.cfg.L1Latency
-	if ln := f.l1[tid].Lookup(addr); ln != nil {
+	vd := f.Cfg.VDOf(tid)
+	lat := f.Cfg.L1Latency
+	if ln := f.L1(tid).Lookup(addr); ln != nil {
 		f.stat.Inc("l1_load_hits")
 		return lat
 	}
-	lat += f.cfg.L2Latency
-	if l2ln := f.l2[vd].Lookup(addr); l2ln != nil {
+	lat += f.Cfg.L2Latency
+	if l2ln := f.L2(vd).Lookup(addr); l2ln != nil {
 		f.stat.Inc("l2_load_hits")
 		// Sibling downgrade inside the VD; the sibling's dirty version flows
 		// through the L2 with the version check (it may displace an older
 		// dirty version to the OMC).
 		sibling := false
-		lo, hi := f.coresOf(vd)
+		lo, hi := f.CoresOf(vd)
 		for c := lo; c < hi; c++ {
 			if c == tid {
 				continue
 			}
-			if sib := f.l1[c].Peek(addr); sib != nil {
+			if sib := f.L1(c).Peek(addr); sib != nil {
 				sibling = true
 				if sib.Dirty {
 					f.mergeIntoL2(l2ln, *sib)
@@ -356,11 +288,11 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 		f.fillL1(tid, addr, state, l2ln.OID, l2ln.Data, false)
 		return lat
 	}
-	lat += f.cfg.LLCLatency
+	lat += f.Cfg.LLCLatency
 	rv, data, extra := f.fetch(vd, addr, false)
 	lat += extra
 	f.maybeAdvance(vd, rv)
-	e := f.entry(addr)
+	e := f.Entry(addr)
 	state := cache.Shared
 	if e.Sharers.Only(vd) && e.Owner == -1 {
 		state = cache.Exclusive
@@ -369,12 +301,12 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 		// An Exclusive grant means no other cached copy may remain: drop
 		// the LLC copy (the VD may silently write newer data in place).
 		// Its dirty-toward-DRAM marker is honoured first.
-		if ln := f.sliceOf(addr).Peek(addr); ln != nil {
+		if ln := f.SliceOf(addr).Peek(addr); ln != nil {
 			if ln.Dirty {
 				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
 				f.stat.Inc("llc_dram_writebacks")
 			}
-			f.sliceOf(addr).Invalidate(addr)
+			f.SliceOf(addr).Invalidate(addr)
 		}
 	}
 	f.fillL2(vd, addr, state, rv, data)
@@ -386,23 +318,23 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 // Stores (§IV-A1: version access protocol with store-eviction)
 
 func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
-	vd := f.cfg.VDOf(tid)
-	lat := f.cfg.L1Latency
-	if ln := f.l1[tid].Lookup(addr); ln != nil && ln.State.Writable() {
+	vd := f.Cfg.VDOf(tid)
+	lat := f.Cfg.L1Latency
+	if ln := f.L1(tid).Lookup(addr); ln != nil && ln.State.Writable() {
 		f.stat.Inc("l1_store_hits")
 		f.performStore(tid, vd, ln, data)
 		f.bumpStore(vd)
 		return lat
 	}
-	lat += f.cfg.L2Latency
-	if l2ln := f.l2[vd].Lookup(addr); l2ln != nil && l2ln.State.Writable() {
+	lat += f.Cfg.L2Latency
+	if l2ln := f.L2(vd).Lookup(addr); l2ln != nil && l2ln.State.Writable() {
 		f.stat.Inc("l2_store_hits")
-		lo, hi := f.coresOf(vd)
+		lo, hi := f.CoresOf(vd)
 		for c := lo; c < hi; c++ {
 			if c == tid {
 				continue
 			}
-			if removed, ok := f.l1[c].Invalidate(addr); ok && removed.Dirty {
+			if removed, ok := f.L1(c).Invalidate(addr); ok && removed.Dirty {
 				f.mergeIntoL2(l2ln, removed)
 			}
 		}
@@ -411,12 +343,12 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 		// The L1 is filled with a clean copy; the L2 retains any dirty
 		// version (the new store will create a fresh version in the L1).
 		f.fillL1(tid, addr, cache.Exclusive, l2ln.OID, l2ln.Data, false)
-		ln := f.l1[tid].Peek(addr)
+		ln := f.L1(tid).Peek(addr)
 		f.performStore(tid, vd, ln, data)
 		f.bumpStore(vd)
 		return lat
 	}
-	lat += f.cfg.LLCLatency
+	lat += f.Cfg.LLCLatency
 	rv, rdata, dirtyXfer, extra := f.fetchExclusive(vd, addr)
 	lat += extra
 	f.maybeAdvance(vd, rv)
@@ -426,21 +358,21 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 		f.backend.LowerMinVer(vd, rv, f.now)
 		f.dirtyInflow[vd] = true
 	}
-	lo, hi := f.coresOf(vd)
+	lo, hi := f.CoresOf(vd)
 	for c := lo; c < hi; c++ {
 		if c == tid {
 			continue
 		}
-		f.l1[c].Invalidate(addr)
+		f.L1(c).Invalidate(addr)
 	}
-	e := f.entry(addr)
+	e := f.Entry(addr)
 	e.Sharers = cache.SharerSet{}
 	e.Owner = vd
 	// The L2 always receives a clean copy (inclusion); a dirty
 	// cache-to-cache transfer lands in the requestor's L1 still dirty.
 	f.fillL2(vd, addr, cache.Modified, rv, rdata)
 	f.fillL1(tid, addr, cache.Exclusive, rv, rdata, dirtyXfer)
-	ln := f.l1[tid].Peek(addr)
+	ln := f.L1(tid).Peek(addr)
 	f.performStore(tid, vd, ln, data)
 	f.bumpStore(vd)
 	return lat
@@ -472,7 +404,7 @@ func (f *Frontend) bumpStore(vd int) {
 	// Each VD advances after EpochSize of its own stores (§IV-B2); with
 	// coherence-driven synchronisation the machine-wide snapshot rate then
 	// lands close to the baselines' one-epoch-per-EpochSize-global-stores.
-	threshold := f.cfg.EpochSizeAt(f.totStores[vd] * uint64(f.cfg.VDs()))
+	threshold := f.Cfg.EpochSizeAt(f.totStores[vd] * uint64(f.Cfg.VDs()))
 	if threshold < 1 {
 		threshold = 1
 	}
@@ -517,7 +449,7 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 		// snapshot rate matches the baselines' global counting.
 		f.storeCnt[vd] = 0
 	}
-	f.vdStall += f.cfg.EpochAdvanceCost
+	f.vdStall += f.Cfg.EpochAdvanceCost
 	ctxStall := f.backend.DumpContext(vd, old, f.now+f.stall+f.vdStall)
 	f.vdStall += ctxStall
 	f.stat.Add("stall_from_context", int64(ctxStall))
@@ -539,26 +471,21 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 // first pulled into the L2 so the L2 holds the newest old version.
 func (f *Frontend) tagWalk(vd int) {
 	cur := f.cur[vd]
-	lo, hi := f.coresOf(vd)
-	for c := lo; c < hi; c++ {
-		f.l1[c].ForEach(func(ln *cache.Line) {
-			if ln.Dirty && ln.OID < cur {
-				f.putxToL2(vd, *ln, ReasonWalk)
-				ln.Dirty = false
-				if ln.State == cache.Modified {
-					ln.State = cache.Exclusive
-				}
+	f.Walk(vd, cache.LevelL2, func(lv cache.Level, c *cache.Cache) {
+		c.ForEach(func(ln *cache.Line) {
+			if !ln.Dirty || ln.OID >= cur {
+				return
 			}
-		})
-	}
-	f.l2[vd].ForEach(func(ln *cache.Line) {
-		if ln.Dirty && ln.OID < cur {
-			f.walkQ[vd] = append(f.walkQ[vd], *ln)
+			if lv == cache.LevelL1 {
+				f.putxToL2(vd, *ln, ReasonWalk)
+			} else {
+				f.walkQ[vd] = append(f.walkQ[vd], *ln)
+			}
 			ln.Dirty = false
 			if ln.State == cache.Modified {
 				ln.State = cache.Exclusive
 			}
-		}
+		})
 	})
 	f.stat.Inc("tag_walks")
 	// Every dirty line older than cur was just cleaned: any prior dirty
@@ -575,21 +502,19 @@ func (f *Frontend) tagWalk(vd int) {
 // flushVDVersions drains every dirty version older than newEpoch out of the
 // VD (used by the wrap-around group transition).
 func (f *Frontend) flushVDVersions(vd int, newEpoch uint64) {
-	lo, hi := f.coresOf(vd)
-	for c := lo; c < hi; c++ {
-		f.l1[c].ForEach(func(ln *cache.Line) {
-			if ln.Dirty && ln.OID < newEpoch {
-				f.putxToL2(vd, *ln, ReasonDrain)
-				ln.Dirty = false
+	f.Walk(vd, cache.LevelL2, func(lv cache.Level, c *cache.Cache) {
+		c.ForEach(func(ln *cache.Line) {
+			if !ln.Dirty || ln.OID >= newEpoch {
+				return
 			}
-		})
-	}
-	f.l2[vd].ForEach(func(ln *cache.Line) {
-		if ln.Dirty && ln.OID < newEpoch {
-			f.sendVersion(*ln, ReasonDrain)
-			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+			if lv == cache.LevelL1 {
+				f.putxToL2(vd, *ln, ReasonDrain)
+			} else {
+				f.sendVersion(*ln, ReasonDrain)
+				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+			}
 			ln.Dirty = false
-		}
+		})
 	})
 }
 
@@ -613,7 +538,7 @@ func (f *Frontend) mergeIntoL2(l2ln *cache.Line, l1ln cache.Line) {
 // putxToL2 delivers an L1 dirty version to the L2, inserting the line if it
 // is somehow absent (inclusion normally guarantees presence).
 func (f *Frontend) putxToL2(vd int, l1ln cache.Line, reason Reason) {
-	if l2ln := f.l2[vd].Peek(l1ln.Tag); l2ln != nil {
+	if l2ln := f.L2(vd).Peek(l1ln.Tag); l2ln != nil {
 		if l2ln.Dirty && l2ln.OID < l1ln.OID {
 			f.sendVersion(*l2ln, reason)
 		}
@@ -623,7 +548,7 @@ func (f *Frontend) putxToL2(vd int, l1ln cache.Line, reason Reason) {
 		l2ln.State = cache.Modified
 		return
 	}
-	ln, victim, evicted := f.l2[vd].Insert(l1ln.Tag)
+	ln, victim, evicted := f.L2(vd).Insert(l1ln.Tag)
 	if evicted {
 		f.evictL2Victim(vd, victim, ReasonCapacity)
 	}
@@ -635,9 +560,9 @@ func (f *Frontend) putxToL2(vd int, l1ln cache.Line, reason Reason) {
 // (inclusive L2), the newest dirty version goes to both the LLC and the
 // OMC, and an older coexisting dirty version goes to the OMC only.
 func (f *Frontend) evictL2Victim(vd int, victim cache.Line, reason Reason) {
-	lo, hi := f.coresOf(vd)
+	lo, hi := f.CoresOf(vd)
 	for c := lo; c < hi; c++ {
-		if removed, ok := f.l1[c].Invalidate(victim.Tag); ok && removed.Dirty {
+		if removed, ok := f.L1(c).Invalidate(victim.Tag); ok && removed.Dirty {
 			if victim.Dirty && victim.OID < removed.OID {
 				f.sendVersion(victim, reason)
 			}
@@ -646,13 +571,7 @@ func (f *Frontend) evictL2Victim(vd int, victim cache.Line, reason Reason) {
 			victim.Data = removed.Data
 		}
 	}
-	if e := f.dir.Ptr(victim.Tag); e != nil {
-		e.Sharers.Remove(vd)
-		if e.Owner == vd {
-			e.Owner = -1
-		}
-		f.dir.DeleteIfEmpty(victim.Tag)
-	}
+	f.DropVD(vd, victim.Tag)
 	if victim.Dirty {
 		f.sendVersion(victim, reason)
 		f.insertLLC(victim, true)
@@ -662,7 +581,7 @@ func (f *Frontend) evictL2Victim(vd int, victim cache.Line, reason Reason) {
 	// non-inclusive LLC (real non-inclusive hierarchies do the same), but a
 	// stale shared copy must never shadow newer content: skip the insert
 	// when the LLC or DRAM already holds a version at least as new.
-	if ln := f.sliceOf(victim.Tag).Peek(victim.Tag); ln != nil && ln.OID >= victim.OID {
+	if ln := f.SliceOf(victim.Tag).Peek(victim.Tag); ln != nil && ln.OID >= victim.OID {
 		return
 	}
 	if f.dram.OID(victim.Tag) > victim.OID {
@@ -674,7 +593,7 @@ func (f *Frontend) evictL2Victim(vd int, victim cache.Line, reason Reason) {
 // insertLLC places a line leaving a VD into the (non-inclusive) LLC as the
 // current-image copy. dirty marks it as newer than the DRAM working copy.
 func (f *Frontend) insertLLC(wb cache.Line, dirty bool) {
-	slice := f.sliceOf(wb.Tag)
+	slice := f.SliceOf(wb.Tag)
 	ln, victim, evicted := slice.Insert(wb.Tag)
 	if evicted && victim.Dirty {
 		// LLC victims refresh the DRAM working copy; the version itself was
@@ -694,9 +613,9 @@ func (f *Frontend) insertLLC(wb cache.Line, dirty bool) {
 // fetch resolves a shared (GETS) VD miss. The RV of the response is the OID
 // of the data served (§IV-A).
 func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, lat uint64) {
-	e := f.entry(addr)
+	e := f.Entry(addr)
 	if e.Owner != -1 && e.Owner != vd {
-		lat += f.cfg.RemoteL2Lat
+		lat += f.Cfg.RemoteL2Lat
 		rv, data = f.downgradeVD(e.Owner, addr)
 		e.Sharers.Add(e.Owner)
 		e.Owner = -1
@@ -704,7 +623,7 @@ func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, 
 		f.stat.Inc("remote_downgrades")
 		return rv, data, lat
 	}
-	slice := f.sliceOf(addr)
+	slice := f.SliceOf(addr)
 	if ln := slice.Lookup(addr); ln != nil {
 		f.stat.Inc("llc_hits")
 		e.Sharers.Add(vd)
@@ -721,10 +640,10 @@ func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, 
 // cache-to-cache (dirtyXfer=true) instead of being written back through the
 // LLC (§IV-A3 optimisation), saving both traffic and an OMC write.
 func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXfer bool, lat uint64) {
-	e := f.entry(addr)
+	e := f.Entry(addr)
 	haveData := false
 	if e.Owner != -1 && e.Owner != vd {
-		lat += f.cfg.RemoteL2Lat
+		lat += f.Cfg.RemoteL2Lat
 		newest, wasDirty := f.invalidateVD(e.Owner, addr)
 		e.Owner = -1
 		if wasDirty {
@@ -735,20 +654,19 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 		}
 		f.stat.Inc("remote_invalidations")
 	}
-	// Iterate a value copy: invalidateVD may touch the directory, and the
-	// O(set-bits) walk replaces the old O(VDs) bitmask scan (same ascending
-	// order, so invalidation event order is unchanged).
+	// Iterate a value copy, since the loop removes sharers as it goes; the
+	// O(set-bits) walk visits them in ascending order.
 	sharers := e.Sharers
 	sharers.ForEach(func(other int) {
 		if other == vd {
 			return
 		}
-		lat += f.cfg.RemoteL2Lat
+		lat += f.Cfg.RemoteL2Lat
 		f.invalidateVD(other, addr)
 		e.Sharers.Remove(other)
 		f.stat.Inc("remote_invalidations")
 	})
-	slice := f.sliceOf(addr)
+	slice := f.SliceOf(addr)
 	if ln := slice.Peek(addr); ln != nil {
 		if !haveData {
 			rv, data, haveData = ln.OID, ln.Data, true
@@ -778,9 +696,9 @@ func (f *Frontend) downgradeVD(vd int, addr uint64) (rv, data uint64) {
 	f.flushQueuedWalk(vd, addr)
 	var newest cache.Line
 	haveDirty := false
-	lo, hi := f.coresOf(vd)
+	lo, hi := f.CoresOf(vd)
 	for c := lo; c < hi; c++ {
-		if ln := f.l1[c].Peek(addr); ln != nil {
+		if ln := f.L1(c).Peek(addr); ln != nil {
 			if ln.Dirty {
 				newest = *ln
 				haveDirty = true
@@ -789,7 +707,7 @@ func (f *Frontend) downgradeVD(vd int, addr uint64) (rv, data uint64) {
 			ln.State = cache.Shared
 		}
 	}
-	l2ln := f.l2[vd].Peek(addr)
+	l2ln := f.L2(vd).Peek(addr)
 	if l2ln != nil {
 		if l2ln.Dirty {
 			if haveDirty && l2ln.OID < newest.OID {
@@ -818,7 +736,7 @@ func (f *Frontend) downgradeVD(vd int, addr uint64) (rv, data uint64) {
 		return l2ln.OID, l2ln.Data
 	}
 	// VD had no copy after all (directory conservatism): fall back to LLC.
-	if ln := f.sliceOf(addr).Peek(addr); ln != nil {
+	if ln := f.SliceOf(addr).Peek(addr); ln != nil {
 		return ln.OID, ln.Data
 	}
 	return f.dram.OID(addr), f.dram.Data(addr)
@@ -826,12 +744,14 @@ func (f *Frontend) downgradeVD(vd int, addr uint64) (rv, data uint64) {
 
 // invalidateVD removes every copy of addr from a VD for a remote GETX,
 // returning the newest version (dirty => cache-to-cache transfer). An older
-// coexisting dirty version is persisted to the OMC.
+// coexisting dirty version is persisted to the OMC. The directory is left
+// to the caller: fetchExclusive holds addr's entry across this call, so it
+// must not insert or delete any entry.
 func (f *Frontend) invalidateVD(vd int, addr uint64) (newest cache.Line, wasDirty bool) {
 	f.flushQueuedWalk(vd, addr)
-	lo, hi := f.coresOf(vd)
+	lo, hi := f.CoresOf(vd)
 	for c := lo; c < hi; c++ {
-		if removed, ok := f.l1[c].Invalidate(addr); ok {
+		if removed, ok := f.L1(c).Invalidate(addr); ok {
 			if removed.Dirty {
 				newest = removed
 				wasDirty = true
@@ -840,7 +760,7 @@ func (f *Frontend) invalidateVD(vd int, addr uint64) (newest cache.Line, wasDirt
 			}
 		}
 	}
-	if removed, ok := f.l2[vd].Invalidate(addr); ok {
+	if removed, ok := f.L2(vd).Invalidate(addr); ok {
 		if removed.Dirty {
 			if wasDirty && removed.OID < newest.OID {
 				// Older version below the newest: OMC only.
@@ -853,18 +773,12 @@ func (f *Frontend) invalidateVD(vd int, addr uint64) (newest cache.Line, wasDirt
 			newest = removed
 		}
 	}
-	if e := f.dir.Ptr(addr); e != nil {
-		e.Sharers.Remove(vd)
-		if e.Owner == vd {
-			e.Owner = -1
-		}
-	}
 	return newest, wasDirty
 }
 
 // fillL2 installs a clean copy of addr into the VD's L2.
 func (f *Frontend) fillL2(vd int, addr uint64, state cache.State, oid, data uint64) {
-	if ln := f.l2[vd].Peek(addr); ln != nil {
+	if ln := f.L2(vd).Peek(addr); ln != nil {
 		// Keep a resident dirty version; only the coherence state changes.
 		if !ln.Dirty {
 			ln.OID = oid
@@ -873,7 +787,7 @@ func (f *Frontend) fillL2(vd int, addr uint64, state cache.State, oid, data uint
 		ln.State = state
 		return
 	}
-	ln, victim, evicted := f.l2[vd].Insert(addr)
+	ln, victim, evicted := f.L2(vd).Insert(addr)
 	if evicted {
 		f.evictL2Victim(vd, victim, ReasonCapacity)
 	}
@@ -887,8 +801,8 @@ func (f *Frontend) fillL2(vd int, addr uint64, state cache.State, oid, data uint
 // the version-checked PUTX path. dirtyXfer marks a cache-to-cache dirty
 // transfer, which stays dirty in the L1 (it is still unpersisted).
 func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uint64, dirtyXfer bool) {
-	vd := f.cfg.VDOf(tid)
-	ln, victim, evicted := f.l1[tid].Insert(addr)
+	vd := f.Cfg.VDOf(tid)
+	ln, victim, evicted := f.L1(tid).Insert(addr)
 	if evicted && victim.Dirty {
 		f.putxToL2(vd, victim, ReasonCapacity)
 		f.stat.Inc("l1_dirty_evictions")
@@ -910,7 +824,7 @@ func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uin
 func (f *Frontend) Drain(now uint64) {
 	f.now = now
 	f.stall = 0
-	for vd := 0; vd < f.cfg.VDs(); vd++ {
+	for vd := 0; vd < f.Cfg.VDs(); vd++ {
 		for _, ln := range f.walkQ[vd] {
 			f.sendVersion(ln, ReasonWalk)
 			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
@@ -918,117 +832,66 @@ func (f *Frontend) Drain(now uint64) {
 		f.walkQ[vd] = nil
 		f.walkReport[vd] = 0
 	}
-	for vd := 0; vd < f.cfg.VDs(); vd++ {
-		lo, hi := f.coresOf(vd)
-		for c := lo; c < hi; c++ {
-			for _, ln := range f.l1[c].Flush() {
-				if ln.Dirty {
+	for vd := 0; vd < f.Cfg.VDs(); vd++ {
+		f.Walk(vd, cache.LevelL2, func(lv cache.Level, c *cache.Cache) {
+			for _, ln := range c.Flush() {
+				if lv == cache.LevelL1 {
 					f.putxToL2(vd, ln, ReasonDrain)
+				} else {
+					f.sendVersion(ln, ReasonDrain)
+					f.insertLLC(ln, true)
 				}
 			}
-		}
-		for _, ln := range f.l2[vd].Flush() {
-			if ln.Dirty {
-				f.sendVersion(ln, ReasonDrain)
-				f.insertLLC(ln, true)
-			}
+		})
+	}
+	for i := 0; i < f.Slices(); i++ {
+		for _, ln := range f.LLCSlice(i).Flush() {
+			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
 		}
 	}
-	for _, slice := range f.llc {
-		for _, ln := range slice.Flush() {
-			if ln.Dirty {
-				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-			}
-		}
-	}
-	f.dir.Reset()
+	f.Dir.Reset()
 	// No min-ver reports here: the backend's Seal merges every remaining
 	// epoch, and reporting would blur the walker's role in experiments.
 }
 
 // CheckInvariants validates the version-protocol invariants; tests call it
-// after randomised runs. Verified properties: L1⊆L2 inclusion, directory
-// agreement, single-writer, and the version-ordering invariant that an L1
-// version is never older than the L2 version of the same address (§IV-A2).
+// after randomised runs. Beyond the shared hierarchy rules it checks the
+// version-ordering invariant that an L1 version is never older than the
+// L2 version of the same address (§IV-A2), that no L2 line is tagged past
+// its domain's epoch, and the walker's fast-path claim.
 func (f *Frontend) CheckInvariants() error {
-	for tid, l1 := range f.l1 {
-		vd := f.cfg.VDOf(tid)
-		var err error
-		l1.ForEach(func(ln *cache.Line) {
-			if err != nil {
-				return
+	err := f.CheckShared(func(lv cache.Level, i int, ln *cache.Line) error {
+		if lv == cache.LevelL1 {
+			if l2ln := f.L2(f.Cfg.VDOf(i)).Peek(ln.Tag); ln.OID < l2ln.OID {
+				return fmt.Errorf("L1 %d version %d of %#x older than L2 version %d",
+					i, ln.OID, ln.Tag, l2ln.OID)
 			}
-			l2ln := f.l2[vd].Peek(ln.Tag)
-			if l2ln == nil {
-				err = fmt.Errorf("L1 %d holds %#x but L2 %d does not (inclusion)", tid, ln.Tag, vd)
-				return
-			}
-			if ln.OID < l2ln.OID {
-				err = fmt.Errorf("L1 %d version %d of %#x older than L2 version %d",
-					tid, ln.OID, ln.Tag, l2ln.OID)
-			}
-			if ln.State.Writable() {
-				lo, hi := f.coresOf(vd)
-				for c := lo; c < hi; c++ {
-					if c != tid && f.l1[c].Peek(ln.Tag) != nil {
-						err = fmt.Errorf("L1 %d holds %#x writable while sibling %d caches it",
-							tid, ln.Tag, c)
-					}
-				}
-			}
-		})
-		if err != nil {
-			return err
+		} else if ln.OID > f.cur[i] {
+			return fmt.Errorf("L2 %d holds %#x tagged epoch %d beyond cur %d",
+				i, ln.Tag, ln.OID, f.cur[i])
 		}
-	}
-	for vd, l2 := range f.l2 {
-		var err error
-		l2.ForEach(func(ln *cache.Line) {
-			if err != nil {
-				return
-			}
-			e := f.dir.Ptr(ln.Tag)
-			if e == nil {
-				err = fmt.Errorf("L2 %d holds %#x with no directory entry", vd, ln.Tag)
-				return
-			}
-			if e.Owner != vd && !e.Sharers.Has(vd) {
-				err = fmt.Errorf("L2 %d holds %#x but directory disagrees", vd, ln.Tag)
-			}
-			if ln.State.Writable() && e.Owner != vd {
-				err = fmt.Errorf("L2 %d holds %#x writable but owner=%d", vd, ln.Tag, e.Owner)
-			}
-			if ln.OID > f.cur[vd] {
-				err = fmt.Errorf("L2 %d holds %#x tagged epoch %d beyond cur %d",
-					vd, ln.Tag, ln.OID, f.cur[vd])
-			}
-		})
-		if err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil || !f.walker {
+		return err
 	}
 	// Walker fast-path soundness: with no dirty inflow since the last walk
 	// and an empty walk queue, no stale dirty version may exist (the min-ver
 	// report skips its rescan on exactly this claim). Only meaningful when
 	// the walker actually runs at every advance.
-	for vd := range f.l2 {
-		if !f.walker || f.dirtyInflow[vd] || len(f.walkQ[vd]) > 0 {
+	for vd := range f.cur {
+		if f.dirtyInflow[vd] || len(f.walkQ[vd]) > 0 {
 			continue
 		}
-		var err error
-		stale := func(where string) func(*cache.Line) {
-			return func(ln *cache.Line) {
-				if err == nil && ln.Dirty && ln.OID < f.walkedTo(vd) {
+		walked := f.walkedTo(vd)
+		f.Walk(vd, cache.LevelL2, func(_ cache.Level, c *cache.Cache) {
+			c.ForEach(func(ln *cache.Line) {
+				if err == nil && ln.Dirty && ln.OID < walked {
 					err = fmt.Errorf("%s holds stale dirty %#x@%d with no inflow flag",
-						where, ln.Tag, ln.OID)
+						c.Name(), ln.Tag, ln.OID)
 				}
-			}
-		}
-		lo, hi := f.coresOf(vd)
-		for c := lo; c < hi; c++ {
-			f.l1[c].ForEach(stale(fmt.Sprintf("L1 %d", c)))
-		}
-		f.l2[vd].ForEach(stale(fmt.Sprintf("L2 %d", vd)))
+			})
+		})
 		if err != nil {
 			return err
 		}

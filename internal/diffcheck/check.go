@@ -289,7 +289,7 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 				dd = div("epoch-regression", i, "epoch fell from %d to %d", prevEpoch, e)
 				return false
 			}
-			if d := checkBaselineBoundary(p, name, s, &cfg, last, i); d != nil {
+			if d := checkBaselineBoundary(p, name, s, last, i); d != nil {
 				dd = d
 				return false
 			}
@@ -328,39 +328,27 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 // walker (the ablation regime), the PiCL variants skip their walk entirely
 // and any dirty line is legal — only the DRAM contract for clean lines
 // remains checkable.
-func checkBaselineBoundary(p Params, name string, s baselineScheme, cfg *sim.Config, last *mem.Table[uint64], step int) *Divergence {
+func checkBaselineBoundary(p Params, name string, s baselineScheme, last *mem.Table[uint64], step int) *Divergence {
 	h := s.Hierarchy()
 	walks := p.Walker || (name != "PiCL" && name != "PiCL-L2")
 	dirty := make(map[uint64]bool)
-	scanDirty := func(c *cache.Cache, level string) *Divergence {
-		var d *Divergence
+	var d *Divergence
+	h.Walk(cache.AllVDs, cache.LevelLLC, func(lv cache.Level, c *cache.Cache) {
 		c.ForEach(func(ln *cache.Line) {
-			if d == nil && ln.Dirty {
-				if !walks || (level == "llc" && name == "PiCL-L2") {
-					dirty[ln.Tag] = true // legal: not covered by a boundary walk
-					return
-				}
-				d = &Divergence{Params: p, Scheme: name, Kind: "boundary-dirty", Step: step,
-					Detail: fmt.Sprintf("line %#x (epoch %d) still dirty in %s after the boundary flush",
-						ln.Tag, ln.OID, level)}
+			if d != nil || !ln.Dirty {
+				return
 			}
+			if !walks || (lv == cache.LevelLLC && name == "PiCL-L2") {
+				dirty[ln.Tag] = true // legal: not covered by a boundary walk
+				return
+			}
+			d = &Divergence{Params: p, Scheme: name, Kind: "boundary-dirty", Step: step,
+				Detail: fmt.Sprintf("line %#x (epoch %d) still dirty in %s after the boundary flush",
+					ln.Tag, ln.OID, c.Name())}
 		})
+	})
+	if d != nil {
 		return d
-	}
-	for tid := 0; tid < cfg.Cores; tid++ {
-		if d := scanDirty(h.L1(tid), fmt.Sprintf("l1.%d", tid)); d != nil {
-			return d
-		}
-	}
-	for vd := 0; vd < cfg.VDs(); vd++ {
-		if d := scanDirty(h.L2(vd), fmt.Sprintf("l2.%d", vd)); d != nil {
-			return d
-		}
-	}
-	for i := 0; i < h.Slices(); i++ {
-		if d := scanDirty(h.LLCSlice(i), "llc"); d != nil {
-			return d
-		}
 	}
 	for _, addr := range last.SortedKeys() {
 		if dirty[addr] {

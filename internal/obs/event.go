@@ -33,8 +33,8 @@ const (
 	KindWalkEnd
 	// KindVersionEvict is a dirty version leaving its VD for the OMC (or,
 	// in the baselines, an L2 write-back leaving for the LLC/log). Epoch =
-	// the version's OID, Addr = line address, Arg = the cst.Reason (or
-	// coherence reason), Actor = VD where known (-1 otherwise).
+	// the version's OID, Addr = line address, Arg = the cache.Reason,
+	// Actor = VD where known (-1 otherwise).
 	KindVersionEvict
 	// KindOMCSeal is a sealed-epoch record append. Actor = OMC id, Epoch =
 	// sealed epoch, Arg = table entries, Aux = seal log sequence.
