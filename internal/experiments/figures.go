@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/cst"
 	"repro/internal/sim"
@@ -430,6 +427,3 @@ func AblateScaling(scale Scale) ([]ScalePoint, error) {
 	}
 	return out, nil
 }
-
-var _ = fmt.Sprintf
-var _ = baseline.NewIdeal

@@ -24,7 +24,7 @@ import (
 //     itself is damaged.
 //
 // Records are one 64-byte slot each so a record never straddles banks, and
-// every record ends in a RecordCheck checksum over its payload words.
+// every record ends in a mem.RecordCheck checksum over its payload words.
 const (
 	// CommitBase is the base NVM address of per-OMC commit-record logs.
 	CommitBase uint64 = 1 << 43
@@ -79,34 +79,20 @@ func SealRecAddr(id, seq int) uint64 {
 	return SealBase + uint64(id)*omcRegion + uint64(seq)*RecSlotBytes
 }
 
-// PairMix combines two words into one avalanche-mixed digest word. It is
-// the unit of both record checksums and table digests. The primitive lives
-// in internal/mem (alongside the file-backed durable plane, which shares
-// the encoding for its on-disk records); this wrapper keeps omc call sites
-// unchanged.
-func PairMix(a, b uint64) uint64 { return mem.PairMix(a, b) }
-
 // LineCheck is the per-payload-line checksum. Binding the line address and
 // writing epoch (not just the data) means a stale record left at a reused
 // pool address, or a record persisted by a different epoch than the
 // mapping claims, fails validation instead of aliasing.
 func LineCheck(lineAddr, epoch, data uint64) uint64 {
-	return PairMix(PairMix(lineAddr, epoch), data)
+	return mem.PairMix(mem.PairMix(lineAddr, epoch), data)
 }
-
-// RecordCheck folds a record's payload words into its trailing checksum.
-func RecordCheck(words []uint64) uint64 { return mem.RecordCheck(words) }
-
-// ValidRecord reports whether a full record slot (checksum in the last
-// word) is internally consistent and carries the expected magic.
-func ValidRecord(words []uint64, magic uint64) bool { return mem.ValidRecord(words, magic) }
 
 // writeGenesis persists the group-construction record: without it recovery
 // cannot distinguish "young run, nothing committed yet" from "commit log
 // destroyed", so NewGroup writes one per member before any traffic.
 func (o *OMC) writeGenesis(groupSize int) {
 	words := []uint64{GenesisMagic, uint64(groupSize)}
-	words = append(words, RecordCheck(words))
+	words = append(words, mem.RecordCheck(words))
 	o.now += o.nvm.Persist(mem.WMeta, GenesisAddr(o.id), len(words)*8, words, o.now)
 	o.stat.Inc("genesis_records")
 }
@@ -122,7 +108,7 @@ func (o *OMC) writeCommitRecord(now uint64) {
 		o.master.RootAddr(),
 		o.master.Digest(),
 	}
-	words = append(words, RecordCheck(words))
+	words = append(words, mem.RecordCheck(words))
 	o.now += o.nvm.Persist(mem.WMeta, CommitRecAddr(o.id, o.commitSeq), len(words)*8, words, now)
 	o.bus.Emit(obs.KindOMCCommit, now, o.id, o.recEpoch, 0, uint64(o.master.Entries()), uint64(o.commitSeq))
 	o.commitSeq++
@@ -138,7 +124,7 @@ func (o *OMC) writeSealRecord(e uint64, t *Table, now uint64) {
 		uint64(t.Entries()),
 		t.Digest(),
 	}
-	words = append(words, RecordCheck(words))
+	words = append(words, mem.RecordCheck(words))
 	o.now += o.nvm.Persist(mem.WMeta, SealRecAddr(o.id, o.sealSeq), len(words)*8, words, now)
 	o.bus.Emit(obs.KindOMCSeal, now, o.id, e, 0, uint64(t.Entries()), uint64(o.sealSeq))
 	o.sealSeq++

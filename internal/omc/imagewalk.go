@@ -6,7 +6,7 @@ import "repro/internal/mem"
 // from the durable NVM image alone, with no access to volatile state: the
 // root comes from a seal/commit record, child pointers are the persisted
 // 8-byte node words. It returns the reconstructed lineAddr->poolAddr
-// mapping and its content digest (the same XOR-of-PairMix fingerprint the
+// mapping and its content digest (the same XOR-of-mem.PairMix fingerprint the
 // live Table maintains), so the caller can prove the walked table is
 // exactly the one that was recorded.
 //
@@ -48,7 +48,7 @@ func WalkImageTable(img *mem.Image, id int, rootAddr uint64) (entries *mem.Table
 					}
 					line := p | uint64(s)<<6
 					entries.Put(line, v)
-					digest ^= PairMix(line, v)
+					digest ^= mem.PairMix(line, v)
 				}
 			} else {
 				if w < metaLo || w >= metaHi {

@@ -351,7 +351,6 @@ func (o *OMC) DumpContext(vd int, epoch, now uint64) (stall uint64) {
 	addr := ContextBase + uint64(o.id)*omcRegion + uint64(vd)*uint64(o.cfg.ContextDumpBytes)
 	stall = o.nvm.Write(mem.WContext, addr, int(o.cfg.ContextDumpBytes), now)
 	o.stat.Inc("context_dumps")
-	_ = epoch
 	return stall
 }
 

@@ -5,7 +5,11 @@
 // recoverable-epoch protocol, and the optional battery-backed OMC buffer.
 package omc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // Radix tree geometry: 48-bit physical addresses are mapped at cache-line
 // granularity. The top four levels consume 9 bits each (bits 47..12, exactly
@@ -40,7 +44,7 @@ type Table struct {
 	inners  int
 	leaves  int
 
-	// digest is the running XOR of PairMix(lineAddr, nvmAddr) over the
+	// digest is the running XOR of mem.PairMix(lineAddr, nvmAddr) over the
 	// live mappings: an order-independent fingerprint of the table's
 	// contents. Seal and commit records carry it so recovery can prove a
 	// re-walked on-NVM table is exactly the table that was sealed.
@@ -128,13 +132,13 @@ func (t *Table) Insert(lineAddr, nvmAddr uint64) (old uint64, replaced bool) {
 			bit := uint64(1) << slot
 			if lf.present&bit != 0 {
 				old, replaced = lf.vals[slot], true
-				t.digest ^= PairMix(lineAddr, old)
+				t.digest ^= mem.PairMix(lineAddr, old)
 			} else {
 				t.entries++
 			}
 			lf.present |= bit
 			lf.vals[slot] = nvmAddr
-			t.digest ^= PairMix(lineAddr, nvmAddr)
+			t.digest ^= mem.PairMix(lineAddr, nvmAddr)
 			t.persistWrite(lf.nvmAddr+uint64(slot*8), 8, nvmAddr)
 			return old, replaced
 		}
@@ -190,7 +194,7 @@ func (t *Table) Delete(lineAddr uint64) (uint64, bool) {
 			lf.present &^= bit
 			lf.vals[slot] = 0
 			t.entries--
-			t.digest ^= PairMix(lineAddr, old)
+			t.digest ^= mem.PairMix(lineAddr, old)
 			t.persistWrite(lf.nvmAddr+uint64(slot*8), 8, 0)
 			return old, true
 		}
@@ -203,7 +207,7 @@ func (t *Table) Delete(lineAddr uint64) (uint64, bool) {
 func (t *Table) Entries() int { return t.entries }
 
 // Digest returns the order-independent content fingerprint of the table:
-// the XOR over live mappings of PairMix(lineAddr, nvmAddr).
+// the XOR over live mappings of mem.PairMix(lineAddr, nvmAddr).
 func (t *Table) Digest() uint64 { return t.digest }
 
 // RootAddr returns the NVM home of the root node (0 before any insert, or

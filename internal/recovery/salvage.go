@@ -111,7 +111,7 @@ func scanLog(img *mem.Image, addrOf func(seq int) uint64, nwords int, magic uint
 			continue
 		}
 		gap = 0
-		r.valid = present == nwords && omc.ValidRecord(words, magic)
+		r.valid = present == nwords && mem.ValidRecord(words, magic)
 		out = append(out, r)
 	}
 	return out
@@ -458,7 +458,7 @@ func salvage(img *mem.Image) (*mem.Table[uint64], *SalvageReport, error) {
 		}
 		gwords = append(gwords, w)
 	}
-	if present != omc.GenesisWords || !omc.ValidRecord(gwords, omc.GenesisMagic) {
+	if present != omc.GenesisWords || !mem.ValidRecord(gwords, omc.GenesisMagic) {
 		rep.Refused = true
 		rep.Reason = "genesis record missing or corrupt"
 		rep.addDamage("genesis-corrupt", 0, 0, omc.GenesisAddr(0),

@@ -53,7 +53,7 @@ func newestCommit(img *mem.Image, id int) []uint64 {
 			}
 			words[i] = w
 		}
-		if !present || !omc.ValidRecord(words, omc.CommitMagic) {
+		if !present || !mem.ValidRecord(words, omc.CommitMagic) {
 			continue
 		}
 		if best == nil || words[1] >= best[1] {
@@ -77,7 +77,7 @@ func sealRoots(img *mem.Image, id int) map[uint64]uint64 {
 			}
 			words[i] = w
 		}
-		if present && omc.ValidRecord(words, omc.SealMagic) {
+		if present && mem.ValidRecord(words, omc.SealMagic) {
 			roots[words[1]] = words[2]
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -109,5 +108,3 @@ func growTids(s []int, tid int) []int {
 	}
 	return s
 }
-
-var _ = sim.NewRNG // keep import for constructors below
