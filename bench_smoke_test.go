@@ -37,6 +37,7 @@ func TestBenchmarkSmoke(t *testing.T) {
 		fn   func(*testing.B)
 	}{
 		{"Table2IdealSubstrate", BenchmarkTable2IdealSubstrate},
+		{"PiCLL2Substrate", BenchmarkPiCLL2Substrate},
 		{"Fig11NormalizedCycles", BenchmarkFig11NormalizedCycles},
 		{"Fig12WriteAmplification", BenchmarkFig12WriteAmplification},
 		{"Fig13MasterTableCost", BenchmarkFig13MasterTableCost},

@@ -34,6 +34,20 @@ func BenchmarkTable2IdealSubstrate(b *testing.B) {
 	}
 }
 
+// BenchmarkPiCLL2Substrate gates the MESI hierarchy under a checkpointing
+// baseline: PiCL-L2 on the hashtable workload at smoke scale, where every
+// store pays the L1/L2/LLC probes and each epoch boundary walks the L1s
+// and L2s.
+func BenchmarkPiCLL2Substrate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		r, err := experiments.Run("PiCL-L2", "hashtable", experiments.Smoke, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(r.Sum.Accesses), "accesses/op")
+	}
+}
+
 // BenchmarkFig11 reruns the normalized-cycles comparison on the B+Tree
 // workload and reports NVOverlay's slowdown over the ideal system.
 func BenchmarkFig11NormalizedCycles(b *testing.B) {

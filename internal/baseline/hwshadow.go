@@ -44,10 +44,7 @@ func (s *HWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 
 	if !write {
 		return s.h.Load(tid, addr)
 	}
-	lat := s.h.Store(tid, addr)
-	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
-		ln.Data = data
-	}
+	lat := s.h.Store(tid, addr, data)
 	s.bumpStore(func(closing uint64) {
 		// Data persistence overlaps with execution: background writes only.
 		lines := s.h.DirtyLines(closing, cache.LevelLLC)

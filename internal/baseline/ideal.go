@@ -22,11 +22,7 @@ func NewIdeal(cfg *sim.Config) *Ideal {
 // Access implements trace.Scheme.
 func (s *Ideal) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 	if write {
-		lat := s.h.Store(tid, addr)
-		if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
-			ln.Data = data
-		}
-		return lat
+		return s.h.Store(tid, addr, data)
 	}
 	return s.h.Load(tid, addr)
 }

@@ -55,10 +55,7 @@ func (s *PiCL) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 	if !write {
 		return s.h.Load(tid, addr)
 	}
-	lat := s.h.Store(tid, addr)
-	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
-		ln.Data = data
-	}
+	lat := s.h.Store(tid, addr, data)
 	s.bumpStore(func(closing uint64) { s.ackWalk(closing, cache.LevelLLC) })
 	return lat
 }
@@ -119,10 +116,7 @@ func (s *PiCLL2) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 	if !write {
 		return s.h.Load(tid, addr)
 	}
-	lat := s.h.Store(tid, addr)
-	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
-		ln.Data = data
-	}
+	lat := s.h.Store(tid, addr, data)
 	s.bumpStore(func(closing uint64) { s.ackWalk(closing, cache.LevelL2) })
 	return lat
 }

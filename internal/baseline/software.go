@@ -46,10 +46,7 @@ func (s *SWLog) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 	if !write {
 		return s.h.Load(tid, addr)
 	}
-	lat := s.h.Store(tid, addr)
-	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
-		ln.Data = data
-	}
+	lat := s.h.Store(tid, addr, data)
 	s.bumpStore(func(closing uint64) {
 		// Synchronous write-set flush: all threads stall until durable.
 		s.stallAll(s.flushDirtySync(closing, 0, mem.WData))
@@ -96,10 +93,7 @@ func (s *SWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 
 	if !write {
 		return s.h.Load(tid, addr)
 	}
-	lat := s.h.Store(tid, addr)
-	if ln := s.h.L1(tid).Peek(s.cfg.LineAddr(addr)); ln != nil {
-		ln.Data = data
-	}
+	lat := s.h.Store(tid, addr, data)
 	s.bumpStore(func(closing uint64) {
 		flush := s.flushDirtySync(closing, shadowBase, mem.WData)
 		table := s.tableUpdateSync()

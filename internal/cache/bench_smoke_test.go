@@ -21,6 +21,7 @@ func TestBenchmarkSmoke(t *testing.T) {
 		{"LookupHit", BenchmarkLookupHit},
 		{"LookupMiss", BenchmarkLookupMiss},
 		{"InsertEvict", BenchmarkInsertEvict},
+		{"LLCMissInsert", BenchmarkLLCMissInsert},
 	}
 	for _, bench := range benches {
 		bench := bench

@@ -64,6 +64,12 @@ type Levels struct {
 	l1  []*Cache // per core
 	l2  []*Cache // per VD
 	llc []*Cache // slices
+
+	// SliceOf's index is (addr >> lineShift) & sliceMask when the line
+	// size and the slice count are powers of two; otherwise sliceMask is 0
+	// and SliceOf divides.
+	lineShift uint
+	sliceMask uint64
 }
 
 // NewLevels builds the cache arrays from the machine configuration.
@@ -73,6 +79,9 @@ func NewLevels(cfg *sim.Config) Levels {
 		l1:  make([]*Cache, cfg.Cores),
 		l2:  make([]*Cache, cfg.VDs()),
 		llc: make([]*Cache, cfg.LLCSlices),
+	}
+	if sh := pow2Shift(uint64(cfg.LineSize)); sh != 0 && pow2Shift(uint64(cfg.LLCSlices)) != 0 {
+		l.lineShift, l.sliceMask = sh, uint64(cfg.LLCSlices-1)
 	}
 	for i := range l.l1 {
 		l.l1[i] = New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cfg.LineSize)
@@ -102,6 +111,9 @@ func (l *Levels) Slices() int { return len(l.llc) }
 
 // SliceOf returns the LLC slice that addr interleaves to.
 func (l *Levels) SliceOf(addr uint64) *Cache {
+	if l.sliceMask != 0 {
+		return l.llc[(addr>>l.lineShift)&l.sliceMask]
+	}
 	return l.llc[int((addr/uint64(l.Cfg.LineSize))%uint64(len(l.llc)))]
 }
 

@@ -62,7 +62,7 @@ func TestCheckSharedCatchesEachViolation(t *testing.T) {
 	const addr = 0x40
 	put := func(c *cache.Cache, st cache.State) {
 		ln, _, _ := c.Insert(addr)
-		*ln = cache.Line{Valid: true, Tag: addr, State: st, OID: 1}
+		ln.State, ln.OID = st, 1
 	}
 	cases := []struct {
 		name string
@@ -121,7 +121,7 @@ func driveChecked(t *testing.T, data []byte) {
 		addr := uint64(data[i+1]%24) * 64 // 24 lines over 8-line LLC
 		if write {
 			token++
-			h.Store(tid, addr)
+			h.Store(tid, addr, token)
 		} else {
 			h.Load(tid, addr)
 		}

@@ -106,7 +106,7 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 		if ln.State != cache.Shared && !sibling {
 			state = cache.Exclusive
 		}
-		lat += h.fillL1(tid, addr, state, ln.OID, ln.Data)
+		h.fillL1(tid, addr, state, ln.OID, ln.Data)
 		return lat
 	}
 	lat += h.Cfg.LLCLatency
@@ -120,22 +120,20 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 		e.Sharers = cache.SharerSet{}
 		e.Owner = vd
 	}
-	lat += h.fillL2(vd, addr, state, rv, data)
-	if l2ln := h.L2(vd).Peek(addr); l2ln != nil {
-		rv = l2ln.OID // the OnL2Fill hook may have adjusted the tag
-	}
-	lat += h.fillL1(tid, addr, state, rv, data)
-	return lat
+	l2ln, fill := h.fillL2(vd, addr, state, rv, data)
+	h.fillL1(tid, addr, state, l2ln.OID, data) // OnL2Fill may have retagged the line
+	return lat + fill
 }
 
-// Store performs a write by thread tid and returns its latency in cycles.
-func (h *Hierarchy) Store(tid int, addr uint64) uint64 {
+// Store performs a write of payload data by thread tid and returns its
+// latency in cycles.
+func (h *Hierarchy) Store(tid int, addr, data uint64) uint64 {
 	addr = h.Cfg.LineAddr(addr)
 	vd := h.Cfg.VDOf(tid)
 	lat := h.Cfg.L1Latency
 	if ln := h.L1(tid).Lookup(addr); ln != nil && ln.State.Writable() {
 		h.stat.Inc("l1_store_hits")
-		lat += h.store(tid, vd, ln)
+		lat += h.store(tid, vd, ln, data)
 		return lat
 	}
 	lat += h.Cfg.L2Latency
@@ -155,13 +153,11 @@ func (h *Hierarchy) Store(tid int, addr uint64) uint64 {
 		}
 		lat += h.response(vd, l2ln.OID)
 		l2ln.State = cache.Modified
-		lat += h.fillL1(tid, addr, cache.Exclusive, l2ln.OID, l2ln.Data)
-		ln := h.L1(tid).Peek(addr)
-		lat += h.store(tid, vd, ln)
-		return lat
+		ln := h.fillL1(tid, addr, cache.Exclusive, l2ln.OID, l2ln.Data)
+		return lat + h.store(tid, vd, ln, data)
 	}
 	lat += h.Cfg.LLCLatency
-	rv, data, extra := h.fetch(vd, addr, true)
+	rv, old, extra := h.fetch(vd, addr, true)
 	lat += extra
 	lat += h.response(vd, rv)
 	// Invalidate stale shared copies held by sibling L1s within this VD.
@@ -175,22 +171,21 @@ func (h *Hierarchy) Store(tid int, addr uint64) uint64 {
 	e := h.Entry(addr)
 	e.Sharers = cache.SharerSet{}
 	e.Owner = vd
-	lat += h.fillL2(vd, addr, cache.Modified, rv, data)
-	if l2ln := h.L2(vd).Peek(addr); l2ln != nil {
-		rv = l2ln.OID // the OnL2Fill hook may have adjusted the tag
-	}
-	lat += h.fillL1(tid, addr, cache.Exclusive, rv, data)
-	ln := h.L1(tid).Peek(addr)
-	lat += h.store(tid, vd, ln)
-	return lat
+	l2ln, fill := h.fillL2(vd, addr, cache.Modified, rv, old)
+	ln := h.fillL1(tid, addr, cache.Exclusive, l2ln.OID, old) // OnL2Fill may have retagged the line
+	return lat + fill + h.store(tid, vd, ln, data)
 }
 
-func (h *Hierarchy) store(tid, vd int, ln *cache.Line) (extra uint64) {
+// store completes a write to the L1 line ln, which the caller holds
+// writable: OnStore sees the pre-store line, then the line takes the
+// payload and turns Modified.
+func (h *Hierarchy) store(tid, vd int, ln *cache.Line, data uint64) (extra uint64) {
 	if h.cb.OnStore != nil {
 		extra = h.cb.OnStore(tid, vd, ln)
 	}
 	ln.State = cache.Modified
 	ln.Dirty = true
+	ln.Data = data
 	return extra
 }
 
@@ -240,8 +235,7 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 	}
 
 	// Ensure LLC residency (inclusive LLC: every VD-cached line is here).
-	slice := h.SliceOf(addr)
-	if ln := slice.Lookup(addr); ln != nil {
+	if ln := h.SliceOf(addr).Lookup(addr); ln != nil {
 		h.stat.Inc("llc_hits")
 		rv = ln.OID
 		data = ln.Data
@@ -250,12 +244,11 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 		lat += h.dram.Latency()
 		rv = h.dram.OID(addr)
 		data = h.dram.Data(addr)
-		lat += h.installLLC(addr, rv, data, false)
+		ln, fill := h.installLLC(addr, rv, data, false)
+		lat += fill
 		if h.cb.OnLLCFill != nil {
-			if ln := h.SliceOf(addr).Peek(addr); ln != nil {
-				h.cb.OnLLCFill(ln)
-				rv = ln.OID
-			}
+			h.cb.OnLLCFill(ln)
+			rv = ln.OID
 		}
 	}
 	if !exclusive {
@@ -266,18 +259,18 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 }
 
 // installLLC inserts addr into its LLC slice, handling the victim with
-// back-invalidation (inclusive LLC) and DRAM write-back.
-func (h *Hierarchy) installLLC(addr uint64, oid, data uint64, dirty bool) (lat uint64) {
-	slice := h.SliceOf(addr)
-	ln, victim, evicted := slice.Insert(addr)
+// back-invalidation (inclusive LLC) and DRAM write-back, and returns the
+// installed line.
+func (h *Hierarchy) installLLC(addr uint64, oid, data uint64, dirty bool) (ln *cache.Line, lat uint64) {
+	ln, victim, evicted := h.SliceOf(addr).Insert(addr)
 	if evicted {
-		lat += h.evictLLCVictim(victim)
+		lat = h.evictLLCVictim(victim)
 	}
 	ln.State = cache.Shared
 	ln.OID = oid
 	ln.Data = data
 	ln.Dirty = dirty
-	return lat
+	return ln, lat
 }
 
 func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
@@ -401,12 +394,12 @@ func (h *Hierarchy) mergeIntoLLC(wb cache.Line) {
 	h.installLLC(wb.Tag, wb.OID, wb.Data, true)
 }
 
-// fillL2 installs addr into vd's L2; the victim is written back and its L1
-// copies recalled (inclusive L2).
-func (h *Hierarchy) fillL2(vd int, addr uint64, state cache.State, oid, data uint64) (lat uint64) {
+// fillL2 installs addr into vd's L2 and returns the installed line; the
+// victim is written back and its L1 copies recalled (inclusive L2).
+func (h *Hierarchy) fillL2(vd int, addr uint64, state cache.State, oid, data uint64) (ln *cache.Line, lat uint64) {
 	ln, victim, evicted := h.L2(vd).Insert(addr)
 	if evicted {
-		lat += h.evictL2Victim(vd, victim, cache.ReasonCapacity)
+		lat = h.evictL2Victim(vd, victim, cache.ReasonCapacity)
 	}
 	ln.State = state
 	ln.OID = oid
@@ -415,7 +408,7 @@ func (h *Hierarchy) fillL2(vd int, addr uint64, state cache.State, oid, data uin
 	if h.cb.OnL2Fill != nil {
 		h.cb.OnL2Fill(vd, ln)
 	}
-	return lat
+	return ln, lat
 }
 
 func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason cache.Reason) (lat uint64) {
@@ -440,9 +433,10 @@ func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason cache.Reason
 	return lat
 }
 
-// fillL1 installs addr into tid's L1 with the given state; a dirty victim is
-// written back into the L2 (which holds it by inclusion).
-func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data uint64) (lat uint64) {
+// fillL1 installs addr into tid's L1 with the given state and returns the
+// installed line; a dirty victim is written back into the L2 (which holds
+// it by inclusion).
+func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data uint64) *cache.Line {
 	vd := h.Cfg.VDOf(tid)
 	ln, victim, evicted := h.L1(tid).Insert(addr)
 	if evicted && victim.Dirty {
@@ -461,7 +455,7 @@ func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data ui
 	ln.OID = oid
 	ln.Data = data
 	ln.Dirty = false
-	return lat
+	return ln
 }
 
 // DirtyLines returns copies of the dirty lines from the L1s down to

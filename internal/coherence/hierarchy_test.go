@@ -53,7 +53,7 @@ func TestLoadHitLatencies(t *testing.T) {
 func TestStoreGrantsExclusive(t *testing.T) {
 	cfg := smallCfg()
 	h := newH(cfg, Callbacks{})
-	h.Store(0, 0x40)
+	h.Store(0, 0x40, 1)
 	ln := h.L1(0).Peek(0x40)
 	if ln == nil || ln.State != cache.Modified || !ln.Dirty {
 		t.Fatalf("post-store L1 line = %+v", ln)
@@ -62,7 +62,7 @@ func TestStoreGrantsExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Store hit is cheap afterwards.
-	if lat := h.Store(0, 0x40); lat != cfg.L1Latency {
+	if lat := h.Store(0, 0x40, 1); lat != cfg.L1Latency {
 		t.Fatalf("store hit latency = %d", lat)
 	}
 }
@@ -78,8 +78,8 @@ func TestRemoteInvalidationOnStore(t *testing.T) {
 			return 0
 		},
 	})
-	h.Store(0, 0x80) // VD0 owns dirty
-	h.Store(2, 0x80) // VD1 steals: VD0's dirty copy must be written back
+	h.Store(0, 0x80, 1) // VD0 owns dirty
+	h.Store(2, 0x80, 1) // VD1 steals: VD0's dirty copy must be written back
 	if coherenceWBs != 1 {
 		t.Fatalf("coherence write-backs = %d, want 1", coherenceWBs)
 	}
@@ -94,7 +94,7 @@ func TestRemoteInvalidationOnStore(t *testing.T) {
 func TestRemoteDowngradeOnLoad(t *testing.T) {
 	cfg := smallCfg()
 	h := newH(cfg, Callbacks{})
-	h.Store(0, 0x80)
+	h.Store(0, 0x80, 1)
 	h.Load(2, 0x80) // VD1 reads: VD0 downgraded to S
 	if ln := h.L1(0).Peek(0x80); ln != nil && ln.State.Writable() {
 		t.Fatal("VD0 L1 still writable after remote load")
@@ -110,7 +110,7 @@ func TestRemoteDowngradeOnLoad(t *testing.T) {
 func TestSiblingDowngradeWithinVD(t *testing.T) {
 	cfg := smallCfg()
 	h := newH(cfg, Callbacks{})
-	h.Store(0, 0xC0)
+	h.Store(0, 0xC0, 1)
 	h.Load(1, 0xC0) // sibling load: core 0 must lose writability
 	if ln := h.L1(0).Peek(0xC0); ln != nil && ln.State.Writable() {
 		t.Fatal("sibling L1 still writable")
@@ -119,7 +119,7 @@ func TestSiblingDowngradeWithinVD(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Store by core 1 must invalidate core 0's copy.
-	h.Store(1, 0xC0)
+	h.Store(1, 0xC0, 1)
 	if h.L1(0).Peek(0xC0) != nil {
 		t.Fatal("stale sibling copy survived a store")
 	}
@@ -138,8 +138,8 @@ func TestOnStoreCallbackSeesPreStoreLine(t *testing.T) {
 			return 7
 		},
 	})
-	lat1 := h.Store(0, 0x40)
-	lat2 := h.Store(0, 0x40)
+	lat1 := h.Store(0, 0x40, 1)
+	lat2 := h.Store(0, 0x40, 1)
 	if len(sawDirty) != 2 || sawDirty[0] || !sawDirty[1] {
 		t.Fatalf("pre-store dirty flags = %v", sawDirty)
 	}
@@ -158,8 +158,8 @@ func TestOnResponseRV(t *testing.T) {
 		OnStore:    func(tid, vd int, ln *cache.Line) uint64 { ln.OID = 55; return 0 },
 		OnResponse: func(vd int, rv uint64) uint64 { rvs = append(rvs, rv); return 0 },
 	})
-	h.Store(0, 0x40) // response rv=0 (from DRAM)
-	h.Load(2, 0x40)  // VD1 fetches, must observe rv=55
+	h.Store(0, 0x40, 1) // response rv=0 (from DRAM)
+	h.Load(2, 0x40)     // VD1 fetches, must observe rv=55
 	found := false
 	for _, rv := range rvs {
 		if rv == 55 {
@@ -181,7 +181,7 @@ func TestLLCEvictionWritesDRAM(t *testing.T) {
 	// Dirty many distinct lines mapping across the tiny LLC to force
 	// capacity evictions.
 	for i := 0; i < 256; i++ {
-		h.Store(0, uint64(i*64))
+		h.Store(0, uint64(i*64), 1)
 	}
 	if llcWBs == 0 {
 		t.Fatal("no LLC write-backs despite capacity pressure")
@@ -205,7 +205,7 @@ func TestInclusionUnderPressure(t *testing.T) {
 		if r.Intn(2) == 0 {
 			h.Load(tid, addr)
 		} else {
-			h.Store(tid, addr)
+			h.Store(tid, addr, 1)
 		}
 		if i%500 == 0 {
 			if err := h.CheckInvariants(); err != nil {
@@ -219,8 +219,9 @@ func TestInclusionUnderPressure(t *testing.T) {
 }
 
 // TestDataFreshness uses OID tags as a data oracle: every store stamps the
-// line with a global version; every load must then observe the most recent
-// version stored to that address, no matter which caches the data traversed.
+// line with a global version and carries three times that version as its
+// payload; every load must then observe the most recent version and payload
+// stored to that address, no matter which caches the data traversed.
 func TestDataFreshness(t *testing.T) {
 	cfg := smallCfg()
 	var version uint64
@@ -230,7 +231,6 @@ func TestDataFreshness(t *testing.T) {
 		OnStore: func(tid, vd int, ln *cache.Line) uint64 {
 			version++
 			ln.OID = version
-			ln.Data = version * 3
 			latest[ln.Tag] = version
 			return 0
 		},
@@ -240,7 +240,7 @@ func TestDataFreshness(t *testing.T) {
 		tid := r.Intn(cfg.Cores)
 		addr := uint64(r.Intn(256) * 64)
 		if r.Intn(3) == 0 {
-			h.Store(tid, addr)
+			h.Store(tid, addr, (version+1)*3) // the payload of the version OnStore stamps
 		} else {
 			h.Load(tid, addr)
 			ln := h.L1(tid).Peek(addr)
@@ -267,8 +267,8 @@ func TestDirtyLines(t *testing.T) {
 	h := newH(cfg, Callbacks{
 		OnStore: func(tid, vd int, ln *cache.Line) uint64 { ln.OID = 5; return 0 },
 	})
-	h.Store(0, 0x40)
-	h.Store(2, 0x80)
+	h.Store(0, 0x40, 1)
+	h.Store(2, 0x80, 1)
 	dirty := h.DirtyLines(10, cache.LevelLLC)
 	if len(dirty) != 2 {
 		t.Fatalf("dirty lines = %d, want 2", len(dirty))

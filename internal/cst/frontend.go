@@ -552,8 +552,10 @@ func (f *Frontend) putxToL2(vd int, l1ln cache.Line, reason Reason) {
 	if evicted {
 		f.evictL2Victim(vd, victim, ReasonCapacity)
 	}
-	*ln = cache.Line{Valid: true, Tag: l1ln.Tag, State: cache.Modified,
-		Dirty: true, OID: l1ln.OID, Data: l1ln.Data}
+	ln.State = cache.Modified
+	ln.Dirty = true
+	ln.OID = l1ln.OID
+	ln.Data = l1ln.Data
 }
 
 // evictL2Victim handles an L2 capacity victim: L1 copies are recalled
