@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -28,13 +29,22 @@ const (
 	goldenFig11File = "testdata/golden/fig11-smoke.sha256"
 )
 
+// wrap5 turns on the epoch wrap-around protocol with a 5-bit wire, narrow
+// enough that a Smoke run crosses many group boundaries and so reaches
+// the group-transition flush.
+func wrap5(c *sim.Config) {
+	c.WrapEpochs = true
+	c.WrapWidth = 5
+}
+
 // goldenCell renders one (scheme, workload) run at Smoke as a block of
-// text: a header naming the cell, the Summary scalars, a digest of the
-// golden final image and the scheme's counter set.
-func goldenCell(r RunResult) string {
+// text: a header naming the cell (variant marks a modified config), the
+// Summary scalars, a digest of the golden final image and the scheme's
+// counter set.
+func goldenCell(r RunResult, variant string) string {
 	s := r.Sum
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s/%s\n", s.Scheme, s.Workload)
+	fmt.Fprintf(&b, "== %s%s/%s\n", s.Scheme, variant, s.Workload)
 	fmt.Fprintf(&b, "cycles=%d accesses=%d stores=%d ops=%d footprint=%d\n",
 		s.Cycles, s.Accesses, s.Stores, s.Ops, s.Footprint)
 	fmt.Fprintf(&b, "nvm=%d data=%d log=%d meta=%d ctx=%d\n",
@@ -77,18 +87,24 @@ func fig11Smoke(t *testing.T) []byte {
 // committed sha256. A failure names every cell that moved.
 func TestSchemeStatsGolden(t *testing.T) {
 	var cells []cellSpec
+	var variants []string
 	for _, wl := range goldenWorkloads {
 		for _, sc := range append([]string{"Ideal"}, SchemeNames...) {
 			cells = append(cells, cellSpec{scheme: sc, wl: wl})
+			variants = append(variants, "")
 		}
+	}
+	for _, wl := range goldenWorkloads {
+		cells = append(cells, cellSpec{scheme: "NVOverlay", wl: wl, mod: wrap5})
+		variants = append(variants, "+wrap5")
 	}
 	res, err := runCells(Smoke, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got strings.Builder
-	for _, r := range res {
-		got.WriteString(goldenCell(r))
+	for i, r := range res {
+		got.WriteString(goldenCell(r, variants[i]))
 	}
 	sum := sha256.Sum256(fig11Smoke(t))
 	fig11 := hex.EncodeToString(sum[:]) + "\n"
