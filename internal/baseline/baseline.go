@@ -123,17 +123,14 @@ func (b *base) nextLog() uint64 {
 
 // bumpStore advances the global epoch after cfg.EpochSize stores and
 // invokes the scheme's boundary hook.
-func (b *base) bumpStore(onBoundary func(closing uint64)) {
+func (b *base) bumpStore(onBoundary func()) {
 	b.stores++
 	b.totStores++
 	if b.stores >= b.cfg.EpochSizeAt(b.totStores) {
 		b.stores = 0
-		closing := b.epoch
 		b.epoch++
 		b.stat.Inc("epoch_boundaries")
-		if onBoundary != nil {
-			onBoundary(closing)
-		}
+		onBoundary()
 	}
 }
 
@@ -146,80 +143,56 @@ func (b *base) stallAll(cost uint64) {
 	}
 }
 
-// flushDirtySync synchronously writes every dirty line at most maxOID to
-// dst (home or shadow), returning when the last write is durable. All
-// lines are also marked clean in place and the DRAM working copy is
-// refreshed so the oracle stays consistent.
-func (b *base) flushDirtySync(maxOID uint64, region uint64, class mem.WriteClass) uint64 {
-	lines := b.h.DirtyLines(maxOID, cache.LevelLLC)
+// checkpoint is every baseline's one persist-and-clean walk. Each dirty
+// line from the L1s down to deepest is written once to region+address on
+// NVM, newest copy first, and refreshes the DRAM working copy so the
+// oracle stays consistent; every cached copy is left clean. Synchronous
+// writes all issue at the latest thread clock and lat is when the last
+// one is durable; background writes issue back to back from there (bank
+// bookings only) and lat is their summed stall. It returns the number of
+// lines written.
+func (b *base) checkpoint(deepest cache.Level, region uint64, sync bool) (n int, lat uint64) {
 	now := b.maxNow()
-	var finish uint64
-	for _, ln := range lines {
-		lat := b.nvm.WriteSync(class, region+ln.Tag, b.cfg.LineSize, now)
-		if lat > finish {
-			finish = lat
+	b.h.PersistDirty(deepest, func(ln cache.Line) {
+		if sync {
+			lat = max(lat, b.nvm.WriteSync(mem.WData, region+ln.Tag, b.cfg.LineSize, now))
+		} else {
+			lat += b.nvm.Write(mem.WData, region+ln.Tag, b.cfg.LineSize, now+lat)
 		}
-	}
-	b.markClean(lines)
-	b.stat.Add("flushed_lines", int64(len(lines)))
+		b.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+		n++
+	})
+	return n, lat
+}
+
+// flushDirtySync synchronously writes every dirty line to region (home or
+// shadow) and returns when the last write is durable.
+func (b *base) flushDirtySync(region uint64) uint64 {
+	n, finish := b.checkpoint(cache.LevelLLC, region, true)
+	b.stat.Add("flushed_lines", int64(n))
 	return finish
 }
 
-// flushDirtyAsync writes the dirty lines in the background (bank bookings
-// only) — used by the hardware schemes that overlap persistence.
-func (b *base) flushDirtyAsync(maxOID uint64, region uint64, class mem.WriteClass) (stall uint64) {
-	lines := b.h.DirtyLines(maxOID, cache.LevelLLC)
-	now := b.maxNow()
-	for _, ln := range lines {
-		stall += b.nvm.Write(class, region+ln.Tag, b.cfg.LineSize, now+stall)
-	}
-	b.markClean(lines)
-	b.stat.Add("flushed_lines", int64(len(lines)))
-	return stall
+// flushDirtyAsync writes every dirty line to region in the background, for
+// the hardware schemes that overlap persistence, and returns the number of
+// lines written.
+func (b *base) flushDirtyAsync(region uint64) int {
+	n, _ := b.checkpoint(cache.LevelLLC, region, false)
+	b.stat.Add("flushed_lines", int64(n))
+	return n
 }
 
 // ackWalk is the PiCL tag walk (ACS) at an epoch boundary: every dirty
-// line tagged <= closing, from the L1s down to deepest (the LLC for PiCL,
-// the L2s for PiCL-L2), is written home in the background and marked
-// clean. When the walker is disabled (ablation), dirty lines persist only
-// through natural evictions.
-func (b *base) ackWalk(closing uint64, deepest cache.Level) {
+// line from the L1s down to deepest (the LLC for PiCL, the L2s for
+// PiCL-L2) is written home in the background and marked clean. When the
+// walker is disabled (ablation), dirty lines persist only through natural
+// evictions.
+func (b *base) ackWalk(deepest cache.Level) {
 	if !b.cfg.TagWalker {
 		return
 	}
-	lines := b.h.DirtyLines(closing, deepest)
-	now := b.maxNow()
-	for _, ln := range lines {
-		now += b.nvm.Write(mem.WData, ln.Tag, b.cfg.LineSize, now)
-	}
-	b.markClean(lines)
-	b.evWalk += uint64(len(lines))
-	b.stat.Add("acs_writebacks", int64(len(lines)))
+	n, _ := b.checkpoint(deepest, 0, false)
+	b.evWalk += uint64(n)
+	b.stat.Add("acs_writebacks", int64(n))
 	b.stat.Inc("acs_walks")
-}
-
-// markClean clears the dirty bit of the given addresses throughout the
-// hierarchy and refreshes DRAM so silently dropped clean lines stay
-// coherent with the backing store.
-func (b *base) markClean(lines []cache.Line) {
-	addrs := make(map[uint64]cache.Line, len(lines))
-	for _, ln := range lines {
-		addrs[ln.Tag] = ln
-	}
-	clean := func(ln *cache.Line) {
-		if newest, ok := addrs[ln.Tag]; ok {
-			// The checkpoint persisted the newest copy; every cached
-			// copy — including stale clean ones in the inclusive LLC —
-			// is synchronised to it, so nothing stale can resurface
-			// after the newest copies lose their dirty bits and are
-			// silently dropped.
-			ln.Dirty = false
-			ln.Data = newest.Data
-			ln.OID = newest.OID
-		}
-	}
-	b.h.Walk(cache.AllVDs, cache.LevelLLC, func(_ cache.Level, c *cache.Cache) { c.ForEach(clean) })
-	for _, ln := range lines {
-		b.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-	}
 }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -243,5 +244,24 @@ func TestDrainPersistsOutstandingState(t *testing.T) {
 		if s.NVM().Bytes(mem.WData) <= before {
 			t.Fatalf("%s: drain wrote no data", s.Name())
 		}
+	}
+}
+
+// TestCheckpointAllocatesNothing pins that a checkpoint is one in-place
+// walk: with every cached line re-dirtied, persisting them all builds no
+// map and collects no line slice.
+func TestCheckpointAllocatesNothing(t *testing.T) {
+	cfg := blCfg()
+	s := NewPiCL(cfg)
+	runRandom(t, s, cfg, 2000)
+	redirty := func(ln *cache.Line) { ln.Dirty = true }
+	allocs := testing.AllocsPerRun(5, func() {
+		s.Hierarchy().Walk(cache.AllVDs, cache.LevelLLC, func(_ cache.Level, c *cache.Cache) { c.ForEach(redirty) })
+		if n, _ := s.checkpoint(cache.LevelLLC, 0, false); n == 0 {
+			t.Fatal("checkpoint persisted no lines")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("checkpoint allocated %v times per run, want 0", allocs)
 	}
 }

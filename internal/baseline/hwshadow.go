@@ -45,19 +45,13 @@ func (s *HWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 
 		return s.h.Load(tid, addr)
 	}
 	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func(closing uint64) {
+	s.bumpStore(func() {
 		// Data persistence overlaps with execution: background writes only.
-		lines := s.h.DirtyLines(closing, cache.LevelLLC)
-		now := s.maxNow()
-		for _, ln := range lines {
-			now += s.nvm.Write(mem.WData, shadowBase+ln.Tag, s.cfg.LineSize, now)
-		}
-		s.markClean(lines)
-		s.stat.Add("flushed_lines", int64(len(lines)))
-		s.evWalk += uint64(len(lines))
+		n := s.flushDirtyAsync(shadowBase)
+		s.evWalk += uint64(n)
 		// The mapping-table update cannot be overlapped: it must complete
 		// before the next epoch's writes may land in the shadow area.
-		s.stallAll(s.tableUpdateSync(len(lines)))
+		s.stallAll(s.tableUpdateSync(n))
 	})
 	return lat
 }
@@ -83,7 +77,7 @@ func (s *HWShadow) tableUpdateSync(n int) uint64 {
 
 // Drain implements trace.Scheme.
 func (s *HWShadow) Drain(now uint64) {
-	s.flushDirtyAsync(s.epoch, shadowBase, mem.WData)
+	s.flushDirtyAsync(shadowBase)
 }
 
 var _ trace.Scheme = (*HWShadow)(nil)

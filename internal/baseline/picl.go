@@ -56,13 +56,13 @@ func (s *PiCL) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 		return s.h.Load(tid, addr)
 	}
 	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func(closing uint64) { s.ackWalk(closing, cache.LevelLLC) })
+	s.bumpStore(func() { s.ackWalk(cache.LevelLLC) })
 	return lat
 }
 
 // Drain implements trace.Scheme.
 func (s *PiCL) Drain(now uint64) {
-	s.flushDirtyAsync(s.epoch, 0, mem.WData)
+	s.flushDirtyAsync(0)
 }
 
 var _ trace.Scheme = (*PiCL)(nil)
@@ -117,13 +117,13 @@ func (s *PiCLL2) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 		return s.h.Load(tid, addr)
 	}
 	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func(closing uint64) { s.ackWalk(closing, cache.LevelL2) })
+	s.bumpStore(func() { s.ackWalk(cache.LevelL2) })
 	return lat
 }
 
 // Drain implements trace.Scheme.
 func (s *PiCLL2) Drain(now uint64) {
-	s.flushDirtyAsync(s.epoch, 0, mem.WData)
+	s.flushDirtyAsync(0)
 }
 
 var _ trace.Scheme = (*PiCLL2)(nil)

@@ -47,16 +47,16 @@ func (s *SWLog) Access(tid int, addr uint64, write bool, data uint64) uint64 {
 		return s.h.Load(tid, addr)
 	}
 	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func(closing uint64) {
+	s.bumpStore(func() {
 		// Synchronous write-set flush: all threads stall until durable.
-		s.stallAll(s.flushDirtySync(closing, 0, mem.WData))
+		s.stallAll(s.flushDirtySync(0))
 	})
 	return lat
 }
 
 // Drain implements trace.Scheme.
 func (s *SWLog) Drain(now uint64) {
-	s.flushDirtySync(s.epoch, 0, mem.WData)
+	s.flushDirtySync(0)
 }
 
 var _ trace.Scheme = (*SWLog)(nil)
@@ -94,8 +94,8 @@ func (s *SWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 
 		return s.h.Load(tid, addr)
 	}
 	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func(closing uint64) {
-		flush := s.flushDirtySync(closing, shadowBase, mem.WData)
+	s.bumpStore(func() {
+		flush := s.flushDirtySync(shadowBase)
 		table := s.tableUpdateSync()
 		s.stallAll(flush + table)
 	})
@@ -120,7 +120,7 @@ func (s *SWShadow) tableUpdateSync() uint64 {
 
 // Drain implements trace.Scheme.
 func (s *SWShadow) Drain(now uint64) {
-	s.flushDirtySync(s.epoch, shadowBase, mem.WData)
+	s.flushDirtySync(shadowBase)
 	s.tableUpdateSync()
 }
 

@@ -458,21 +458,52 @@ func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data ui
 	return ln
 }
 
-// DirtyLines returns copies of the dirty lines from the L1s down to
-// deepest whose OID is at most maxOID, deduplicated by address keeping the
-// newest copy (L1 over L2 over LLC). Schemes use it for epoch-boundary
-// flushes and tag walks.
-func (h *Hierarchy) DirtyLines(maxOID uint64, deepest cache.Level) []cache.Line {
-	seen := make(map[uint64]bool)
-	var out []cache.Line
-	add := func(ln *cache.Line) {
-		if ln.Dirty && ln.OID <= maxOID && !seen[ln.Tag] {
-			seen[ln.Tag] = true
-			out = append(out, *ln)
+// PersistDirty is the one walk behind every baseline checkpoint. It visits
+// the L1s down to deepest in Walk order and hands fn each dirty line it
+// meets: the first copy of an address seen, which is the newest (L1 over
+// L2 over LLC). It then sets every cached copy of that address, down to
+// the LLC whatever deepest is, to that line's data and OID and clears its
+// dirty bit. So no address is handed out twice, and no stale copy can
+// resurface once the clean copies are silently dropped. fn must not touch
+// the hierarchy.
+func (h *Hierarchy) PersistDirty(deepest cache.Level, fn func(cache.Line)) {
+	h.Walk(cache.AllVDs, deepest, func(_ cache.Level, c *cache.Cache) {
+		c.ForEach(func(ln *cache.Line) {
+			if ln.Dirty {
+				newest := *ln
+				fn(newest)
+				h.syncCopies(newest)
+			}
+		})
+	})
+}
+
+// syncCopies sets every cached copy of newest's address to its data and
+// OID and clears the dirty bit. By inclusion the copies are in the L1s and
+// L2 of the domains the directory names as owner or sharer, and in the
+// address's LLC slice.
+func (h *Hierarchy) syncCopies(newest cache.Line) {
+	sync := func(ln *cache.Line) {
+		if ln != nil {
+			ln.Dirty = false
+			ln.OID = newest.OID
+			ln.Data = newest.Data
 		}
 	}
-	h.Walk(cache.AllVDs, deepest, func(_ cache.Level, c *cache.Cache) { c.ForEach(add) })
-	return out
+	if e := h.Dir.Ptr(newest.Tag); e != nil {
+		vds := e.Sharers
+		if e.Owner != -1 {
+			vds.Add(e.Owner)
+		}
+		vds.ForEach(func(vd int) {
+			lo, hi := h.CoresOf(vd)
+			for c := lo; c < hi; c++ {
+				sync(h.L1(c).Peek(newest.Tag))
+			}
+			sync(h.L2(vd).Peek(newest.Tag))
+		})
+	}
+	sync(h.SliceOf(newest.Tag).Peek(newest.Tag))
 }
 
 // CheckInvariants validates the shared hierarchy rules plus L2 ⊆ LLC

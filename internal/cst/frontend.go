@@ -159,6 +159,13 @@ func (f *Frontend) sendVersion(ln cache.Line, reason Reason) {
 	f.stat.Add("stall_from_versions", int64(st))
 }
 
+// persist ships a dirty version to the OMC and refreshes the DRAM working
+// copy with it, so the two never part.
+func (f *Frontend) persist(ln cache.Line, reason Reason) {
+	f.sendVersion(ln, reason)
+	f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+}
+
 // Access performs one memory operation and returns its timing. data is the
 // payload token written by stores (ignored for loads).
 func (f *Frontend) Access(tid int, addr uint64, write bool, data uint64, now uint64) Result {
@@ -190,8 +197,7 @@ func (f *Frontend) flushQueuedWalk(vd int, addr uint64) {
 	q := f.walkQ[vd]
 	for i := 0; i < len(q); i++ {
 		if q[i].Tag == addr {
-			f.sendVersion(q[i], ReasonWalk)
-			f.dram.WriteBack(q[i].Tag, q[i].OID, q[i].Data)
+			f.persist(q[i], ReasonWalk)
 			f.walkQ[vd] = append(q[:i], q[i+1:]...)
 			if len(f.walkQ[vd]) == 0 && f.walkReport[vd] != 0 {
 				f.reportMinVer(vd)
@@ -212,8 +218,7 @@ func (f *Frontend) drainWalk(vd int) {
 		n = len(f.walkQ[vd])
 	}
 	for _, ln := range f.walkQ[vd][:n] {
-		f.sendVersion(ln, ReasonWalk)
-		f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+		f.persist(ln, ReasonWalk)
 	}
 	f.walkQ[vd] = f.walkQ[vd][n:]
 	if len(f.walkQ[vd]) == 0 && f.walkReport[vd] != 0 {
@@ -437,7 +442,7 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 		// epoch of the group being entered, then flip the sense bit. With
 		// monotonic simulation epochs a full VD flush of old dirty versions
 		// is the conservative realisation.
-		f.flushVDVersions(vd, newEpoch)
+		f.walkStale(vd, newEpoch, ReasonDrain, f.persist)
 		f.wrap.OnGroupTransition(f.wrap.Wire(newEpoch))
 		f.wrapFlush++
 	}
@@ -466,27 +471,9 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 // tagWalk snapshots every dirty version in the VD older than cur-epoch
 // (§IV-C) into the walker's queue; the versions drain to the OMC over the
 // VD's subsequent accesses and min-ver is reported when the queue empties.
-// Walked lines are downgraded M->E in place (they are immutable, so the
-// queued copies are exactly the epoch's values); stale L1 versions are
-// first pulled into the L2 so the L2 holds the newest old version.
 func (f *Frontend) tagWalk(vd int) {
 	cur := f.cur[vd]
-	f.Walk(vd, cache.LevelL2, func(lv cache.Level, c *cache.Cache) {
-		c.ForEach(func(ln *cache.Line) {
-			if !ln.Dirty || ln.OID >= cur {
-				return
-			}
-			if lv == cache.LevelL1 {
-				f.putxToL2(vd, *ln, ReasonWalk)
-			} else {
-				f.walkQ[vd] = append(f.walkQ[vd], *ln)
-			}
-			ln.Dirty = false
-			if ln.State == cache.Modified {
-				ln.State = cache.Exclusive
-			}
-		})
-	})
+	f.walkStale(vd, cur, ReasonWalk, func(ln cache.Line, _ Reason) { f.walkQ[vd] = append(f.walkQ[vd], ln) })
 	f.stat.Inc("tag_walks")
 	// Every dirty line older than cur was just cleaned: any prior dirty
 	// inflow has been walked out of the domain.
@@ -499,21 +486,28 @@ func (f *Frontend) tagWalk(vd int) {
 	}
 }
 
-// flushVDVersions drains every dirty version older than newEpoch out of the
-// VD (used by the wrap-around group transition).
-func (f *Frontend) flushVDVersions(vd int, newEpoch uint64) {
+// walkStale is the one walk over a VD's stale versions, shared by the tag
+// walker and the wrap-around group transition: every dirty line older
+// than below is cleaned. Stale L1 versions are first pulled into the L2
+// (for reason), so the L2 holds the newest old version; each stale L2
+// version goes to persist with reason. Walked lines are downgraded M->E
+// in place: they are immutable, so the persisted copies are exactly the
+// epoch's values.
+func (f *Frontend) walkStale(vd int, below uint64, reason Reason, persist func(cache.Line, Reason)) {
 	f.Walk(vd, cache.LevelL2, func(lv cache.Level, c *cache.Cache) {
 		c.ForEach(func(ln *cache.Line) {
-			if !ln.Dirty || ln.OID >= newEpoch {
+			if !ln.Dirty || ln.OID >= below {
 				return
 			}
 			if lv == cache.LevelL1 {
-				f.putxToL2(vd, *ln, ReasonDrain)
+				f.putxToL2(vd, *ln, reason)
 			} else {
-				f.sendVersion(*ln, ReasonDrain)
-				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+				persist(*ln, reason)
 			}
 			ln.Dirty = false
+			if ln.State == cache.Modified {
+				ln.State = cache.Exclusive
+			}
 		})
 	})
 }
@@ -828,8 +822,7 @@ func (f *Frontend) Drain(now uint64) {
 	f.stall = 0
 	for vd := 0; vd < f.Cfg.VDs(); vd++ {
 		for _, ln := range f.walkQ[vd] {
-			f.sendVersion(ln, ReasonWalk)
-			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+			f.persist(ln, ReasonWalk)
 		}
 		f.walkQ[vd] = nil
 		f.walkReport[vd] = 0
