@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -263,5 +264,24 @@ func TestCheckpointAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("checkpoint allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestACSWalkRendersZeroWritebacks pins the touched-at-zero rule at the
+// component level: a tag walk that finds no dirty line still renders
+// acs_writebacks=0, while a counter nothing touched (log_entries, with no
+// store issued) stays out of the rendering.
+func TestACSWalkRendersZeroWritebacks(t *testing.T) {
+	cfg := blCfg()
+	s := NewPiCL(cfg)
+	s.Bind(sim.NewClocks(cfg.Cores))
+	s.Access(0, 0x40, false, 0)
+	s.ackWalk(cache.LevelLLC)
+	got := s.Stats().String()
+	if !strings.Contains(got, " acs_writebacks=0 ") || !strings.Contains(got, "acs_walks=1") {
+		t.Fatalf("Stats() = %q, want acs_walks=1 and acs_writebacks=0", got)
+	}
+	if strings.Contains(got, "log_entries") {
+		t.Fatalf("Stats() = %q renders untouched log_entries", got)
 	}
 }
