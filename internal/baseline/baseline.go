@@ -63,7 +63,7 @@ func newBase(name string, cfg *sim.Config) *base {
 		cfg:       cfg,
 		nvm:       mem.NewNVM(cfg),
 		dram:      mem.NewDRAM(cfg),
-		stat:      stats.NewSet(name),
+		stat:      stats.FromTable(name, counterNames[:]),
 		epoch:     1,
 		logCursor: logBase,
 	}
@@ -129,7 +129,7 @@ func (b *base) bumpStore(onBoundary func()) {
 	if b.stores >= b.cfg.EpochSizeAt(b.totStores) {
 		b.stores = 0
 		b.epoch++
-		b.stat.Inc("epoch_boundaries")
+		b.stat.IncAt(epochBoundaries)
 		onBoundary()
 	}
 }
@@ -139,7 +139,7 @@ func (b *base) bumpStore(onBoundary func()) {
 func (b *base) stallAll(cost uint64) {
 	if cost > 0 {
 		b.clocks.StallGroup(0, b.cfg.Cores, cost)
-		b.stat.Add("barrier_stall_cycles", int64(cost))
+		b.stat.AddAt(barrierStallCycles, int64(cost))
 	}
 }
 
@@ -169,7 +169,7 @@ func (b *base) checkpoint(deepest cache.Level, region uint64, sync bool) (n int,
 // shadow) and returns when the last write is durable.
 func (b *base) flushDirtySync(region uint64) uint64 {
 	n, finish := b.checkpoint(cache.LevelLLC, region, true)
-	b.stat.Add("flushed_lines", int64(n))
+	b.stat.AddAt(flushedLines, int64(n))
 	return finish
 }
 
@@ -178,7 +178,7 @@ func (b *base) flushDirtySync(region uint64) uint64 {
 // lines written.
 func (b *base) flushDirtyAsync(region uint64) int {
 	n, _ := b.checkpoint(cache.LevelLLC, region, false)
-	b.stat.Add("flushed_lines", int64(n))
+	b.stat.AddAt(flushedLines, int64(n))
 	return n
 }
 
@@ -193,6 +193,6 @@ func (b *base) ackWalk(deepest cache.Level) {
 	}
 	n, _ := b.checkpoint(deepest, 0, false)
 	b.evWalk += uint64(n)
-	b.stat.Add("acs_writebacks", int64(n))
-	b.stat.Inc("acs_walks")
+	b.stat.AddAt(acsWritebacks, int64(n))
+	b.stat.IncAt(acsWalks)
 }

@@ -32,7 +32,7 @@ func NewHWShadow(cfg *sim.Config) *HWShadow {
 			// Dirty data leaving the LLC mid-epoch is persisted to its
 			// shadow location in the background.
 			s.evCapacity++
-			s.stat.Inc("background_writes")
+			s.stat.IncAt(backgroundWrites)
 			return s.nvm.Write(mem.WData, shadowBase+ln.Tag, s.cfg.LineSize, s.maxNow())
 		},
 	})
@@ -71,7 +71,7 @@ func (s *HWShadow) tableUpdateSync(n int) uint64 {
 			finish = lat
 		}
 	}
-	s.stat.Add("table_entries", int64(n))
+	s.stat.AddAt(tableEntries, int64(n))
 	return finish
 }
 

@@ -29,7 +29,7 @@ func NewPiCL(cfg *sim.Config) *PiCL {
 			if ln.OID < s.epoch {
 				// First store this epoch: log the old value (background).
 				s.evLog++
-				s.stat.Inc("log_entries")
+				s.stat.IncAt(logEntries)
 				extra = s.nvm.Write(mem.WLog, s.nextLog(), 72, s.now(tid))
 			}
 			ln.OID = s.epoch
@@ -38,7 +38,7 @@ func NewPiCL(cfg *sim.Config) *PiCL {
 		OnLLCWriteBack: func(ln cache.Line, reason cache.Reason) uint64 {
 			// A dirty line leaving the LLC writes its NVM home.
 			s.evCapacity++
-			s.stat.Inc("home_writes")
+			s.stat.IncAt(homeWrites)
 			return s.nvm.Write(mem.WData, ln.Tag, s.cfg.LineSize, s.maxNow())
 		},
 		OnLLCFill: func(ln *cache.Line) {
@@ -86,7 +86,7 @@ func NewPiCLL2(cfg *sim.Config) *PiCLL2 {
 			var extra uint64
 			if ln.OID < s.epoch {
 				s.evLog++
-				s.stat.Inc("log_entries")
+				s.stat.IncAt(logEntries)
 				extra = s.nvm.Write(mem.WLog, s.nextLog(), 72, s.now(tid))
 			}
 			ln.OID = s.epoch
@@ -100,7 +100,7 @@ func NewPiCLL2(cfg *sim.Config) *PiCLL2 {
 			} else {
 				s.evCapacity++
 			}
-			s.stat.Inc("home_writes")
+			s.stat.IncAt(homeWrites)
 			return s.nvm.Write(mem.WData, ln.Tag, s.cfg.LineSize, s.maxNow())
 		},
 		OnL2Fill: func(vd int, ln *cache.Line) {

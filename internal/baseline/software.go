@@ -33,7 +33,7 @@ func NewSWLog(cfg *sim.Config) *SWLog {
 			}
 			ln.OID = s.epoch
 			s.evLog++
-			s.stat.Inc("log_entries")
+			s.stat.IncAt(logEntries)
 			// Synchronous barrier: pipeline waits for the log entry.
 			return swTrackCost + s.nvm.WriteSync(mem.WLog, s.nextLog(), 72, s.now(tid))
 		},
@@ -81,7 +81,7 @@ func NewSWShadow(cfg *sim.Config) *SWShadow {
 			// Shadow paging defers the NVM write to the commit-time flush;
 			// the first write only pays the software write-set tracking.
 			ln.OID = s.epoch
-			s.stat.Inc("shadow_copies")
+			s.stat.IncAt(shadowCopies)
 			return swTrackCost
 		},
 	})
@@ -105,8 +105,8 @@ func (s *SWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 
 // tableUpdateSync writes the persistent mapping-table entries for the
 // epoch's write set, serialized (software walks its write set).
 func (s *SWShadow) tableUpdateSync() uint64 {
-	n := s.stat.Get("flushed_lines") - s.stat.Get("table_lines_done")
-	s.stat.Add("table_lines_done", n)
+	n := s.stat.GetAt(flushedLines) - s.stat.GetAt(tableLinesDone)
+	s.stat.AddAt(tableLinesDone, n)
 	now := s.maxNow()
 	var finish uint64
 	for i := int64(0); i < n; i++ {

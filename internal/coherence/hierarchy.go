@@ -62,13 +62,13 @@ func New(cfg *sim.Config, dram *mem.DRAM, cb Callbacks) *Hierarchy {
 		Levels: cache.NewLevels(cfg),
 		dram:   dram,
 		cb:     cb,
-		stat:   stats.NewSet("coherence"),
+		stat:   stats.FromTable("coherence", counterNames[:]),
 		bus:    cfg.Obs,
 	}
 }
 
-// Stats returns the hierarchy counter set.
-func (h *Hierarchy) Stats() *stats.Set { return h.stat }
+// Stats returns a snapshot of the hierarchy counters.
+func (h *Hierarchy) Stats() *stats.Set { return h.stat.Clone() }
 
 // Load performs a read by thread tid and returns its latency in cycles.
 func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
@@ -76,12 +76,12 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 	vd := h.Cfg.VDOf(tid)
 	lat := h.Cfg.L1Latency
 	if ln := h.L1(tid).Lookup(addr); ln != nil {
-		h.stat.Inc("l1_load_hits")
+		h.stat.IncAt(l1LoadHits)
 		return lat
 	}
 	lat += h.Cfg.L2Latency
 	if ln := h.L2(vd).Lookup(addr); ln != nil {
-		h.stat.Inc("l2_load_hits")
+		h.stat.IncAt(l2LoadHits)
 		lat += h.response(vd, ln.OID)
 		// If a sibling L1 holds the line writable, downgrade it to Shared
 		// (its dirty data merges into the L2) so no two L1s are writable.
@@ -132,13 +132,13 @@ func (h *Hierarchy) Store(tid int, addr, data uint64) uint64 {
 	vd := h.Cfg.VDOf(tid)
 	lat := h.Cfg.L1Latency
 	if ln := h.L1(tid).Lookup(addr); ln != nil && ln.State.Writable() {
-		h.stat.Inc("l1_store_hits")
+		h.stat.IncAt(l1StoreHits)
 		lat += h.store(tid, vd, ln, data)
 		return lat
 	}
 	lat += h.Cfg.L2Latency
 	if l2ln := h.L2(vd).Lookup(addr); l2ln != nil && l2ln.State.Writable() {
-		h.stat.Inc("l2_store_hits")
+		h.stat.IncAt(l2StoreHits)
 		// Invalidate sibling L1 copies within the VD, merging dirty data.
 		lo, hi := h.CoresOf(vd)
 		for c := lo; c < hi; c++ {
@@ -211,12 +211,12 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 		if exclusive {
 			h.invalidateVD(e.Owner, addr, cache.ReasonCoherence)
 			e.Owner = -1
-			h.stat.Inc("remote_invalidations")
+			h.stat.IncAt(remoteInvalidations)
 		} else {
 			h.downgradeVD(e.Owner, addr)
 			e.Sharers.Add(e.Owner)
 			e.Owner = -1
-			h.stat.Inc("remote_downgrades")
+			h.stat.IncAt(remoteDowngrades)
 		}
 	}
 	if exclusive && !e.Sharers.None() {
@@ -230,17 +230,17 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 			lat += h.Cfg.RemoteL2Lat
 			h.invalidateVD(other, addr, cache.ReasonCoherence)
 			e.Sharers.Remove(other)
-			h.stat.Inc("remote_invalidations")
+			h.stat.IncAt(remoteInvalidations)
 		})
 	}
 
 	// Ensure LLC residency (inclusive LLC: every VD-cached line is here).
 	if ln := h.SliceOf(addr).Lookup(addr); ln != nil {
-		h.stat.Inc("llc_hits")
+		h.stat.IncAt(llcHits)
 		rv = ln.OID
 		data = ln.Data
 	} else {
-		h.stat.Inc("llc_misses")
+		h.stat.IncAt(llcMisses)
 		lat += h.dram.Latency()
 		rv = h.dram.OID(addr)
 		data = h.dram.Data(addr)
@@ -287,13 +287,13 @@ func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
 				victim.OID = wb.OID
 				victim.Data = wb.Data
 			}
-			h.stat.Inc("back_invalidations")
+			h.stat.IncAt(backInvalidations)
 		})
 		h.Dir.Delete(victim.Tag)
 	}
 	if victim.Dirty {
 		h.dram.WriteBack(victim.Tag, victim.OID, victim.Data)
-		h.stat.Inc("llc_dirty_evictions")
+		h.stat.IncAt(llcDirtyEvictions)
 		if h.cb.OnLLCWriteBack != nil {
 			lat += h.cb.OnLLCWriteBack(victim, cache.ReasonCapacity)
 		}
@@ -328,7 +328,7 @@ func (h *Hierarchy) invalidateVD(vd int, addr uint64, reason cache.Reason) {
 			h.cb.OnL2WriteBack(vd, wb, reason)
 		}
 		h.noteWriteBack(vd, wb, reason)
-		h.stat.Inc("coherence_writebacks")
+		h.stat.IncAt(coherenceWritebacks)
 	}
 }
 
@@ -377,7 +377,7 @@ func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 			h.cb.OnL2WriteBack(vd, wb, cache.ReasonCoherence)
 		}
 		h.noteWriteBack(vd, wb, cache.ReasonCoherence)
-		h.stat.Inc("coherence_writebacks")
+		h.stat.IncAt(coherenceWritebacks)
 	}
 }
 
@@ -428,7 +428,7 @@ func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason cache.Reason
 			lat += h.cb.OnL2WriteBack(vd, victim, reason)
 		}
 		h.noteWriteBack(vd, victim, reason)
-		h.stat.Inc("l2_dirty_evictions")
+		h.stat.IncAt(l2DirtyEvictions)
 	}
 	return lat
 }
@@ -449,7 +449,7 @@ func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data ui
 			// L2 lost the line (shouldn't happen under inclusion); push to LLC.
 			h.mergeIntoLLC(victim)
 		}
-		h.stat.Inc("l1_dirty_evictions")
+		h.stat.IncAt(l1DirtyEvictions)
 	}
 	ln.State = state
 	ln.OID = oid

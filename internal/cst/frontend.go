@@ -87,9 +87,8 @@ type Frontend struct {
 	vdStall  uint64
 	storeOID uint64
 
-	evicts [cache.NumReasons]uint64
-	stat   *stats.Set
-	bus    *obs.Bus // nil when the run is unobserved
+	stat *stats.Set
+	bus  *obs.Bus // nil when the run is unobserved
 }
 
 // New builds the frontend. The tag walker is enabled per cfg.TagWalker; the
@@ -106,7 +105,7 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 		walkReport:  make([]uint64, cfg.VDs()),
 		dirtyInflow: make([]bool, cfg.VDs()),
 		walker:      cfg.TagWalker,
-		stat:        stats.NewSet("cst"),
+		stat:        stats.FromTable("cst", counterNames[:]),
 		bus:         cfg.Obs,
 	}
 	for vd := range f.cur {
@@ -121,22 +120,11 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 // CurEpoch returns a VD's current epoch.
 func (f *Frontend) CurEpoch(vd int) uint64 { return f.cur[vd] }
 
-// Stats returns the frontend counters: the event counters plus
-// evict_<reason>, rendered from the per-reason tallies for every reason
-// that has occurred.
-func (f *Frontend) Stats() *stats.Set {
-	s := stats.NewSet(f.stat.Name())
-	s.Merge(f.stat)
-	for r := Reason(0); r < cache.NumReasons; r++ {
-		if f.evicts[r] > 0 {
-			s.Add("evict_"+r.String(), int64(f.evicts[r]))
-		}
-	}
-	return s
-}
+// Stats returns a snapshot of the frontend counters.
+func (f *Frontend) Stats() *stats.Set { return f.stat.Clone() }
 
 // EvictReason returns how many versions were sent to the OMC for a reason.
-func (f *Frontend) EvictReason(r Reason) uint64 { return f.evicts[r] }
+func (f *Frontend) EvictReason(r Reason) uint64 { return uint64(f.stat.GetAt(evictSlot(r))) }
 
 // WrapFlushes returns how many group-transition flushes occurred.
 func (f *Frontend) WrapFlushes() int { return f.wrapFlush }
@@ -149,14 +137,14 @@ func (f *Frontend) sendVersion(ln cache.Line, reason Reason) {
 	if debugSendHook != nil {
 		debugSendHook(ln, reason)
 	}
-	f.evicts[reason]++
+	f.stat.IncAt(evictSlot(reason))
 	f.bus.Emit(obs.KindVersionEvict, f.now+f.stall, -1, ln.OID, ln.Tag, uint64(reason), 0)
 	// Bursts (walks, drains) issue at f.now advanced by the stalls already
 	// incurred in this access, so a full NVM queue delays a burst linearly
 	// (a blocking bounded queue), not quadratically.
 	st := f.backend.ReceiveVersion(omc.Version{Addr: ln.Tag, Epoch: ln.OID, Data: ln.Data}, f.now+f.stall)
 	f.stall += st
-	f.stat.Add("stall_from_versions", int64(st))
+	f.stat.AddAt(stallFromVersions, int64(st))
 }
 
 // persist ships a dirty version to the OMC and refreshes the DRAM working
@@ -261,12 +249,12 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 	vd := f.Cfg.VDOf(tid)
 	lat := f.Cfg.L1Latency
 	if ln := f.L1(tid).Lookup(addr); ln != nil {
-		f.stat.Inc("l1_load_hits")
+		f.stat.IncAt(l1LoadHits)
 		return lat
 	}
 	lat += f.Cfg.L2Latency
 	if l2ln := f.L2(vd).Lookup(addr); l2ln != nil {
-		f.stat.Inc("l2_load_hits")
+		f.stat.IncAt(l2LoadHits)
 		// Sibling downgrade inside the VD; the sibling's dirty version flows
 		// through the L2 with the version check (it may displace an older
 		// dirty version to the OMC).
@@ -309,7 +297,7 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 		if ln := f.SliceOf(addr).Peek(addr); ln != nil {
 			if ln.Dirty {
 				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-				f.stat.Inc("llc_dram_writebacks")
+				f.stat.IncAt(llcDRAMWritebacks)
 			}
 			f.SliceOf(addr).Invalidate(addr)
 		}
@@ -326,14 +314,14 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 	vd := f.Cfg.VDOf(tid)
 	lat := f.Cfg.L1Latency
 	if ln := f.L1(tid).Lookup(addr); ln != nil && ln.State.Writable() {
-		f.stat.Inc("l1_store_hits")
+		f.stat.IncAt(l1StoreHits)
 		f.performStore(tid, vd, ln, data)
 		f.bumpStore(vd)
 		return lat
 	}
 	lat += f.Cfg.L2Latency
 	if l2ln := f.L2(vd).Lookup(addr); l2ln != nil && l2ln.State.Writable() {
-		f.stat.Inc("l2_store_hits")
+		f.stat.IncAt(l2StoreHits)
 		lo, hi := f.CoresOf(vd)
 		for c := lo; c < hi; c++ {
 			if c == tid {
@@ -390,7 +378,7 @@ func (f *Frontend) performStore(tid, vd int, ln *cache.Line, data uint64) {
 		// Immutable dirty version from a previous epoch: store-eviction
 		// (paper Fig 4) pushes it to the L2 without invalidating the line,
 		// then the store proceeds in place.
-		f.stat.Inc("store_evictions")
+		f.stat.IncAt(storeEvictions)
 		f.putxToL2(vd, *ln, ReasonStoreEvict)
 	}
 	ln.OID = cur
@@ -422,7 +410,7 @@ func (f *Frontend) bumpStore(vd int) {
 // observing a response of a future epoch advances the local Lamport clock.
 func (f *Frontend) maybeAdvance(vd int, rv uint64) {
 	if rv > f.cur[vd] {
-		f.stat.Inc("coherence_epoch_advances")
+		f.stat.IncAt(coherenceEpochAdvances)
 		f.advanceTo(vd, rv, false)
 	}
 }
@@ -457,8 +445,8 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 	f.vdStall += f.Cfg.EpochAdvanceCost
 	ctxStall := f.backend.DumpContext(vd, old, f.now+f.stall+f.vdStall)
 	f.vdStall += ctxStall
-	f.stat.Add("stall_from_context", int64(ctxStall))
-	f.stat.Inc("epoch_advances")
+	f.stat.AddAt(stallFromContext, int64(ctxStall))
+	f.stat.IncAt(epochAdvances)
 	// The walker runs opportunistically whenever an epoch closes — both at
 	// store-count boundaries and on coherence-driven advances — so every VD
 	// keeps reporting min-ver and the recoverable epoch makes progress even
@@ -474,7 +462,7 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 func (f *Frontend) tagWalk(vd int) {
 	cur := f.cur[vd]
 	f.walkStale(vd, cur, ReasonWalk, func(ln cache.Line, _ Reason) { f.walkQ[vd] = append(f.walkQ[vd], ln) })
-	f.stat.Inc("tag_walks")
+	f.stat.IncAt(tagWalks)
 	// Every dirty line older than cur was just cleaned: any prior dirty
 	// inflow has been walked out of the domain.
 	f.dirtyInflow[vd] = false
@@ -595,7 +583,7 @@ func (f *Frontend) insertLLC(wb cache.Line, dirty bool) {
 		// LLC victims refresh the DRAM working copy; the version itself was
 		// already persisted when it left its VD (§IV-A4).
 		f.dram.WriteBack(victim.Tag, victim.OID, victim.Data)
-		f.stat.Inc("llc_dram_writebacks")
+		f.stat.IncAt(llcDRAMWritebacks)
 	}
 	ln.State = cache.Shared
 	ln.OID = wb.OID
@@ -616,16 +604,16 @@ func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, 
 		e.Sharers.Add(e.Owner)
 		e.Owner = -1
 		e.Sharers.Add(vd)
-		f.stat.Inc("remote_downgrades")
+		f.stat.IncAt(remoteDowngrades)
 		return rv, data, lat
 	}
 	slice := f.SliceOf(addr)
 	if ln := slice.Lookup(addr); ln != nil {
-		f.stat.Inc("llc_hits")
+		f.stat.IncAt(llcHits)
 		e.Sharers.Add(vd)
 		return ln.OID, ln.Data, lat
 	}
-	f.stat.Inc("llc_misses")
+	f.stat.IncAt(llcMisses)
 	lat += f.dram.Latency()
 	e.Sharers.Add(vd)
 	return f.dram.OID(addr), f.dram.Data(addr), lat
@@ -644,11 +632,11 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 		e.Owner = -1
 		if wasDirty {
 			rv, data, dirtyXfer, haveData = newest.OID, newest.Data, true, true
-			f.stat.Inc("c2c_transfers")
+			f.stat.IncAt(c2cTransfers)
 		} else if newest.Valid {
 			rv, data, haveData = newest.OID, newest.Data, true
 		}
-		f.stat.Inc("remote_invalidations")
+		f.stat.IncAt(remoteInvalidations)
 	}
 	// Iterate a value copy, since the loop removes sharers as it goes; the
 	// O(set-bits) walk visits them in ascending order.
@@ -660,24 +648,24 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 		lat += f.Cfg.RemoteL2Lat
 		f.invalidateVD(other, addr)
 		e.Sharers.Remove(other)
-		f.stat.Inc("remote_invalidations")
+		f.stat.IncAt(remoteInvalidations)
 	})
 	slice := f.SliceOf(addr)
 	if ln := slice.Peek(addr); ln != nil {
 		if !haveData {
 			rv, data, haveData = ln.OID, ln.Data, true
-			f.stat.Inc("llc_hits")
+			f.stat.IncAt(llcHits)
 		}
 		// The LLC copy becomes stale under the new owner; refresh DRAM if it
 		// carried the only working copy.
 		if ln.Dirty {
 			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-			f.stat.Inc("llc_dram_writebacks")
+			f.stat.IncAt(llcDRAMWritebacks)
 		}
 		slice.Invalidate(addr)
 	}
 	if !haveData {
-		f.stat.Inc("llc_misses")
+		f.stat.IncAt(llcMisses)
 		lat += f.dram.Latency()
 		rv, data = f.dram.OID(addr), f.dram.Data(addr)
 	}
@@ -801,7 +789,7 @@ func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uin
 	ln, victim, evicted := f.L1(tid).Insert(addr)
 	if evicted && victim.Dirty {
 		f.putxToL2(vd, victim, ReasonCapacity)
-		f.stat.Inc("l1_dirty_evictions")
+		f.stat.IncAt(l1DirtyEvictions)
 	}
 	ln.State = state
 	ln.OID = oid

@@ -20,8 +20,7 @@ type DRAM struct {
 	cfg    *sim.Config
 	lines  *Table[dramLine]
 	tagged int // granules holding a side-band OID
-
-	writebacks, staleDropped, oidLookups int64
+	stat   *stats.Set
 }
 
 // dramLine is one line's DRAM state.
@@ -38,7 +37,7 @@ type dramLine struct {
 
 // NewDRAM constructs the device.
 func NewDRAM(cfg *sim.Config) *DRAM {
-	return &DRAM{cfg: cfg, lines: NewTable[dramLine](0)}
+	return &DRAM{cfg: cfg, lines: NewTable[dramLine](0), stat: stats.FromTable("dram", dramCounterNames[:])}
 }
 
 // key maps a line address onto its OID tracking granule.
@@ -72,9 +71,10 @@ func (d *DRAM) WriteBack(addr uint64, oid uint64, data uint64) {
 		e.data = data
 		e.dataOID = oid
 	} else {
-		d.staleDropped++
+		d.stat.IncAt(dramStaleDropped)
 	}
-	d.writebacks++
+	d.stat.IncAt(dramWritebacks)
+	d.stat.AddAt(dramBytesWritten, int64(d.cfg.LineSize))
 }
 
 // Data returns the payload token last written back to addr's line (zero for
@@ -88,7 +88,7 @@ func (d *DRAM) Data(addr uint64) uint64 {
 // version 0 predates all epochs, so fetching untouched memory never advances
 // anyone's epoch).
 func (d *DRAM) OID(addr uint64) uint64 {
-	d.oidLookups++
+	d.stat.IncAt(dramOIDLookups)
 	e, _ := d.lines.Get(d.key(addr))
 	return e.oid
 }
@@ -102,18 +102,5 @@ func (d *DRAM) TaggedLines() int { return d.tagged }
 // tracked set (2 bytes per granule, mirroring the 16-bit tag).
 func (d *DRAM) SideBandBytes() int64 { return int64(d.tagged) * 2 }
 
-// Stats renders the device counters as a set.
-func (d *DRAM) Stats() *stats.Set {
-	s := stats.NewSet("dram")
-	if d.writebacks > 0 {
-		s.Add("writebacks", d.writebacks)
-		s.Add("bytes_written", d.writebacks*int64(d.cfg.LineSize))
-	}
-	if d.staleDropped > 0 {
-		s.Add("stale_writebacks_dropped", d.staleDropped)
-	}
-	if d.oidLookups > 0 {
-		s.Add("oid_lookups", d.oidLookups)
-	}
-	return s
-}
+// Stats returns a snapshot of the device counters.
+func (d *DRAM) Stats() *stats.Set { return d.stat.Clone() }

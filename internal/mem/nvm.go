@@ -58,8 +58,6 @@ type NVM struct {
 
 	bankBusy []uint64 // cumulative booked work per bank (cycles)
 	lastLine []uint64 // last line buffered per bank (write combining)
-	bytes    [numWriteClasses]int64
-	writes   [numWriteClasses]int64
 
 	wear     *Table[int64] // per-page write counts (line writes land here)
 	series   *stats.TimeSeries
@@ -187,7 +185,7 @@ func NewNVM(cfg *sim.Config) *NVM {
 		lastLine: make([]uint64, cfg.NVMBanks),
 		wear:     NewTable[int64](0),
 		series:   stats.NewTimeSeries(cfg.TimeSeriesBuckets),
-		stat:     stats.NewSet("nvm"),
+		stat:     stats.FromTable("nvm", nvmCounterNames[:]),
 		plane:    NewRAMPlane(),
 		pending:  make([]bankQueue, cfg.NVMBanks),
 		bankDone: make([]uint64, cfg.NVMBanks),
@@ -232,8 +230,8 @@ func (n *NVM) bookLine(addr uint64, size int, now uint64) (stall uint64) {
 	}
 	if n.bankBusy[b] > now+n.cfg.NVMMaxBacklog {
 		stall = n.bankBusy[b] - now - n.cfg.NVMMaxBacklog
-		n.stat.Add("stall_cycles", int64(stall))
-		n.stat.Inc("stalled_writes")
+		n.stat.AddAt(stallCycles, int64(stall))
+		n.stat.IncAt(stalledWrites)
 	}
 	return stall
 }
@@ -296,8 +294,8 @@ func (n *NVM) syncLine(addr uint64, size int, now uint64) uint64 {
 }
 
 func (n *NVM) account(class WriteClass, addr uint64, size int) {
-	n.bytes[class] += int64(size)
-	n.writes[class]++
+	n.stat.AddAt(bytesBase+stats.Slot(class), int64(size))
+	n.stat.IncAt(writesBase + stats.Slot(class))
 	w, _ := n.wear.Upsert(n.cfg.PageAddr(addr))
 	*w++
 	if n.progress != nil {
@@ -318,25 +316,25 @@ func (n *NVM) Tick(now uint64) {
 }
 
 // Bytes returns bytes written for a class.
-func (n *NVM) Bytes(class WriteClass) int64 { return n.bytes[class] }
+func (n *NVM) Bytes(class WriteClass) int64 { return n.stat.GetAt(bytesBase + stats.Slot(class)) }
 
 // TotalBytes returns all bytes written across classes.
 func (n *NVM) TotalBytes() int64 {
 	var sum int64
-	for _, b := range n.bytes {
-		sum += b
+	for c := WriteClass(0); c < numWriteClasses; c++ {
+		sum += n.Bytes(c)
 	}
 	return sum
 }
 
 // Writes returns the number of write operations for a class.
-func (n *NVM) Writes(class WriteClass) int64 { return n.writes[class] }
+func (n *NVM) Writes(class WriteClass) int64 { return n.stat.GetAt(writesBase + stats.Slot(class)) }
 
 // TotalWrites returns write operations across all classes.
 func (n *NVM) TotalWrites() int64 {
 	var sum int64
-	for _, w := range n.writes {
-		sum += w
+	for c := WriteClass(0); c < numWriteClasses; c++ {
+		sum += n.Writes(c)
 	}
 	return sum
 }
@@ -354,17 +352,6 @@ func (n *NVM) PagesTouched() int { return n.wear.Len() }
 // Series exposes the bandwidth time series (Fig 17).
 func (n *NVM) Series() *stats.TimeSeries { return n.series }
 
-// Stats returns the device counters: the event counters plus per-class
-// bytes_<class> and writes_<class>, rendered from the byte and write
-// tallies for every class written so far.
-func (n *NVM) Stats() *stats.Set {
-	s := stats.NewSet(n.stat.Name())
-	s.Merge(n.stat)
-	for c := WriteClass(0); c < numWriteClasses; c++ {
-		if n.writes[c] > 0 {
-			s.Add("bytes_"+c.String(), n.bytes[c])
-			s.Add("writes_"+c.String(), n.writes[c])
-		}
-	}
-	return s
-}
+// Stats returns a snapshot of the device counters, per-class
+// bytes_<class> and writes_<class> included.
+func (n *NVM) Stats() *stats.Set { return n.stat.Clone() }

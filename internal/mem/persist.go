@@ -80,10 +80,10 @@ func (n *NVM) Persist(class WriteClass, addr uint64, size int, words []uint64, n
 			attempt++
 			backoff := n.cfg.NVMWriteLat << uint(attempt)
 			stall += backoff
-			n.stat.Add("nak_backoff_cycles", int64(backoff))
+			n.stat.AddAt(nakBackoffCycles, int64(backoff))
 			if attempt >= fault.MaxNAKRetries {
 				n.inj.NoteNAKDrop(addr)
-				n.stat.Inc("nak_dropped_writes")
+				n.stat.IncAt(nakDroppedWrites)
 				return stall
 			}
 		}
@@ -159,7 +159,7 @@ func (n *NVM) PowerCut(now uint64) *Image {
 			continue
 		}
 		if n.inj.Enabled() && n.inj.BankLost(b, q.n) {
-			n.stat.Add("cut_lost_writes", int64(q.n))
+			n.stat.AddAt(cutLostWrites, int64(q.n))
 			q.reset()
 			continue
 		}
@@ -169,7 +169,7 @@ func (n *NVM) PowerCut(now uint64) *Image {
 			w, words := q.pop()
 			if q.n == 0 && n.inj.Enabled() {
 				if keep, torn := n.inj.Tear(b, w.addr, len(words)); torn {
-					n.stat.Inc("cut_torn_writes")
+					n.stat.IncAt(cutTornWrites)
 					words = words[:keep]
 				}
 			}
@@ -182,7 +182,7 @@ func (n *NVM) PowerCut(now uint64) *Image {
 			idx, bit := n.inj.Flip(len(keys))
 			n.plane.XorWord(keys[idx], 1<<bit)
 			n.inj.NoteFlip(keys[idx], bit)
-			n.stat.Inc("cut_bit_flips")
+			n.stat.IncAt(cutBitFlips)
 		}
 	}
 	return n.plane.Snapshot()

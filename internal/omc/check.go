@@ -94,7 +94,7 @@ func (o *OMC) writeGenesis(groupSize int) {
 	words := []uint64{GenesisMagic, uint64(groupSize)}
 	words = append(words, mem.RecordCheck(words))
 	o.now += o.nvm.Persist(mem.WMeta, GenesisAddr(o.id), len(words)*8, words, o.now)
-	o.stat.Inc("genesis_records")
+	o.stat.IncAt(genesisRecords)
 }
 
 // writeCommitRecord appends a commit record pinning the current rec-epoch
@@ -112,7 +112,7 @@ func (o *OMC) writeCommitRecord(now uint64) {
 	o.now += o.nvm.Persist(mem.WMeta, CommitRecAddr(o.id, o.commitSeq), len(words)*8, words, now)
 	o.bus.Emit(obs.KindOMCCommit, now, o.id, o.recEpoch, 0, uint64(o.master.Entries()), uint64(o.commitSeq))
 	o.commitSeq++
-	o.stat.Inc("commit_records")
+	o.stat.IncAt(commitRecords)
 }
 
 // writeSealRecord appends the sealed-epoch record for a merged table.
@@ -128,5 +128,5 @@ func (o *OMC) writeSealRecord(e uint64, t *Table, now uint64) {
 	o.now += o.nvm.Persist(mem.WMeta, SealRecAddr(o.id, o.sealSeq), len(words)*8, words, now)
 	o.bus.Emit(obs.KindOMCSeal, now, o.id, e, 0, uint64(t.Entries()), uint64(o.sealSeq))
 	o.sealSeq++
-	o.stat.Inc("seal_records")
+	o.stat.IncAt(sealRecords)
 }

@@ -41,7 +41,7 @@ func NewGroup(cfg *sim.Config, nvm *mem.NVM, n int, opts ...Option) *Group {
 	}
 	g := &Group{
 		cfg:    cfg,
-		stat:   stats.NewSet("omcgroup"),
+		stat:   stats.FromTable("omcgroup", groupCounterNames[:]),
 		minVer: make([]uint64, cfg.VDs()),
 		atMin:  cfg.VDs(),
 	}
@@ -77,8 +77,8 @@ func (g *Group) ReceiveVersion(v Version, now uint64) (stall uint64) {
 // per-member report counters are charged exactly as before); the simulator
 // only touches members when the recoverable floor rises.
 func (g *Group) ReportMinVer(vd int, ver uint64, now uint64) {
-	g.stat.Add("minver_messages", int64(len(g.omcs)))
-	g.stat.Add("minver_reports", int64(len(g.omcs)))
+	g.stat.AddAt(groupMinverMessages, int64(len(g.omcs)))
+	g.stat.AddAt(groupMinverReports, int64(len(g.omcs)))
 	old := g.minVer[vd]
 	if ver < old {
 		// A VD's view may regress transiently if an older version surfaced;
@@ -105,12 +105,12 @@ func (g *Group) ReportMinVer(vd int, ver uint64, now uint64) {
 // LowerMinVer lowers a VD's standing min-ver on every member (a dirty old
 // version migrated into the VD via cache-to-cache transfer).
 func (g *Group) LowerMinVer(vd int, ver uint64, now uint64) {
-	g.stat.Add("minver_lower_messages", int64(len(g.omcs)))
+	g.stat.AddAt(groupMinverLowerMessages, int64(len(g.omcs)))
 	if ver < g.minVer[vd] {
 		old := g.minVer[vd]
 		g.minVer[vd] = ver
 		g.ledgerLower(old, ver)
-		g.stat.Add("minver_lowered", int64(len(g.omcs)))
+		g.stat.AddAt(groupMinverLowered, int64(len(g.omcs)))
 	}
 }
 

@@ -79,7 +79,7 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 		payload:     mem.NewTable[uint64](0),
 		minVer:      make([]uint64, cfg.VDs()),
 		vpageCounts: mem.NewTable[*mem.Table[int]](0),
-		stat:        stats.NewSet("omc"),
+		stat:        stats.FromTable("omc", counterNames[:]),
 		bus:         cfg.Obs,
 	}
 	o.metaNext = MetaBase + uint64(id)*omcRegion
@@ -91,7 +91,7 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 			// bursts advance the controller's local time so a full queue
 			// delays the merge rather than compounding stalls.
 			o.now += o.nvm.Persist(mem.WMeta, nvmAddr, size, []uint64{word}, o.now)
-			o.stat.Inc("meta_writes")
+			o.stat.IncAt(metaWrites)
 		},
 	)
 	for _, opt := range opts {
@@ -127,7 +127,7 @@ func (o *OMC) newEpochTable() *Table {
 // returns the backpressure stall to charge the evicting access.
 func (o *OMC) ReceiveVersion(v Version, now uint64) (stall uint64) {
 	o.now = now
-	o.stat.Inc("versions_received")
+	o.stat.IncAt(versionsReceived)
 	if v.Epoch > o.maxEpoch {
 		o.maxEpoch = v.Epoch
 	}
@@ -155,7 +155,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	}
 	nvmAddr, newPage := o.pool.Alloc(v.Epoch)
 	if newPage {
-		o.stat.Inc("pages_allocated")
+		o.stat.IncAt(pagesAllocated)
 	}
 	// The persisted line carries [data, epoch, checksum]: binding address
 	// and epoch into the checksum lets recovery reject stale records at
@@ -172,7 +172,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 		// The epoch's snapshot keeps only its newest version of an address.
 		o.payload.Delete(old)
 		o.pool.Release(old)
-		o.stat.Inc("same_epoch_replacements")
+		o.stat.IncAt(sameEpochReplacements)
 	} else {
 		vp, ok := o.vpageCounts.Upsert(v.Epoch)
 		if !ok {
@@ -191,7 +191,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 // §V-B) and merges any epochs that became recoverable.
 func (o *OMC) ReportMinVer(vd int, ver uint64, now uint64) {
 	o.now = now
-	o.stat.Inc("minver_reports")
+	o.stat.IncAt(minverReports)
 	if ver < o.minVer[vd] {
 		// A VD's view may regress transiently if an older version surfaced;
 		// take the conservative minimum.
@@ -212,7 +212,7 @@ func (o *OMC) LowerMinVer(vd int, ver uint64, now uint64) {
 	o.now = now
 	if ver < o.minVer[vd] {
 		o.minVer[vd] = ver
-		o.stat.Inc("minver_lowered")
+		o.stat.IncAt(minverLowered)
 	}
 }
 
@@ -260,7 +260,7 @@ func (o *OMC) advanceRecEpochTo(er, now uint64) {
 	// On a durable (file) plane the advance is also the epoch-seal
 	// persistence barrier: drain bank queues and publish the manifest.
 	o.nvm.SealDurable(o.recEpoch, o.now)
-	o.stat.Inc("recepoch_advances")
+	o.stat.IncAt(recepochAdvances)
 }
 
 // mergeEpoch folds M_e into the Master Table: table entries are copied, no
@@ -279,15 +279,15 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 				o.payload.Delete(old)
 				o.pool.Release(old)
 			}
-			o.stat.Inc("versions_unmapped")
+			o.stat.IncAt(versionsUnmapped)
 		}
 	})
 	// Seal the merged table: its record is what lets recovery walk back
 	// to this epoch when newer state turns out torn.
 	o.writeSealRecord(e, t, now)
 	o.pool.CloseEpoch(e)
-	o.stat.Inc("epochs_merged")
-	o.stat.Add("entries_merged", int64(t.Entries()))
+	o.stat.IncAt(epochsMerged)
+	o.stat.AddAt(entriesMerged, int64(t.Entries()))
 	o.epochs.Delete(e)
 	o.vpageCounts.Delete(e)
 	if o.retain {
@@ -332,7 +332,7 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 		o.master.Insert(m.lineAddr, newAddr)
 		o.payload.Delete(m.nvmAddr)
 		o.pool.Release(m.nvmAddr)
-		o.stat.Inc("versions_compacted")
+		o.stat.IncAt(versionsCompacted)
 	}
 	// Pages of the victim epoch holding no live data are reclaimed even if
 	// the epoch's cursor was still open.
@@ -342,7 +342,7 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 		// digest no longer matches, so append a fresh one.
 		o.writeCommitRecord(now)
 	}
-	o.stat.Inc("compactions")
+	o.stat.IncAt(compactions)
 	return stall
 }
 
@@ -350,7 +350,7 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 func (o *OMC) DumpContext(vd int, epoch, now uint64) (stall uint64) {
 	addr := ContextBase + uint64(o.id)*omcRegion + uint64(vd)*uint64(o.cfg.ContextDumpBytes)
 	stall = o.nvm.Write(mem.WContext, addr, int(o.cfg.ContextDumpBytes), now)
-	o.stat.Inc("context_dumps")
+	o.stat.IncAt(contextDumps)
 	return stall
 }
 
@@ -397,7 +397,7 @@ func (o *OMC) Pool() *Pool { return o.pool }
 func (o *OMC) Buffer() *Buffer { return o.buf }
 
 // Stats returns the OMC counter set.
-func (o *OMC) Stats() *stats.Set { return o.stat }
+func (o *OMC) Stats() *stats.Set { return o.stat.Clone() }
 
 // MasterRead returns the payload of addr in the consistent image.
 func (o *OMC) MasterRead(addr uint64) (uint64, bool) {
