@@ -25,14 +25,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/hostprof"
 	"repro/internal/mem"
 	"repro/internal/parallel"
 	"repro/internal/sim"
@@ -90,20 +89,17 @@ func rate(accesses uint64, secs float64) *float64 {
 
 // options is the parsed command line.
 type options struct {
-	exp        string
-	scale      string
-	wlCSV      string
-	coresCSV   string
-	seed       int64
-	faults     string
-	timing     bool
-	jobs       int
-	jsonOut    string
-	events     string
-	timeline   bool
-	cpuProfile string
-	memProfile string
-	traceOut   string
+	exp      string
+	scale    string
+	wlCSV    string
+	coresCSV string
+	seed     int64
+	faults   string
+	timing   bool
+	jobs     int
+	jsonOut  string
+	events   string
+	prof     hostprof.Flags
 }
 
 // parseFlags decodes the command line without touching the process-global
@@ -112,7 +108,7 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 	fs := flag.NewFlagSet("nvbench", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	o := options{}
-	fs.StringVar(&o.exp, "exp", "all", "experiment: config, fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig17b, ablate-superblock, ablate-scaling, ablate-walker, timeline, fileplane, scale256, tracefile, all")
+	fs.StringVar(&o.exp, "exp", "all", "experiment: config, fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig17b, ablate-superblock, ablate-scaling, ablate-walker, timeline, fileplane, scale256, all")
 	fs.StringVar(&o.scale, "scale", "quick", "run scale: smoke, quick, full")
 	fs.StringVar(&o.wlCSV, "workloads", "", "comma-separated workload subset (default: the paper's twelve; scale256 defaults to oltp,social)")
 	fs.StringVar(&o.coresCSV, "cores", "", "comma-separated core counts for scale256 (default: 64,128,256)")
@@ -121,16 +117,16 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 	fs.BoolVar(&o.timing, "time", true, "print wall-clock duration per experiment")
 	fs.IntVar(&o.jobs, "j", 0, "sweep workers; output is byte-identical for every value (0: GOMAXPROCS, 1: serial)")
 	fs.StringVar(&o.jsonOut, "json", "", "write machine-readable results (figures + wall-clock + accesses/sec) to this file")
-	fs.StringVar(&o.events, "events", "", "write the timeline experiment's JSONL event stream to this file (implies the timeline experiment)")
-	fs.BoolVar(&o.timeline, "timeline", false, "run the timeline experiment (per-epoch rollups) in addition to -exp")
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file (taken at exit)")
-	fs.StringVar(&o.traceOut, "trace", "", "write a runtime execution trace to this file")
+	fs.StringVar(&o.events, "events", "", "write the timeline experiment's JSONL event stream to this file (with -exp timeline)")
+	o.prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
 	if fs.NArg() > 0 {
 		return options{}, fmt.Errorf("unexpected arguments %v", fs.Args())
+	}
+	if o.events != "" && o.exp != "timeline" {
+		return options{}, fmt.Errorf("-events needs -exp timeline, got -exp %s", o.exp)
 	}
 	return o, nil
 }
@@ -141,7 +137,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nvbench:", err)
 		os.Exit(2)
 	}
-	if err := run(o, os.Stdout); err != nil {
+	if err := o.prof.Run(func() error { return run(o, os.Stdout) }); err != nil {
 		fmt.Fprintln(os.Stderr, "nvbench:", err)
 		os.Exit(1)
 	}
@@ -173,43 +169,6 @@ func run(o options, out io.Writer) error {
 			}
 			coreCounts = append(coreCounts, n)
 		}
-	}
-
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rtrace.Start(f); err != nil {
-			return err
-		}
-		defer rtrace.Stop()
-	}
-	if o.memProfile != "" {
-		defer func() {
-			f, err := os.Create(o.memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nvbench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "nvbench: memprofile:", err)
-			}
-		}()
 	}
 
 	rep := report{
@@ -407,54 +366,18 @@ func run(o options, out io.Writer) error {
 			experiments.PrintFilePlane(out, st)
 			return st, nil
 		}},
-		{"tracefile", func() (any, error) {
-			dir, err := os.MkdirTemp("", "nvbench-tracefile-*")
-			if err != nil {
-				return nil, err
-			}
-			defer func() {
-				if rerr := os.RemoveAll(dir); rerr != nil {
-					fmt.Fprintln(os.Stderr, "nvbench: tracefile cleanup:", rerr)
-				}
-			}()
-			seed := o.seed
-			if seed == 0 {
-				seed = 42
-			}
-			records := uint64(4_000_000)
-			switch sc.Name {
-			case "smoke":
-				records = 250_000
-			case "full":
-				records = 16_000_000
-			}
-			t0 := time.Now()
-			clock := func() float64 { return time.Since(t0).Seconds() }
-			st, err := experiments.TraceFileProfile(
-				fault.OS, filepath.Join(dir, "profile.trc"), records, seed, clock)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintTraceFile(out, st)
-			return st, nil
-		}},
 	}
 
-	// The timeline, fileplane, scale256 and tracefile experiments only run
-	// when asked for — by name (or, for timeline, by -timeline / implicitly
-	// by -events) — so "all" keeps regenerating exactly the paper's figures.
-	wantTimeline := o.timeline || o.events != ""
-	all := o.exp == "all"
+	// "all" runs exactly the paper's figures; timeline, fileplane and
+	// scale256 run only by name.
 	matched := false
 	for _, spec := range specs {
 		sel := spec.name == o.exp
 		switch spec.name {
-		case "timeline":
-			sel = sel || wantTimeline
-		case "fileplane", "scale256", "tracefile":
+		case "timeline", "fileplane", "scale256":
 			// explicit selection only
 		default:
-			sel = sel || all
+			sel = sel || o.exp == "all"
 		}
 		if !sel {
 			continue

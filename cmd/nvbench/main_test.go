@@ -68,13 +68,19 @@ func TestExpRecordMarshalZeroClock(t *testing.T) {
 }
 
 func TestParseFlags(t *testing.T) {
-	o, err := parseFlags([]string{"-exp", "fig12", "-scale", "smoke", "-j", "3",
+	o, err := parseFlags([]string{"-exp", "timeline", "-scale", "smoke", "-j", "3",
 		"-events", "ev.jsonl"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.exp != "fig12" || o.scale != "smoke" || o.jobs != 3 || o.events != "ev.jsonl" {
+	if o.exp != "timeline" || o.scale != "smoke" || o.jobs != 3 || o.events != "ev.jsonl" {
 		t.Fatalf("parseFlags mismatch: %+v", o)
+	}
+	// -events belongs to the timeline experiment alone.
+	for _, exp := range []string{"fig12", "all"} {
+		if _, err := parseFlags([]string{"-exp", exp, "-events", "ev.jsonl"}, io.Discard); err == nil {
+			t.Fatalf("-events accepted with -exp %s", exp)
+		}
 	}
 	if _, err := parseFlags([]string{"stray"}, io.Discard); err == nil {
 		t.Fatal("stray positional argument should be rejected")

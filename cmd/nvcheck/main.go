@@ -1,21 +1,21 @@
 // Command nvcheck runs the differential verification harness outside the
-// test suite: long sweeps over the regime rotation, the crash-consistency
-// sweep over its (layer, class, seed, cut) grid, or a single fully
-// specified trace (the mode every trace divergence reproducer uses). Exit
-// status is non-zero when anything diverges from the golden model, and
-// sweeps flush their partial tallies before exiting when interrupted.
+// test suite. Each subcommand takes only the flags it reads:
 //
-//	nvcheck -traces 5000 -seed 1               # soak: 5000 traces over the rotation
-//	nvcheck -seed 17 -cores 4 -steps 1400      # single trace, explicit parameters
-//	nvcheck -sweep -seeds 4                    # crash sweep: every nvm and disk class x seeds x cuts
-//	nvcheck -sweep -classes nvm:torn,disk:eio  # crash sweep over chosen classes
-//	nvcheck -seed 3 -fault torn -crash 8       # single faulted trace (reproducer mode)
-//	nvcheck -seed 17 -events ev.jsonl          # single trace + its JSONL event stream
-//	nvcheck -validate-events ev.jsonl          # schema-check a captured stream
+//	nvcheck soak -traces 5000 -seed 1          # 5000 traces over the regime rotation
+//	nvcheck diff -seed 17 -cores 4 -steps 1400 # one explicit trace (every trace reproducer)
+//	nvcheck diff -seed 3 -fault torn -crash 8  # one faulted trace
+//	nvcheck diff -seed 17 -events ev.jsonl     # one trace + its JSONL event stream
+//	nvcheck sweep -seeds 4                     # crash sweep: every nvm and disk class x seeds x cuts
+//	nvcheck sweep -classes nvm:torn,disk:eio   # crash sweep over chosen classes
+//	nvcheck record -seed 17 trace.trc          # record one trace, check its file replay
+//	nvcheck replay trace.trc                   # replay a recorded trace
+//	nvcheck validate ev.jsonl                  # schema-check a captured event stream
 //
-// A diverging sweep cell prints the one-line -sweep command that reruns
-// its (class, seed) regime and archives its salvage report under -reports
-// for CI artifact upload.
+// Exit status is 1 when anything diverges from the golden model and 2 on
+// a usage error; soak and sweep flush their partial tallies before exiting
+// when interrupted. A diverging sweep cell prints the one-line command
+// that reruns its (class, seed) regime and archives its salvage report
+// under -reports for CI artifact upload.
 package main
 
 import (
@@ -29,146 +29,297 @@ import (
 	"os/signal"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/diffcheck"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/hostprof"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/recovery"
 )
 
-// options is the parsed command line.
-type options struct {
-	traces   int
-	seed     int64
-	every    int
-	jobs     int              // sweep workers; output is identical for every value
-	single   bool             // an explicit per-trace flag switches to single-trace mode
-	p        diffcheck.Params // single-trace parameters
-	events   string           // capture the single trace's JSONL event stream here
-	timeline bool             // print the single trace's per-epoch rollup timeline
-	vevents  string           // standalone mode: schema-check this JSONL file and exit
-	record   string           // record the single trace to this TRC1 file, then cross-check the file replay
-	replay   string           // standalone mode: replay a recorded TRC1 trace file
-
-	sweep   bool                  // crash-consistency sweep mode
-	sp      diffcheck.SweepParams // the sweep's grid
-	reports string                // where diverging cells' salvage reports are archived
-
-	cpuProfile string // write a CPU profile here
-	memProfile string // write a heap profile here at exit
-	traceOut   string // write a runtime execution trace here
+// command is one nvcheck subcommand.
+type command struct {
+	name    string
+	arg     string // the one positional argument it takes, "" for none
+	summary string
+	// flags registers the subcommand's flags on fs and returns the check
+	// that completes o once fs has parsed.
+	flags func(fs *flag.FlagSet, o *options) func() error
+	// run executes the subcommand, reporting to w. A divergence is printed
+	// in full (with its reproducer) and returned as an error so main exits
+	// non-zero.
+	run func(ctx context.Context, o options, w io.Writer) error
 }
 
-// traceFlags are the per-trace parameter flags; setting any of them runs
-// one explicit trace instead of the regime sweep.
-var traceFlags = map[string]bool{
-	"cores": true, "vdcores": true, "steps": true, "lines": true,
-	"share": true, "write": true, "epoch": true, "pattern": true,
-	"omcs": true, "crash": true, "nowalker": true, "buffer": true,
-	"wrap": true, "wrapwidth": true, "fault": true,
+var commands = []*command{
+	{name: "soak", summary: "run the differential harness over the regime rotation",
+		flags: func(fs *flag.FlagSet, o *options) func() error {
+			fs.IntVar(&o.traces, "traces", 600, "traces to run across the regime rotation")
+			fs.IntVar(&o.every, "every", 100, "print progress every N traces")
+			fs.Int64Var(&o.seed, "seed", 1, "base seed")
+			jobsFlag(fs, o)
+			o.prof.Register(fs)
+			return func() error {
+				if o.traces < 1 {
+					return fmt.Errorf("nvcheck: -traces must be positive, got %d", o.traces)
+				}
+				return nil
+			}
+		},
+		run: runSoak},
+	{name: "diff", summary: "run one explicit trace (every trace reproducer uses this)",
+		flags: func(fs *flag.FlagSet, o *options) func() error {
+			check := addTraceFlags(fs, &o.p, true)
+			fs.StringVar(&o.events, "events", "", "write the trace's JSONL event stream to this file")
+			fs.BoolVar(&o.timeline, "timeline", false, "print the trace's per-epoch rollup timeline")
+			jobsFlag(fs, o)
+			o.prof.Register(fs)
+			return check
+		},
+		run: runDiff},
+	{name: "sweep", summary: "run the crash-consistency sweep over (class, seed, cut)",
+		flags: func(fs *flag.FlagSet, o *options) func() error {
+			classes := fs.String("classes", "nvm,disk", "fault classes: nvm:<class> or disk:<class>, or a bare layer for all of its classes")
+			seed := fs.Int64("seed", 1, "first seed of every class")
+			seeds := fs.Int("seeds", 4, "seeds per class, counting up from -seed")
+			fs.IntVar(&o.sp.Cuts, "cuts", 8, "crash cuts per (class, seed) regime")
+			fs.StringVar(&o.reports, "reports", "crash-reports", "directory for the salvage reports of diverging cells")
+			jobsFlag(fs, o)
+			o.prof.Register(fs)
+			return func() error {
+				if *seeds <= 0 {
+					return fmt.Errorf("nvcheck: -seeds must be positive, got %d", *seeds)
+				}
+				o.sp.Classes = diffcheck.ParseClasses(*classes)
+				for i := 0; i < *seeds; i++ {
+					o.sp.Seeds = append(o.sp.Seeds, *seed+int64(i))
+				}
+				return o.sp.Validate()
+			}
+		},
+		run: runSweep},
+	{name: "record", arg: "<file.trc>", summary: "record one trace, then check its file replay against the in-memory run",
+		flags: func(fs *flag.FlagSet, o *options) func() error {
+			check := addTraceFlags(fs, &o.p, false)
+			o.prof.Register(fs)
+			return check
+		},
+		run: runRecord},
+	{name: "replay", arg: "<file.trc>", summary: "replay a recorded trace; the file supplies every parameter",
+		flags: func(fs *flag.FlagSet, o *options) func() error {
+			o.prof.Register(fs)
+			return nil
+		},
+		run: runReplay},
+	{name: "validate", arg: "<events.jsonl>", summary: "schema-check a captured JSONL event stream",
+		flags: func(*flag.FlagSet, *options) func() error { return nil },
+		run:   runValidate},
+}
+
+// options is the parsed command line.
+type options struct {
+	cmd  *command
+	file string // the positional argument of record, replay and validate
+	seed int64  // soak's base seed
+	jobs int    // workers; verdicts and output are identical for every value
+	prof hostprof.Flags
+
+	traces, every int // soak
+
+	p        diffcheck.Params // diff and record: the trace
+	events   string           // diff: write the trace's JSONL event stream here
+	timeline bool             // diff: print the trace's per-epoch rollup timeline
+
+	sp      diffcheck.SweepParams // sweep: the grid
+	reports string                // sweep: where diverging cells' salvage reports go
+}
+
+// jobsFlag registers -j.
+func jobsFlag(fs *flag.FlagSet, o *options) {
+	fs.IntVar(&o.jobs, "j", 0, "workers; verdicts and output are identical for every value (0: GOMAXPROCS, 1: serial)")
+}
+
+// addTraceFlags registers the trace parameter flags on fs, -fault only when
+// faults is set, and returns the check that completes and validates p.
+func addTraceFlags(fs *flag.FlagSet, p *diffcheck.Params, faults bool) func() error {
+	base := diffcheck.RegimeParams(0, 0)
+	fs.Int64Var(&p.Seed, "seed", 1, "trace seed")
+	fs.IntVar(&p.Cores, "cores", base.Cores, "cores")
+	fs.IntVar(&p.CoresPerVD, "vdcores", base.CoresPerVD, "cores per versioned domain")
+	fs.IntVar(&p.Steps, "steps", base.Steps, "trace length in accesses")
+	fs.IntVar(&p.Lines, "lines", base.Lines, "working-set lines per region")
+	fs.IntVar(&p.SharePct, "share", base.SharePct, "percent of accesses to the shared region")
+	fs.IntVar(&p.WritePct, "write", base.WritePct, "percent of accesses that are stores")
+	fs.IntVar(&p.EpochSize, "epoch", base.EpochSize, "stores per epoch")
+	fs.StringVar(&p.Pattern, "pattern", base.Pattern, "access pattern: uniform, hotspot or stride")
+	fs.IntVar(&p.OMCs, "omcs", base.OMCs, "OMC address partitions")
+	fs.IntVar(&p.CrashPoints, "crash", base.CrashPoints, "swept mid-run crash probes")
+	nowalker := fs.Bool("nowalker", false, "disable the tag walker")
+	fs.BoolVar(&p.Buffered, "buffer", false, "enable the battery-backed OMC buffer")
+	fs.BoolVar(&p.Wrap, "wrap", false, "enable the epoch wrap-around protocol")
+	wrapWidth := fs.Uint("wrapwidth", 5, "epoch wire width in bits (with -wrap)")
+	if faults {
+		fs.StringVar(&p.Fault, "fault", "", "NVM fault class (torn, flip, loss, nak, all); -crash sets the cuts")
+	}
+	return func() error {
+		p.Walker = !*nowalker
+		if p.Wrap {
+			p.WrapWidth = *wrapWidth
+		}
+		return p.Validate()
+	}
+}
+
+// usage lists the subcommands.
+func usage() string {
+	s := "usage: nvcheck <subcommand> [flags]"
+	for _, c := range commands {
+		s += fmt.Sprintf("\n  %-24s %s", strings.TrimSpace(c.name+" "+c.arg), c.summary)
+	}
+	return s
 }
 
 // parseFlags decodes the command line without touching the process-global
 // flag set, so tests can drive it directly.
 func parseFlags(args []string, errOut io.Writer) (options, error) {
-	fs := flag.NewFlagSet("nvcheck", flag.ContinueOnError)
-	fs.SetOutput(errOut)
+	if len(args) == 0 {
+		return options{}, fmt.Errorf("nvcheck: missing subcommand\n%s", usage())
+	}
 	o := options{}
-	fs.IntVar(&o.traces, "traces", 600, "traces to sweep across the regime rotation")
-	fs.Int64Var(&o.seed, "seed", 1, "base seed (sweeps) or trace seed (single mode)")
-	fs.IntVar(&o.every, "every", 100, "print progress every N traces")
-	fs.IntVar(&o.jobs, "j", 0, "sweep workers; verdicts and output are identical for every value (0: GOMAXPROCS, 1: serial)")
-	fs.BoolVar(&o.sweep, "sweep", false, "crash-consistency sweep: fault classes x seeds x crash cuts, every salvaged state diffed against the golden model")
-	classes := fs.String("classes", "nvm,disk", "sweep fault classes: nvm:<class> or disk:<class>, or a bare layer for all of its classes")
-	seeds := fs.Int("seeds", 4, "seeds per sweep class, counting up from -seed")
-	fs.IntVar(&o.sp.Cuts, "cuts", 8, "crash cuts per (class, seed) sweep regime")
-	fs.StringVar(&o.reports, "reports", "crash-reports", "directory for the salvage reports of diverging sweep cells")
-	fs.StringVar(&o.events, "events", "", "write the single trace's JSONL event stream to this file (implies single-trace mode)")
-	fs.BoolVar(&o.timeline, "timeline", false, "print the single trace's per-epoch rollup timeline (implies single-trace mode)")
-	fs.StringVar(&o.vevents, "validate-events", "", "schema-check a captured JSONL event stream and exit")
-	fs.StringVar(&o.record, "record", "", "record the single trace to this TRC1 file, then verify the file replay matches the in-memory run (implies single-trace mode)")
-	fs.StringVar(&o.replay, "replay", "", "replay a recorded TRC1 trace file through the differential harness (standalone mode)")
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file (taken at exit)")
-	fs.StringVar(&o.traceOut, "trace", "", "write a runtime execution trace to this file")
-
-	base := diffcheck.RegimeParams(0, 0)
-	fs.IntVar(&o.p.Cores, "cores", base.Cores, "cores (single-trace mode)")
-	fs.IntVar(&o.p.CoresPerVD, "vdcores", base.CoresPerVD, "cores per versioned domain")
-	fs.IntVar(&o.p.Steps, "steps", base.Steps, "trace length in accesses")
-	fs.IntVar(&o.p.Lines, "lines", base.Lines, "working-set lines per region")
-	fs.IntVar(&o.p.SharePct, "share", base.SharePct, "percent of accesses to the shared region")
-	fs.IntVar(&o.p.WritePct, "write", base.WritePct, "percent of accesses that are stores")
-	fs.IntVar(&o.p.EpochSize, "epoch", base.EpochSize, "stores per epoch")
-	fs.StringVar(&o.p.Pattern, "pattern", base.Pattern, "access pattern: uniform, hotspot or stride")
-	fs.IntVar(&o.p.OMCs, "omcs", base.OMCs, "OMC address partitions")
-	fs.IntVar(&o.p.CrashPoints, "crash", base.CrashPoints, "swept mid-run crash probes")
-	nowalker := fs.Bool("nowalker", false, "disable the tag walker")
-	fs.BoolVar(&o.p.Buffered, "buffer", false, "enable the battery-backed OMC buffer")
-	fs.BoolVar(&o.p.Wrap, "wrap", false, "enable the epoch wrap-around protocol")
-	wrapWidth := fs.Uint("wrapwidth", 5, "epoch wire width in bits (with -wrap)")
-	fs.StringVar(&o.p.Fault, "fault", "", "fault class for a single faulted trace (torn, flip, loss, nak, all)")
-
-	if err := fs.Parse(args); err != nil {
+	for _, c := range commands {
+		if c.name == args[0] {
+			o.cmd = c
+		}
+	}
+	if o.cmd == nil {
+		return options{}, fmt.Errorf("nvcheck: unknown subcommand %q\n%s", args[0], usage())
+	}
+	fs := flag.NewFlagSet("nvcheck "+o.cmd.name, flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	check := o.cmd.flags(fs, &o)
+	if err := fs.Parse(args[1:]); err != nil {
 		return options{}, err
 	}
-	if fs.NArg() > 0 {
-		return options{}, fmt.Errorf("nvcheck: unexpected arguments %v", fs.Args())
+	switch {
+	case o.cmd.arg == "" && fs.NArg() > 0:
+		return options{}, fmt.Errorf("nvcheck %s: unexpected arguments %v", o.cmd.name, fs.Args())
+	case o.cmd.arg != "" && fs.NArg() != 1:
+		return options{}, fmt.Errorf("nvcheck %s: want one %s argument after the flags, got %v", o.cmd.name, o.cmd.arg, fs.Args())
+	case o.cmd.arg != "":
+		o.file = fs.Arg(0)
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if traceFlags[f.Name] {
-			o.single = true
-		}
-	})
-	if o.events != "" || o.timeline {
-		o.single = true
-	}
-	if o.record != "" {
-		o.single = true
-		if o.events != "" || o.timeline {
-			return options{}, fmt.Errorf("nvcheck: -record runs the trace twice (memory + file) and cannot also capture events; drop -events/-timeline")
-		}
-	}
-	if o.replay != "" && (o.sweep || o.single || o.vevents != "") {
-		return options{}, fmt.Errorf("nvcheck: -replay is a standalone mode (the trace file supplies all parameters)")
-	}
-	if o.sweep && (o.single || o.vevents != "") {
-		return options{}, fmt.Errorf("nvcheck: -sweep is a standalone mode")
-	}
-	if o.vevents != "" && o.single {
-		return options{}, fmt.Errorf("nvcheck: -validate-events is a standalone mode")
-	}
-	o.p.Seed = o.seed
-	o.p.Walker = !*nowalker
-	o.p.WrapWidth = uint(*wrapWidth)
-	if o.single {
-		if err := o.p.Validate(); err != nil {
-			return options{}, err
-		}
-	}
-	if o.record != "" && o.p.Fault != "" {
-		return options{}, fmt.Errorf("nvcheck: -record cannot capture a fault regime (the fault schedule is not part of the access stream)")
-	}
-	if o.sweep {
-		if *seeds <= 0 {
-			return options{}, fmt.Errorf("nvcheck: -seeds must be positive, got %d", *seeds)
-		}
-		o.sp.Classes = diffcheck.ParseClasses(*classes)
-		for i := 0; i < *seeds; i++ {
-			o.sp.Seeds = append(o.sp.Seeds, o.seed+int64(i))
-		}
-		if err := o.sp.Validate(); err != nil {
+	if check != nil {
+		if err := check(); err != nil {
 			return options{}, err
 		}
 	}
 	return o, nil
+}
+
+// runSoak fans the regime rotation over -j workers. Verdicts are consumed
+// in trace order, so tallies, progress lines and — on failure — which
+// trace is blamed first all match the serial run exactly. An interrupted
+// soak flushes its partial tally first.
+func runSoak(ctx context.Context, o options, w io.Writer) error {
+	start := time.Now()
+	var boundary, crash int
+	type cell struct {
+		res diffcheck.Result
+		d   *diffcheck.Divergence
+	}
+	var ferr error
+	parallel.ForEachOrdered(o.jobs, o.traces, func(i int) cell {
+		res, d := diffcheck.Run(diffcheck.RegimeParams(i, o.seed), nil)
+		return cell{res, d}
+	}, func(i int, c cell) bool {
+		if err := ctx.Err(); err != nil {
+			fmt.Fprintf(w, "interrupted: %d/%d traces ok (%d boundary + %d crash verifies, %v)\n",
+				i, o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
+			ferr = fmt.Errorf("interrupted after %d traces: %w", i, err)
+			return false
+		}
+		if c.d != nil {
+			fmt.Fprintln(w, c.d.Error())
+			fmt.Fprintf(w, "interrupted: %d/%d traces ok (%d boundary + %d crash verifies, %v)\n",
+				i, o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
+			ferr = fmt.Errorf("divergence at trace %d of %d", i+1, o.traces)
+			return false
+		}
+		boundary += c.res.BoundaryVerifies
+		crash += c.res.CrashVerifies
+		if o.every > 0 && (i+1)%o.every == 0 {
+			fmt.Fprintf(w, "%d/%d traces ok (%d boundary + %d crash verifies, %v)\n",
+				i+1, o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
+		}
+		return true
+	})
+	if ferr != nil {
+		return ferr
+	}
+	fmt.Fprintf(w, "0 divergences in %d traces (%d boundary + %d crash verifies, %v)\n",
+		o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// runDiff runs one explicit trace, faulted when -fault names a class.
+func runDiff(ctx context.Context, o options, w io.Writer) error {
+	start := time.Now()
+	// The bus only exists when -events or -timeline asked for it; nil
+	// keeps the replay on the unobserved fast path.
+	var bus *obs.Bus
+	var agg *obs.Aggregator
+	var evbuf bytes.Buffer
+	if o.events != "" || o.timeline {
+		bus = obs.NewBus(0)
+		if o.timeline {
+			agg = obs.NewAggregator()
+			bus.Attach(agg)
+		}
+		if o.events != "" {
+			bus.Attach(obs.NewJSONLSink(&evbuf, ""))
+		}
+	}
+	if o.p.Fault != "" {
+		sp := diffcheck.SweepParams{Classes: []string{diffcheck.LayerNVM + ":" + o.p.Fault},
+			Seeds: []int64{o.p.Seed}, Cuts: o.p.CrashPoints, Trace: o.p}
+		res, err := diffcheck.RunSweep(ctx, sp, o.jobs, bus)
+		var d *diffcheck.SweepDivergence
+		if errors.As(err, &d) {
+			fmt.Fprintln(w, d.Error())
+			return fmt.Errorf("1 divergence")
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "faulted trace ok: %d cells (%d restored, %d walked back, %d refused), %d faults injected\n",
+			res.Cells, res.PowerLoss.Restored, res.PowerLoss.WalkedBack, res.PowerLoss.Refused, res.Faults)
+	} else {
+		res, d := diffcheck.Run(o.p, bus)
+		if d != nil {
+			fmt.Fprintln(w, d.Error())
+			return fmt.Errorf("1 divergence")
+		}
+		fmt.Fprintf(w, "%s\n", traceOkLine(res))
+	}
+	if o.timeline {
+		cell := experiments.TimelineCell{Scheme: "NVOverlay", Workload: "diffcheck",
+			Emitted: bus.Emitted(), Rolls: agg.Timeline(),
+			BankDepth: agg.BankDepth, WalkSpan: agg.WalkSpan}
+		experiments.PrintTimeline(w, []experiments.TimelineCell{cell})
+	}
+	if o.events != "" {
+		if err := os.WriteFile(o.events, evbuf.Bytes(), 0o644); err != nil {
+			return fmt.Errorf("writing event stream: %w", err)
+		}
+		fmt.Fprintf(w, "events: %d written to %s\n", bus.Emitted(), o.events)
+	}
+	fmt.Fprintf(w, "0 divergences in 1 trace (%v)\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // runSweep executes the crash-consistency sweep. The tally is flushed even
@@ -234,31 +385,32 @@ func traceOkLine(res diffcheck.Result) string {
 		res.WrapFlushes, res.Lines, res.Baselines)
 }
 
-// runRecord records the single trace as a TRC1 file, runs the trace both
-// in memory and from the recording, and requires the two runs to agree
+// runRecord records the trace as a TRC1 file, runs the trace both in
+// memory and from the recording, and requires the two runs to agree
 // exactly — the CLI form of the record → replay → diffcheck cross-check.
-func runRecord(o options, w io.Writer, start time.Time) error {
-	info, err := diffcheck.RecordTrace(fault.OS, o.record, o.p)
+func runRecord(_ context.Context, o options, w io.Writer) error {
+	start := time.Now()
+	info, err := diffcheck.RecordTrace(fault.OS, o.file, o.p)
 	if err != nil {
-		return fmt.Errorf("nvcheck: recording %s: %w", o.record, err)
+		return fmt.Errorf("nvcheck: recording %s: %w", o.file, err)
 	}
 	fmt.Fprintf(w, "recorded %d accesses in %d chunks (%d bytes) to %s\n",
-		info.Records, info.Chunks, info.Bytes, o.record)
+		info.Records, info.Chunks, info.Bytes, o.file)
 	res, d := diffcheck.Run(o.p, nil)
 	if d != nil {
 		fmt.Fprintln(w, d.Error())
 		return fmt.Errorf("1 divergence")
 	}
-	fres, fd, err := diffcheck.RunFile(fault.OS, o.record, nil)
+	fres, fd, err := diffcheck.RunFile(fault.OS, o.file, nil)
 	if err != nil {
-		return fmt.Errorf("nvcheck: replaying %s: %w", o.record, err)
+		return fmt.Errorf("nvcheck: replaying %s: %w", o.file, err)
 	}
 	if fd != nil {
 		fmt.Fprintln(w, fd.Error())
 		return fmt.Errorf("1 divergence (file replay)")
 	}
 	if !reflect.DeepEqual(res, fres) {
-		return fmt.Errorf("nvcheck: file replay of %s does not match the in-memory run:\n  memory %+v\n  file   %+v", o.record, res, fres)
+		return fmt.Errorf("nvcheck: file replay of %s does not match the in-memory run:\n  memory %+v\n  file   %+v", o.file, res, fres)
 	}
 	fmt.Fprintf(w, "%s\n", traceOkLine(res))
 	fmt.Fprintf(w, "file replay matches the in-memory run; 0 divergences in 2 runs (%v)\n",
@@ -268,15 +420,16 @@ func runRecord(o options, w io.Writer, start time.Time) error {
 
 // runReplay replays a recorded trace file through the full differential
 // harness; every parameter comes from the file's checksummed header.
-func runReplay(o options, w io.Writer, start time.Time) error {
-	p, err := diffcheck.ReadParams(fault.OS, o.replay)
+func runReplay(_ context.Context, o options, w io.Writer) error {
+	start := time.Now()
+	p, err := diffcheck.ReadParams(fault.OS, o.file)
 	if err != nil {
-		return fmt.Errorf("nvcheck: reading %s: %w", o.replay, err)
+		return fmt.Errorf("nvcheck: reading %s: %w", o.file, err)
 	}
-	fmt.Fprintf(w, "replaying %s: %s\n", o.replay, p.FlagString())
-	res, d, err := diffcheck.RunFile(fault.OS, o.replay, nil)
+	fmt.Fprintf(w, "replaying %s: %s\n", o.file, p.FlagString())
+	res, d, err := diffcheck.RunFile(fault.OS, o.file, nil)
 	if err != nil {
-		return fmt.Errorf("nvcheck: replaying %s: %w", o.replay, err)
+		return fmt.Errorf("nvcheck: replaying %s: %w", o.file, err)
 	}
 	if d != nil {
 		fmt.Fprintln(w, d.Error())
@@ -287,197 +440,21 @@ func runReplay(o options, w io.Writer, start time.Time) error {
 	return nil
 }
 
-// run executes the requested sweep or single trace, reporting to w. A
-// divergence is printed in full (with its reproducer) and returned as an
-// error so main can exit non-zero; an interrupted soak flushes its partial
-// tally first.
-func run(ctx context.Context, o options, w io.Writer) error {
-	start := time.Now()
-	if o.vevents != "" {
-		return validateEvents(o.vevents, w)
-	}
-	if o.replay != "" {
-		return runReplay(o, w, start)
-	}
-	if o.sweep {
-		return runSweep(ctx, o, w)
-	}
-	if o.single {
-		// The bus only exists when -events or -timeline asked for it; nil
-		// keeps the replay on the unobserved fast path.
-		var bus *obs.Bus
-		var agg *obs.Aggregator
-		var evbuf bytes.Buffer
-		if o.events != "" || o.timeline {
-			bus = obs.NewBus(0)
-			if o.timeline {
-				agg = obs.NewAggregator()
-				bus.Attach(agg)
-			}
-			if o.events != "" {
-				bus.Attach(obs.NewJSONLSink(&evbuf, ""))
-			}
-		}
-		report := func() error {
-			if o.timeline {
-				cell := experiments.TimelineCell{Scheme: "NVOverlay", Workload: "diffcheck",
-					Emitted: bus.Emitted(), Rolls: agg.Timeline(),
-					BankDepth: agg.BankDepth, WalkSpan: agg.WalkSpan}
-				experiments.PrintTimeline(w, []experiments.TimelineCell{cell})
-			}
-			if o.events == "" {
-				return nil
-			}
-			if err := os.WriteFile(o.events, evbuf.Bytes(), 0o644); err != nil {
-				return fmt.Errorf("writing event stream: %w", err)
-			}
-			fmt.Fprintf(w, "events: %d written to %s\n", bus.Emitted(), o.events)
-			return nil
-		}
-		if o.p.Fault != "" {
-			sp := diffcheck.SweepParams{Classes: []string{diffcheck.LayerNVM + ":" + o.p.Fault},
-				Seeds: []int64{o.p.Seed}, Cuts: o.p.CrashPoints, Trace: o.p}
-			res, err := diffcheck.RunSweep(ctx, sp, o.jobs, bus)
-			var d *diffcheck.SweepDivergence
-			if errors.As(err, &d) {
-				fmt.Fprintln(w, d.Error())
-				return fmt.Errorf("1 divergence")
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "faulted trace ok: %d cells (%d restored, %d walked back, %d refused), %d faults injected\n",
-				res.Cells, res.PowerLoss.Restored, res.PowerLoss.WalkedBack, res.PowerLoss.Refused, res.Faults)
-			if err := report(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "0 divergences in 1 trace (%v)\n", time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		if o.record != "" {
-			return runRecord(o, w, start)
-		}
-		res, d := diffcheck.Run(o.p, bus)
-		if d != nil {
-			fmt.Fprintln(w, d.Error())
-			return fmt.Errorf("1 divergence")
-		}
-		fmt.Fprintf(w, "%s\n", traceOkLine(res))
-		if err := report(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "0 divergences in 1 trace (%v)\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	// Regime soak: traces fan over -j workers. Verdicts are consumed in
-	// trace order, so tallies, progress lines and — on failure — which
-	// trace is blamed first all match the serial sweep exactly.
-	var boundary, crash int
-	type cell struct {
-		res diffcheck.Result
-		d   *diffcheck.Divergence
-	}
-	var ferr error
-	parallel.ForEachOrdered(o.jobs, o.traces, func(i int) cell {
-		res, d := diffcheck.Run(diffcheck.RegimeParams(i, o.seed), nil)
-		return cell{res, d}
-	}, func(i int, c cell) bool {
-		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(w, "interrupted: %d/%d traces ok (%d boundary + %d crash verifies, %v)\n",
-				i, o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
-			ferr = fmt.Errorf("interrupted after %d traces: %w", i, err)
-			return false
-		}
-		if c.d != nil {
-			fmt.Fprintln(w, c.d.Error())
-			fmt.Fprintf(w, "interrupted: %d/%d traces ok (%d boundary + %d crash verifies, %v)\n",
-				i, o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
-			ferr = fmt.Errorf("divergence at trace %d of %d", i+1, o.traces)
-			return false
-		}
-		boundary += c.res.BoundaryVerifies
-		crash += c.res.CrashVerifies
-		if o.every > 0 && (i+1)%o.every == 0 {
-			fmt.Fprintf(w, "%d/%d traces ok (%d boundary + %d crash verifies, %v)\n",
-				i+1, o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
-		}
-		return true
-	})
-	if ferr != nil {
-		return ferr
-	}
-	fmt.Fprintf(w, "0 divergences in %d traces (%d boundary + %d crash verifies, %v)\n",
-		o.traces, boundary, crash, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// validateEvents schema-checks a captured JSONL event stream: known kinds,
+// runValidate schema-checks a captured JSONL event stream: known kinds,
 // fixed field order, per-cell sequence numbers gapless from zero. A stream
 // that fails validation returns a non-nil error so main exits non-zero.
-func validateEvents(path string, w io.Writer) error {
-	f, err := os.Open(path)
+func runValidate(_ context.Context, o options, w io.Writer) error {
+	f, err := os.Open(o.file)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = f.Close() }() // read side: validation already decided
 	n, err := obs.ValidateJSONL(f)
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return fmt.Errorf("%s: %w", o.file, err)
 	}
-	fmt.Fprintf(w, "%s: %d events ok\n", path, n)
+	fmt.Fprintf(w, "%s: %d events ok\n", o.file, n)
 	return nil
-}
-
-// withProfiles runs f under the requested profilers, making sure they are
-// stopped and written before the exit status is decided.
-func withProfiles(o options, f func() error) error {
-	if o.cpuProfile != "" {
-		pf, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := pf.Close(); err != nil { // a lost close is a truncated profile
-				fmt.Fprintln(os.Stderr, "nvcheck: cpuprofile:", err)
-			}
-		}()
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			return err
-		}
-	}
-	if o.traceOut != "" {
-		tf, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			rtrace.Stop()
-			if err := tf.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: trace:", err)
-			}
-		}()
-		if err := rtrace.Start(tf); err != nil {
-			return err
-		}
-	}
-	if o.memProfile != "" {
-		defer func() {
-			mf, err := os.Create(o.memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: memprofile:", err)
-				return
-			}
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: memprofile:", err)
-			}
-			if err := mf.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: memprofile:", err)
-			}
-		}()
-	}
-	return f()
 }
 
 func main() {
@@ -488,7 +465,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := withProfiles(o, func() error { return run(ctx, o, os.Stdout) }); err != nil {
+	if err := o.prof.Run(func() error { return o.cmd.run(ctx, o, os.Stdout) }); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

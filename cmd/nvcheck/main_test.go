@@ -14,16 +14,15 @@ import (
 	"repro/internal/obs"
 )
 
+// TestSweepMode drives soak end to end: progress every -every traces,
+// then the final tally.
 func TestSweepMode(t *testing.T) {
-	o, err := parseFlags([]string{"-traces", "6", "-every", "3", "-seed", "11"}, io.Discard)
+	o, err := parseFlags([]string{"soak", "-traces", "6", "-every", "3", "-seed", "11"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.single {
-		t.Fatal("sweep flags triggered single-trace mode")
-	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("sweep failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"3/6 traces ok", "6/6 traces ok", "0 divergences in 6 traces"} {
@@ -33,20 +32,18 @@ func TestSweepMode(t *testing.T) {
 	}
 }
 
+// TestSingleTraceMode drives diff over one fully specified trace.
 func TestSingleTraceMode(t *testing.T) {
-	args := strings.Fields("-seed 7 -cores 4 -vdcores 2 -steps 900 -lines 64 -share 60 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 3 -wrap -wrapwidth 5")
+	args := strings.Fields("diff -seed 7 -cores 4 -vdcores 2 -steps 900 -lines 64 -share 60 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 3 -wrap -wrapwidth 5")
 	o, err := parseFlags(args, io.Discard)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !o.single {
-		t.Fatal("explicit trace flags did not trigger single-trace mode")
 	}
 	if o.p.Seed != 7 || !o.p.Wrap || o.p.WrapWidth != 5 || !o.p.Walker {
 		t.Fatalf("params misparsed: %+v", o.p)
 	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("single trace failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"trace ok:", "wrap-flushes=", "0 divergences in 1 trace"} {
@@ -57,16 +54,16 @@ func TestSingleTraceMode(t *testing.T) {
 }
 
 func TestSingleFaultedTrace(t *testing.T) {
-	args := strings.Fields("-seed 3 -cores 4 -vdcores 2 -steps 600 -lines 48 -share 30 -write 60 -epoch 12 -pattern uniform -omcs 2 -crash 8 -fault torn")
+	args := strings.Fields("diff -seed 3 -cores 4 -vdcores 2 -steps 600 -lines 48 -share 30 -write 60 -epoch 12 -pattern uniform -omcs 2 -crash 8 -fault torn")
 	o, err := parseFlags(args, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.single || o.p.Fault != "torn" {
+	if o.p.Fault != "torn" {
 		t.Fatalf("fault flag misparsed: %+v", o.p)
 	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("faulted trace failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"faulted trace ok:", "faults injected", "0 divergences in 1 trace"} {
@@ -76,15 +73,15 @@ func TestSingleFaultedTrace(t *testing.T) {
 	}
 }
 
-// TestFaultSoakMode drives -sweep over nvm classes end to end: every cell
+// TestFaultSoakMode drives sweep over nvm classes end to end: every cell
 // must pass and the tally must report zero silent corruptions.
 func TestFaultSoakMode(t *testing.T) {
-	o, err := parseFlags([]string{"-sweep", "-classes", "nvm:torn,nvm:loss", "-seeds", "2", "-seed", "5"}, io.Discard)
+	o, err := parseFlags([]string{"sweep", "-classes", "nvm:torn,nvm:loss", "-seeds", "2", "-seed", "5"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("nvm sweep failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"crash sweep: 36 cells", "power-loss: 36 states", "0 silent corruptions in 36 salvaged states"} {
@@ -94,15 +91,15 @@ func TestFaultSoakMode(t *testing.T) {
 	}
 }
 
-// TestDiskFaultSoakMode drives -sweep over disk classes end to end: every
+// TestDiskFaultSoakMode drives sweep over disk classes end to end: every
 // cell must pass in both crash states.
 func TestDiskFaultSoakMode(t *testing.T) {
-	o, err := parseFlags([]string{"-sweep", "-classes", "disk:crash,disk:fsyncgate", "-seeds", "2", "-cuts", "3", "-seed", "5", "-j", "4"}, io.Discard)
+	o, err := parseFlags([]string{"sweep", "-classes", "disk:crash,disk:fsyncgate", "-seeds", "2", "-cuts", "3", "-seed", "5", "-j", "4"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("disk sweep failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"crash sweep: 16 cells", "power-loss: 16 states", "process-death: 16 states",
@@ -118,12 +115,12 @@ func TestDiskFaultSoakMode(t *testing.T) {
 func TestDiskFaultSoakInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o, err := parseFlags([]string{"-sweep", "-classes", "disk:crash", "-seeds", "1", "-cuts", "2"}, io.Discard)
+	o, err := parseFlags([]string{"sweep", "-classes", "disk:crash", "-seeds", "1", "-cuts", "2"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
+	if err := o.cmd.run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("interrupted disk sweep must error, got %v", err)
 	}
 	if !strings.Contains(out.String(), "crash sweep: 0 cells") {
@@ -137,24 +134,24 @@ func TestInterruptFlushesPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // interrupt before the first cell
 
-	o, err := parseFlags([]string{"-sweep", "-classes", "nvm:torn", "-seeds", "1"}, io.Discard)
+	o, err := parseFlags([]string{"sweep", "-classes", "nvm:torn", "-seeds", "1"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
+	if err := o.cmd.run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("interrupted nvm sweep must error, got %v", err)
 	}
 	if !strings.Contains(out.String(), "crash sweep: 0 cells") {
 		t.Fatalf("partial tally not flushed:\n%s", out.String())
 	}
 
-	o, err = parseFlags([]string{"-traces", "4"}, io.Discard)
+	o, err = parseFlags([]string{"soak", "-traces", "4"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
+	if err := o.cmd.run(ctx, o, &out); err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("interrupted sweep must error, got %v", err)
 	}
 	if !strings.Contains(out.String(), "interrupted: 0/4 traces ok") {
@@ -162,37 +159,65 @@ func TestInterruptFlushesPartialResults(t *testing.T) {
 	}
 }
 
-// TestSweepReproducerRoundTrip: the -sweep line a divergence prints parses
-// back to exactly the one regime it names.
-func TestSweepReproducerRoundTrip(t *testing.T) {
-	p := diffcheck.SweepParams{Classes: diffcheck.ParseClasses("disk"), Seeds: []int64{1, 2, 3}, Cuts: 5}
-	cmd := p.Reproducer(diffcheck.LayerDisk, "eio", 2)
-	o, err := parseFlags(strings.Fields(strings.TrimPrefix(cmd, "go run ./cmd/nvcheck ")), io.Discard)
+// parseReproducer parses the nvcheck command of the reproduce line in msg.
+func parseReproducer(t *testing.T, msg string) options {
+	t.Helper()
+	_, cmd, ok := strings.Cut(msg, "go run ./cmd/nvcheck ")
+	if !ok {
+		t.Fatalf("no nvcheck reproducer in %q", msg)
+	}
+	cmd, _, _ = strings.Cut(cmd, "\n")
+	o, err := parseFlags(strings.Fields(cmd), io.Discard)
 	if err != nil {
 		t.Fatalf("%q: %v", cmd, err)
 	}
+	return o
+}
+
+// TestSweepReproducerRoundTrip: each reproducer diffcheck prints parses
+// back to exactly the sweep regime or trace it names.
+func TestSweepReproducerRoundTrip(t *testing.T) {
+	// A disk sweep cell reruns its (class, seed) regime through sweep.
+	p := diffcheck.SweepParams{Classes: diffcheck.ParseClasses("disk"), Seeds: []int64{1, 2, 3}, Cuts: 5}
+	o := parseReproducer(t, p.Reproducer(diffcheck.LayerDisk, "eio", 2))
 	want := diffcheck.SweepParams{Classes: []string{"disk:eio"}, Seeds: []int64{2}, Cuts: 5}
-	if !o.sweep || !reflect.DeepEqual(o.sp, want) {
-		t.Fatalf("%q parsed to sweep=%v %+v, want %+v", cmd, o.sweep, o.sp, want)
+	if o.cmd.name != "sweep" || !reflect.DeepEqual(o.sp, want) {
+		t.Fatalf("disk cell parsed to %s %+v, want sweep %+v", o.cmd.name, o.sp, want)
+	}
+
+	// A custom-trace nvm cell reruns as one faulted trace through diff.
+	tp := diffcheck.SweepParams{Classes: []string{"nvm:torn"}, Seeds: []int64{3}, Cuts: 2, Trace: diffcheck.RegimeParams(0, 3)}
+	o = parseReproducer(t, tp.Reproducer(diffcheck.LayerNVM, "torn", 3))
+	wantP := tp.Trace
+	wantP.Seed, wantP.Fault, wantP.CrashPoints = 3, "torn", 2
+	if o.cmd.name != "diff" || !reflect.DeepEqual(o.p, wantP) {
+		t.Fatalf("nvm cell parsed to %s %+v, want diff %+v", o.cmd.name, o.p, wantP)
+	}
+
+	// A trace divergence reruns through diff, for a wrapped and a plain
+	// regime.
+	for _, dp := range []diffcheck.Params{diffcheck.RegimeParams(1, 123), diffcheck.RegimeParams(2, 123)} {
+		d := &diffcheck.Divergence{Params: dp, Scheme: "NVOverlay", Kind: "crash-image", Step: 812, MinSteps: 97, Detail: "x"}
+		o = parseReproducer(t, d.Error())
+		if o.cmd.name != "diff" || !reflect.DeepEqual(o.p, dp) {
+			t.Fatalf("divergence parsed to %s %+v, want diff %+v", o.cmd.name, o.p, dp)
+		}
 	}
 }
 
-// TestEventsCapture drives -events end to end for both single-trace modes:
-// the captured stream must pass the schema validator, and -validate-events
-// must accept the file it just wrote.
+// TestEventsCapture drives diff -events end to end for a plain and a
+// faulted trace: the captured stream must pass the schema validator, and
+// validate must accept the file it just wrote.
 func TestEventsCapture(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.jsonl")
-	args := strings.Fields("-seed 7 -cores 4 -vdcores 2 -steps 600 -lines 48 -share 40 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 2")
+	args := strings.Fields("diff -seed 7 -cores 4 -vdcores 2 -steps 600 -lines 48 -share 40 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 2")
 	o, err := parseFlags(append(args, "-events", plain), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.single {
-		t.Fatal("-events did not trigger single-trace mode")
-	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("observed trace failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "events: ") {
@@ -207,13 +232,13 @@ func TestEventsCapture(t *testing.T) {
 	}
 
 	faulted := filepath.Join(dir, "faulted.jsonl")
-	fargs := strings.Fields("-seed 3 -cores 4 -vdcores 2 -steps 400 -lines 48 -share 30 -write 60 -epoch 12 -pattern uniform -omcs 2 -crash 3 -fault torn")
+	fargs := strings.Fields("diff -seed 3 -cores 4 -vdcores 2 -steps 400 -lines 48 -share 30 -write 60 -epoch 12 -pattern uniform -omcs 2 -crash 3 -fault torn")
 	o, err = parseFlags(append(fargs, "-events", faulted), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("observed faulted trace failed: %v\n%s", err, out.String())
 	}
 	fdata, err := os.ReadFile(faulted)
@@ -225,14 +250,14 @@ func TestEventsCapture(t *testing.T) {
 		t.Fatal("faulted stream carries no fault/salvage events")
 	}
 
-	// -validate-events accepts what -events wrote and rejects garbage.
-	o, err = parseFlags([]string{"-validate-events", faulted}, io.Discard)
+	// validate accepts what -events wrote and rejects garbage.
+	o, err = parseFlags([]string{"validate", faulted}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(context.Background(), o, &out); err != nil {
-		t.Fatalf("-validate-events rejected a captured stream: %v", err)
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
+		t.Fatalf("validate rejected a captured stream: %v", err)
 	}
 	if !strings.Contains(out.String(), "events ok") {
 		t.Fatalf("validation summary missing:\n%s", out.String())
@@ -241,88 +266,65 @@ func TestEventsCapture(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{\"seq\":1,\"cycle\":0,\"kind\":\"fault\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o, err = parseFlags([]string{"-validate-events", bad}, io.Discard)
+	o, err = parseFlags([]string{"validate", bad}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), o, io.Discard); err == nil {
-		t.Fatal("-validate-events accepted a malformed stream")
+	if err := o.cmd.run(context.Background(), o, io.Discard); err == nil {
+		t.Fatal("validate accepted a malformed stream")
 	}
 }
 
 func TestParseFlagErrors(t *testing.T) {
-	if _, err := parseFlags([]string{"-bogus"}, io.Discard); err == nil {
-		t.Fatal("unknown flag accepted")
-	}
-	if _, err := parseFlags([]string{"stray"}, io.Discard); err == nil {
-		t.Fatal("positional argument accepted")
-	}
-	// Explicit trace params are validated at parse time in single mode.
-	if _, err := parseFlags([]string{"-cores", "4", "-vdcores", "3"}, io.Discard); err == nil {
-		t.Fatal("invalid trace params accepted")
-	}
-	if _, err := parseFlags([]string{"-fault", "melt"}, io.Discard); err == nil {
-		t.Fatal("unknown fault class accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-classes", "nvm:torn,nvm:melt"}, io.Discard); err == nil {
-		t.Fatal("unknown nvm sweep class accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-classes", "disk:eio,disk:melt"}, io.Discard); err == nil {
-		t.Fatal("unknown disk sweep class accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-classes", "torn"}, io.Discard); err == nil {
-		t.Fatal("sweep class without a layer accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-seeds", "0"}, io.Discard); err == nil {
-		t.Fatal("zero seeds accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-cuts=-1"}, io.Discard); err == nil {
-		t.Fatal("negative cuts accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-classes", "nvm", "-cuts", "600"}, io.Discard); err == nil {
-		t.Fatal("nvm cuts beyond the trace length accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-cores", "4"}, io.Discard); err == nil {
-		t.Fatal("-sweep combined with single-trace flags accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-events", "x.jsonl"}, io.Discard); err == nil {
-		t.Fatal("-sweep combined with -events accepted")
-	}
-	if _, err := parseFlags([]string{"-sweep", "-validate-events", "x.jsonl"}, io.Discard); err == nil {
-		t.Fatal("-sweep combined with -validate-events accepted")
-	}
-	if _, err := parseFlags([]string{"-validate-events", "x.jsonl", "-cores", "4"}, io.Discard); err == nil {
-		t.Fatal("-validate-events combined with trace flags accepted")
-	}
-	if _, err := parseFlags([]string{"-replay", "x.trc", "-cores", "4"}, io.Discard); err == nil {
-		t.Fatal("-replay combined with trace flags accepted")
-	}
-	if _, err := parseFlags([]string{"-replay", "x.trc", "-record", "y.trc"}, io.Discard); err == nil {
-		t.Fatal("-replay combined with -record accepted")
-	}
-	if _, err := parseFlags([]string{"-record", "x.trc", "-fault", "torn"}, io.Discard); err == nil {
-		t.Fatal("-record combined with a fault regime accepted")
-	}
-	if _, err := parseFlags([]string{"-record", "x.trc", "-events", "e.jsonl"}, io.Discard); err == nil {
-		t.Fatal("-record combined with -events accepted")
+	for _, tc := range []struct {
+		args []string
+		what string
+	}{
+		{nil, "missing subcommand"},
+		{[]string{"bogus"}, "unknown subcommand"},
+		{[]string{"-traces", "4"}, "old flag spelling without a subcommand"},
+		{[]string{"soak", "-bogus"}, "unknown flag"},
+		{[]string{"soak", "stray"}, "positional argument"},
+		{[]string{"soak", "-traces", "0"}, "zero traces"},
+		{[]string{"soak", "-traces=-5"}, "negative traces"},
+		{[]string{"diff", "-cores", "4", "-vdcores", "3"}, "invalid trace params"},
+		{[]string{"diff", "-fault", "melt"}, "unknown fault class"},
+		{[]string{"sweep", "-classes", "nvm:torn,nvm:melt"}, "unknown nvm sweep class"},
+		{[]string{"sweep", "-classes", "disk:eio,disk:melt"}, "unknown disk sweep class"},
+		{[]string{"sweep", "-classes", "torn"}, "sweep class without a layer"},
+		{[]string{"sweep", "-seeds", "0"}, "zero seeds"},
+		{[]string{"sweep", "-cuts=-1"}, "negative cuts"},
+		{[]string{"sweep", "-classes", "nvm", "-cuts", "600"}, "nvm cuts beyond the trace length"},
+		{[]string{"record", "-cores", "4", "-vdcores", "3", "x.trc"}, "invalid record trace params"},
+		{[]string{"record"}, "record without a file"},
+		// A flag another subcommand owns is unknown here.
+		{[]string{"sweep", "-cores", "4"}, "sweep with a trace flag"},
+		{[]string{"sweep", "-events", "x.jsonl"}, "sweep with -events"},
+		{[]string{"record", "-fault", "torn", "x.trc"}, "record of a fault regime"},
+		{[]string{"record", "-events", "e.jsonl", "x.trc"}, "record with -events"},
+		{[]string{"replay", "-cores", "4", "x.trc"}, "replay with a trace flag"},
+		{[]string{"validate", "-cores", "4", "x.jsonl"}, "validate with a trace flag"},
+		{[]string{"replay", "x.trc", "y.trc"}, "replay of two files"},
+		{[]string{"validate"}, "validate without a file"},
+	} {
+		if _, err := parseFlags(tc.args, io.Discard); err == nil {
+			t.Errorf("%s accepted: %q", tc.what, tc.args)
+		}
 	}
 }
 
-// TestRecordReplayModes drives the full CLI loop: record a single trace to
-// a file, verify the recording run cross-checks file vs memory, then
-// replay the same file standalone.
+// TestRecordReplayModes drives the full CLI loop: record a trace to a
+// file, verify the recording run cross-checks file vs memory, then replay
+// the same file on its own.
 func TestRecordReplayModes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.trc")
-	args := strings.Fields("-seed 7 -cores 4 -vdcores 2 -steps 900 -lines 64 -share 60 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 3")
-	o, err := parseFlags(append(args, "-record", path), io.Discard)
+	args := strings.Fields("record -seed 7 -cores 4 -vdcores 2 -steps 900 -lines 64 -share 60 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 3")
+	o, err := parseFlags(append(args, path), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.single {
-		t.Fatal("-record did not imply single-trace mode")
-	}
 	var out strings.Builder
-	if err := run(context.Background(), o, &out); err != nil {
+	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("record run failed: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"recorded 900 accesses", "trace ok:", "file replay matches the in-memory run"} {
@@ -331,12 +333,12 @@ func TestRecordReplayModes(t *testing.T) {
 		}
 	}
 
-	ro, err := parseFlags([]string{"-replay", path}, io.Discard)
+	ro, err := parseFlags([]string{"replay", path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rout strings.Builder
-	if err := run(context.Background(), ro, &rout); err != nil {
+	if err := ro.cmd.run(context.Background(), ro, &rout); err != nil {
 		t.Fatalf("replay run failed: %v\n%s", err, rout.String())
 	}
 	for _, want := range []string{"replaying " + path, "-seed 7", "trace ok:", "0 divergences in 1 replayed trace"} {
@@ -346,11 +348,11 @@ func TestRecordReplayModes(t *testing.T) {
 	}
 
 	// A missing file fails loudly.
-	bad, err := parseFlags([]string{"-replay", filepath.Join(t.TempDir(), "nope.trc")}, io.Discard)
+	bad, err := parseFlags([]string{"replay", filepath.Join(t.TempDir(), "nope.trc")}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), bad, io.Discard); err == nil {
+	if err := bad.cmd.run(context.Background(), bad, io.Discard); err == nil {
 		t.Fatal("missing trace file replayed cleanly")
 	}
 }

@@ -383,13 +383,15 @@ var simVisible = prefixMatcher(
 )
 
 // errcheckScope covers the NVM/DRAM device models and the recovery paths,
-// where a silently dropped error means a corrupted or unverified image.
+// where a silently dropped error means a corrupted or unverified image,
+// and the host profilers, where it means a truncated profile.
 var errcheckScope = prefixMatcher(
 	"repro/internal/mem",
 	"repro/internal/recovery",
 	"repro/internal/tracefile",
 	"repro/internal/omc",
 	"repro/internal/soak",
+	"repro/internal/hostprof",
 	"repro/cmd/nvrecover",
 	"repro/cmd/nvcheck",
 	"repro/cmd/nvsim",

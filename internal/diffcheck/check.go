@@ -50,7 +50,7 @@ func (d *Divergence) Error() string {
 	if d.Step < 0 {
 		step = "end of run"
 	}
-	msg := fmt.Sprintf("diffcheck: DIVERGENCE scheme=%s kind=%s seed=%d at %s\n  %s\n  reproduce: go run ./cmd/nvcheck %s",
+	msg := fmt.Sprintf("diffcheck: DIVERGENCE scheme=%s kind=%s seed=%d at %s\n  %s\n  reproduce: go run ./cmd/nvcheck diff %s",
 		d.Scheme, d.Kind, d.Params.Seed, step, d.Detail, d.Params.FlagString())
 	if d.MinSteps > 0 {
 		msg += fmt.Sprintf("\n  minimized: first %d steps of the trace suffice (append -steps %d)",

@@ -212,7 +212,7 @@ func TestDivergenceReport(t *testing.T) {
 	msg := d.Error()
 	for _, want := range []string{
 		"seed=124", "step 812", "kind=crash-image",
-		"-seed 124", "-wrap -wrapwidth 5", "nvcheck", "first 97 steps",
+		"nvcheck diff -seed 124", "-wrap -wrapwidth 5", "first 97 steps",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("divergence report missing %q:\n%s", want, msg)

@@ -115,7 +115,7 @@ func FuzzFaultedRecovery(f *testing.F) {
 			}
 		}
 		if _, _, d := nvmCell(p, c, mutate, nil); d != nil {
-			t.Fatalf("%v\n  trace: go run ./cmd/nvcheck %s", d, p.FlagString())
+			t.Fatalf("%v\n  trace: go run ./cmd/nvcheck diff %s", d, p.FlagString())
 		}
 	})
 }

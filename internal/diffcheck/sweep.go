@@ -115,13 +115,13 @@ func (p SweepParams) nvmParams(class string, seed int64) Params {
 }
 
 // Reproducer returns the nvcheck command that reruns one (class, seed)
-// regime of the sweep: the -sweep mode, or for a custom nvm Trace the
-// single faulted-trace mode.
+// regime of the sweep: nvcheck sweep, or for a custom nvm Trace the one
+// faulted trace through nvcheck diff.
 func (p SweepParams) Reproducer(layer, class string, seed int64) string {
 	if layer == LayerNVM && p.Trace.Steps > 0 {
-		return "go run ./cmd/nvcheck " + p.nvmParams(class, seed).FlagString()
+		return "go run ./cmd/nvcheck diff " + p.nvmParams(class, seed).FlagString()
 	}
-	return fmt.Sprintf("go run ./cmd/nvcheck -sweep -classes %s:%s -seed %d -seeds 1 -cuts %d",
+	return fmt.Sprintf("go run ./cmd/nvcheck sweep -classes %s:%s -seed %d -seeds 1 -cuts %d",
 		layer, class, seed, p.Cuts)
 }
 

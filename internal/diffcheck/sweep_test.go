@@ -264,21 +264,21 @@ func TestWoundedPlaneStaysSalvageable(t *testing.T) {
 }
 
 // TestSweepDivergenceReproducer: a sweep divergence prints the one-line
-// nvcheck command that reruns its (class, seed) regime; a custom nvm trace
-// reruns through the single faulted-trace mode instead.
+// nvcheck sweep command that reruns its (class, seed) regime; a custom nvm
+// trace reruns as one faulted trace through nvcheck diff instead.
 func TestSweepDivergenceReproducer(t *testing.T) {
 	p := SweepParams{Classes: ParseClasses(LayerDisk), Seeds: []int64{5, 6, 7}, Cuts: 8}
 	d := &SweepDivergence{
 		Cell: Point{Layer: LayerDisk, Class: "eio", Seed: 7, Cut: 40, State: StatePowerLoss},
 		Kind: "silent-corruption", Detail: "x", Reproducer: p.Reproducer(LayerDisk, "eio", 7),
 	}
-	want := "\n  reproduce: go run ./cmd/nvcheck -sweep -classes disk:eio -seed 7 -seeds 1 -cuts 8"
+	want := "\n  reproduce: go run ./cmd/nvcheck sweep -classes disk:eio -seed 7 -seeds 1 -cuts 8"
 	if !strings.Contains(d.Error(), want) {
 		t.Fatalf("divergence report missing %q:\n%s", want, d.Error())
 	}
 	tp := SweepParams{Classes: []string{"nvm:torn"}, Seeds: []int64{3}, Cuts: 2, Trace: RegimeParams(0, 3)}
 	got := tp.Reproducer(LayerNVM, "torn", 3)
-	for _, want := range []string{"go run ./cmd/nvcheck -seed 3 ", "-crash 2", "-fault torn"} {
+	for _, want := range []string{"go run ./cmd/nvcheck diff -seed 3 ", "-crash 2", "-fault torn"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("custom-trace reproducer %q missing %q", got, want)
 		}

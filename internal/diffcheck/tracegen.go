@@ -180,7 +180,7 @@ func (p Params) crashSteps() map[int]bool {
 	return pts
 }
 
-// FlagString renders the params as nvcheck CLI flags, the second half of
+// FlagString renders the params as nvcheck diff flags, the second half of
 // every divergence reproducer.
 func (p Params) FlagString() string {
 	var b strings.Builder

@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/tracefile"
+	"repro/internal/workload"
 )
 
 // The shape assertions below encode the paper's qualitative findings at
@@ -87,6 +92,86 @@ func TestFaultedRunReplaysByteIdentical(t *testing.T) {
 	sc.FaultClass = "melt"
 	if _, err := Run("NVOverlay", "btree", sc, nil); err == nil {
 		t.Fatal("unknown fault class accepted")
+	}
+}
+
+// TestDriverRecordReplayThroughTraceFile is the acceptance lock at the
+// experiments level: a real NVOverlay scheme driven by a real workload,
+// recorded through the on-disk codec, then replayed from the file into a
+// fresh scheme — scheme stats, NVM byte counters, clocks and the final
+// golden image must all be byte-identical.
+func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
+	const maxAccesses = 120_000
+	cfg := sim.DefaultConfig()
+	cfg.EpochSize = 4_000
+
+	runRecorded := func(fsys fault.FS) (trace.Summary, string) {
+		c := cfg
+		s, err := NewScheme("NVOverlay", &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := workload.Get("hashtable")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := trace.NewDriver(&c, s, wl, maxAccesses)
+		w, err := tracefile.Create(fsys, "run.trc", tracefile.Shape{
+			Cores: c.Cores, CoresPerVD: c.CoresPerVD, LineSize: c.LineSize, Seed: c.Seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetSink(w)
+		sum := d.Run()
+		if err := d.SinkErr(); err != nil {
+			t.Fatalf("record sink: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Records() != sum.Accesses {
+			t.Fatalf("recorded %d accesses, driver issued %d", w.Records(), sum.Accesses)
+		}
+		return sum, s.Stats().String()
+	}
+
+	replayFromFile := func(fsys fault.FS) (trace.Summary, string) {
+		c := cfg
+		s, err := NewScheme("NVOverlay", &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := tracefile.OpenReader(fsys, "run.trc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := trace.NewDriver(&c, s, nil, maxAccesses)
+		sum, err := d.RunReplay(r)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sum, s.Stats().String()
+	}
+
+	fsys := fault.NewMemFS()
+	want, wantStats := runRecorded(fsys)
+	got, gotStats := replayFromFile(fsys)
+	if wantStats != gotStats {
+		t.Fatalf("scheme stats diverged under file replay:\nrecorded:\n%s\nreplayed:\n%s", wantStats, gotStats)
+	}
+
+	// Workload identity and heap footprint legitimately differ (no
+	// workload ran on the replay side); everything the scheme computed
+	// must not.
+	want.Workload, got.Workload = "", ""
+	want.Ops, got.Ops = 0, 0
+	want.Footprint, got.Footprint = 0, 0
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("file replay diverged from the recorded run:\nrecorded %+v\nreplayed %+v", want, got)
 	}
 }
 

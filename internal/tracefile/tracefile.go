@@ -3,7 +3,7 @@
 // access stream, with a streaming Writer and Reader that hold one chunk in
 // memory at any trace length. Captured workloads become first-class,
 // compact, reproducible inputs to the replay machinery (the driver's
-// replay source, diffcheck's file-backed regimes, nvcheck -record/-replay)
+// replay source, diffcheck's file-backed regimes, nvcheck record/replay)
 // instead of living in RAM as []Op slices that cap trace length.
 //
 // # Layout

@@ -85,26 +85,48 @@ func synthetic(n int, seed uint64) []trace.Access {
 	return accs
 }
 
+// driverLike mirrors a driver's stream: 16 threads, line-aligned
+// addresses over a 16 MB span, and half stores whose payload tokens count
+// up by one. Counting tokens put every store on decode's inlined fast
+// path, which synthetic's random tokens never reach.
+func driverLike(n int, seed uint64) []trace.Access {
+	g := lcg(seed)
+	accs := make([]trace.Access, n)
+	var token uint64
+	for i := range accs {
+		r := g.next()
+		a := trace.Access{Tid: int(r >> 60), Addr: (1 << 30) + (r>>20)%(1<<18)*64}
+		if r>>59&1 == 0 {
+			token++
+			a.Write, a.Data = true, token
+		}
+		accs[i] = a
+	}
+	return accs
+}
+
 func TestRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
 		accs []trace.Access
+		// maxBytes bounds the file size per access (0: unbounded).
+		maxBytes float64
 	}{
-		{"empty", nil},
-		{"single-read", []trace.Access{{Tid: 3, Addr: 0x40000040}}},
-		{"single-write", []trace.Access{{Tid: 15, Addr: 0x40000040, Write: true, Data: 7}}},
-		{"max-uint64-addr", []trace.Access{
+		{name: "empty"},
+		{name: "single-read", accs: []trace.Access{{Tid: 3, Addr: 0x40000040}}},
+		{name: "single-write", accs: []trace.Access{{Tid: 15, Addr: 0x40000040, Write: true, Data: 7}}},
+		{name: "max-uint64-addr", accs: []trace.Access{
 			{Tid: 0, Addr: math.MaxUint64, Write: true, Data: math.MaxUint64},
 			{Tid: 1, Addr: 0}, // delta wraps all the way back down
 			{Tid: 2, Addr: math.MaxUint64},
 		}},
-		{"backwards-deltas", []trace.Access{
+		{name: "backwards-deltas", accs: []trace.Access{
 			{Tid: 0, Addr: 1 << 40},
 			{Tid: 0, Addr: 64},
 			{Tid: 0, Addr: 1 << 50, Write: true, Data: 100},
 			{Tid: 0, Addr: 0, Write: true, Data: 1}, // token also runs backwards
 		}},
-		{"wrapped-16bit-epochs", func() []trace.Access {
+		{name: "wrapped-16bit-epochs", accs: func() []trace.Access {
 			// Payload tokens cycling through a 16-bit wrap, the shape a
 			// wrapped WireEpoch stream produces: forward deltas up to
 			// 65535, then a large backwards jump.
@@ -116,10 +138,12 @@ func TestRoundTrip(t *testing.T) {
 			}
 			return accs
 		}()},
-		{"zero-addr-run", []trace.Access{
+		{name: "zero-addr-run", accs: []trace.Access{
 			{Tid: 0, Addr: 0}, {Tid: 0, Addr: 0}, {Tid: 0, Addr: 0, Write: true, Data: 0},
 		}},
-		{"multi-chunk", synthetic(60_000, 1)},
+		{name: "multi-chunk", accs: synthetic(60_000, 1)},
+		// Delta/varint coding must land well under raw 25-byte records.
+		{name: "driver-like", accs: driverLike(200_000, 7), maxBytes: 10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,6 +153,9 @@ func TestRoundTrip(t *testing.T) {
 			w := record(t, fsys, "t.trc", shape, tc.accs)
 			if w.Records() != uint64(len(tc.accs)) {
 				t.Fatalf("writer records = %d, want %d", w.Records(), len(tc.accs))
+			}
+			if per := float64(w.Bytes()) / float64(len(tc.accs)); tc.maxBytes > 0 && per > tc.maxBytes {
+				t.Fatalf("%.2f bytes/access, want <= %g", per, tc.maxBytes)
 			}
 			got, r, err := readAll(t, fsys, "t.trc")
 			if err != nil {
