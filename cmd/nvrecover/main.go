@@ -111,11 +111,14 @@ func run(o options, w io.Writer) error {
 	// the whole history (the debugging usage model).
 	nvo := core.New(&cfg, core.WithRetention())
 	driver := trace.NewDriver(&cfg, nvo, wl, o.accesses)
+	golden := trace.NewGolden(&cfg) // the image recovery verifies against
+	driver.SetSink(golden)
 	fmt.Fprintf(w, "running %s over NVOverlay (%d accesses, epoch %d stores)...\n",
 		o.wlName, o.accesses, o.epoch)
 	sum := driver.Run()
+	final := golden.Final()
 	fmt.Fprintf(w, "  done in %d cycles; %d lines written; rec-epoch %d\n\n",
-		sum.Cycles, sum.Final.Len(), nvo.Group().RecEpoch())
+		sum.Cycles, final.Len(), nvo.Group().RecEpoch())
 
 	// --- Crash recovery -----------------------------------------------
 	fmt.Fprintln(w, "crash recovery:")
@@ -123,14 +126,14 @@ func run(o options, w io.Writer) error {
 	fmt.Fprintf(w, "  restored %d lines of epoch %d in %d cycles (%.2f us at 3 GHz)\n",
 		rep.LinesRestored, rep.RecEpoch, rep.LatencyCycles,
 		float64(rep.LatencyCycles)/3e3)
-	if err := recovery.Verify(img, sum.Final); err != nil {
+	if err := recovery.Verify(img, final); err != nil {
 		return fmt.Errorf("image verification FAILED: %w", err)
 	}
 	fmt.Fprintln(w, "  image verified against the golden final memory state")
 
 	// --- Time travel ---------------------------------------------------
 	fmt.Fprintln(w, "\ntime-travel debugging:")
-	addr := hottestAddr(sum.Final, nvo)
+	addr := hottestAddr(final, nvo)
 	hist := recovery.History(nvo.Group(), addr)
 	fmt.Fprintf(w, "  address %#x has %d snapshot versions:\n", addr, len(hist))
 	for i, v := range hist {
@@ -153,7 +156,7 @@ func run(o options, w io.Writer) error {
 	shipped := recovery.Replicate(nvo.Group(), replica)
 	fmt.Fprintf(w, "  shipped %d epoch deltas (%d KB on the wire); replica at epoch %d\n",
 		shipped, replica.BytesReceived>>10, replica.AppliedEpoch())
-	if err := recovery.Verify(replica.Image(), sum.Final); err != nil {
+	if err := recovery.Verify(replica.Image(), final); err != nil {
 		return fmt.Errorf("replica verification FAILED: %w", err)
 	}
 	fmt.Fprintln(w, "  replica image verified against the primary")

@@ -29,12 +29,15 @@ func main() {
 	nvo := core.New(&cfg)
 
 	// 3. Pick a workload — here the paper's hash-table bulk-insert — and
-	//    drive it with the 16-thread interleaving driver.
+	//    drive it with the 16-thread interleaving driver. The golden sink
+	//    keeps the last value stored to each line, to verify against.
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		panic(err)
 	}
 	driver := trace.NewDriver(&cfg, nvo, wl, 100_000)
+	golden := trace.NewGolden(&cfg)
+	driver.SetSink(golden)
 	sum := driver.Run()
 
 	fmt.Printf("ran %d accesses (%d stores) in %d cycles\n",
@@ -48,7 +51,7 @@ func main() {
 	img, rep := recovery.Recover(nvo.Group())
 	fmt.Printf("recovered %d lines in %d simulated cycles\n",
 		rep.LinesRestored, rep.LatencyCycles)
-	if err := recovery.Verify(img, sum.Final); err != nil {
+	if err := recovery.Verify(img, golden.Final()); err != nil {
 		panic(err)
 	}
 	fmt.Println("snapshot verified: recovered image == final memory state")

@@ -29,7 +29,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	sum := trace.NewDriver(&cfg, nvo, wl, 150_000).Run()
+	driver := trace.NewDriver(&cfg, nvo, wl, 150_000)
+	golden := trace.NewGolden(&cfg)
+	driver.SetSink(golden)
+	sum := driver.Run()
 	fmt.Printf("primary ran %d stores across %d snapshot epochs\n",
 		sum.Stores, len(nvo.Group().Epochs()))
 
@@ -41,14 +44,14 @@ func main() {
 		shipped, replica.BytesReceived>>10)
 	fmt.Printf("replica converged to epoch %d\n", replica.AppliedEpoch())
 
-	if err := recovery.Verify(replica.Image(), sum.Final); err != nil {
+	if err := recovery.Verify(replica.Image(), golden.Final()); err != nil {
 		panic(fmt.Errorf("replica diverged: %w", err))
 	}
 	fmt.Println("replica image verified against the primary")
 
 	// Incremental epochs beat full-image shipping: compare the delta bytes
 	// to what shipping the whole working set every epoch would have cost.
-	fullPerEpoch := int64(sum.Final.Len()) * 64
+	fullPerEpoch := int64(golden.Final().Len()) * 64
 	epochs := int64(shipped)
 	fmt.Printf("\nincremental: %d KB vs naive full-image: %d KB (%.1fx saved)\n",
 		replica.BytesReceived>>10, fullPerEpoch*epochs>>10,

@@ -36,7 +36,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	sum := trace.NewDriver(&cfg, nvo, wl, 120_000).Run()
+	driver := trace.NewDriver(&cfg, nvo, wl, 120_000)
+	golden := trace.NewGolden(&cfg)
+	driver.SetSink(golden)
+	sum := driver.Run()
 
 	epochs := nvo.Group().Epochs()
 	fmt.Printf("run complete: %d stores, %d snapshot epochs captured\n",
@@ -47,7 +50,7 @@ func main() {
 	var addr uint64
 	best := 0
 	probed := 0
-	for _, a := range sum.Final.SortedKeys() {
+	for _, a := range golden.Final().SortedKeys() {
 		if n := len(recovery.History(nvo.Group(), a)); n > best {
 			best, addr = n, a
 		}

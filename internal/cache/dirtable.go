@@ -30,12 +30,3 @@ func (d *Directory) GetOrCreate(addr uint64) *DirEntry {
 	}
 	return e
 }
-
-// DeleteIfEmpty removes addr's entry when it records no sharers and no
-// owner — the idiom both hierarchies use to keep the directory pruned to
-// lines actually cached somewhere.
-func (d *Directory) DeleteIfEmpty(addr uint64) {
-	if e := d.Ptr(addr); e != nil && e.Sharers.None() && e.Owner == -1 {
-		d.Delete(addr)
-	}
-}

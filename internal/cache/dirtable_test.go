@@ -5,6 +5,14 @@ import "testing"
 // refDir mirrors Directory operations on a plain map for cross-checking.
 type refDir map[uint64]DirEntry
 
+// deleteIfEmpty removes addr's entry when it records no sharers and no
+// owner, the pruning Levels.DropVD does.
+func deleteIfEmpty(d *Directory, addr uint64) {
+	if e := d.Ptr(addr); e != nil && e.Sharers.None() && e.Owner == -1 {
+		d.Delete(addr)
+	}
+}
+
 func TestDirectoryAgainstMapModel(t *testing.T) {
 	d := &Directory{}
 	ref := refDir{}
@@ -39,7 +47,7 @@ func TestDirectoryAgainstMapModel(t *testing.T) {
 		case 3: // Delete
 			d.Delete(addr)
 			delete(ref, addr)
-		case 4: // DeleteIfEmpty
+		case 4: // delete if empty
 			if e := d.Ptr(addr); e != nil {
 				if rnd()%2 == 0 {
 					e.Sharers = SharerSet{}
@@ -47,7 +55,7 @@ func TestDirectoryAgainstMapModel(t *testing.T) {
 					ref[addr] = *e
 				}
 			}
-			d.DeleteIfEmpty(addr)
+			deleteIfEmpty(d, addr)
 			if re, ok := ref[addr]; ok && re.Sharers.None() && re.Owner == -1 {
 				delete(ref, addr)
 			}
@@ -104,7 +112,7 @@ func TestDirectoryForEachDeterministicAndDeleteSafe(t *testing.T) {
 		if addr%(2<<6) == 0 {
 			d.Ptr(addr).Sharers = SharerSet{}
 		}
-		d.DeleteIfEmpty(addr)
+		deleteIfEmpty(d, addr)
 	}
 	if d.Len() != 500 {
 		t.Fatalf("after pruning half: Len() = %d, want 500", d.Len())

@@ -129,15 +129,18 @@ func (l *Levels) CoresOf(vd int) (lo, hi int) {
 func (l *Levels) Entry(addr uint64) *DirEntry { return l.Dir.GetOrCreate(addr) }
 
 // DropVD records that vd no longer caches addr and deletes addr's entry
-// once no domain does. It may move other entries, so no caller may hold
-// an entry pointer across it.
+// once no domain does, which keeps the directory pruned to lines cached
+// somewhere. It may move other entries, so no caller may hold an entry
+// pointer across it.
 func (l *Levels) DropVD(vd int, addr uint64) {
 	if e := l.Dir.Ptr(addr); e != nil {
 		e.Sharers.Remove(vd)
 		if e.Owner == vd {
 			e.Owner = -1
 		}
-		l.Dir.DeleteIfEmpty(addr)
+		if e.Sharers.None() && e.Owner == -1 {
+			l.Dir.Delete(addr)
+		}
 	}
 }
 

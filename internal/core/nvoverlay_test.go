@@ -48,6 +48,8 @@ func TestNVOverlayEndToEndWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := trace.NewDriver(cfg, n, wl, 60_000)
+	golden := trace.NewGolden(cfg)
+	d.SetSink(golden)
 	sum := d.Run()
 	// The driver finishes the in-flight operation, so it may slightly
 	// overshoot the access budget.
@@ -62,10 +64,11 @@ func TestNVOverlayEndToEndWorkload(t *testing.T) {
 	}
 	// After the drain the recovered image equals the final write state.
 	img, _ := n.Group().RecoverImage()
-	if img.Len() != sum.Final.Len() {
-		t.Fatalf("image %d lines, final %d", img.Len(), sum.Final.Len())
+	final := golden.Final()
+	if img.Len() != final.Len() {
+		t.Fatalf("image %d lines, final %d", img.Len(), final.Len())
 	}
-	sum.Final.ForEach(func(addr, want uint64) {
+	final.ForEach(func(addr, want uint64) {
 		if got, _ := img.Get(addr); got != want {
 			t.Fatalf("addr %#x = %d, want %d", addr, got, want)
 		}

@@ -124,6 +124,18 @@ type RunResult struct {
 // Run executes one (scheme, workload) pair at the given scale. cfgMod, if
 // non-nil, adjusts the configuration before the run (sweeps, ablations).
 func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunResult, error) {
+	d, s, _, err := newRun(schemeName, wlName, scale, cfgMod)
+	if err != nil {
+		return RunResult{}, err
+	}
+	sum := d.Run()
+	accessesRun.Add(sum.Accesses)
+	return RunResult{Sum: sum, Scheme: s}, nil
+}
+
+// newRun builds the driver and scheme Run runs, and the config they share,
+// so a caller can attach a sink (the golden image, say) before running it.
+func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*trace.Driver, trace.Scheme, *sim.Config, error) {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = scale.EpochSize
 	if scale.Seed != 0 {
@@ -137,11 +149,11 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 		cfgMod(&cfg)
 	}
 	if err := cfg.Validate(); err != nil {
-		return RunResult{}, err
+		return nil, nil, nil, err
 	}
 	s, err := NewScheme(schemeName, &cfg)
 	if err != nil {
-		return RunResult{}, err
+		return nil, nil, nil, err
 	}
 	if cfg.StoreDir != "" {
 		// Back the content plane with the on-disk store. Attaching after
@@ -149,7 +161,7 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 		// and still-queued construction writes drain onto the new plane.
 		plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, cfg.CheckpointEvery)
 		if err != nil {
-			return RunResult{}, err
+			return nil, nil, nil, err
 		}
 		// Observed runs see the plane's I/O events (io_fault, io_retry,
 		// plane_wound) in the same stream as everything else.
@@ -158,12 +170,9 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 	}
 	wl, err := workload.Get(wlName)
 	if err != nil {
-		return RunResult{}, err
+		return nil, nil, nil, err
 	}
-	d := trace.NewDriver(&cfg, s, wl, scale.MaxAccesses)
-	sum := d.Run()
-	accessesRun.Add(sum.Accesses)
-	return RunResult{Sum: sum, Scheme: s}, nil
+	return trace.NewDriver(&cfg, s, wl, scale.MaxAccesses), s, &cfg, nil
 }
 
 // cellSpec names one independent cell of a figure's sweep grid. Cells

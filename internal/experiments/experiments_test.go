@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
@@ -95,6 +96,18 @@ func TestFaultedRunReplaysByteIdentical(t *testing.T) {
 	}
 }
 
+// tee feeds each access to every sink in order; the first error stops it.
+type tee []trace.Sink
+
+func (t tee) Append(a trace.Access) error {
+	for _, s := range t {
+		if err := s.Append(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestDriverRecordReplayThroughTraceFile is the acceptance lock at the
 // experiments level: a real NVOverlay scheme driven by a real workload,
 // recorded through the on-disk codec, then replayed from the file into a
@@ -105,7 +118,7 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = 4_000
 
-	runRecorded := func(fsys fault.FS) (trace.Summary, string) {
+	runRecorded := func(fsys fault.FS) (trace.Summary, string, *mem.Table[uint64]) {
 		c := cfg
 		s, err := NewScheme("NVOverlay", &c)
 		if err != nil {
@@ -122,7 +135,8 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetSink(w)
+		golden := trace.NewGolden(&c)
+		d.SetSink(tee{w, golden})
 		sum := d.Run()
 		if err := d.SinkErr(); err != nil {
 			t.Fatalf("record sink: %v", err)
@@ -133,10 +147,10 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 		if w.Records() != sum.Accesses {
 			t.Fatalf("recorded %d accesses, driver issued %d", w.Records(), sum.Accesses)
 		}
-		return sum, s.Stats().String()
+		return sum, s.Stats().String(), golden.Final()
 	}
 
-	replayFromFile := func(fsys fault.FS) (trace.Summary, string) {
+	replayFromFile := func(fsys fault.FS) (trace.Summary, string, *mem.Table[uint64]) {
 		c := cfg
 		s, err := NewScheme("NVOverlay", &c)
 		if err != nil {
@@ -147,6 +161,8 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := trace.NewDriver(&c, s, nil, maxAccesses)
+		golden := trace.NewGolden(&c)
+		d.SetSink(golden)
 		sum, err := d.RunReplay(r)
 		if err != nil {
 			t.Fatalf("replay: %v", err)
@@ -154,12 +170,12 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return sum, s.Stats().String()
+		return sum, s.Stats().String(), golden.Final()
 	}
 
 	fsys := fault.NewMemFS()
-	want, wantStats := runRecorded(fsys)
-	got, gotStats := replayFromFile(fsys)
+	want, wantStats, wantFinal := runRecorded(fsys)
+	got, gotStats, gotFinal := replayFromFile(fsys)
 	if wantStats != gotStats {
 		t.Fatalf("scheme stats diverged under file replay:\nrecorded:\n%s\nreplayed:\n%s", wantStats, gotStats)
 	}
@@ -172,6 +188,9 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 	want.Footprint, got.Footprint = 0, 0
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("file replay diverged from the recorded run:\nrecorded %+v\nreplayed %+v", want, got)
+	}
+	if !reflect.DeepEqual(wantFinal, gotFinal) {
+		t.Fatalf("file replay built a golden image of %d lines, recorded run %d", gotFinal.Len(), wantFinal.Len())
 	}
 }
 

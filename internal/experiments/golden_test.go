@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -37,11 +39,44 @@ func wrap5(c *sim.Config) {
 	c.WrapWidth = 5
 }
 
+// goldenRun is one golden cell's run with the golden final image a
+// trace.Golden sink built during it.
+type goldenRun struct {
+	RunResult
+	final *mem.Table[uint64]
+}
+
+// runGoldenCells runs every cell the way runCells does, with a golden
+// sink attached to each driver.
+func runGoldenCells(cells []cellSpec) ([]goldenRun, error) {
+	type outcome struct {
+		r   goldenRun
+		err error
+	}
+	res := parallel.Map(parallel.Jobs(Smoke.Jobs), len(cells), func(i int) outcome {
+		d, s, cfg, err := newRun(cells[i].scheme, cells[i].wl, Smoke, cells[i].mod)
+		if err != nil {
+			return outcome{err: err}
+		}
+		g := trace.NewGolden(cfg)
+		d.SetSink(g)
+		return outcome{r: goldenRun{RunResult{Sum: d.Run(), Scheme: s}, g.Final()}}
+	})
+	out := make([]goldenRun, len(cells))
+	for i, o := range res {
+		if o.err != nil {
+			return nil, o.err
+		}
+		out[i] = o.r
+	}
+	return out, nil
+}
+
 // goldenCell renders one (scheme, workload) run at Smoke as a block of
 // text: a header naming the cell (variant marks a modified config), the
 // Summary scalars, a digest of the golden final image and the scheme's
 // counter set.
-func goldenCell(r RunResult, variant string) string {
+func goldenCell(r goldenRun, variant string) string {
 	s := r.Sum
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s%s/%s\n", s.Scheme, variant, s.Workload)
@@ -49,7 +84,7 @@ func goldenCell(r RunResult, variant string) string {
 		s.Cycles, s.Accesses, s.Stores, s.Ops, s.Footprint)
 	fmt.Fprintf(&b, "nvm=%d data=%d log=%d meta=%d ctx=%d\n",
 		s.NVMBytes, s.DataBytes, s.LogBytes, s.MetaBytes, s.CtxBytes)
-	lines, digest := finalDigest(s)
+	lines, digest := finalDigest(r.final)
 	fmt.Fprintf(&b, "final lines=%d digest=%016x\n", lines, digest)
 	fmt.Fprintf(&b, "%s\n", r.Scheme.Stats().String())
 	return b.String()
@@ -57,11 +92,11 @@ func goldenCell(r RunResult, variant string) string {
 
 // finalDigest folds the golden final image, in ascending address order,
 // into one word.
-func finalDigest(s trace.Summary) (int, uint64) {
+func finalDigest(final *mem.Table[uint64]) (int, uint64) {
 	d := uint64(0xcbf29ce484222325)
-	keys := s.Final.SortedKeys()
+	keys := final.SortedKeys()
 	for _, a := range keys {
-		v, _ := s.Final.Get(a)
+		v, _ := final.Get(a)
 		d = (d ^ a) * 0x100000001b3
 		d = (d ^ v) * 0x100000001b3
 	}
@@ -98,7 +133,7 @@ func TestSchemeStatsGolden(t *testing.T) {
 		cells = append(cells, cellSpec{scheme: "NVOverlay", wl: wl, mod: wrap5})
 		variants = append(variants, "+wrap5")
 	}
-	res, err := runCells(Smoke, cells)
+	res, err := runGoldenCells(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,4 +194,29 @@ func splitBlocks(s string) ([]string, map[string]string) {
 		out[name] = body
 	}
 	return names, out
+}
+
+// TestGoldenSinkLeavesRunUnchanged checks that attaching the golden sink
+// only observes: the Summary and the counters match a run without it.
+func TestGoldenSinkLeavesRunUnchanged(t *testing.T) {
+	for _, sc := range []string{"Ideal", "PiCL-L2", "NVOverlay"} {
+		plain, err := Run(sc, "yada", Smoke, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runGoldenCells([]cellSpec{{scheme: sc, wl: "yada"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		withSink := res[0]
+		if withSink.final.Len() == 0 {
+			t.Fatalf("%s: golden sink saw no stores", sc)
+		}
+		if plain.Sum != withSink.Sum {
+			t.Errorf("%s: summary with the golden sink %+v, without %+v", sc, withSink.Sum, plain.Sum)
+		}
+		if g, w := withSink.Scheme.Stats().String(), plain.Scheme.Stats().String(); g != w {
+			t.Errorf("%s: counters with the golden sink:\n%s\nwithout:\n%s", sc, g, w)
+		}
+	}
 }

@@ -6,7 +6,9 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // burstWorkload issues one multi-access op (a StoreRange over several
@@ -94,6 +96,19 @@ func (m *memTrace) Next() (Access, error) {
 	return a, nil
 }
 
+// teeSink feeds each access to every sink in order; the first error stops
+// it.
+type teeSink []Sink
+
+func (t teeSink) Append(a Access) error {
+	for _, s := range t {
+		if err := s.Append(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestDriverRecordReplayIdentical runs a workload with a record sink, then
 // replays the captured stream into a fresh driver and requires identical
 // clocks, counters, access sequence, and golden image.
@@ -102,7 +117,8 @@ func TestDriverRecordReplayIdentical(t *testing.T) {
 	rec := newFixedScheme(c, 3)
 	d := NewDriver(c, rec, &countWorkload{n: 40}, 500)
 	sink := &memTrace{}
-	d.SetSink(sink)
+	wantGolden := NewGolden(c)
+	d.SetSink(teeSink{sink, wantGolden})
 	want := d.Run()
 	if err := d.SinkErr(); err != nil {
 		t.Fatalf("sink error: %v", err)
@@ -113,6 +129,8 @@ func TestDriverRecordReplayIdentical(t *testing.T) {
 
 	rep := newFixedScheme(c, 3)
 	d2 := NewDriver(c, rep, nil, 500)
+	gotGolden := NewGolden(c)
+	d2.SetSink(gotGolden)
 	got, err := d2.RunReplay(sink)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -131,11 +149,11 @@ func TestDriverRecordReplayIdentical(t *testing.T) {
 			t.Fatalf("access %d went to tid %d, recorded tid %d", i, rep.seen[i], rec.seen[i])
 		}
 	}
-	if got.Final.Len() != want.Final.Len() {
-		t.Fatalf("replay final image has %d lines, want %d", got.Final.Len(), want.Final.Len())
+	if g, w := gotGolden.Final().Len(), wantGolden.Final().Len(); g != w {
+		t.Fatalf("replay final image has %d lines, want %d", g, w)
 	}
-	want.Final.ForEach(func(addr, tok uint64) {
-		if g, _ := got.Final.Get(addr); g != tok {
+	wantGolden.Final().ForEach(func(addr, tok uint64) {
+		if g, _ := gotGolden.Final().Get(addr); g != tok {
 			t.Fatalf("final[%#x] = %d, want %d", addr, g, tok)
 		}
 	})
@@ -196,4 +214,102 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// mixWorkload issues a load and a store per step at random word offsets in
+// a few lines, so lines are stored many times, by many threads, at
+// addresses that are not line-aligned.
+type mixWorkload struct{ base uint64 }
+
+func (w *mixWorkload) Name() string { return "mix" }
+func (w *mixWorkload) Setup(h *Heap, rng *sim.RNG) {
+	w.base = h.Alloc(64 * 64)
+}
+func (w *mixWorkload) Step(tid int, h *Heap, rng *sim.RNG) bool {
+	h.Load(w.base + rng.Uint64n(64*8)*8)
+	h.Store(w.base + rng.Uint64n(64*8)*8)
+	return true
+}
+
+// lastStorePerLine folds a recorded stream into the golden image
+// independently of Golden: each line maps to its last store's token.
+func lastStorePerLine(c *sim.Config, recs []Access) map[uint64]uint64 {
+	want := make(map[uint64]uint64)
+	for _, a := range recs {
+		if a.Write {
+			want[a.Addr&^uint64(c.LineSize-1)] = a.Data
+		}
+	}
+	return want
+}
+
+// checkImage fails t unless final holds exactly want.
+func checkImage(t *testing.T, what string, final *mem.Table[uint64], want map[uint64]uint64) {
+	t.Helper()
+	if final.Len() != len(want) {
+		t.Fatalf("%s: golden image has %d lines, fold has %d", what, final.Len(), len(want))
+	}
+	for addr, tok := range want {
+		if got, ok := final.Get(addr); !ok || got != tok {
+			t.Fatalf("%s: golden[%#x] = %d (present %v), fold says %d", what, addr, got, ok, tok)
+		}
+	}
+}
+
+// TestGoldenMatchesLastStoreFold checks the golden sink against an
+// independent fold of the recorded stream, for a live run and its replay.
+func TestGoldenMatchesLastStoreFold(t *testing.T) {
+	c := cfg()
+	d := NewDriver(c, newFixedScheme(c, 3), &mixWorkload{}, 3000)
+	rec := &memTrace{}
+	live := NewGolden(c)
+	d.SetSink(teeSink{rec, live})
+	d.Run()
+	want := lastStorePerLine(c, rec.recs)
+	if len(want) < 32 {
+		t.Fatalf("run stored to only %d lines", len(want))
+	}
+	checkImage(t, "live run", live.Final(), want)
+
+	d2 := NewDriver(c, newFixedScheme(c, 3), nil, 3000)
+	replayed := NewGolden(c)
+	d2.SetSink(replayed)
+	if _, err := d2.RunReplay(rec); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	checkImage(t, "replay", replayed.Final(), want)
+}
+
+// quietScheme is a constant-latency Scheme that keeps no per-access
+// state, so a driver over it allocates only what the driver itself does.
+type quietScheme struct{ nvm *mem.NVM }
+
+func (q quietScheme) Name() string                            { return "quiet" }
+func (q quietScheme) Bind(*sim.Clocks)                        {}
+func (q quietScheme) Drain(uint64)                            {}
+func (q quietScheme) Stats() *stats.Set                       { return nil }
+func (q quietScheme) NVM() *mem.NVM                           { return q.nvm }
+func (q quietScheme) Access(int, uint64, bool, uint64) uint64 { return 1 }
+
+// TestRunReplayKeepsNoPerLineState guards the driver against state that
+// grows with the lines a run stores to: with no sink attached, replaying
+// stores to 4N distinct lines allocates exactly as often as replaying N.
+func TestRunReplayKeepsNoPerLineState(t *testing.T) {
+	c := cfg()
+	allocs := func(lines int) float64 {
+		src := &memTrace{}
+		for i := 0; i < lines; i++ {
+			src.recs = append(src.recs, Access{Tid: i % c.Cores, Addr: uint64(i+1) * 64, Write: true, Data: uint64(i + 1)})
+		}
+		return testing.AllocsPerRun(3, func() {
+			src.pos = 0
+			d := NewDriver(c, quietScheme{nvm: mem.NewNVM(c)}, nil, uint64(lines))
+			if _, err := d.RunReplay(src); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+		})
+	}
+	if n, n4 := allocs(4096), allocs(4*4096); n4 != n {
+		t.Fatalf("replaying 4N lines made %v allocations, N lines %v: the driver keeps per-line state", n4, n)
+	}
 }

@@ -39,6 +39,32 @@ type Sink interface {
 	Append(a Access) error
 }
 
+// Golden is the Sink that builds the golden final image: the last token
+// stored to each line, which recovery verification compares a recovered
+// snapshot against. Only a run that verifies attaches one, so a run that
+// does not verify keeps no per-line state.
+type Golden struct {
+	cfg   *sim.Config
+	final *mem.Table[uint64]
+}
+
+// NewGolden returns an empty golden image for lines of cfg's size.
+func NewGolden(cfg *sim.Config) *Golden {
+	return &Golden{cfg: cfg, final: mem.NewTable[uint64](0)}
+}
+
+// Append records a store's token as its line's latest value; loads are
+// ignored. It never fails.
+func (g *Golden) Append(a Access) error {
+	if a.Write {
+		g.final.Put(g.cfg.LineAddr(a.Addr), a.Data)
+	}
+	return nil
+}
+
+// Final returns the image: line address to the last token stored there.
+func (g *Golden) Final() *mem.Table[uint64] { return g.final }
+
 // Source supplies a recorded access stream for RunReplay. A clean end of
 // stream is io.EOF; any other error aborts the replay.
 // *tracefile.Reader implements it.
@@ -194,9 +220,6 @@ type Summary struct {
 	MetaBytes int64
 	CtxBytes  int64
 	Footprint int64
-	// Final holds the last token written per line address (the golden
-	// image used by recovery verification).
-	Final *mem.Table[uint64]
 }
 
 // Driver interleaves worker threads over a scheme: the thread with the
@@ -210,7 +233,6 @@ type Driver struct {
 	heap    *Heap
 	clocks  *sim.Clocks
 	rngs    []*sim.RNG
-	final   *mem.Table[uint64]
 	issued  uint64
 	target  uint64
 	perOpNs uint64
@@ -233,7 +255,6 @@ func NewDriver(cfg *sim.Config, scheme Scheme, wl Workload, maxAccesses uint64) 
 		heap:   NewHeap(cfg),
 		clocks: sim.NewClocks(cfg.Cores),
 		rngs:   make([]*sim.RNG, cfg.Cores),
-		final:  mem.NewTable[uint64](0),
 		target: maxAccesses,
 	}
 	for i := range d.rngs {
@@ -261,7 +282,8 @@ func (d *Driver) progress() float64 {
 }
 
 // SetSink attaches a record sink; every access the driver issues is
-// appended in issue order. Attach before Run. A nil sink detaches.
+// appended in issue order. Attach before Run. A nil sink detaches. A run
+// that verifies against the golden final image attaches a Golden here.
 func (d *Driver) SetSink(s Sink) { d.sink = s }
 
 // SinkErr returns the first error the record sink reported, if any. After
@@ -274,8 +296,8 @@ func (d *Driver) Clocks() *sim.Clocks { return d.clocks }
 // Heap exposes the tracked heap.
 func (d *Driver) Heap() *Heap { return d.heap }
 
-// issue charges one access to tid: scheme access, clock advance, golden
-// image update, record sink, periodic NVM tick. It is the single path both
+// issue charges one access to tid: scheme access, clock advance, record
+// sink, periodic NVM tick. It is the single path both
 // Run and RunReplay go through, so a replayed stream drives the scheme
 // through exactly the state sequence of the run that recorded it.
 func (d *Driver) issue(tid int, addr uint64, write bool, data uint64, stores *uint64) {
@@ -284,7 +306,6 @@ func (d *Driver) issue(tid int, addr uint64, write bool, data uint64, stores *ui
 	d.issued++
 	if write {
 		*stores++
-		d.final.Put(d.cfg.LineAddr(addr), data)
 	}
 	if d.sink != nil && d.sinkErr == nil {
 		if err := d.sink.Append(Access{Tid: tid, Addr: addr, Write: write, Data: data}); err != nil {
@@ -322,7 +343,6 @@ func (d *Driver) summary(workload string, ops, stores uint64) Summary {
 		MetaBytes: nvm.Bytes(mem.WMeta),
 		CtxBytes:  nvm.Bytes(mem.WContext),
 		Footprint: d.heap.Footprint(),
-		Final:     d.final,
 	}
 }
 
@@ -363,7 +383,8 @@ func (d *Driver) Run() Summary {
 // RunReplay drives the scheme from a recorded access stream instead of a
 // workload, honouring the same maxAccesses bound, tick cadence, and
 // teardown as Run. A driver replaying a trace recorded by an identically
-// configured driver reproduces its scheme stats and golden image exactly.
+// configured driver reproduces its scheme stats exactly, and a Golden
+// attached to each builds the same image.
 // The workload may be nil (replay drivers need none); Summary.Ops and
 // Summary.Footprint are zero since no workload ran.
 func (d *Driver) RunReplay(src Source) (Summary, error) {

@@ -128,6 +128,8 @@ func TestDriverRunCompletesAndSummarises(t *testing.T) {
 	c := cfg()
 	s := newFixedScheme(c, 10)
 	d := NewDriver(c, s, &countWorkload{n: 5}, 1<<20)
+	golden := NewGolden(c)
+	d.SetSink(golden)
 	sum := d.Run()
 	want := uint64(c.Cores * 5)
 	if sum.Accesses != want || sum.Stores != want || sum.Ops != want {
@@ -137,8 +139,8 @@ func TestDriverRunCompletesAndSummarises(t *testing.T) {
 	if sum.Cycles != 5*(10+pipelineCost) {
 		t.Fatalf("cycles = %d", sum.Cycles)
 	}
-	if sum.Final.Len() != int(want) {
-		t.Fatalf("final image = %d entries", sum.Final.Len())
+	if golden.Final().Len() != int(want) {
+		t.Fatalf("final image = %d entries", golden.Final().Len())
 	}
 	if sum.Scheme != "fixed" || sum.Workload != "count" {
 		t.Fatal("names")
@@ -177,11 +179,14 @@ func TestDriverFinalTracksLastStore(t *testing.T) {
 	s := newFixedScheme(c, 1)
 	wl := &rewriteWorkload{}
 	d := NewDriver(c, s, wl, 1<<20)
-	sum := d.Run()
-	if sum.Final.Len() != 1 {
-		t.Fatalf("final = %v", sum.Final.SortedKeys())
+	golden := NewGolden(c)
+	d.SetSink(golden)
+	d.Run()
+	final := golden.Final()
+	if final.Len() != 1 {
+		t.Fatalf("final = %v", final.SortedKeys())
 	}
-	sum.Final.ForEach(func(_, tok uint64) {
+	final.ForEach(func(_, tok uint64) {
 		if tok != wl.last {
 			t.Fatalf("final token %d, want %d", tok, wl.last)
 		}
