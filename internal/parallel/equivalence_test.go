@@ -15,13 +15,56 @@ import (
 
 	"repro/internal/diffcheck"
 	"repro/internal/experiments"
+	"repro/internal/mem"
 	"repro/internal/parallel"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
+
+// goldenCell is one grid cell's run summary and the golden final image a
+// trace.Golden sink built during the run.
+type goldenCell struct {
+	Sum   trace.Summary
+	Final *mem.Table[uint64]
+}
+
+// runGolden runs one (scheme, workload) cell the way experiments.Run does
+// at scale, with a trace.Golden sink attached to the driver.
+func runGolden(scheme, wl string, scale experiments.Scale) (goldenCell, error) {
+	cfg := sim.DefaultConfig()
+	cfg.EpochSize = scale.EpochSize
+	if scale.Seed != 0 {
+		cfg.Seed = scale.Seed
+	}
+	cfg.FaultClass = scale.FaultClass
+	if scale.Machine != nil {
+		scale.Machine(&cfg)
+	}
+	if err := cfg.Validate(); err != nil {
+		return goldenCell{}, err
+	}
+	s, err := experiments.NewScheme(scheme, &cfg)
+	if err != nil {
+		return goldenCell{}, err
+	}
+	w, err := workload.Get(wl)
+	if err != nil {
+		return goldenCell{}, err
+	}
+	d := trace.NewDriver(&cfg, s, w, scale.MaxAccesses)
+	g := trace.NewGolden(&cfg)
+	d.SetSink(g)
+	return goldenCell{Sum: d.Run(), Final: g.Final()}, nil
+}
 
 // TestParallelEqualsSerial runs a (scheme x workload x seed) grid of full
 // simulations through parallel.Map at 1 and 8 workers and requires every
-// run summary — including the Final golden-image map — to match exactly.
+// run summary and every golden final image (the last token stored to each
+// line, built by a trace.Golden sink) to match exactly. The serial pass
+// also requires each cell's summary to equal experiments.Run's, so the
+// sink-attached run is the run the figures make.
 func TestParallelEqualsSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation grid; skipped in -short")
@@ -50,24 +93,42 @@ func TestParallelEqualsSerial(t *testing.T) {
 					}
 				}
 			}
-			runAll := func(jobs int) []interface{} {
-				return parallel.Map(jobs, len(cells), func(i int) interface{} {
+			runAll := func(jobs int) []goldenCell {
+				return parallel.Map(jobs, len(cells), func(i int) goldenCell {
 					scale := experiments.Smoke
 					scale.Seed = cells[i].seed
-					r, err := experiments.Run(cells[i].scheme, cells[i].wl, scale, nil)
+					gc, err := runGolden(cells[i].scheme, cells[i].wl, scale)
 					if err != nil {
 						t.Errorf("cell %d (%+v): %v", i, cells[i], err)
-						return nil
+						return goldenCell{}
 					}
-					return r.Sum
+					if gc.Final.Len() == 0 {
+						t.Errorf("cell %d (%+v): empty golden image", i, cells[i])
+					}
+					if jobs == 1 {
+						r, err := experiments.Run(cells[i].scheme, cells[i].wl, scale, nil)
+						if err != nil {
+							t.Errorf("cell %d (%+v): %v", i, cells[i], err)
+						} else if !reflect.DeepEqual(r.Sum, gc.Sum) {
+							t.Errorf("cell %d (%+v): summary with the golden sink differs from experiments.Run's:\nsink: %+v\nRun: %+v",
+								i, cells[i], gc.Sum, r.Sum)
+						}
+					}
+					return gc
 				})
 			}
 			serial := runAll(1)
 			par := runAll(8)
 			for i := range cells {
-				if !reflect.DeepEqual(serial[i], par[i]) {
+				if !reflect.DeepEqual(serial[i].Sum, par[i].Sum) {
 					t.Fatalf("cell %d (%+v): -j 8 summary diverges from -j 1:\nserial: %+v\nparallel: %+v",
-						i, cells[i], serial[i], par[i])
+						i, cells[i], serial[i].Sum, par[i].Sum)
+				}
+				// DeepEqual on the tables compares their slot arrays, so
+				// equal contents in a different iteration order fail too.
+				if !reflect.DeepEqual(serial[i].Final, par[i].Final) {
+					t.Fatalf("cell %d (%+v): -j 8 golden image diverges from -j 1 (%d vs %d lines)",
+						i, cells[i], serial[i].Final.Len(), par[i].Final.Len())
 				}
 			}
 		})
