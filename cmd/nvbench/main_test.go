@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -139,5 +140,83 @@ func TestRunTimelineEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "== timeline NVOverlay/btree") {
 		t.Fatalf("timeline block missing from output:\n%s", out.String())
+	}
+}
+
+// TestRunJSONResults drives experiments with a figure-specific JSON shape
+// through run() at smoke scale with -json, and checks each decoded result
+// carries the rows its figure prints.
+func TestRunJSONResults(t *testing.T) {
+	cases := []struct {
+		exp   string
+		title string // a line the printed figure must contain
+		check func(t *testing.T, result json.RawMessage)
+	}{
+		{"fig17", "Fig 17:", func(t *testing.T, result json.RawMessage) {
+			var curves []fig17Curve
+			if err := json.Unmarshal(result, &curves); err != nil {
+				t.Fatal(err)
+			}
+			if len(curves) == 0 {
+				t.Fatal("no bandwidth curves")
+			}
+			for _, c := range curves {
+				if len(c.BandwidthGBs) == 0 {
+					t.Fatalf("%s curve has an empty bandwidth_gbs", c.Scheme)
+				}
+			}
+		}},
+		{"ablate-scaling", "core-count scaling", func(t *testing.T, result json.RawMessage) {
+			var rows []experiments.ScalePoint
+			if err := json.Unmarshal(result, &rows); err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) == 0 {
+				t.Fatal("no scaling rows")
+			}
+			for _, r := range rows {
+				if r.Cores == 0 || r.Scheme == "" || r.NormCycles <= 0 {
+					t.Fatalf("empty scaling row %+v", r)
+				}
+			}
+		}},
+		{"fileplane", "== fileplane: durable store profile", func(t *testing.T, result json.RawMessage) {
+			var st experiments.FilePlaneStats
+			if err := json.Unmarshal(result, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.SealedEpoch == 0 || st.WordsRestored == 0 {
+				t.Fatalf("file plane profile sealed epoch %d, restored %d words", st.SealedEpoch, st.WordsRestored)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.exp, func(t *testing.T) {
+			jsonOut := filepath.Join(t.TempDir(), "report.json")
+			var out bytes.Buffer
+			if err := run(options{exp: c.exp, scale: "smoke", jsonOut: jsonOut}, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), c.title) {
+				t.Fatalf("output missing %q:\n%s", c.title, out.String())
+			}
+			data, err := os.ReadFile(jsonOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct {
+				Experiments []struct {
+					Name   string          `json:"name"`
+					Result json.RawMessage `json:"result"`
+				} `json:"experiments"`
+			}
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatalf("JSON report does not decode: %v", err)
+			}
+			if len(rep.Experiments) != 1 || rep.Experiments[0].Name != c.exp {
+				t.Fatalf("unexpected experiments in report: %+v", rep.Experiments)
+			}
+			c.check(t, rep.Experiments[0].Result)
+		})
 	}
 }

@@ -141,16 +141,17 @@ func run(o options, cwd string, w, errw io.Writer) (int, error) {
 	}
 
 	// Restrict reporting to the requested subtrees (everything is always
-	// loaded: type-checking needs the whole module anyway).
+	// loaded: type-checking needs the whole module anyway), and report
+	// file names relative to the module root.
 	var kept []analysis.Diagnostic
 	for _, d := range diags {
 		rel, err := filepath.Rel(root, d.Pos.Filename)
 		if err != nil {
 			rel = d.Pos.Filename
 		}
-		rel = filepath.ToSlash(rel)
+		d.Pos.Filename = filepath.ToSlash(rel)
 		for _, dir := range o.dirs {
-			if dir == "" || rel == dir || strings.HasPrefix(rel, dir+"/") {
+			if dir == "" || d.Pos.Filename == dir || strings.HasPrefix(d.Pos.Filename, dir+"/") {
 				kept = append(kept, d)
 				break
 			}
@@ -160,12 +161,8 @@ func run(o options, cwd string, w, errw io.Writer) (int, error) {
 	if o.json {
 		out := make([]jsonDiag, 0, len(kept))
 		for _, d := range kept {
-			rel, err := filepath.Rel(root, d.Pos.Filename)
-			if err != nil {
-				rel = d.Pos.Filename
-			}
 			out = append(out, jsonDiag{
-				File: filepath.ToSlash(rel), Line: d.Pos.Line, Column: d.Pos.Column,
+				File: d.Pos.Filename, Line: d.Pos.Line, Column: d.Pos.Column,
 				Check: d.Check, Message: d.Message,
 			})
 		}
@@ -177,11 +174,7 @@ func run(o options, cwd string, w, errw io.Writer) (int, error) {
 		return len(kept), nil
 	}
 	for _, d := range kept {
-		rel, err := filepath.Rel(root, d.Pos.Filename)
-		if err != nil {
-			rel = d.Pos.Filename
-		}
-		fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", filepath.ToSlash(rel), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
+		fmt.Fprintln(w, d)
 	}
 	if len(kept) > 0 {
 		fmt.Fprintf(w, "nvlint: %d diagnostic(s)\n", len(kept))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -168,5 +170,44 @@ func TestTimingOutput(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "timing") {
 		t.Errorf("timing lines leaked into the diagnostics stream:\n%s", out.String())
+	}
+}
+
+// TestRendersDiagnosticLine lints a throwaway module with one dropped error
+// in a device-model package and checks the rendered text line, which is
+// the file:line:col: [check] message form with the file relative to the
+// module root.
+func TestRendersDiagnosticLine(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module repro\n\ngo 1.22\n",
+		"internal/mem/drop.go": `package mem
+
+import "errors"
+
+func mayFail() error { return errors.New("boom") }
+
+func drop() {
+	mayFail()
+}
+`,
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	n, err := run(options{maxallow: -1, dirs: []string{""}}, root, &buf, io.Discard)
+	if err != nil || n != 1 {
+		t.Fatalf("run = %d, %v; want one diagnostic:\n%s", n, err, buf.String())
+	}
+	want := "internal/mem/drop.go:8:2: [errcheck] error return is silently discarded; handle it or assign to _ explicitly\nnvlint: 1 diagnostic(s)\n"
+	if buf.String() != want {
+		t.Fatalf("rendered output:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/recovery"
 )
 
 // TestSmokeRun drives the full experiment path at smoke scale and checks
@@ -81,5 +84,30 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run(o, io.Discard); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestStoreRun runs -store at smoke scale: the summary names the store,
+// and the directory it leaves cold-salvages (what nvrecover -store does) to
+// a committed epoch.
+func TestStoreRun(t *testing.T) {
+	dir := t.TempDir()
+	o, err := parseFlags([]string{"-scale", "smoke", "-store", dir}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(o, &out); err != nil {
+		t.Fatalf("run failed: %v\n%s", err, out.String())
+	}
+	if want := "store     " + dir + " (salvage with: nvrecover -store " + dir + ")"; !strings.Contains(out.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, out.String())
+	}
+	img, rep, err := recovery.SalvageDir(fault.OS, dir)
+	if err != nil {
+		t.Fatalf("salvage refused: %v", err)
+	}
+	if rep.RestoredEpoch == 0 || img.Len() == 0 {
+		t.Fatalf("salvage restored epoch %d with %d lines", rep.RestoredEpoch, img.Len())
 	}
 }

@@ -110,3 +110,30 @@ func exitPathExempt() error {
 	}
 	return err
 }
+
+// selectCaseDrops captures an error inside one select case and returns it
+// on only one branch of that case; the other branch falls out of the
+// select and drops it.
+func selectCaseDrops(ready, done chan struct{}, retry bool) error {
+	select {
+	case <-ready:
+		err := mayFail() // want "error err assigned here does not reach a return or latch on every path"
+		if retry {
+			return err
+		}
+	case <-done:
+		return nil
+	}
+	return nil
+}
+
+// selectCaseReturns hands the error back from every path of its case.
+func selectCaseReturns(ready, done chan struct{}) error {
+	select {
+	case <-ready:
+		err := mayFail()
+		return err
+	case <-done:
+	}
+	return nil
+}

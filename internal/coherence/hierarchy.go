@@ -381,17 +381,16 @@ func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 	}
 }
 
-// mergeIntoLLC folds a dirty line written back by a VD into the inclusive
-// LLC copy (which must exist; defensively installs it otherwise).
+// mergeIntoLLC folds a dirty line written back by a VD into the LLC copy,
+// which exists by inclusion (L2 ⊆ LLC).
 func (h *Hierarchy) mergeIntoLLC(wb cache.Line) {
-	slice := h.SliceOf(wb.Tag)
-	if ln := slice.Peek(wb.Tag); ln != nil {
-		ln.Dirty = true
-		ln.OID = wb.OID
-		ln.Data = wb.Data
-		return
+	ln := h.SliceOf(wb.Tag).Peek(wb.Tag)
+	if ln == nil {
+		panic(fmt.Sprintf("coherence: written-back line %#x absent from the LLC: L2 ⊆ LLC inclusion broken", wb.Tag))
 	}
-	h.installLLC(wb.Tag, wb.OID, wb.Data, true)
+	ln.Dirty = true
+	ln.OID = wb.OID
+	ln.Data = wb.Data
 }
 
 // fillL2 installs addr into vd's L2 and returns the installed line; the
@@ -440,15 +439,14 @@ func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data ui
 	vd := h.Cfg.VDOf(tid)
 	ln, victim, evicted := h.L1(tid).Insert(addr)
 	if evicted && victim.Dirty {
-		if l2ln := h.L2(vd).Peek(victim.Tag); l2ln != nil {
-			l2ln.Dirty = true
-			l2ln.OID = victim.OID
-			l2ln.Data = victim.Data
-			l2ln.State = cache.Modified
-		} else {
-			// L2 lost the line (shouldn't happen under inclusion); push to LLC.
-			h.mergeIntoLLC(victim)
+		l2ln := h.L2(vd).Peek(victim.Tag)
+		if l2ln == nil {
+			panic(fmt.Sprintf("coherence: L1 victim %#x absent from L2 of VD %d: L1 ⊆ L2 inclusion broken", victim.Tag, vd))
 		}
+		l2ln.Dirty = true
+		l2ln.OID = victim.OID
+		l2ln.Data = victim.Data
+		l2ln.State = cache.Modified
 		h.stat.IncAt(l1DirtyEvictions)
 	}
 	ln.State = state

@@ -517,27 +517,20 @@ func (f *Frontend) mergeIntoL2(l2ln *cache.Line, l1ln cache.Line) {
 	l2ln.State = cache.Modified
 }
 
-// putxToL2 delivers an L1 dirty version to the L2, inserting the line if it
-// is somehow absent (inclusion normally guarantees presence).
+// putxToL2 delivers an L1 dirty version to the L2, which holds the line by
+// inclusion (L1 ⊆ L2).
 func (f *Frontend) putxToL2(vd int, l1ln cache.Line, reason Reason) {
-	if l2ln := f.L2(vd).Peek(l1ln.Tag); l2ln != nil {
-		if l2ln.Dirty && l2ln.OID < l1ln.OID {
-			f.sendVersion(*l2ln, reason)
-		}
-		l2ln.OID = l1ln.OID
-		l2ln.Data = l1ln.Data
-		l2ln.Dirty = true
-		l2ln.State = cache.Modified
-		return
+	l2ln := f.L2(vd).Peek(l1ln.Tag)
+	if l2ln == nil {
+		panic(fmt.Sprintf("cst: L1 line %#x absent from L2 of VD %d: L1 ⊆ L2 inclusion broken", l1ln.Tag, vd))
 	}
-	ln, victim, evicted := f.L2(vd).Insert(l1ln.Tag)
-	if evicted {
-		f.evictL2Victim(vd, victim, ReasonCapacity)
+	if l2ln.Dirty && l2ln.OID < l1ln.OID {
+		f.sendVersion(*l2ln, reason)
 	}
-	ln.State = cache.Modified
-	ln.Dirty = true
-	ln.OID = l1ln.OID
-	ln.Data = l1ln.Data
+	l2ln.OID = l1ln.OID
+	l2ln.Data = l1ln.Data
+	l2ln.Dirty = true
+	l2ln.State = cache.Modified
 }
 
 // evictL2Victim handles an L2 capacity victim: L1 copies are recalled

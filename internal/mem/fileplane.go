@@ -81,8 +81,8 @@ func CheckpointFileName(seq int) string { return fmt.Sprintf("checkpoint-%06d.im
 func ManifestFileName() string { return manifestName }
 
 // FilePlane is the file-backed DurablePlane implementation. It keeps the
-// live word array in RAM (Snapshot and fault-flip reads stay cheap) and
-// mirrors every committed burst into the active delta segment.
+// live word array in RAM (Snapshot stays cheap) and mirrors every
+// committed burst into the active delta segment.
 type FilePlane struct {
 	fsys fault.FS
 	dir  string
@@ -104,10 +104,7 @@ type FilePlane struct {
 	err  error
 	hook func(point string, epoch uint64)
 
-	bus       *obs.Bus // nil when unobserved
-	ioFaults  int
-	ioRetries int
-	backoff   uint64
+	bus *obs.Bus // nil when unobserved
 
 	scratch []byte
 }
@@ -183,8 +180,8 @@ func (p *FilePlane) at(point string, epoch uint64) {
 
 // fail latches the first permanent write-path error and degrades the plane
 // to read-only wounded mode: the latched error wraps ErrPlaneWounded, every
-// later Apply/SealEpoch is a no-op on disk, and the error is what Err,
-// Close and the sweep's typed-refusal check observe. The RAM mirror stays
+// later Apply/SealEpoch is a no-op on disk, and the error is what Close
+// and the sweep's typed-refusal check observe. The RAM mirror stays
 // live so the in-process run can continue, and nothing already sealed is
 // touched — wounded stores salvage to their last published manifest.
 func (p *FilePlane) fail(err error) {
@@ -193,10 +190,6 @@ func (p *FilePlane) fail(err error) {
 		p.bus.EmitNote(obs.KindPlaneWound, 0, -1, p.sealedEpoch, 0, 0, 0, err.Error())
 	}
 }
-
-// Wounded reports whether a permanent write-path failure has degraded the
-// plane to read-only mode.
-func (p *FilePlane) Wounded() bool { return p.err != nil }
 
 func (p *FilePlane) openSegment() error {
 	f, err := p.fsys.CreateExcl(filepath.Join(p.dir, DeltaFileName(p.seq)))
@@ -331,7 +324,7 @@ func (p *FilePlane) writeCheckpoint(seq int) error {
 	}
 	rf := &retryFile{f: f, p: p}
 	w := bufio.NewWriterSize(rf, 1<<16)
-	addrs := p.ram.SortedAddrs()
+	addrs := sortedWordAddrs(p.ram.words)
 	header := []uint64{FileCkptMagic, FileFormatVersion, p.sealedEpoch, uint64(len(addrs))}
 	for _, v := range header {
 		p.putWord(w, v)
@@ -339,7 +332,7 @@ func (p *FilePlane) writeCheckpoint(seq int) error {
 	p.putWord(w, RecordCheck(header))
 	digest := ckptDigestSeed
 	for _, a := range addrs {
-		v, _ := p.ram.Word(a)
+		v, _ := p.ram.words.Get(a >> 3)
 		p.putWord(w, a)
 		p.putWord(w, v)
 		digest = PairMix(PairMix(digest, a), v)
@@ -425,37 +418,14 @@ func (p *FilePlane) writeManifest(epoch uint64) error {
 // Durable implements DurablePlane.
 func (p *FilePlane) Durable() bool { return true }
 
-// SealedEpoch returns the newest epoch a published manifest claims.
-func (p *FilePlane) SealedEpoch() uint64 { return p.sealedEpoch }
-
-// Dir returns the store directory.
-func (p *FilePlane) Dir() string { return p.dir }
-
-// Word implements DurablePlane.
-func (p *FilePlane) Word(addr uint64) (uint64, bool) { return p.ram.Word(addr) }
-
-// Words implements DurablePlane.
-func (p *FilePlane) Words() int { return p.ram.Words() }
-
-// SortedAddrs implements DurablePlane.
-func (p *FilePlane) SortedAddrs() []uint64 { return p.ram.SortedAddrs() }
-
-// XorWord implements DurablePlane. Fault-injection flips mutate only the
-// RAM mirror: on-disk corruption is modelled by the torn-file tests
-// mutating the files directly.
-func (p *FilePlane) XorWord(addr, mask uint64) { p.ram.XorWord(addr, mask) }
-
 // Snapshot implements DurablePlane.
 func (p *FilePlane) Snapshot() *Image { return p.ram.Snapshot() }
-
-// Err implements DurablePlane. After a permanent write failure it wraps
-// ErrPlaneWounded around the root cause.
-func (p *FilePlane) Err() error { return p.err }
 
 // Close implements DurablePlane: flush and close the active segment
 // without sealing it (durability is defined by sealed epochs, and a
 // clean Close is indistinguishable from a kill right after it — exactly
-// the guarantee the soak verifies).
+// the guarantee the soak verifies). After a permanent write failure the
+// error it returns wraps ErrPlaneWounded around the root cause.
 func (p *FilePlane) Close() error {
 	if p.seg != nil {
 		if err := p.w.Flush(); err != nil {

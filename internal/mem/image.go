@@ -2,9 +2,10 @@ package mem
 
 // Image is the durable NVM content after a power cut: a sparse 8-byte word
 // array. Recovery reads it through Word and must treat every absence as a
-// write that never reached the array. The fuzz harness mutates images
-// directly through Delete and FlipBit to model corruption beyond what the
-// injector draws.
+// write that never reached the array. PowerCut draws the injector's bit
+// flips on the image through FlipBit; the fuzz harness mutates images
+// through Delete and FlipBit to model corruption beyond what the injector
+// draws.
 type Image struct {
 	words *Table[uint64] // word index (addr/8) -> word
 }
@@ -45,7 +46,11 @@ func (im *Image) Delete(addr uint64) { im.words.Delete(addr >> 3) }
 
 // FlipBit flips one bit of a persisted word; it is a no-op when the word
 // does not exist.
-func (im *Image) FlipBit(addr uint64, bit uint) { xorWord(im.words, addr, 1<<(bit&63)) }
+func (im *Image) FlipBit(addr uint64, bit uint) {
+	if v, ok := im.words.Get(addr >> 3); ok {
+		im.words.Put(addr>>3, v^1<<(bit&63))
+	}
+}
 
 // sortedWordAddrs returns the word addresses of a word-index table in
 // ascending order.
@@ -55,11 +60,4 @@ func sortedWordAddrs(words *Table[uint64]) []uint64 {
 		addrs[i] <<= 3
 	}
 	return addrs
-}
-
-// xorWord flips bits of the word at addr if it exists.
-func xorWord(words *Table[uint64], addr, mask uint64) {
-	if v, ok := words.Get(addr >> 3); ok {
-		words.Put(addr>>3, v^mask)
-	}
 }

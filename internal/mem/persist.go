@@ -30,16 +30,13 @@ func (n *NVM) AttachPlane(p DurablePlane) {
 	n.plane = p
 }
 
-// Plane returns the attached content plane.
-func (n *NVM) Plane() DurablePlane { return n.plane }
-
 // SealDurable is the epoch-seal persistence barrier on durable (file)
 // planes: every queued write drains into the persisted array — the sealing
 // controller waits for its bank queues, the file plane logs the words —
 // and the plane publishes the sealed epoch (delta-log fsync + manifest
 // rename). On the default RAM plane it is a no-op so in-memory runs keep
 // their historical drain schedule byte-for-byte. I/O errors accumulate in
-// the plane (Err/Close); the device model cannot stall on host I/O.
+// the plane until ClosePlane; the device model cannot stall on host I/O.
 func (n *NVM) SealDurable(epoch, now uint64) {
 	if !n.plane.Durable() {
 		return
@@ -142,8 +139,10 @@ func (n *NVM) commit(w pendingWrite, words []uint64, now uint64) {
 // durable; the rest sit in the volatile bank queues, where the attached
 // injector decides their fate: a bank can lose its whole queue, the
 // in-flight tail write can tear (only an 8-byte-word prefix persists), and
-// finally bit flips corrupt the surviving array. Without an injector the
-// cut is clean ADR: completed writes persist, in-flight ones vanish whole.
+// finally bit flips corrupt the returned image. The flips land on the cut
+// image only, never on the plane, so a later Image or Snapshot reads the
+// words as written. Without an injector the cut is clean ADR: completed
+// writes persist, in-flight ones vanish whole.
 //
 // The cut consumes the queues; the device can keep running afterwards (the
 // harness only reads the image), but content from before the cut is final.
@@ -176,16 +175,17 @@ func (n *NVM) PowerCut(now uint64) *Image {
 			n.commit(w, words, now)
 		}
 	}
-	if n.inj.Enabled() {
-		for f := 0; f < n.inj.FlipCount() && n.plane.Words() > 0; f++ {
-			keys := n.plane.SortedAddrs()
+	img := n.plane.Snapshot()
+	if n.inj.Enabled() && img.Len() > 0 {
+		keys := img.SortedAddrs()
+		for f := 0; f < n.inj.FlipCount(); f++ {
 			idx, bit := n.inj.Flip(len(keys))
-			n.plane.XorWord(keys[idx], 1<<bit)
+			img.FlipBit(keys[idx], bit)
 			n.inj.NoteFlip(keys[idx], bit)
 			n.stat.IncAt(cutBitFlips)
 		}
 	}
-	return n.plane.Snapshot()
+	return img
 }
 
 // Image returns the durable content as if every queued write completed

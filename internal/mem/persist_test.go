@@ -201,3 +201,51 @@ func TestBankQueueRing(t *testing.T) {
 		t.Fatalf("each visited %d writes, want %d", i, len(want))
 	}
 }
+
+// TestPowerCutFlipsOnlyTheImage: a flip-class cut corrupts the image it
+// returns at exactly the (address, bit) pairs the injector records, and
+// leaves the device's own words untouched, so a later Image still reads
+// what was written.
+func TestPowerCutFlipsOnlyTheImage(t *testing.T) {
+	n, cfg := contentNVM(t)
+	fc, err := fault.ClassConfig("flip", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New(fc)
+	n.AttachFaults(inj)
+	want := map[uint64]uint64{}
+	for i := uint64(0); i < 40; i++ {
+		addr := 0x8000 + i*64
+		n.Persist(WData, addr, 16, []uint64{i * 3, i*3 + 1}, 0)
+		want[addr], want[addr+8] = i*3, i*3+1
+	}
+	img := n.PowerCut(1000 * cfg.NVMWriteLat) // every write has completed
+
+	flips := map[uint64]uint64{} // addr -> XOR of the recorded flips
+	for _, ev := range inj.Events() {
+		if ev.Class != fault.BitFlip {
+			t.Fatalf("flip class injected %v", ev)
+		}
+		flips[ev.Addr] ^= 1 << ev.Arg
+	}
+	if len(inj.Events()) != fc.Flips {
+		t.Fatalf("%d flips recorded, want %d", len(inj.Events()), fc.Flips)
+	}
+	if img.Len() != len(want) {
+		t.Fatalf("cut image holds %d words, want %d", img.Len(), len(want))
+	}
+	for addr, w := range want {
+		got, ok := img.Word(addr)
+		if !ok || got^w != flips[addr] {
+			t.Fatalf("word %#x: cut image %#x (present %v), written %#x, recorded flips %#x", addr, got, ok, w, flips[addr])
+		}
+	}
+
+	after := n.Image()
+	for addr, w := range want {
+		if got, ok := after.Word(addr); !ok || got != w {
+			t.Fatalf("word %#x after the cut: Image reads %#x (present %v), want the written %#x", addr, got, ok, w)
+		}
+	}
+}

@@ -17,9 +17,11 @@ package mem
 //     directory cold after a real kill -9 and salvage it (LoadDir +
 //     recovery.SalvageDir).
 //
-// Apply and XorWord mutate the persisted array; Snapshot, Word, Words and
-// SortedAddrs read it. SealEpoch is the epoch-seal persistence barrier:
-// RAMPlane ignores it, FilePlane flushes and publishes a new manifest.
+// These five methods are everything NVM calls. Apply mutates the persisted
+// array and Snapshot copies it out; PowerCut draws its fault-injection bit
+// flips on that copy, never on the plane. SealEpoch is the epoch-seal
+// persistence barrier: RAMPlane ignores it, FilePlane flushes and
+// publishes a new manifest.
 type DurablePlane interface {
 	// Apply records a committed word burst at addr (8-byte aligned).
 	Apply(addr uint64, words []uint64)
@@ -29,23 +31,12 @@ type DurablePlane interface {
 	// Durable reports whether the plane survives process death (file
 	// planes). The device only pays seal barriers on durable planes.
 	Durable() bool
-	// Word reads one persisted word.
-	Word(addr uint64) (uint64, bool)
-	// Words returns the persisted word count.
-	Words() int
-	// SortedAddrs returns every persisted word address ascending.
-	SortedAddrs() []uint64
-	// XorWord flips bits of a persisted word (fault injection at power
-	// cut); it is a no-op when the word does not exist.
-	XorWord(addr, mask uint64)
 	// Snapshot copies the persisted array into an Image.
 	Snapshot() *Image
-	// Err returns the first I/O error the plane swallowed on the write
-	// path (Apply has no error return: the device model cannot stall on
-	// host I/O). Always nil for RAMPlane.
-	Err() error
 	// Close releases plane resources, flushing buffered state first, and
-	// returns Err() if any write was lost.
+	// returns the first I/O error the write path swallowed (Apply has no
+	// error return: the device model cannot stall on host I/O). Always
+	// nil for RAMPlane.
 	Close() error
 }
 
@@ -74,23 +65,8 @@ func (p *RAMPlane) SealEpoch(epoch uint64) {}
 // Durable implements DurablePlane.
 func (p *RAMPlane) Durable() bool { return false }
 
-// Word implements DurablePlane.
-func (p *RAMPlane) Word(addr uint64) (uint64, bool) { return p.words.Get(addr >> 3) }
-
-// Words implements DurablePlane.
-func (p *RAMPlane) Words() int { return p.words.Len() }
-
-// SortedAddrs implements DurablePlane.
-func (p *RAMPlane) SortedAddrs() []uint64 { return sortedWordAddrs(p.words) }
-
-// XorWord implements DurablePlane.
-func (p *RAMPlane) XorWord(addr, mask uint64) { xorWord(p.words, addr, mask) }
-
 // Snapshot implements DurablePlane.
 func (p *RAMPlane) Snapshot() *Image { return &Image{words: p.words.Clone()} }
-
-// Err implements DurablePlane.
-func (p *RAMPlane) Err() error { return nil }
 
 // Close implements DurablePlane.
 func (p *RAMPlane) Close() error { return nil }

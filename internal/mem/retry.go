@@ -34,18 +34,18 @@ const (
 // ErrPlaneWounded is the typed error writers receive after the plane
 // degrades to read-only wounded mode: a permanent write-path failure was
 // latched, no further bytes will be written, and durability claims stop at
-// the last published manifest. The RAM mirror stays live (reads and
-// snapshots keep working) and everything already sealed remains readable
-// and salvageable; errors.Is(plane.Err(), ErrPlaneWounded) identifies the
+// the last published manifest. The RAM mirror stays live (snapshots keep
+// working) and everything already sealed remains readable and
+// salvageable; errors.Is(plane.Close(), ErrPlaneWounded) identifies the
 // state.
 var ErrPlaneWounded = errors.New("mem: durable plane wounded; store is read-only")
 
 // backoffTicks is the deterministic backoff schedule: attempt i (1-based)
 // charges min(2^(i-1), retryBackoffCap) abstract ticks. No wall clock is
 // involved — the simulator has no real time to wait in — but the charge is
-// recorded in the retry stats and io_retry events, so a policy layer above
-// (or a real deployment translating ticks to sleeps) sees the intended
-// exponential shape.
+// recorded in the io_retry events, so a policy layer above (or a real
+// deployment translating ticks to sleeps) sees the intended exponential
+// shape.
 func backoffTicks(attempt int) uint64 {
 	t := uint64(1) << uint(attempt-1)
 	if t > retryBackoffCap {
@@ -54,12 +54,12 @@ func backoffTicks(attempt int) uint64 {
 	return t
 }
 
-// retryFile adapts one fault.File with the transient-retry policy. It
-// implements fault.File itself, so bufio.Writer and the direct writers run
-// unchanged above it.
+// retryFile adapts one fault.File with the transient-retry policy. It has
+// the File write path (Write, Sync, Close), so bufio.Writer and the direct
+// writers run unchanged above it.
 type retryFile struct {
 	f fault.File
-	p *FilePlane // retry/fault accounting and obs emission
+	p *FilePlane // fault and retry events go to its bus
 }
 
 // Write writes p fully, absorbing up to MaxIORetries transient faults.
@@ -90,8 +90,6 @@ func (r *retryFile) Write(p []byte) (int, error) {
 	}
 }
 
-func (r *retryFile) Read(p []byte) (int, error) { return r.f.Read(p) }
-
 // Sync is passed through with no retry: fsync errors are final (fsyncgate).
 func (r *retryFile) Sync() error {
 	err := r.f.Sync()
@@ -103,10 +101,9 @@ func (r *retryFile) Sync() error {
 
 func (r *retryFile) Close() error { return r.f.Close() }
 
-// noteIOFault records one observed disk fault on the plane's counters and
-// bus. Transience is what the retry policy keyed on, so it rides in Arg.
+// noteIOFault records one observed disk fault on the plane's bus.
+// Transience is what the retry policy keyed on, so it rides in Arg.
 func (p *FilePlane) noteIOFault(op string, err error) {
-	p.ioFaults++
 	arg := uint64(0)
 	if fault.IsTransient(err) {
 		arg = 1
@@ -121,14 +118,5 @@ func (p *FilePlane) noteIOFault(op string, err error) {
 
 // noteIORetry records one transient-fault retry attempt.
 func (p *FilePlane) noteIORetry(attempt int, ticks uint64) {
-	p.ioRetries++
-	p.backoff += ticks
 	p.bus.Emit(obs.KindIORetry, 0, -1, p.sealedEpoch, 0, uint64(attempt), ticks)
-}
-
-// IOStats reports the plane's fault/retry accounting: disk faults observed
-// (after retry absorption the caller may never have seen them), retry
-// attempts spent, and deterministic backoff ticks charged.
-func (p *FilePlane) IOStats() (faults, retries int, backoffTicks uint64) {
-	return p.ioFaults, p.ioRetries, p.backoff
 }

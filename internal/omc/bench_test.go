@@ -56,6 +56,6 @@ func BenchmarkMerge(b *testing.B) {
 			o.ReceiveVersion(Version{Addr: uint64(j) * 64, Epoch: 1, Data: uint64(j)}, 0)
 		}
 		b.StartTimer()
-		o.ReportMinVer(0, 2, 0) // merges epoch 1 (4096 entries)
+		o.advanceRecEpochTo(1, 0) // merges epoch 1 (4096 entries)
 	}
 }

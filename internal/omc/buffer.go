@@ -92,9 +92,6 @@ func (b *Buffer) FlushBefore(epoch uint64) []Version {
 	return out
 }
 
-// Occupancy returns the number of buffered versions.
-func (b *Buffer) Occupancy() int { return b.arr.CountValid() }
-
 // HitRate returns hits/(hits+misses), the Fig 16 statistic.
 func (b *Buffer) HitRate() float64 {
 	total := b.Hits + b.Misses

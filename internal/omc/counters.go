@@ -9,8 +9,6 @@ const (
 	versionsUnmapped
 	pagesAllocated
 	metaWrites
-	minverReports
-	minverLowered
 	recepochAdvances
 	epochsMerged
 	entriesMerged
@@ -30,8 +28,6 @@ var counterNames = [numCounters]string{
 	versionsUnmapped:      "versions_unmapped",
 	pagesAllocated:        "pages_allocated",
 	metaWrites:            "meta_writes",
-	minverReports:         "minver_reports",
-	minverLowered:         "minver_lowered",
 	recepochAdvances:      "recepoch_advances",
 	epochsMerged:          "epochs_merged",
 	entriesMerged:         "entries_merged",

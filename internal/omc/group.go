@@ -19,15 +19,13 @@ type Group struct {
 	omcs []*OMC
 	stat *stats.Set
 
-	// Min-ver ledger (batched epoch propagation). Every member used to keep
-	// its own per-VD min-ver array and recompute the O(VDs) minimum on every
-	// report, making each tag-walk report O(members x VDs). The group now
-	// aggregates reports once — tracking the minimum incrementally via
-	// (curMin, atMin) — and fans out to members only when the recoverable
-	// floor actually rises, which is exactly when they have merge work to do.
-	// Members compute identical floors from identical report streams, so the
-	// ledger is a pure batching of the old broadcast: same advances, same
-	// merge order, same persisted records.
+	// Min-ver ledger (§V-B, §V-F), the only one: members keep no min-ver
+	// of their own. It aggregates every tag-walk report once, tracking the
+	// minimum incrementally via (curMin, atMin), and fans out to members
+	// only when the recoverable floor rises, which is exactly when they
+	// have merge work to do. Each member sees the same floor sequence the
+	// modelled broadcast would give it: same advances, same merge order,
+	// same persisted records.
 	minVer   []uint64
 	curMin   uint64 // min(minVer)
 	atMin    int    // how many VDs sit at curMin
@@ -72,17 +70,18 @@ func (g *Group) ReceiveVersion(v Version, now uint64) (stall uint64) {
 	return g.Route(v.Addr).ReceiveVersion(v, now)
 }
 
-// ReportMinVer records a VD's min-ver in the group ledger. The modeled
-// hardware still broadcasts the report to every member (the message and
-// per-member report counters are charged exactly as before); the simulator
-// only touches members when the recoverable floor rises.
+// ReportMinVer records a tag walker's min-ver message for a VD (paper
+// §V-B) in the group ledger and merges any epochs that became
+// recoverable. The modelled hardware broadcasts the report to every
+// member, so the message and report counters are charged once per member;
+// the simulator only touches members when the recoverable floor rises.
 func (g *Group) ReportMinVer(vd int, ver uint64, now uint64) {
 	g.stat.AddAt(groupMinverMessages, int64(len(g.omcs)))
 	g.stat.AddAt(groupMinverReports, int64(len(g.omcs)))
 	old := g.minVer[vd]
 	if ver < old {
 		// A VD's view may regress transiently if an older version surfaced;
-		// take the conservative minimum (no advance attempt, as before).
+		// take the conservative minimum and attempt no advance.
 		g.minVer[vd] = ver
 		g.ledgerLower(old, ver)
 		return
@@ -102,8 +101,12 @@ func (g *Group) ReportMinVer(vd int, ver uint64, now uint64) {
 	g.recFloor = er
 }
 
-// LowerMinVer lowers a VD's standing min-ver on every member (a dirty old
-// version migrated into the VD via cache-to-cache transfer).
+// LowerMinVer conservatively lowers a VD's standing min-ver without
+// advancing the recoverable epoch. The frontend calls it when a dirty
+// version of an old epoch migrates into a VD via cache-to-cache transfer
+// (§IV-A3): the receiving VD now holds an unpersisted version older than
+// its last tag-walk report, so rec-epoch must not advance past it until the
+// VD's next walk confirms persistence.
 func (g *Group) LowerMinVer(vd int, ver uint64, now uint64) {
 	g.stat.AddAt(groupMinverLowerMessages, int64(len(g.omcs)))
 	if ver < g.minVer[vd] {
@@ -203,7 +206,10 @@ func (g *Group) MasterRead(addr uint64) (uint64, bool) {
 	return g.Route(addr).MasterRead(addr)
 }
 
-// EpochDelta merges the per-partition deltas of epoch e.
+// EpochDelta merges the per-partition deltas of epoch e: the incremental
+// changes the epoch captured, as an address->payload table. This is the
+// unit of remote replication (§V-E): each delta can be shipped and
+// replayed as a redo log on a backup machine.
 func (g *Group) EpochDelta(e uint64) *mem.Table[uint64] {
 	delta := mem.NewTable[uint64](0)
 	for _, o := range g.omcs {

@@ -30,7 +30,6 @@ type OMC struct {
 	payload  *mem.Table[uint64] // nvmAddr -> data token ("NVM contents")
 	metaNext uint64
 
-	minVer   []uint64 // per VD: smallest possibly-unpersisted version
 	recEpoch uint64
 	maxEpoch uint64
 
@@ -77,7 +76,6 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 		retained:    mem.NewTable[*Table](0),
 		pool:        NewPool(PoolBase+uint64(id)*omcRegion, cfg.PageSize, cfg.LineSize, cfg.NVMPoolPages),
 		payload:     mem.NewTable[uint64](0),
-		minVer:      make([]uint64, cfg.VDs()),
 		vpageCounts: mem.NewTable[*mem.Table[int]](0),
 		stat:        stats.FromTable("omc", counterNames[:]),
 		bus:         cfg.Obs,
@@ -187,51 +185,9 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	return stall
 }
 
-// ReportMinVer records a tag walker's min-ver message for a VD (paper
-// §V-B) and merges any epochs that became recoverable.
-func (o *OMC) ReportMinVer(vd int, ver uint64, now uint64) {
-	o.now = now
-	o.stat.IncAt(minverReports)
-	if ver < o.minVer[vd] {
-		// A VD's view may regress transiently if an older version surfaced;
-		// take the conservative minimum.
-		o.minVer[vd] = ver
-		return
-	}
-	o.minVer[vd] = ver
-	o.advanceRecEpoch(now)
-}
-
-// LowerMinVer conservatively lowers a VD's standing min-ver without
-// advancing the recoverable epoch. The frontend calls it when a dirty
-// version of an old epoch migrates into a VD via cache-to-cache transfer
-// (§IV-A3): the receiving VD now holds an unpersisted version older than
-// its last tag-walk report, so rec-epoch must not advance past it until the
-// VD's next walk confirms persistence.
-func (o *OMC) LowerMinVer(vd int, ver uint64, now uint64) {
-	o.now = now
-	if ver < o.minVer[vd] {
-		o.minVer[vd] = ver
-		o.stat.IncAt(minverLowered)
-	}
-}
-
-func (o *OMC) advanceRecEpoch(now uint64) {
-	er := o.minVer[0]
-	for _, v := range o.minVer[1:] {
-		if v < er {
-			er = v
-		}
-	}
-	if er > 0 {
-		er--
-	}
-	o.advanceRecEpochTo(er, now)
-}
-
-// advanceRecEpochTo raises the recoverable epoch to er (a floor the caller
-// already established, either from this OMC's own min-ver array or from the
-// group ledger), merging the epochs that became recoverable.
+// advanceRecEpochTo raises the recoverable epoch to er (the floor the
+// group's min-ver ledger established), merging the epochs that became
+// recoverable.
 func (o *OMC) advanceRecEpochTo(er, now uint64) {
 	o.now = now
 	if er <= o.recEpoch {
@@ -387,9 +343,6 @@ func (o *OMC) SealTo(now, floor uint64) {
 // RecEpoch returns the recoverable epoch from this OMC's perspective.
 func (o *OMC) RecEpoch() uint64 { return o.recEpoch }
 
-// Master exposes the Master Table (consistent image of rec-epoch).
-func (o *OMC) Master() *Table { return o.master }
-
 // Pool exposes the page pool.
 func (o *OMC) Pool() *Pool { return o.pool }
 
@@ -451,35 +404,21 @@ func (o *OMC) recoverInto(img *mem.Table[uint64]) (lat uint64) {
 	return lat
 }
 
-// EpochDelta returns the incremental changes captured by epoch e as an
-// address->payload table (unmerged or retained epochs only), or nil when
-// no table of e is accessible. This is the unit of remote replication
-// (§V-E): each delta can be shipped and replayed as a redo log on a
-// backup machine.
-func (o *OMC) EpochDelta(e uint64) *mem.Table[uint64] {
-	delta := mem.NewTable[uint64](0)
-	if !o.deltaInto(e, delta) {
-		return nil
-	}
-	return delta
-}
-
-// deltaInto adds epoch e's incremental changes to delta and reports
-// whether a table of e is accessible.
-func (o *OMC) deltaInto(e uint64, delta *mem.Table[uint64]) bool {
+// deltaInto adds epoch e's incremental changes to delta when a table of e
+// is accessible (unmerged, or retained).
+func (o *OMC) deltaInto(e uint64, delta *mem.Table[uint64]) {
 	t, _ := o.epochs.Get(e)
 	if t == nil {
 		t, _ = o.retained.Get(e)
 	}
 	if t == nil {
-		return false
+		return
 	}
 	t.ForEach(func(lineAddr, nvmAddr uint64) {
 		if d, ok := o.payload.Get(nvmAddr); ok {
 			delta.Put(lineAddr, d)
 		}
 	})
-	return true
 }
 
 // Epochs returns the ids of all epochs with accessible tables (unmerged

@@ -17,6 +17,14 @@ func newTestOMC(cfg *sim.Config, opts ...Option) (*OMC, *mem.NVM) {
 	return New(cfg, nvm, 0, opts...), nvm
 }
 
+// newTestGroup builds a one-member group, so min-ver reports reach the OMC
+// through the group's ledger as they do in every run.
+func newTestGroup(cfg *sim.Config, opts ...Option) (*Group, *OMC, *mem.NVM) {
+	nvm := mem.NewNVM(cfg)
+	g := NewGroup(cfg, nvm, 1, opts...)
+	return g, g.OMC(0), nvm
+}
+
 func TestReceiveVersionWritesData(t *testing.T) {
 	cfg := omcCfg()
 	o, nvm := newTestOMC(cfg)
@@ -52,17 +60,17 @@ func TestRecEpochProtocol(t *testing.T) {
 	cfg := omcCfg()
 	cfg.Cores = 4
 	cfg.CoresPerVD = 2 // 2 VDs
-	o, _ := newTestOMC(cfg)
+	g, o, _ := newTestGroup(cfg)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 7}, 0)
 	o.ReceiveVersion(Version{Addr: 0x80, Epoch: 2, Data: 8}, 0)
 
 	// Only VD0 reports: epoch 0 recoverable at most (VD1 silent).
-	o.ReportMinVer(0, 3, 0)
+	g.ReportMinVer(0, 3, 0)
 	if o.RecEpoch() != 0 {
 		t.Fatalf("recEpoch = %d, want 0", o.RecEpoch())
 	}
 	// VD1 reports min-ver 2: epochs < 2 are persisted everywhere => rec = 1.
-	o.ReportMinVer(1, 2, 0)
+	g.ReportMinVer(1, 2, 0)
 	if o.RecEpoch() != 1 {
 		t.Fatalf("recEpoch = %d, want 1", o.RecEpoch())
 	}
@@ -73,8 +81,8 @@ func TestRecEpochProtocol(t *testing.T) {
 		t.Fatal("epoch-2 version leaked into master at rec-epoch 1")
 	}
 	// VD1 catches up: epoch 2 merges.
-	o.ReportMinVer(0, 3, 0)
-	o.ReportMinVer(1, 3, 0)
+	g.ReportMinVer(0, 3, 0)
+	g.ReportMinVer(1, 3, 0)
 	if o.RecEpoch() != 2 {
 		t.Fatalf("recEpoch = %d, want 2", o.RecEpoch())
 	}
@@ -87,11 +95,11 @@ func TestMergeReleasesStaleVersions(t *testing.T) {
 	cfg := omcCfg()
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2 // 1 VD
-	o, _ := newTestOMC(cfg)
+	g, o, _ := newTestGroup(cfg)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 1}, 0)
-	o.ReportMinVer(0, 2, 0) // merge epoch 1
+	g.ReportMinVer(0, 2, 0) // merge epoch 1
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 2, Data: 2}, 0)
-	o.ReportMinVer(0, 3, 0) // merge epoch 2: epoch-1 version unmapped
+	g.ReportMinVer(0, 3, 0) // merge epoch 2: epoch-1 version unmapped
 	if o.Stats().Get("versions_unmapped") != 1 {
 		t.Fatalf("unmapped = %d", o.Stats().Get("versions_unmapped"))
 	}
@@ -173,16 +181,16 @@ func TestCompaction(t *testing.T) {
 	cfg.NVMPoolPages = 2
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
-	o, nvm := newTestOMC(cfg)
+	g, o, nvm := newTestGroup(cfg)
 	// Epoch 1: one sparse page (2 lines), merged into master.
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 1}, 0)
 	o.ReceiveVersion(Version{Addr: 0x80, Epoch: 1, Data: 2}, 0)
-	o.ReportMinVer(0, 2, 0)
+	g.ReportMinVer(0, 2, 0)
 	dataBefore := nvm.Bytes(mem.WData)
 	// Epoch 2 and 3 each open pages; quota 2 exceeded triggers compaction of
 	// epoch 1's page into the current epoch.
 	o.ReceiveVersion(Version{Addr: 0x1040, Epoch: 2, Data: 3}, 0)
-	o.ReportMinVer(0, 3, 0)
+	g.ReportMinVer(0, 3, 0)
 	o.ReceiveVersion(Version{Addr: 0x2040, Epoch: 3, Data: 4}, 0)
 	if o.Stats().Get("compactions") == 0 {
 		t.Fatal("no compaction despite quota pressure")

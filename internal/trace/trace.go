@@ -290,12 +290,6 @@ func (d *Driver) SetSink(s Sink) { d.sink = s }
 // an error the driver stops feeding the sink but completes the run.
 func (d *Driver) SinkErr() error { return d.sinkErr }
 
-// Clocks exposes the thread clocks (tests use this).
-func (d *Driver) Clocks() *sim.Clocks { return d.clocks }
-
-// Heap exposes the tracked heap.
-func (d *Driver) Heap() *Heap { return d.heap }
-
 // issue charges one access to tid: scheme access, clock advance, record
 // sink, periodic NVM tick. It is the single path both
 // Run and RunReplay go through, so a replayed stream drives the scheme
