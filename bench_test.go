@@ -366,7 +366,6 @@ func BenchmarkTraceDecode(b *testing.B) {
 func BenchmarkWrapAround(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := experiments.Run("NVOverlay", "btree", experiments.Smoke, func(c *sim.Config) {
-			c.WrapEpochs = true
 			c.WrapWidth = 6
 		})
 		if err != nil {

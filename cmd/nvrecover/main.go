@@ -99,6 +99,9 @@ func run(o options, w io.Writer) error {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = o.epoch
 	cfg.Seed = o.seed
+	// Retention keeps merged per-epoch tables so time travel works over
+	// the whole history (the debugging usage model).
+	cfg.RetainEpochs = true
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -107,9 +110,7 @@ func run(o options, w io.Writer) error {
 		return err
 	}
 
-	// Retention keeps merged per-epoch tables so time travel works over
-	// the whole history (the debugging usage model).
-	nvo := core.New(&cfg, core.WithRetention())
+	nvo := core.New(&cfg)
 	driver := trace.NewDriver(&cfg, nvo, wl, o.accesses)
 	golden := trace.NewGolden(&cfg) // the image recovery verifies against
 	driver.SetSink(golden)

@@ -92,7 +92,9 @@ func run(o options, w io.Writer) error {
 			c.EpochSize = o.epoch
 		}
 		c.TagWalker = o.walker
-		c.OMCBuffer = o.buffer
+		if o.buffer {
+			c.OMCBufferBytes = c.LLCSize
+		}
 		c.Seed = o.seed
 		c.Obs = bus
 		c.StoreDir = o.store

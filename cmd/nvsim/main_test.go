@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -52,6 +53,34 @@ func TestStatsDump(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "counters:") {
 		t.Errorf("-stats did not dump counters:\n%s", out.String())
+	}
+}
+
+// TestBufferWritesLessData checks -buffer reaches the OMC: the same run
+// with the LLC-sized write-back buffer must persist strictly fewer data
+// bytes, because the buffer absorbs same-epoch rewrites of a line.
+func TestBufferWritesLessData(t *testing.T) {
+	dataBytes := func(args ...string) int64 {
+		o, err := parseFlags(append([]string{"-scale", "smoke", "-scheme", "NVOverlay"}, args...), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := run(o, &out); err != nil {
+			t.Fatalf("run failed: %v\n%s", err, out.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			var total, data int64
+			if _, err := fmt.Sscanf(line, "nvm bytes %d (data %d,", &total, &data); err == nil {
+				return data
+			}
+		}
+		t.Fatalf("no nvm bytes line in:\n%s", out.String())
+		return 0
+	}
+	plain, buffered := dataBytes(), dataBytes("-buffer")
+	if buffered >= plain {
+		t.Fatalf("-buffer wrote %d data bytes, without it %d: want strictly fewer", buffered, plain)
 	}
 }
 

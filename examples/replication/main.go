@@ -21,10 +21,11 @@ import (
 func main() {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = 2_000
+	cfg.RetainEpochs = true // the primary ships every merged epoch's delta
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nvo := core.New(&cfg, core.WithRetention())
+	nvo := core.New(&cfg)
 	wl, err := workload.Get("vacation")
 	if err != nil {
 		panic(err)

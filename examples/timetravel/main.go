@@ -25,13 +25,14 @@ func main() {
 	cfg.Bursts = []sim.Burst{
 		{From: 4_000, To: 6_000, Size: 50},
 	}
+	// Retention keeps every merged epoch table addressable, so any epoch
+	// in the burst can be read back later.
+	cfg.RetainEpochs = true
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 
-	// Retention keeps every merged epoch table addressable, so any epoch
-	// in the burst can be read back later.
-	nvo := core.New(&cfg, core.WithRetention())
+	nvo := core.New(&cfg)
 	wl, err := workload.Get("rbtree")
 	if err != nil {
 		panic(err)

@@ -30,34 +30,11 @@ type NVOverlay struct {
 	lastStoreOID uint64
 }
 
-// Option configures the NVOverlay assembly.
-type Option func(*options)
-
-type options struct {
-	omcs      int
-	retention bool
-}
-
-// WithOMCs sets the number of OMC address partitions (default 4, matching
-// the paper's four memory controllers).
-func WithOMCs(n int) Option { return func(o *options) { o.omcs = n } }
-
-// WithRetention keeps merged epoch tables for time-travel reads (the
-// debugging usage model).
-func WithRetention() Option { return func(o *options) { o.retention = true } }
-
-// New assembles NVOverlay from the machine configuration. cfg.TagWalker and
-// cfg.OMCBuffer select the §IV-C walker and §IV-E buffer.
-func New(cfg *sim.Config, opts ...Option) *NVOverlay {
-	// cfg.OMCs sizes the OMC sharding (0 keeps the paper's four memory
-	// controllers); WithOMCs still overrides for tests that pin a layout.
-	o := options{omcs: 4}
-	if cfg.OMCs > 0 {
-		o.omcs = cfg.OMCs
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
+// New assembles NVOverlay from the machine configuration: cfg.TagWalker,
+// cfg.OMCBufferBytes and cfg.WrapWidth select the §IV-C walker, the §IV-E
+// buffer and the §IV-D wrap-around; cfg.OMCs sizes the OMC sharding and
+// cfg.RetainEpochs keeps merged epochs for time travel.
+func New(cfg *sim.Config) *NVOverlay {
 	nvm := mem.NewNVM(cfg)
 	if cfg.FaultClass != "" {
 		fc, err := fault.ClassConfig(cfg.FaultClass, cfg.EffectiveFaultSeed())
@@ -71,14 +48,7 @@ func New(cfg *sim.Config, opts ...Option) *NVOverlay {
 		nvm.AttachFaults(inj)
 	}
 	dram := mem.NewDRAM(cfg)
-	var gopts []omc.Option
-	if cfg.OMCBuffer {
-		gopts = append(gopts, omc.WithBuffer(cfg.OMCBufferSize))
-	}
-	if o.retention {
-		gopts = append(gopts, omc.WithRetention())
-	}
-	group := omc.NewGroup(cfg, nvm, o.omcs, gopts...)
+	group := omc.NewGroup(cfg, nvm, cfg.OMCs)
 	return &NVOverlay{
 		cfg:   cfg,
 		nvm:   nvm,

@@ -27,8 +27,10 @@ func TestNVOverlayImplementsScheme(t *testing.T) {
 
 func TestNVOverlayOptions(t *testing.T) {
 	cfg := coreCfg()
-	cfg.OMCBuffer = true
-	n := New(cfg, WithOMCs(2), WithRetention())
+	cfg.OMCBufferBytes = cfg.LLCSize
+	cfg.OMCs = 2
+	cfg.RetainEpochs = true
+	n := New(cfg)
 	if n.Group().Size() != 2 {
 		t.Fatalf("OMCs = %d", n.Group().Size())
 	}
@@ -42,7 +44,8 @@ func TestNVOverlayOptions(t *testing.T) {
 
 func TestNVOverlayEndToEndWorkload(t *testing.T) {
 	cfg := coreCfg()
-	n := New(cfg, WithOMCs(2))
+	cfg.OMCs = 2
+	n := New(cfg)
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		t.Fatal(err)

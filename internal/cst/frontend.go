@@ -92,7 +92,7 @@ type Frontend struct {
 }
 
 // New builds the frontend. The tag walker is enabled per cfg.TagWalker; the
-// wrap-around protocol per cfg.WrapEpochs.
+// wrap-around protocol runs when cfg.WrapWidth is non-zero.
 func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 	f := &Frontend{
 		Levels:      cache.NewLevels(cfg),
@@ -111,7 +111,7 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 	for vd := range f.cur {
 		f.cur[vd] = 1 // epoch 0 is reserved as "before all snapshots"
 	}
-	if cfg.WrapEpochs {
+	if cfg.WrapWidth != 0 {
 		f.wrap = NewWrapSpace(cfg.WrapWidth)
 	}
 	return f

@@ -516,7 +516,6 @@ func TestEndToEndSnapshotConsistency(t *testing.T) {
 func TestWrapAroundGroupTransitions(t *testing.T) {
 	cfg := cstCfg()
 	cfg.EpochSize = 1 // advance every store
-	cfg.WrapEpochs = true
 	cfg.WrapWidth = 4 // 16 epochs, groups of 8
 	f, _, _ := newFE(cfg)
 	for i := 0; i < 40; i++ {

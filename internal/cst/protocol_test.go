@@ -55,7 +55,6 @@ func TestMinVerProtocolInvariant(t *testing.T) {
 func TestWrapAroundEndToEnd(t *testing.T) {
 	cfg := cstCfg()
 	cfg.EpochSize = 24
-	cfg.WrapEpochs = true
 	cfg.WrapWidth = 5 // 32 epochs, groups of 16
 	nvm := mem.NewNVM(cfg)
 	g := omc.NewGroup(cfg, nvm, 2)

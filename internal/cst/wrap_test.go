@@ -83,7 +83,6 @@ func TestOIDBoundaryWrapFrontend(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := cstCfg()
 			cfg.EpochSize = 1 // every store closes an epoch
-			cfg.WrapEpochs = true
 			cfg.WrapWidth = 16
 			f, mb, _ := newFE(cfg)
 
@@ -153,7 +152,6 @@ func TestNaturalWrap16Bit(t *testing.T) {
 	}
 	cfg := cstCfg()
 	cfg.EpochSize = 1
-	cfg.WrapEpochs = true
 	cfg.WrapWidth = 16
 	f, mb, _ := newFE(cfg)
 

@@ -15,9 +15,6 @@ import (
 	"repro/internal/trace"
 )
 
-// pipelineCost mirrors the trace driver's per-access non-memory work.
-const pipelineCost = 2
-
 // Result summarises one divergence-free differential run; the test suite
 // asserts on its counters to prove each trace actually exercised the
 // machinery (epochs closed, crash points probed, wraps crossed).
@@ -120,7 +117,7 @@ func baselineRotation(p Params) []string {
 func replayNVOverlay(p Params, src stepSource, res *Result, n int, finish bool, bus *obs.Bus) (*Divergence, error) {
 	cfg := p.Config()
 	cfg.Obs = bus
-	nv := core.New(&cfg, core.WithRetention(), core.WithOMCs(p.OMCs))
+	nv := core.New(&cfg)
 	clocks := sim.NewClocks(cfg.Cores)
 	nv.Bind(clocks)
 	g := NewGolden()
@@ -133,7 +130,7 @@ func replayNVOverlay(p Params, src stepSource, res *Result, n int, finish bool, 
 	var dd *Divergence
 	err := src.each(n, func(i int, op Step) bool {
 		lat := nv.Access(op.Tid, op.Addr, op.Write, op.Data)
-		clocks.Advance(op.Tid, lat+pipelineCost)
+		clocks.Advance(op.Tid, lat+trace.PipelineCost)
 		if op.Write {
 			oid := nv.LastStoreOID()
 			if oid == 0 {
@@ -280,7 +277,7 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 	var dd *Divergence
 	err := src.each(p.Steps, func(i int, op Step) bool {
 		lat := s.Access(op.Tid, op.Addr, op.Write, op.Data)
-		clocks.Advance(op.Tid, lat+pipelineCost)
+		clocks.Advance(op.Tid, lat+trace.PipelineCost)
 		if op.Write {
 			last.Put(cfg.LineAddr(op.Addr), op.Data)
 		}

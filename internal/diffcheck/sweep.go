@@ -14,6 +14,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/soak"
+	"repro/internal/trace"
 )
 
 // The crash-consistency sweep: one grid of (layer, class, seed, cut) cells
@@ -401,13 +402,13 @@ func nvmCell(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (Point, s
 	pt := Point{Layer: LayerNVM, Class: p.Fault, Seed: p.Seed, Cut: cut, State: StatePowerLoss}
 	cfg := p.Config()
 	cfg.Obs = bus
-	nv := core.New(&cfg, core.WithRetention(), core.WithOMCs(p.OMCs))
+	nv := core.New(&cfg)
 	clocks := sim.NewClocks(cfg.Cores)
 	nv.Bind(clocks)
 	g := NewGolden()
 	for i, op := range p.Ops()[:cut] {
 		lat := nv.Access(op.Tid, op.Addr, op.Write, op.Data)
-		clocks.Advance(op.Tid, lat+pipelineCost)
+		clocks.Advance(op.Tid, lat+trace.PipelineCost)
 		if !op.Write {
 			continue
 		}

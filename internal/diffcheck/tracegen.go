@@ -102,13 +102,15 @@ func (p Params) Config() sim.Config {
 	cfg.EpochSize = p.EpochSize
 	cfg.EpochAdvanceCost = 100
 	cfg.TagWalker = p.Walker
-	cfg.OMCBuffer = p.Buffered
-	cfg.OMCBufferSize = 2 << 10 // small: force buffer evictions
-	cfg.NVMPoolPages = 0        // unbounded pool, no compaction: exact retention
-	cfg.WrapEpochs = p.Wrap
+	if p.Buffered {
+		cfg.OMCBufferBytes = 2 << 10 // small: force buffer evictions
+	}
+	cfg.NVMPoolPages = 0 // unbounded pool, no compaction: exact retention
 	if p.Wrap {
 		cfg.WrapWidth = p.WrapWidth
 	}
+	cfg.OMCs = p.OMCs
+	cfg.RetainEpochs = true // the time-travel cross-checks read merged epochs
 	cfg.Seed = p.Seed
 	cfg.FaultClass = p.Fault // injector seed derives from Seed
 	return cfg

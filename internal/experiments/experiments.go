@@ -159,7 +159,7 @@ func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*
 		// Back the content plane with the on-disk store. Attaching after
 		// construction is lossless: AttachPlane migrates committed words,
 		// and still-queued construction writes drain onto the new plane.
-		plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, cfg.CheckpointEvery)
+		plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, mem.DefaultCheckpointEvery)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -241,7 +241,9 @@ func Fig16(scale Scale) (Fig16Result, error) {
 	oneEpoch := func(buf bool) func(*sim.Config) {
 		return func(c *sim.Config) {
 			c.EpochSize = 1 << 30 // one epoch for the entire run
-			c.OMCBuffer = buf
+			if buf {
+				c.OMCBufferBytes = c.LLCSize // the paper's LLC-sized buffer
+			}
 		}
 	}
 	res, err := runCells(scale, []cellSpec{

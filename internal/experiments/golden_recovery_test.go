@@ -24,10 +24,11 @@ func smokeExport(t *testing.T) []byte {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = Smoke.EpochSize
 	Smoke.Machine(&cfg)
+	cfg.RetainEpochs = true
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	nvo := core.New(&cfg, core.WithRetention())
+	nvo := core.New(&cfg)
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		t.Fatal(err)

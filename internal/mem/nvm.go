@@ -177,6 +177,10 @@ func wrap(i, size int) int {
 	return i
 }
 
+// TimeSeriesBuckets is the number of progress buckets in the Fig-17-style
+// bandwidth series.
+const TimeSeriesBuckets = 100
+
 // NewNVM constructs the device from the machine config.
 func NewNVM(cfg *sim.Config) *NVM {
 	return &NVM{
@@ -184,7 +188,7 @@ func NewNVM(cfg *sim.Config) *NVM {
 		bankBusy: make([]uint64, cfg.NVMBanks),
 		lastLine: make([]uint64, cfg.NVMBanks),
 		wear:     NewTable[int64](0),
-		series:   stats.NewTimeSeries(cfg.TimeSeriesBuckets),
+		series:   stats.NewTimeSeries(TimeSeriesBuckets),
 		stat:     stats.FromTable("nvm", nvmCounterNames[:]),
 		plane:    NewRAMPlane(),
 		pending:  make([]bankQueue, cfg.NVMBanks),

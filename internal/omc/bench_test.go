@@ -37,7 +37,8 @@ func BenchmarkReceiveVersion(b *testing.B) {
 
 func BenchmarkReceiveVersionBuffered(b *testing.B) {
 	cfg := sim.DefaultConfig()
-	o := New(&cfg, mem.NewNVM(&cfg), 0, WithBuffer(0))
+	cfg.OMCBufferBytes = cfg.LLCSize
+	o := New(&cfg, mem.NewNVM(&cfg), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Hot-set rewrites: the buffer absorbs most of these.

@@ -27,9 +27,6 @@ type Buffer struct {
 // NewBuffer builds a buffer with the given capacity in bytes, organised
 // like the LLC (paper: "same configuration as the simulated LLC").
 func NewBuffer(cfg *sim.Config, bytes int) *Buffer {
-	if bytes <= 0 {
-		bytes = cfg.LLCSize
-	}
 	return &Buffer{arr: cache.New("omcbuf", bytes, cfg.LLCWays, cfg.LineSize)}
 }
 
@@ -90,13 +87,4 @@ func (b *Buffer) FlushBefore(epoch uint64) []Version {
 		}
 	}
 	return out
-}
-
-// HitRate returns hits/(hits+misses), the Fig 16 statistic.
-func (b *Buffer) HitRate() float64 {
-	total := b.Hits + b.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(b.Hits) / float64(total)
 }

@@ -33,7 +33,7 @@ type Group struct {
 }
 
 // NewGroup builds n OMCs sharing one NVM device.
-func NewGroup(cfg *sim.Config, nvm *mem.NVM, n int, opts ...Option) *Group {
+func NewGroup(cfg *sim.Config, nvm *mem.NVM, n int) *Group {
 	if n <= 0 {
 		n = 1
 	}
@@ -44,7 +44,7 @@ func NewGroup(cfg *sim.Config, nvm *mem.NVM, n int, opts ...Option) *Group {
 		atMin:  cfg.VDs(),
 	}
 	for i := 0; i < n; i++ {
-		o := New(cfg, nvm, i, opts...)
+		o := New(cfg, nvm, i)
 		// The genesis record lets recovery tell a young run (nothing
 		// committed yet) apart from a destroyed commit log, and tells it
 		// how many partitions to scan.
@@ -201,11 +201,6 @@ func (g *Group) TimeTravelRead(addr, epoch uint64) (uint64, uint64, bool) {
 	return g.Route(addr).TimeTravelRead(addr, epoch)
 }
 
-// MasterRead reads addr from the consistent image.
-func (g *Group) MasterRead(addr uint64) (uint64, bool) {
-	return g.Route(addr).MasterRead(addr)
-}
-
 // EpochDelta merges the per-partition deltas of epoch e: the incremental
 // changes the epoch captured, as an address->payload table. This is the
 // unit of remote replication (§V-E): each delta can be shipped and
@@ -266,15 +261,6 @@ func (g *Group) LeafOccupancy() float64 {
 		return 0
 	}
 	return float64(entries) / float64(slots)
-}
-
-// PoolPages returns total allocated pool pages.
-func (g *Group) PoolPages() int {
-	var n int
-	for _, o := range g.omcs {
-		n += o.pool.Pages()
-	}
-	return n
 }
 
 // BufferHitRate aggregates buffer hits across members (0 when disabled).

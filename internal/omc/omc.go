@@ -22,7 +22,6 @@ type OMC struct {
 
 	epochs   *mem.Table[*Table] // volatile per-epoch tables, unmerged
 	retained *mem.Table[*Table] // merged tables kept for time-travel reads
-	retain   bool
 	master   *Table
 	pool     *Pool
 	buf      *Buffer
@@ -50,24 +49,10 @@ type OMC struct {
 	bus  *obs.Bus // nil when the run is unobserved
 }
 
-// Option configures an OMC.
-type Option func(*OMC)
-
-// WithBuffer enables the battery-backed write-back buffer of the given size
-// in bytes (0 = LLC-sized).
-func WithBuffer(bytes int) Option {
-	return func(o *OMC) { o.buf = NewBuffer(o.cfg, bytes) }
-}
-
-// WithRetention keeps merged per-epoch tables and their payloads for
-// time-travel reads (the debugging usage model, §V-E).
-func WithRetention() Option {
-	return func(o *OMC) { o.retain = true }
-}
-
 // New constructs OMC number id of n, owning the address partition
-// (addr>>12) % n == id.
-func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
+// (addr>>12) % n == id. cfg.OMCBufferBytes sizes its write-back buffer and
+// cfg.RetainEpochs keeps merged epochs for time-travel reads.
+func New(cfg *sim.Config, nvm *mem.NVM, id int) *OMC {
 	o := &OMC{
 		cfg:         cfg,
 		nvm:         nvm,
@@ -92,8 +77,8 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 			o.stat.IncAt(metaWrites)
 		},
 	)
-	for _, opt := range opts {
-		opt(o)
+	if cfg.OMCBufferBytes > 0 {
+		o.buf = NewBuffer(cfg, cfg.OMCBufferBytes)
 	}
 	return o
 }
@@ -231,7 +216,7 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 		if old, replaced := o.master.Insert(lineAddr, nvmAddr); replaced {
 			// The unmapped version becomes stale; release unless retained
 			// for time travel.
-			if !o.retain {
+			if !o.cfg.RetainEpochs {
 				o.payload.Delete(old)
 				o.pool.Release(old)
 			}
@@ -246,7 +231,7 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 	o.stat.AddAt(entriesMerged, int64(t.Entries()))
 	o.epochs.Delete(e)
 	o.vpageCounts.Delete(e)
-	if o.retain {
+	if o.cfg.RetainEpochs {
 		o.retained.Put(e, t)
 	}
 }
@@ -351,15 +336,6 @@ func (o *OMC) Buffer() *Buffer { return o.buf }
 
 // Stats returns the OMC counter set.
 func (o *OMC) Stats() *stats.Set { return o.stat.Clone() }
-
-// MasterRead returns the payload of addr in the consistent image.
-func (o *OMC) MasterRead(addr uint64) (uint64, bool) {
-	nvmAddr, ok := o.master.Lookup(addr)
-	if !ok {
-		return 0, false
-	}
-	return o.payload.Get(nvmAddr)
-}
 
 // TimeTravelRead returns the value of addr as of the given epoch using the
 // paper's fall-through semantics (§V-E): the largest epoch E' <= epoch whose

@@ -12,16 +12,16 @@ func omcCfg() *sim.Config {
 	return &cfg
 }
 
-func newTestOMC(cfg *sim.Config, opts ...Option) (*OMC, *mem.NVM) {
+func newTestOMC(cfg *sim.Config) (*OMC, *mem.NVM) {
 	nvm := mem.NewNVM(cfg)
-	return New(cfg, nvm, 0, opts...), nvm
+	return New(cfg, nvm, 0), nvm
 }
 
 // newTestGroup builds a one-member group, so min-ver reports reach the OMC
 // through the group's ledger as they do in every run.
-func newTestGroup(cfg *sim.Config, opts ...Option) (*Group, *OMC, *mem.NVM) {
+func newTestGroup(cfg *sim.Config) (*Group, *OMC, *mem.NVM) {
 	nvm := mem.NewNVM(cfg)
-	g := NewGroup(cfg, nvm, 1, opts...)
+	g := NewGroup(cfg, nvm, 1)
 	return g, g.OMC(0), nvm
 }
 
@@ -36,7 +36,7 @@ func TestReceiveVersionWritesData(t *testing.T) {
 		t.Fatal("version counter")
 	}
 	// Not yet recoverable: master is empty.
-	if _, ok := o.MasterRead(0x1040); ok {
+	if _, ok := masterRead(o, 0x1040); ok {
 		t.Fatal("unmerged version visible in master")
 	}
 }
@@ -74,10 +74,10 @@ func TestRecEpochProtocol(t *testing.T) {
 	if o.RecEpoch() != 1 {
 		t.Fatalf("recEpoch = %d, want 1", o.RecEpoch())
 	}
-	if d, ok := o.MasterRead(0x40); !ok || d != 7 {
+	if d, ok := masterRead(o, 0x40); !ok || d != 7 {
 		t.Fatalf("master read = %d,%v", d, ok)
 	}
-	if _, ok := o.MasterRead(0x80); ok {
+	if _, ok := masterRead(o, 0x80); ok {
 		t.Fatal("epoch-2 version leaked into master at rec-epoch 1")
 	}
 	// VD1 catches up: epoch 2 merges.
@@ -86,7 +86,7 @@ func TestRecEpochProtocol(t *testing.T) {
 	if o.RecEpoch() != 2 {
 		t.Fatalf("recEpoch = %d, want 2", o.RecEpoch())
 	}
-	if d, ok := o.MasterRead(0x80); !ok || d != 8 {
+	if d, ok := masterRead(o, 0x80); !ok || d != 8 {
 		t.Fatalf("master read = %d,%v", d, ok)
 	}
 }
@@ -103,7 +103,7 @@ func TestMergeReleasesStaleVersions(t *testing.T) {
 	if o.Stats().Get("versions_unmapped") != 1 {
 		t.Fatalf("unmapped = %d", o.Stats().Get("versions_unmapped"))
 	}
-	if d, _ := o.MasterRead(0x40); d != 2 {
+	if d, _ := masterRead(o, 0x40); d != 2 {
 		t.Fatalf("master = %d", d)
 	}
 	if o.Stats().Get("epochs_merged") != 2 {
@@ -131,7 +131,8 @@ func TestSealMergesEverything(t *testing.T) {
 
 func TestTimeTravelFallThrough(t *testing.T) {
 	cfg := omcCfg()
-	o, _ := newTestOMC(cfg, WithRetention())
+	cfg.RetainEpochs = true
+	o, _ := newTestOMC(cfg)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 10}, 0)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 3, Data: 30}, 0)
 	o.ReceiveVersion(Version{Addr: 0x80, Epoch: 2, Data: 20}, 0)
@@ -171,7 +172,7 @@ func TestTimeTravelWithoutRetention(t *testing.T) {
 		t.Fatal("dropped epoch table still resolves")
 	}
 	// ...but the master still serves the consistent image.
-	if d, ok := o.MasterRead(0x40); !ok || d != 20 {
+	if d, ok := masterRead(o, 0x40); !ok || d != 20 {
 		t.Fatalf("master read = %d,%v", d, ok)
 	}
 }
@@ -227,7 +228,8 @@ func TestContextDump(t *testing.T) {
 
 func TestOMCBufferAbsorbsRedundantWrites(t *testing.T) {
 	cfg := omcCfg()
-	o, nvm := newTestOMC(cfg, WithBuffer(0))
+	cfg.OMCBufferBytes = cfg.LLCSize
+	g, o, nvm := newTestGroup(cfg)
 	for i := 0; i < 100; i++ {
 		o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: uint64(i)}, 0)
 	}
@@ -235,21 +237,22 @@ func TestOMCBufferAbsorbsRedundantWrites(t *testing.T) {
 	if nvm.Bytes(mem.WData) != 0 {
 		t.Fatalf("buffered writes leaked to NVM: %d bytes", nvm.Bytes(mem.WData))
 	}
-	if hr := o.Buffer().HitRate(); hr < 0.98 {
+	if hr := g.BufferHitRate(); hr < 0.98 {
 		t.Fatalf("hit rate = %f", hr)
 	}
 	o.Seal(0)
 	if nvm.Bytes(mem.WData) != 64 {
 		t.Fatalf("seal flushed %d bytes, want 64", nvm.Bytes(mem.WData))
 	}
-	if d, _ := o.MasterRead(0x40); d != 99 {
+	if d, _ := masterRead(o, 0x40); d != 99 {
 		t.Fatalf("final data = %d", d)
 	}
 }
 
 func TestOMCBufferEpochTurnoverFlushesOldVersion(t *testing.T) {
 	cfg := omcCfg()
-	o, nvm := newTestOMC(cfg, WithBuffer(0))
+	cfg.OMCBufferBytes = cfg.LLCSize
+	o, nvm := newTestOMC(cfg)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 1}, 0)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 2, Data: 2}, 0)
 	// The epoch-1 version belongs to a closed snapshot: it must persist.
@@ -323,10 +326,11 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 	if g.MasterBytes() == 0 || g.LeafOccupancy() <= 0 {
 		t.Fatal("master accounting empty")
 	}
-	if d, ok := g.MasterRead(3 << 12); !ok || d != 4 {
-		t.Fatalf("group master read = %d,%v", d, ok)
+	pages := 0
+	for i := range g.Size() {
+		pages += g.OMC(i).Pool().Pages()
 	}
-	if g.PoolPages() == 0 {
+	if pages == 0 {
 		t.Fatal("no pool pages")
 	}
 	if g.Stats().Get("minver_messages") != 4 {
@@ -336,8 +340,9 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 
 func TestGroupSealAndTimeTravel(t *testing.T) {
 	cfg := omcCfg()
+	cfg.RetainEpochs = true
 	nvm := mem.NewNVM(cfg)
-	g := NewGroup(cfg, nvm, 2, WithRetention())
+	g := NewGroup(cfg, nvm, 2)
 	g.ReceiveVersion(Version{Addr: 0x1000, Epoch: 1, Data: 5}, 0)
 	g.ReceiveVersion(Version{Addr: 0x1000, Epoch: 4, Data: 9}, 0)
 	g.Seal(0)
@@ -347,6 +352,12 @@ func TestGroupSealAndTimeTravel(t *testing.T) {
 	if g.BufferHitRate() != 0 {
 		t.Fatal("buffer hit rate without buffers should be 0")
 	}
+}
+
+// masterRead reads addr from the OMC's consistent (master) image.
+func masterRead(o *OMC, addr uint64) (uint64, bool) {
+	img, _ := o.RecoverImage()
+	return img.Get(addr)
 }
 
 // imgAt reads one line of a recovered image; absent lines read as 0.

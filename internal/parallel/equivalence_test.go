@@ -211,48 +211,36 @@ func TestFaultSweepEqualAcrossJobs(t *testing.T) {
 }
 
 // TestDistributionMergeAcrossJobs is the parallel-sweep cross-check for
-// stats.Distribution.Merge and stats.Histogram.Merge: per-cell sample
-// distributions fanned over workers and merged in cell order must render
-// byte-identically at every worker count, including when some cells (here
-// every third) observe nothing.
+// stats.Histogram.Merge: per-cell sample distributions fanned over workers
+// and merged in cell order must render byte-identically at every worker
+// count, including when some cells (here every third) observe nothing.
 func TestDistributionMergeAcrossJobs(t *testing.T) {
 	const cells = 64
-	sweep := func(jobs int) (string, string) {
-		type pair struct {
-			d stats.Distribution
-			h stats.Histogram
-		}
-		out := parallel.Map(jobs, cells, func(i int) pair {
-			var p pair
+	sweep := func(jobs int) string {
+		out := parallel.Map(jobs, cells, func(i int) stats.Histogram {
+			var h stats.Histogram
 			if i%3 == 2 {
-				return p // empty cell: Merge must not clobber min/max
+				return h // empty cell: Merge must not clobber min/max
 			}
 			// A deterministic per-cell stream, pure function of the index.
 			v := int64(i*i + 1)
 			for k := 0; k < 50; k++ {
-				p.d.Observe(v)
-				p.h.Observe(v)
+				h.Observe(v)
 				v = (v*6364136223846793005 + int64(i)) % 100_000
 			}
-			return p
+			return h
 		})
-		var d stats.Distribution
 		var h stats.Histogram
 		for i := range out {
-			d.Merge(&out[i].d)
-			h.Merge(&out[i].h)
+			h.Merge(&out[i])
 		}
-		return d.String(), h.String()
+		return h.String()
 	}
-	d1, h1 := sweep(1)
-	d8, h8 := sweep(8)
-	if d1 != d8 {
-		t.Fatalf("merged distribution differs across jobs:\n-j 1: %s\n-j 8: %s", d1, d8)
-	}
+	h1, h8 := sweep(1), sweep(8)
 	if h1 != h8 {
 		t.Fatalf("merged histogram differs across jobs:\n-j 1: %s\n-j 8: %s", h1, h8)
 	}
-	if d1 == "n=0 (empty)" || h1 == "n=0 (empty)" {
+	if h1 == "n=0 (empty)" {
 		t.Fatal("sweep observed nothing; the cross-check is vacuous")
 	}
 }

@@ -15,12 +15,9 @@ func buildGroup(t *testing.T, retain bool) (*omc.Group, map[uint64]uint64) {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
+	cfg.RetainEpochs = retain
 	nvm := mem.NewNVM(&cfg)
-	var opts []omc.Option
-	if retain {
-		opts = append(opts, omc.WithRetention())
-	}
-	g := omc.NewGroup(&cfg, nvm, 2, opts...)
+	g := omc.NewGroup(&cfg, nvm, 2)
 	golden := map[uint64]uint64{}
 	// Three epochs of versions; later epochs overwrite some addresses.
 	for e := uint64(1); e <= 3; e++ {
@@ -138,10 +135,11 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	cfg.LLCSize = 2 * 8 * 4 * 64
 	cfg.LLCWays = 4
 	cfg.EpochSize = 64
+	cfg.OMCs = 2
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	nvo := core.New(&cfg, core.WithOMCs(2))
+	nvo := core.New(&cfg)
 	clocks := sim.NewClocks(cfg.Cores)
 	nvo.Bind(clocks)
 	r := sim.NewRNG(3)

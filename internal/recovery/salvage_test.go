@@ -17,8 +17,9 @@ func buildSalvageImage(t *testing.T) (*mem.Image, map[uint64]map[uint64]uint64) 
 	cfg := sim.DefaultConfig()
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
+	cfg.RetainEpochs = true
 	nvm := mem.NewNVM(&cfg)
-	g := omc.NewGroup(&cfg, nvm, 2, omc.WithRetention())
+	g := omc.NewGroup(&cfg, nvm, 2)
 	goldenAt := map[uint64]map[uint64]uint64{0: {}}
 	cur := map[uint64]uint64{}
 	for e := uint64(1); e <= 3; e++ {

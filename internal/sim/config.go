@@ -17,9 +17,9 @@ type Config struct {
 	CoresPerVD int // cores sharing one L2 / versioned domain (paper: 2)
 	LLCSlices  int // distributed LLC slices (paper-style multi-slice LLC)
 	// OMCs is the number of overlay memory controllers sharing the NVM
-	// plane. 0 selects the historical default of 4 (the paper's 16-core
-	// machine); big-machine scale configs raise it so per-OMC epoch tables
-	// and bank queues stay proportionate to core count.
+	// plane (paper §V-F: 4 on the 16-core machine); big-machine scale
+	// configs raise it so per-OMC epoch tables and bank queues stay
+	// proportionate to core count.
 	OMCs int
 
 	// Cache geometry. Sizes are in bytes; LineSize divides all of them.
@@ -53,35 +53,34 @@ type Config struct {
 	Bursts []Burst
 
 	// NVOverlay-specific switches.
-	TagWalker     bool // enable the per-VD L2 tag walker
-	OMCBuffer     bool // enable the battery-backed OMC write-back cache
-	OMCBufferSize int  // bytes; defaults to LLC size as in the paper
-	SuperBlock    int  // DRAM OID granularity in lines (1 or 4, §V-F)
+	TagWalker bool // enable the per-VD L2 tag walker (§IV-C)
+	// OMCBufferBytes sizes the battery-backed OMC write-back cache
+	// (§IV-E); 0 means no buffer. The paper's buffer is LLC-sized.
+	OMCBufferBytes int
+	SuperBlock     int // DRAM OID granularity in lines (1 or 4, §V-F)
 
 	// MNM storage management.
-	NVMPoolPages int   // page-pool quota; 0 means unbounded
-	PageSize     int   // NVM data page size
-	WrapEpochs   bool  // exercise the 16-bit two-group wrap-around path
-	WrapWidth    uint  // epoch wire width in bits when WrapEpochs is set
+	NVMPoolPages int // page-pool quota; 0 means unbounded
+	PageSize     int // NVM data page size
+	// WrapWidth is the epoch wire width in bits of the two-group
+	// wrap-around protocol (§IV-D), in [4,16]; 0 means wrap-around is off.
+	WrapWidth uint
+	// RetainEpochs keeps merged per-epoch tables and their payloads for
+	// time-travel reads (the debugging usage model, §V-E).
+	RetainEpochs bool
 	Seed         int64 // PRNG seed for workloads
 
 	// Fault injection (robustness harness). FaultClass selects a named
 	// deterministic NVM fault regime ("", "torn", "flip", "loss", "nak",
-	// "all"); FaultSeed seeds the injector's PRNG (0: derived from Seed so
-	// faulted runs replay from the workload seed alone).
+	// "all"); the injector's PRNG is seeded from Seed (EffectiveFaultSeed),
+	// so faulted runs replay from the workload seed alone.
 	FaultClass string
-	FaultSeed  int64
 
 	// Durable store. StoreDir, when non-empty, backs the NVM content plane
 	// with the append/checkpoint file format under that directory (a fresh
 	// one; drivers refuse an existing store). Empty keeps the historical
 	// in-memory plane: runs are byte-identical to pre-file-plane behaviour.
-	// CheckpointEvery sets base-image cadence in epoch seals (0: default).
-	StoreDir        string
-	CheckpointEvery int
-
-	// TimeSeriesBuckets controls Fig-17-style bandwidth bucketing.
-	TimeSeriesBuckets int
+	StoreDir string
 
 	// Obs, when non-nil, receives the run's structured event stream
 	// (internal/obs sits below sim in the dependency tower, so pointing at
@@ -98,6 +97,7 @@ func DefaultConfig() Config {
 		Cores:      16,
 		CoresPerVD: 2,
 		LLCSlices:  8,
+		OMCs:       4,
 
 		LineSize: 64,
 		L1Size:   32 << 10,
@@ -124,18 +124,11 @@ func DefaultConfig() Config {
 		EpochAdvanceCost: 1000,
 		ContextDumpBytes: 2048, // architectural context per VD advance
 
-		TagWalker:     true,
-		OMCBuffer:     false,
-		OMCBufferSize: 0,
-		SuperBlock:    1,
+		TagWalker:  true,
+		SuperBlock: 1,
 
-		NVMPoolPages: 0,
-		PageSize:     4096,
-		WrapEpochs:   false,
-		WrapWidth:    16,
-		Seed:         42,
-
-		TimeSeriesBuckets: 100,
+		PageSize: 4096,
+		Seed:     42,
 	}
 }
 
@@ -178,8 +171,10 @@ func (c *Config) Validate() error {
 		// cache in the dependency tower, so the constant is mirrored here).
 		return fmt.Errorf("sim: %d versioned domains exceed the directory's %d-domain capacity",
 			c.VDs(), maxVDs)
-	case c.OMCs < 0:
-		return fmt.Errorf("sim: OMCs must be non-negative, got %d", c.OMCs)
+	case c.OMCs <= 0:
+		return fmt.Errorf("sim: OMCs must be positive, got %d", c.OMCs)
+	case c.OMCBufferBytes < 0:
+		return fmt.Errorf("sim: OMCBufferBytes must be non-negative, got %d", c.OMCBufferBytes)
 	case c.LLCSlices <= 0:
 		return fmt.Errorf("sim: LLCSlices must be positive, got %d", c.LLCSlices)
 	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
@@ -199,12 +194,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: SuperBlock must be 1 or 4, got %d", c.SuperBlock)
 	case c.NVMBanks <= 0:
 		return fmt.Errorf("sim: NVMBanks must be positive, got %d", c.NVMBanks)
-	case c.WrapEpochs && (c.WrapWidth < 4 || c.WrapWidth > 16):
-		return fmt.Errorf("sim: WrapWidth must be in [4,16], got %d", c.WrapWidth)
+	case c.WrapWidth != 0 && (c.WrapWidth < 4 || c.WrapWidth > 16):
+		return fmt.Errorf("sim: WrapWidth must be 0 (off) or in [4,16], got %d", c.WrapWidth)
 	case !validFaultClass(c.FaultClass):
 		return fmt.Errorf("sim: unknown FaultClass %q (\"\", torn, flip, loss, nak, all)", c.FaultClass)
-	case c.CheckpointEvery < 0:
-		return fmt.Errorf("sim: CheckpointEvery must be non-negative, got %d", c.CheckpointEvery)
 	}
 	return nil
 }
@@ -223,13 +216,9 @@ func validFaultClass(name string) bool {
 	return false
 }
 
-// EffectiveFaultSeed returns the injector seed: FaultSeed when set,
-// otherwise a fixed mix of the workload seed so a faulted run replays
-// byte-identically from -seed alone.
+// EffectiveFaultSeed returns the injector seed, a fixed mix of the
+// workload seed so a faulted run replays byte-identically from -seed alone.
 func (c *Config) EffectiveFaultSeed() int64 {
-	if c.FaultSeed != 0 {
-		return c.FaultSeed
-	}
 	return c.Seed ^ 0x6661756c74 // "fault"
 }
 

@@ -19,6 +19,17 @@ func TestDefaultConfigValid(t *testing.T) {
 	if cfg.LinesPerPage() != 64 {
 		t.Fatalf("LinesPerPage = %d", cfg.LinesPerPage())
 	}
+	// The default has wrap-around off (WrapWidth 0); both ends of the
+	// wire-width range validate too.
+	if cfg.WrapWidth != 0 {
+		t.Fatalf("default WrapWidth = %d, want 0 (off)", cfg.WrapWidth)
+	}
+	for _, w := range []uint{4, 16} {
+		cfg.WrapWidth = w
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("WrapWidth %d rejected: %v", w, err)
+		}
+	}
 }
 
 func TestConfigValidateRejects(t *testing.T) {
@@ -34,7 +45,11 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.PageSize = 32 },
 		func(c *Config) { c.SuperBlock = 3 },
 		func(c *Config) { c.NVMBanks = 0 },
-		func(c *Config) { c.WrapEpochs = true; c.WrapWidth = 2 },
+		func(c *Config) { c.WrapWidth = 2 },
+		func(c *Config) { c.WrapWidth = 3 },
+		func(c *Config) { c.WrapWidth = 17 },
+		func(c *Config) { c.OMCs = 0 },
+		func(c *Config) { c.OMCBufferBytes = -1 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()

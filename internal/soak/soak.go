@@ -74,13 +74,14 @@ func nextVersion(rng *sim.RNG, epoch uint64) omc.Version {
 }
 
 // writerConfig is the machine shape the writer drives: one versioned
-// domain over a Members-partition OMC group, file plane attached.
+// domain over a Members-partition OMC group that retains merged epochs,
+// file plane attached.
 func writerConfig(p Params) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
 	cfg.StoreDir = p.Dir
-	cfg.CheckpointEvery = p.CheckpointEvery
+	cfg.RetainEpochs = true
 	return cfg
 }
 
@@ -107,7 +108,7 @@ func WriteStore(fsys fault.FS, p Params, hit func(point string, epoch uint64)) e
 		hit = func(string, uint64) {}
 	}
 	nvm.AttachPlane(plane)
-	g := omc.NewGroup(&cfg, nvm, Members, omc.WithRetention())
+	g := omc.NewGroup(&cfg, nvm, Members)
 	rng := sim.NewRNG(p.Seed)
 	now := uint64(0)
 	for e := uint64(1); e <= uint64(p.Epochs); e++ {

@@ -10,10 +10,10 @@ import (
 // bucket i (i >= 1) counts samples v with 2^(i-1) <= v < 2^i.
 const histBuckets = 65
 
-// Histogram is a log2-bucketed distribution of int64 samples. Where
-// Distribution only keeps min/max/sum, the histogram additionally supports
-// approximate quantiles, which the observability timelines need for
-// latency- and occupancy-shaped metrics (bank-queue depth, walk spans).
+// Histogram is a log2-bucketed distribution of int64 samples: count, sum,
+// min and max, plus approximate quantiles, which the observability
+// timelines need for latency- and occupancy-shaped metrics (bank-queue
+// depth, walk spans).
 // The zero value is an empty histogram ready for use; Merge is exact and
 // deterministic, so parallel sweep cells aggregate bit-identically in any
 // merge grouping (as long as cells merge in canonical order, which the
@@ -56,8 +56,8 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Merge adds other's samples into h. An empty side never clobbers the
-// populated side's Min/Max (the same empty-side rule Distribution.Merge
-// follows), and bucket addition commutes, so merging in canonical cell
+// populated side's Min/Max (a field-wise merge would take the empty
+// side's zeros), and bucket addition commutes, so merging in canonical cell
 // order yields bit-identical state however the cells were scheduled.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.Count == 0 {

@@ -93,9 +93,6 @@ func (s *Set) Add(key string, delta int64) {
 	s.AddAt(Slot(i), delta)
 }
 
-// Inc increments counter key by one.
-func (s *Set) Inc(key string) { s.Add(key, 1) }
-
 // Get returns the current value of counter key (zero if absent).
 func (s *Set) Get(key string) int64 {
 	if i := s.slot(key); i >= 0 {
@@ -166,61 +163,4 @@ func (s *Set) Dump(indent string) string {
 		fmt.Fprintf(&b, "%s%-40s %d\n", indent, s.names[i], s.slots[i].n)
 	}
 	return b.String()
-}
-
-// Distribution tracks min/max/sum/count of an integer-valued sample stream.
-type Distribution struct {
-	Count int64
-	Sum   int64
-	Min   int64
-	Max   int64
-}
-
-// Observe records one sample.
-func (d *Distribution) Observe(v int64) {
-	if d.Count == 0 || v < d.Min {
-		d.Min = v
-	}
-	if d.Count == 0 || v > d.Max {
-		d.Max = v
-	}
-	d.Count++
-	d.Sum += v
-}
-
-// Mean returns the arithmetic mean of the observed samples (0 when empty).
-func (d *Distribution) Mean() float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return float64(d.Sum) / float64(d.Count)
-}
-
-// Merge folds other's samples into d. The empty side contributes nothing:
-// a naive field-wise merge would clobber the populated side's Min/Max with
-// the empty side's zero values (or keep a stale zero Min when d itself is
-// empty), which is exactly how per-cell distributions used to vanish from
-// parallel-sweep rollups.
-func (d *Distribution) Merge(other *Distribution) {
-	if other.Count == 0 {
-		return
-	}
-	if d.Count == 0 || other.Min < d.Min {
-		d.Min = other.Min
-	}
-	if d.Count == 0 || other.Max > d.Max {
-		d.Max = other.Max
-	}
-	d.Count += other.Count
-	d.Sum += other.Sum
-}
-
-// String renders the distribution compactly. An empty distribution says so
-// explicitly: "min=0 max=0 mean=0.00" is indistinguishable from a stream
-// of genuine zero samples.
-func (d *Distribution) String() string {
-	if d.Count == 0 {
-		return "n=0 (empty)"
-	}
-	return fmt.Sprintf("n=%d min=%d max=%d mean=%.2f", d.Count, d.Min, d.Max, d.Mean())
 }

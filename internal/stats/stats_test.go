@@ -12,7 +12,7 @@ func TestSetAddGet(t *testing.T) {
 		t.Fatalf("missing counter = %d, want 0", got)
 	}
 	s.Add("a", 5)
-	s.Inc("a")
+	s.Add("a", 1)
 	if got := s.Get("a"); got != 6 {
 		t.Fatalf("a = %d, want 6", got)
 	}
@@ -24,7 +24,7 @@ func TestSetAddGet(t *testing.T) {
 func TestSetKeysSorted(t *testing.T) {
 	s := NewSet("t")
 	for _, k := range []string{"zeta", "alpha", "mid"} {
-		s.Inc(k)
+		s.Add(k, 1)
 	}
 	keys := s.Keys()
 	want := []string{"alpha", "mid", "zeta"}
@@ -55,25 +55,6 @@ func TestSetString(t *testing.T) {
 	}
 	if d := s.Dump("  "); !strings.Contains(d, "a") || !strings.Contains(d, "b") {
 		t.Fatalf("Dump missing keys: %q", d)
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	if d.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	for _, v := range []int64{5, 1, 9} {
-		d.Observe(v)
-	}
-	if d.Min != 1 || d.Max != 9 || d.Count != 3 || d.Sum != 15 {
-		t.Fatalf("distribution = %+v", d)
-	}
-	if d.Mean() != 5 {
-		t.Fatalf("mean = %f", d.Mean())
-	}
-	if s := d.String(); !strings.Contains(s, "n=3") {
-		t.Fatalf("String() = %q", s)
 	}
 }
 
@@ -173,73 +154,12 @@ func TestTimeSeriesZeroBuckets(t *testing.T) {
 	}
 }
 
-// Table-driven Merge coverage: the empty side must never contribute its
-// zero-valued Min/Max to the merged distribution.
-func TestDistributionMerge(t *testing.T) {
-	obs := func(vs ...int64) Distribution {
-		var d Distribution
-		for _, v := range vs {
-			d.Observe(v)
-		}
-		return d
-	}
-	cases := []struct {
-		name string
-		a, b Distribution
-		want Distribution
-	}{
-		{"empty-empty", Distribution{}, Distribution{}, Distribution{}},
-		{"empty-nonempty", Distribution{}, obs(5, 1, 9), obs(5, 1, 9)},
-		{"nonempty-empty", obs(5, 1, 9), Distribution{}, obs(5, 1, 9)},
-		{"both-nonempty", obs(5, 9), obs(2, 30), obs(5, 9, 2, 30)},
-		{"negatives", obs(-4, -2), obs(-10), obs(-4, -2, -10)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.a
-			got.Merge(&tc.b)
-			if got != tc.want {
-				t.Fatalf("merge = %+v, want %+v", got, tc.want)
-			}
-		})
-	}
-}
-
-// Merging N per-cell distributions in cell order must equal observing the
-// concatenated stream, regardless of which cells are empty.
-func TestDistributionMergeEqualsSerial(t *testing.T) {
-	streams := [][]int64{{7, 3}, {}, {42}, {}, {1, 100, 5}}
-	var serial, merged Distribution
-	for _, s := range streams {
-		var cell Distribution
-		for _, v := range s {
-			serial.Observe(v)
-			cell.Observe(v)
-		}
-		merged.Merge(&cell)
-	}
-	if merged != serial {
-		t.Fatalf("merged = %+v, serial = %+v", merged, serial)
-	}
-}
-
-func TestDistributionStringEmpty(t *testing.T) {
-	var d Distribution
-	if got := d.String(); got != "n=0 (empty)" {
-		t.Fatalf("empty String() = %q, want %q", got, "n=0 (empty)")
-	}
-	d.Observe(0)
-	if got := d.String(); got != "n=1 min=0 max=0 mean=0.00" {
-		t.Fatalf("zero-sample String() = %q", got)
-	}
-}
-
 // A counter renders once anything has added to it, even a zero; a counter
 // nothing touched does not render. Merge carries a touched zero across.
 func TestSetTouchedAtZero(t *testing.T) {
 	s := NewSet("t")
 	s.Add("zero", 0)
-	s.Inc("one")
+	s.Add("one", 1)
 	if got := s.String(); got != "t{one=1 zero=0}" {
 		t.Fatalf("String() = %q, want t{one=1 zero=0}", got)
 	}

@@ -240,9 +240,10 @@ type Driver struct {
 	sinkErr error
 }
 
-// pipelineCost is the non-memory work charged per access (a 4-wide core
-// retires a handful of ALU ops between memory references).
-const pipelineCost = 2
+// PipelineCost is the non-memory work charged per access (a 4-wide core
+// retires a handful of ALU ops between memory references). Harnesses that
+// step a scheme without a Driver charge the same.
+const PipelineCost = 2
 
 // NewDriver wires a workload to a scheme. maxAccesses bounds the run (the
 // paper bounds runs at 100M instructions/thread); progress for bandwidth
@@ -296,7 +297,7 @@ func (d *Driver) SinkErr() error { return d.sinkErr }
 // through exactly the state sequence of the run that recorded it.
 func (d *Driver) issue(tid int, addr uint64, write bool, data uint64, stores *uint64) {
 	lat := d.scheme.Access(tid, addr, write, data)
-	d.clocks.Advance(tid, lat+pipelineCost)
+	d.clocks.Advance(tid, lat+PipelineCost)
 	d.issued++
 	if write {
 		*stores++

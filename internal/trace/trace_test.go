@@ -136,7 +136,7 @@ func TestDriverRunCompletesAndSummarises(t *testing.T) {
 		t.Fatalf("summary = %+v, want %d accesses", sum, want)
 	}
 	// Every thread advanced by n*(lat+pipeline).
-	if sum.Cycles != 5*(10+pipelineCost) {
+	if sum.Cycles != 5*(10+PipelineCost) {
 		t.Fatalf("cycles = %d", sum.Cycles)
 	}
 	if golden.Final().Len() != int(want) {
