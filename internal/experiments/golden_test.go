@@ -113,6 +113,11 @@ func TestSchemeStatsGolden(t *testing.T) {
 		cells = append(cells, cellSpec{scheme: "NVOverlay", wl: wl, mod: wrap5})
 		variants = append(variants, "+wrap5")
 	}
+	// One 64-core cell of the scale256 sweep: 32 VDs and 16 OMCs on
+	// zipfian oltp keys, so sharer-set words past the first, the clock
+	// tree and a 16-partition OMC group run.
+	cells = append(cells, cellSpec{scheme: "NVOverlay", wl: "oltp", mod: scale256Machine(Smoke, 64, 2)})
+	variants = append(variants, "+scale256-64")
 	res, err := runGoldenCells(cells)
 	if err != nil {
 		t.Fatal(err)
