@@ -275,7 +275,7 @@ func runDiff(ctx context.Context, o options, w io.Writer) error {
 	var agg *obs.Aggregator
 	var evbuf bytes.Buffer
 	if o.events != "" || o.timeline {
-		bus = obs.NewBus(0)
+		bus = obs.NewBus()
 		if o.timeline {
 			agg = obs.NewAggregator()
 			bus.Attach(agg)

@@ -80,7 +80,7 @@ func run(o options, w io.Writer) error {
 	var agg *obs.Aggregator
 	var evbuf bytes.Buffer
 	if o.events != "" || o.timeline {
-		bus = obs.NewBus(0)
+		bus = obs.NewBus()
 		agg = obs.NewAggregator()
 		bus.Attach(agg)
 		if o.events != "" {

@@ -38,7 +38,7 @@ func BenchmarkInsertEvict(b *testing.B) {
 func BenchmarkLLCMissInsert(b *testing.B) {
 	const slices = 8
 	c := NewStrided("llc", 4<<20, 16, 64, slices)
-	for i := 0; i < c.Capacity(); i++ {
+	for i := 0; i < len(c.keys); i++ {
 		ln, _, _ := c.Insert(1<<40 + uint64(i)*slices*64)
 		ln.State = Shared
 	}

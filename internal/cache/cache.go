@@ -129,15 +129,6 @@ func pow2Shift(n uint64) uint {
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.name }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// Capacity returns the number of line slots.
-func (c *Cache) Capacity() int { return c.sets * c.ways }
-
 // setBase returns the index of the first slot of addr's set.
 func (c *Cache) setBase(addr uint64) int {
 	idx := addr >> c.shift
@@ -271,28 +262,6 @@ func (c *Cache) scratchBuf() []Line {
 		c.scratch = make([]Line, 0, n)
 	}
 	return c.scratch[:0]
-}
-
-// CountValid returns the number of valid lines.
-func (c *Cache) CountValid() int {
-	n := 0
-	for _, k := range c.keys {
-		if k != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// CountDirty returns the number of valid dirty lines.
-func (c *Cache) CountDirty() int {
-	n := 0
-	for i, k := range c.keys {
-		if k != 0 && c.lines[i].Dirty {
-			n++
-		}
-	}
-	return n
 }
 
 // Flush invalidates every line and returns the dirty ones (by value) so the

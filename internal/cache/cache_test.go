@@ -7,6 +7,28 @@ import (
 
 func small() *Cache { return New("t", 4*2*64, 2, 64) } // 4 sets, 2 ways
 
+// CountValid returns the number of valid lines.
+func (c *Cache) CountValid() int {
+	n := 0
+	for _, k := range c.keys {
+		if k != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// CountDirty returns the number of valid dirty lines.
+func (c *Cache) CountDirty() int {
+	n := 0
+	for i, k := range c.keys {
+		if k != 0 && c.lines[i].Dirty {
+			n++
+		}
+	}
+	return n
+}
+
 func TestStateString(t *testing.T) {
 	cases := map[State]string{Invalid: "I", Shared: "S", Exclusive: "E", Modified: "M"}
 	for s, want := range cases {
@@ -182,8 +204,8 @@ func TestFlush(t *testing.T) {
 
 func TestGeometryAccessors(t *testing.T) {
 	c := small()
-	if c.Name() != "t" || c.Sets() != 4 || c.Ways() != 2 || c.Capacity() != 8 {
-		t.Fatalf("geometry accessors wrong: %s %d %d %d", c.Name(), c.Sets(), c.Ways(), c.Capacity())
+	if c.Name() != "t" || c.sets != 4 || c.ways != 2 || len(c.keys) != 8 {
+		t.Fatalf("geometry wrong: %s %d sets %d ways %d slots", c.Name(), c.sets, c.ways, len(c.keys))
 	}
 }
 
@@ -206,9 +228,9 @@ func TestInsertInvariants(t *testing.T) {
 				ok = false
 			}
 			seen[ln.Tag] = true
-			set := int((ln.Tag / 64) % uint64(c.Sets()))
+			set := int((ln.Tag / 64) % uint64(c.sets))
 			perSet[set]++
-			if perSet[set] > c.Ways() {
+			if perSet[set] > c.ways {
 				ok = false
 			}
 		})

@@ -40,15 +40,6 @@ func (s SharerSet) Only(vd int) bool {
 	return s == one
 }
 
-// Count returns the number of sharers.
-func (s SharerSet) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // ForEach calls fn for every sharer in ascending vd order — the same order
 // the old `for vd := 0; vd < VDs; vd++` bitmask scans visited, so
 // invalidation and writeback event ordering is unchanged. Unlike those

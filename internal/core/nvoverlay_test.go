@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/omc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -31,10 +32,17 @@ func TestNVOverlayOptions(t *testing.T) {
 	cfg.OMCs = 2
 	cfg.RetainEpochs = true
 	n := New(cfg)
-	if n.Group().Size() != 2 {
-		t.Fatalf("OMCs = %d", n.Group().Size())
+	// Two OMCs interleave 4 KB pages: neighbours differ, every other page
+	// shares an owner.
+	g := n.Group()
+	if g.Route(0) == g.Route(4096) || g.Route(0) != g.Route(8192) {
+		t.Fatal("routing is not over 2 OMCs")
 	}
-	if n.Group().OMC(0).Buffer() == nil {
+	// A second version of a buffered line hits the OMC buffer.
+	for i := 0; i < 2; i++ {
+		g.ReceiveVersion(omc.Version{Addr: 0x40, Epoch: 1, Data: uint64(i + 1)}, 0)
+	}
+	if g.BufferHitRate() == 0 {
 		t.Fatal("buffer not enabled")
 	}
 	if n.Frontend() == nil || n.DRAM() == nil {

@@ -286,9 +286,11 @@ func TestWalkerDowngradesAndReports(t *testing.T) {
 	if dram.Data(0x40) != 1 || dram.Data(0x80) != 2 {
 		t.Fatal("walker did not refresh DRAM working copies")
 	}
-	if f.L2(0).CountDirty() != 0 {
-		t.Fatal("dirty versions survived the walk")
-	}
+	f.L2(0).ForEach(func(ln *cache.Line) {
+		if ln.Dirty {
+			t.Fatalf("dirty version of %#x survived the walk", ln.Tag)
+		}
+	})
 	// L1 copies downgraded M->E, still resident.
 	if ln := f.L1(0).Peek(0x40); ln == nil || ln.Dirty || ln.State != cache.Exclusive {
 		t.Fatalf("L1 after walk = %+v", ln)

@@ -66,7 +66,7 @@ func FuzzDifferentialTrace(f *testing.F) {
 		if d != nil {
 			t.Fatal(d.Error())
 		}
-		bus := obs.NewBus(0)
+		bus := obs.NewBus()
 		agg := obs.NewAggregator()
 		bus.Attach(agg)
 		obsRes, d := Run(p, bus)

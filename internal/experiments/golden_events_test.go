@@ -39,7 +39,7 @@ func TestEventStreamsGolden(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := diffcheck.RegimeParams(i, 1)
 		var buf bytes.Buffer
-		bus := obs.NewBus(0)
+		bus := obs.NewBus()
 		bus.Attach(obs.NewJSONLSink(&buf, "diffcheck"))
 		res, d := diffcheck.Run(p, bus)
 		if d != nil {

@@ -44,7 +44,7 @@ func Timeline(sc Scale, wls []string, capture bool) ([]TimelineCell, error) {
 	cells := make([]cellSpec, len(wls))
 	for i, wl := range wls {
 		out[i] = TimelineCell{Scheme: "NVOverlay", Workload: wl}
-		buses[i] = obs.NewBus(0) // sinks see everything; no ring needed
+		buses[i] = obs.NewBus()
 		aggs[i] = obs.NewAggregator()
 		buses[i].Attach(aggs[i])
 		if capture {

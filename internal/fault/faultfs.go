@@ -167,12 +167,6 @@ type DiskConfig struct {
 	CrashAt int
 }
 
-// Enabled reports whether any fault can fire.
-func (c DiskConfig) Enabled() bool {
-	return c.ShortPer100 > 0 || c.EIOPer100 > 0 || c.NoSpacePer100 > 0 ||
-		c.SyncFailPer100 > 0 || c.CrashAt > 0
-}
-
 // DiskClassConfig returns the preset configuration of a named disk-fault
 // regime. Rates are tuned so a soak-shaped run (~150 mutating syscalls)
 // sees faults on most runs while still regularly surviving long enough to

@@ -320,6 +320,12 @@ func TestFaultFSScheduleReplay(t *testing.T) {
 	}
 }
 
+// injectsErrors reports whether c can fail a syscall on its own, apart
+// from a crash cut.
+func injectsErrors(c DiskConfig) bool {
+	return c.ShortPer100 > 0 || c.EIOPer100 > 0 || c.NoSpacePer100 > 0 || c.SyncFailPer100 > 0
+}
+
 // TestDiskClassConfig: every advertised class parses, unknowns refuse.
 func TestDiskClassConfig(t *testing.T) {
 	for _, name := range DiskClasses {
@@ -329,7 +335,7 @@ func TestDiskClassConfig(t *testing.T) {
 		}
 		// "crash" injects no errors by design: its only fault is the cut
 		// point, which the sweep sets separately via CrashAt.
-		if !cfg.Enabled() && name != "crash" {
+		if !injectsErrors(cfg) && name != "crash" {
 			t.Fatalf("%s preset injects nothing", name)
 		}
 		if !ValidDiskClass(name) {

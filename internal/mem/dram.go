@@ -93,11 +93,6 @@ func (d *DRAM) OID(addr uint64) uint64 {
 	return e.oid
 }
 
-// TaggedLines returns how many OID granules DRAM currently tracks; the
-// experiment harness uses it to report the side-band overhead trade-off of
-// super-block tracking.
-func (d *DRAM) TaggedLines() int { return d.tagged }
-
 // SideBandBytes returns the bytes of OID metadata implied by the current
 // tracked set (2 bytes per granule, mirroring the 16-bit tag).
 func (d *DRAM) SideBandBytes() int64 { return int64(d.tagged) * 2 }

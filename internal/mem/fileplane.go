@@ -60,7 +60,8 @@ const (
 	maxDeltaWords = 1 << 16
 
 	// DefaultCheckpointEvery is the checkpoint cadence (epoch seals per
-	// base-image rewrite) when the config leaves it zero.
+	// base-image rewrite) of the store a run with sim.Config.StoreDir
+	// writes; nvbench -exp fileplane uses it too.
 	DefaultCheckpointEvery = 8
 
 	manifestName = "MANIFEST"
@@ -76,9 +77,6 @@ func DeltaFileName(seq int) string { return fmt.Sprintf("delta-%06d.log", seq) }
 
 // CheckpointFileName returns the checkpoint file name for a sequence number.
 func CheckpointFileName(seq int) string { return fmt.Sprintf("checkpoint-%06d.img", seq) }
-
-// ManifestFileName returns the manifest file name.
-func ManifestFileName() string { return manifestName }
 
 // FilePlane is the file-backed DurablePlane implementation. It keeps the
 // live word array in RAM (Snapshot stays cheap) and mirrors every
@@ -113,11 +111,8 @@ type FilePlane struct {
 // of fsys; production runs pass fault.OS. It refuses a directory that
 // already holds a manifest or delta segments: writers always start clean,
 // recovery of an old store goes through LoadDir / recovery.SalvageDir.
-// checkpointEvery <= 0 selects DefaultCheckpointEvery.
+// checkpointEvery is the number of epoch seals per base-image rewrite.
 func OpenFilePlane(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, error) {
-	if checkpointEvery <= 0 {
-		checkpointEvery = DefaultCheckpointEvery
-	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("mem: store dir: %w", err)
 	}

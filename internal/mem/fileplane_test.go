@@ -55,7 +55,7 @@ func imagesEqual(t *testing.T, got, want *Image) {
 // (Close flushes the active segment, so even unsealed trailing writes
 // survive a clean shutdown).
 func TestFilePlaneRoundTrip(t *testing.T) {
-	p, dir := openTestPlane(t, 0)
+	p, dir := openTestPlane(t, DefaultCheckpointEvery)
 	for e := uint64(1); e <= 3; e++ {
 		applyBurst(p, e, 10)
 		p.SealEpoch(e)
@@ -117,12 +117,12 @@ func TestFilePlaneCheckpoint(t *testing.T) {
 
 // TestOpenFilePlaneRefusesExistingStore: writers only ever start fresh.
 func TestOpenFilePlaneRefusesExistingStore(t *testing.T) {
-	p, dir := openTestPlane(t, 0)
+	p, dir := openTestPlane(t, DefaultCheckpointEvery)
 	p.SealEpoch(1)
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := OpenFilePlane(fault.OS, dir, 0); err == nil {
+	if _, err := OpenFilePlane(fault.OS, dir, DefaultCheckpointEvery); err == nil {
 		t.Fatal("OpenFilePlane reopened a non-empty store")
 	}
 }
@@ -130,7 +130,7 @@ func TestOpenFilePlaneRefusesExistingStore(t *testing.T) {
 // TestLoadDirYoungRun: a store killed before its first seal has no
 // manifest, only delta-000000.log; the valid prefix is replayed.
 func TestLoadDirYoungRun(t *testing.T) {
-	p, dir := openTestPlane(t, 0)
+	p, dir := openTestPlane(t, DefaultCheckpointEvery)
 	applyBurst(p, 1, 5)
 	want := p.Snapshot()
 	if err := p.Close(); err != nil { // flush without seal: no manifest yet

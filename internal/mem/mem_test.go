@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func testCfg() *sim.Config {
@@ -118,11 +119,12 @@ func TestNVMSeriesProgress(t *testing.T) {
 	n.Write(WData, 0, 64, 0)
 	p = 0.99
 	n.Write(WData, 64, 64, 0)
-	if n.Series().Bucket(0) != 64 {
-		t.Fatalf("bucket 0 = %d", n.Series().Bucket(0))
+	// 64 bytes in the first bucket and 64 in the last, none between.
+	if n.Series().Total() != 128 || n.Series().Peak() != 64 {
+		t.Fatalf("series %s, want 64 bytes in each of two buckets", n.Series())
 	}
-	if n.Series().Bucket(n.Series().Len()-1) != 64 {
-		t.Fatalf("last bucket = %d", n.Series().Bucket(n.Series().Len()-1))
+	if bars := []rune(n.Series().Sparkline()); bars[0] != '█' || bars[len(bars)-1] != '█' {
+		t.Fatalf("sparkline %s, want the first and last buckets full", string(bars))
 	}
 	n.Tick(1000)
 	if n.Series().Cycles(n.Series().Len()-1) != 1000 {
@@ -137,15 +139,17 @@ func TestNVMRead(t *testing.T) {
 	}
 }
 
+// TestWriteClassString: every write class's byte and write counters are
+// keyed by the class's name.
 func TestWriteClassString(t *testing.T) {
-	names := map[WriteClass]string{WData: "data", WLog: "log", WMeta: "meta", WContext: "context"}
-	for c, want := range names {
-		if c.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", c, c.String(), want)
+	names := []string{WData: "data", WLog: "log", WMeta: "meta", WContext: "context"}
+	for c, name := range names {
+		if got := nvmCounterNames[bytesBase+stats.Slot(c)]; got != "bytes_"+name {
+			t.Errorf("class %d bytes counter %q, want %q", c, got, "bytes_"+name)
 		}
-	}
-	if WriteClass(99).String() != "class99" {
-		t.Fatal("unknown class string")
+		if got := nvmCounterNames[writesBase+stats.Slot(c)]; got != "writes_"+name {
+			t.Errorf("class %d writes counter %q, want %q", c, got, "writes_"+name)
+		}
 	}
 }
 
@@ -190,8 +194,8 @@ func TestDRAMOIDRoundTrip(t *testing.T) {
 	if d.Latency() != testCfg().DRAMLatency {
 		t.Fatal("latency mismatch")
 	}
-	if d.TaggedLines() != 1 || d.SideBandBytes() != 2 {
-		t.Fatalf("tagged=%d sideband=%d", d.TaggedLines(), d.SideBandBytes())
+	if d.tagged != 1 || d.SideBandBytes() != 2 {
+		t.Fatalf("tagged=%d sideband=%d", d.tagged, d.SideBandBytes())
 	}
 	if d.Data(0x1000) != 111 {
 		t.Fatalf("Data = %d, want 111", d.Data(0x1000))
@@ -215,8 +219,8 @@ func TestDRAMSuperBlockMonotonic(t *testing.T) {
 	if d.OID(0x1000) != 12 {
 		t.Fatalf("super-block OID = %d, want 12", d.OID(0x1000))
 	}
-	if d.TaggedLines() != 1 {
-		t.Fatalf("granules = %d, want 1", d.TaggedLines())
+	if d.tagged != 1 {
+		t.Fatalf("granules = %d, want 1", d.tagged)
 	}
 }
 

@@ -5,8 +5,6 @@
 package mem
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -28,22 +26,6 @@ const (
 	WContext
 	numWriteClasses
 )
-
-// String returns the counter-key name of the class.
-func (c WriteClass) String() string {
-	switch c {
-	case WData:
-		return "data"
-	case WLog:
-		return "log"
-	case WMeta:
-		return "meta"
-	case WContext:
-		return "context"
-	default:
-		return fmt.Sprintf("class%d", int(c))
-	}
-}
 
 // NVM models a banked non-volatile DIMM with a cumulative-work bandwidth
 // model: each bank accumulates the busy time of the writes booked on it;

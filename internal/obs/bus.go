@@ -2,10 +2,9 @@ package obs
 
 import "sync"
 
-// Bus collects events from one simulation run. It keeps the first `budget`
-// events in a bounded ring for post-hoc inspection (counting the rest as
-// dropped) and streams every event — including ones the ring drops — to the
-// attached sinks, so aggregations never truncate.
+// Bus collects events from one simulation run and streams every event to
+// the attached sinks in emission order, stamping each with its sequence
+// number.
 //
 // A Bus is safe for concurrent use: every method takes the bus mutex, and
 // the mutable state is nvlint:guardedby-annotated so the lock discipline is
@@ -15,31 +14,16 @@ import "sync"
 // ordering. All methods are safe on a nil receiver and do nothing, which is
 // the zero-cost guard unobserved runs rely on.
 type Bus struct {
-	budget int // immutable after NewBus
-
 	mu sync.Mutex
-	// nvlint:guardedby mu
-	ring []Event
-	// nvlint:guardedby mu
-	dropped uint64
 	// nvlint:guardedby mu
 	seq uint64
 	// nvlint:guardedby mu
 	sinks []Sink
 }
 
-// DefaultBudget bounds the ring of a bus created by NewBus when the caller
-// passes a negative budget. Streams that need every event attach a sink.
-const DefaultBudget = 1 << 16
-
-// NewBus returns a bus whose ring retains at most budget events. budget 0
-// disables the ring entirely (sinks still see everything); a negative
-// budget selects DefaultBudget.
-func NewBus(budget int) *Bus {
-	if budget < 0 {
-		budget = DefaultBudget
-	}
-	return &Bus{budget: budget}
+// NewBus returns a bus with no sinks attached.
+func NewBus() *Bus {
+	return &Bus{}
 }
 
 // Attach adds a sink; every subsequent event is forwarded to it.
@@ -75,32 +59,15 @@ func (b *Bus) EmitNote(kind Kind, cycle uint64, actor int, epoch, addr, arg, aux
 		Addr: addr, Arg: arg, Aux: aux, Note: note})
 }
 
-// emit appends one event to the ring and fans it out to the sinks.
+// emit stamps one event and fans it out to the sinks.
 //
 // nvlint:locked mu
 func (b *Bus) emit(e Event) {
 	e.Seq = b.seq
 	b.seq++
-	if len(b.ring) < b.budget {
-		b.ring = append(b.ring, e)
-	} else {
-		b.dropped++
-	}
 	for _, s := range b.sinks {
 		s.Record(e)
 	}
-}
-
-// Events returns the retained ring (the first min(budget, emitted) events,
-// in emission order). The slice is the bus's own storage; callers must not
-// mutate it.
-func (b *Bus) Events() []Event {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ring
 }
 
 // Emitted returns how many events have been emitted in total.
@@ -111,15 +78,4 @@ func (b *Bus) Emitted() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.seq
-}
-
-// Dropped returns how many events the bounded ring did not retain. Sinks
-// saw them regardless.
-func (b *Bus) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }

@@ -96,7 +96,7 @@ type walkMark struct {
 // Aggregator folds the event stream into per-epoch rollups plus a
 // log2-bucketed histogram of bank-queue depths. It is deterministic: the
 // rollup depends only on the event order, and Timeline sorts by epoch.
-// Record, Timeline and Merge take the aggregator mutex, so one aggregator
+// Record and Timeline take the aggregator mutex, so one aggregator
 // can sink a concurrently shared bus; the exported histograms are read
 // directly by reporting code and must only be touched after recording has
 // quiesced.
@@ -192,43 +192,4 @@ func (a *Aggregator) Timeline() []EpochRoll {
 		out[i] = *a.rolls[e]
 	}
 	return out
-}
-
-// Merge folds another aggregator's rollups into a, epoch by epoch in
-// ascending order so merged state is independent of scheduling. Transient
-// walk marks are not merged: streams are only merged run-to-run, after
-// every walk completed. Merge locks the receiver then the argument; the
-// sweep engine merges cells from a single goroutine, so the ordering
-// cannot deadlock against a concurrent reverse merge.
-func (a *Aggregator) Merge(other *Aggregator) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	epochs := make([]uint64, 0, len(other.rolls))
-	for e := range other.rolls {
-		epochs = append(epochs, e)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, e := range epochs {
-		o := other.rolls[e]
-		r := a.roll(e)
-		r.Advances += o.Advances
-		r.DirtyLines += o.DirtyLines
-		r.Walks += o.Walks
-		r.WalkCycles += o.WalkCycles
-		r.NVMBytes += o.NVMBytes
-		r.NVMWrites += o.NVMWrites
-		if o.MaxBankDepth > r.MaxBankDepth {
-			r.MaxBankDepth = o.MaxBankDepth
-		}
-		r.Seals += o.Seals
-		r.Commits += o.Commits
-		r.Faults += o.Faults
-	}
-	if other.last > a.last {
-		a.last = other.last
-	}
-	a.BankDepth.Merge(&other.BankDepth)
-	a.WalkSpan.Merge(&other.WalkSpan)
 }

@@ -7,10 +7,11 @@ import (
 
 // FuzzRadixMapping differentially tests the five-level radix Table against
 // a flat map. The fuzz input is decoded as a stream of (op, addr, val)
-// records over a deliberately small address space (a few pages, so leaves
-// and slots collide constantly); after every operation the table's return
-// values must match the shadow's, and at the end the full iteration order
-// and entry count must agree.
+// records, an even op inserting and an odd one looking up, over a
+// deliberately small address space (a few pages, so leaves and slots
+// collide constantly); after every operation the table's return values
+// must match the shadow's, and at the end the full iteration order and
+// entry count must agree.
 func FuzzRadixMapping(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 1, 2, 2, 1, 2})
 	f.Add([]byte{0, 0, 1, 0, 64, 2, 1, 0, 0, 2, 64, 0, 0, 255, 3})
@@ -28,7 +29,7 @@ func FuzzRadixMapping(f *testing.F) {
 				addr = uint64(a-128)*64 + 1<<33
 			}
 			val := uint64(v) + 1 // Insert panics on zero values
-			switch op % 3 {
+			switch op % 2 {
 			case 0:
 				old, replaced := tbl.Insert(addr, val)
 				wantOld, wantReplaced := shadow[addr], false
@@ -46,13 +47,6 @@ func FuzzRadixMapping(f *testing.F) {
 				if ok != wok || got != want {
 					t.Fatalf("Lookup(%#x) = (%d, %v), want (%d, %v)", addr, got, ok, want, wok)
 				}
-			case 2:
-				old, ok := tbl.Delete(addr)
-				want, wok := shadow[addr]
-				if ok != wok || old != want {
-					t.Fatalf("Delete(%#x) = (%d, %v), want (%d, %v)", addr, old, ok, want, wok)
-				}
-				delete(shadow, addr)
 			}
 			if tbl.Entries() != len(shadow) {
 				t.Fatalf("Entries() = %d, shadow has %d", tbl.Entries(), len(shadow))

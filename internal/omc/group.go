@@ -59,12 +59,6 @@ func (g *Group) Route(addr uint64) *OMC {
 	return g.omcs[int((addr>>12)%uint64(len(g.omcs)))]
 }
 
-// Size returns the number of OMCs.
-func (g *Group) Size() int { return len(g.omcs) }
-
-// OMC returns member i.
-func (g *Group) OMC(i int) *OMC { return g.omcs[i] }
-
 // ReceiveVersion routes a version to its partition's OMC.
 func (g *Group) ReceiveVersion(v Version, now uint64) (stall uint64) {
 	return g.Route(v.Addr).ReceiveVersion(v, now)

@@ -37,10 +37,6 @@ type OMC struct {
 	commitSeq int
 	sealSeq   int
 
-	// subpage accounting: versions per (epoch, 4KB page) for the sparse
-	// sub-page statistic (§V-C / Page Overlays §4.4).
-	vpageCounts *mem.Table[*mem.Table[int]]
-
 	// now is the cycle of the in-flight operation; background work (merges,
 	// compaction, master-table writes) issues its NVM traffic at this time.
 	now uint64
@@ -54,16 +50,15 @@ type OMC struct {
 // cfg.RetainEpochs keeps merged epochs for time-travel reads.
 func New(cfg *sim.Config, nvm *mem.NVM, id int) *OMC {
 	o := &OMC{
-		cfg:         cfg,
-		nvm:         nvm,
-		id:          id,
-		epochs:      mem.NewTable[*Table](0),
-		retained:    mem.NewTable[*Table](0),
-		pool:        NewPool(PoolBase+uint64(id)*omcRegion, cfg.PageSize, cfg.LineSize, cfg.NVMPoolPages),
-		payload:     mem.NewTable[uint64](0),
-		vpageCounts: mem.NewTable[*mem.Table[int]](0),
-		stat:        stats.FromTable("omc", counterNames[:]),
-		bus:         cfg.Obs,
+		cfg:      cfg,
+		nvm:      nvm,
+		id:       id,
+		epochs:   mem.NewTable[*Table](0),
+		retained: mem.NewTable[*Table](0),
+		pool:     NewPool(PoolBase+uint64(id)*omcRegion, cfg.PageSize, cfg.LineSize, cfg.NVMPoolPages),
+		payload:  mem.NewTable[uint64](0),
+		stat:     stats.FromTable("omc", counterNames[:]),
+		bus:      cfg.Obs,
 	}
 	o.metaNext = MetaBase + uint64(id)*omcRegion
 	o.commitSeq = 1 // slot 0 is the genesis record
@@ -156,13 +151,6 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 		o.payload.Delete(old)
 		o.pool.Release(old)
 		o.stat.IncAt(sameEpochReplacements)
-	} else {
-		vp, ok := o.vpageCounts.Upsert(v.Epoch)
-		if !ok {
-			*vp = mem.NewTable[int](0)
-		}
-		n, _ := (*vp).Upsert(o.cfg.PageAddr(v.Addr))
-		*n++
 	}
 	if o.pool.OverQuota() {
 		stall += o.Compact(now + stall)
@@ -230,7 +218,6 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 	o.stat.IncAt(epochsMerged)
 	o.stat.AddAt(entriesMerged, int64(t.Entries()))
 	o.epochs.Delete(e)
-	o.vpageCounts.Delete(e)
 	if o.cfg.RetainEpochs {
 		o.retained.Put(e, t)
 	}
@@ -295,11 +282,9 @@ func (o *OMC) DumpContext(vd int, epoch, now uint64) (stall uint64) {
 	return stall
 }
 
-// Seal finalises the OMC at end of run: buffered versions are flushed and
-// every remaining epoch table is merged, making the final epoch recoverable.
-func (o *OMC) Seal(now uint64) { o.SealTo(now, 0) }
-
-// SealTo seals the OMC and raises the recoverable epoch to at least floor
+// SealTo finalises the OMC at end of run: buffered versions are flushed
+// and every remaining epoch table is merged, making the final epoch
+// recoverable. It also raises the recoverable epoch to at least floor
 // (the group-wide maximum epoch). Taking the floor before the commit
 // record is written — rather than patching recEpoch afterwards, as
 // Group.Seal used to — means the durable record reflects the epoch the
@@ -328,12 +313,6 @@ func (o *OMC) SealTo(now, floor uint64) {
 // RecEpoch returns the recoverable epoch from this OMC's perspective.
 func (o *OMC) RecEpoch() uint64 { return o.recEpoch }
 
-// Pool exposes the page pool.
-func (o *OMC) Pool() *Pool { return o.pool }
-
-// Buffer returns the OMC buffer, or nil when disabled.
-func (o *OMC) Buffer() *Buffer { return o.buf }
-
 // Stats returns the OMC counter set.
 func (o *OMC) Stats() *stats.Set { return o.stat.Clone() }
 
@@ -360,16 +339,9 @@ func (o *OMC) TimeTravelRead(addr uint64, epoch uint64) (data uint64, foundEpoch
 	return data, foundEpoch, ok
 }
 
-// RecoverImage materialises the consistent memory image of rec-epoch as an
-// address->payload table and returns it with the simulated recovery
-// latency (NVM reads for every mapped line, paper §V-E).
-func (o *OMC) RecoverImage() (*mem.Table[uint64], uint64) {
-	img := mem.NewTable[uint64](o.master.Entries())
-	return img, o.recoverInto(img)
-}
-
 // recoverInto adds the consistent image of rec-epoch to img and returns
-// the recovery latency.
+// the simulated recovery latency (NVM reads for every mapped line, paper
+// §V-E).
 func (o *OMC) recoverInto(img *mem.Table[uint64]) (lat uint64) {
 	o.master.ForEach(func(lineAddr, nvmAddr uint64) {
 		if data, ok := o.payload.Get(nvmAddr); ok {
@@ -404,31 +376,4 @@ func (o *OMC) Epochs() []uint64 {
 	out := append(o.epochs.SortedKeys(), o.retained.SortedKeys()...)
 	slices.Sort(out)
 	return slices.Compact(out)
-}
-
-// SubpageBytes estimates the storage the current unmerged epochs would use
-// under Page Overlays sparse sub-page packing, for comparison against the
-// pool's page-granular allocation.
-func (o *OMC) SubpageBytes() int64 {
-	var total int64
-	o.vpageCounts.ForEach(func(_ uint64, vp *mem.Table[int]) {
-		vp.ForEach(func(_ uint64, count int) {
-			total += int64(SubpageSize(count, o.cfg.LineSize, o.cfg.PageSize))
-		})
-	})
-	return total
-}
-
-// SubpageSize returns the smallest power-of-two sub-page (in bytes, between
-// one line and a full page) able to hold count versions.
-func SubpageSize(count, lineSize, pageSize int) int {
-	need := count * lineSize
-	size := lineSize
-	for size < need && size < pageSize {
-		size *= 2
-	}
-	if size > pageSize {
-		size = pageSize
-	}
-	return size
 }

@@ -22,7 +22,7 @@ func newTestOMC(cfg *sim.Config) (*OMC, *mem.NVM) {
 func newTestGroup(cfg *sim.Config) (*Group, *OMC, *mem.NVM) {
 	nvm := mem.NewNVM(cfg)
 	g := NewGroup(cfg, nvm, 1)
-	return g, g.OMC(0), nvm
+	return g, g.omcs[0], nvm
 }
 
 func TestReceiveVersionWritesData(t *testing.T) {
@@ -116,11 +116,11 @@ func TestSealMergesEverything(t *testing.T) {
 	o, _ := newTestOMC(cfg)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 1}, 0)
 	o.ReceiveVersion(Version{Addr: 0x80, Epoch: 5, Data: 5}, 0)
-	o.Seal(100)
+	o.SealTo(100, 0)
 	if o.RecEpoch() != 5 {
 		t.Fatalf("recEpoch after seal = %d", o.RecEpoch())
 	}
-	img, lat := o.RecoverImage()
+	img, lat := recoverImage(o)
 	if img.Len() != 2 || imgAt(img, 0x40) != 1 || imgAt(img, 0x80) != 5 {
 		t.Fatalf("recovered image has lines %#x", img.SortedKeys())
 	}
@@ -136,7 +136,7 @@ func TestTimeTravelFallThrough(t *testing.T) {
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 10}, 0)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 3, Data: 30}, 0)
 	o.ReceiveVersion(Version{Addr: 0x80, Epoch: 2, Data: 20}, 0)
-	o.Seal(0)
+	o.SealTo(0, 0)
 
 	// Epoch 1: only the epoch-1 version is visible.
 	if d, e, ok := o.TimeTravelRead(0x40, 1); !ok || d != 10 || e != 1 {
@@ -165,7 +165,7 @@ func TestTimeTravelWithoutRetention(t *testing.T) {
 	o, _ := newTestOMC(cfg) // no retention
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 10}, 0)
 	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 2, Data: 20}, 0)
-	o.Seal(0)
+	o.SealTo(0, 0)
 	// Epoch tables were merged and dropped: only unmerged epochs are
 	// time-travel readable, so nothing resolves...
 	if _, _, ok := o.TimeTravelRead(0x40, 2); ok {
@@ -204,15 +204,15 @@ func TestCompaction(t *testing.T) {
 		t.Fatal("compaction did not rewrite versions")
 	}
 	// The image survives compaction.
-	o.Seal(0)
-	img, _ := o.RecoverImage()
+	o.SealTo(0, 0)
+	img, _ := recoverImage(o)
 	want := map[uint64]uint64{0x40: 1, 0x80: 2, 0x1040: 3, 0x2040: 4}
 	for a, d := range want {
 		if got := imgAt(img, a); got != d {
 			t.Fatalf("addr %#x = %d, want %d (image corrupted by compaction)", a, got, d)
 		}
 	}
-	if o.Pool().Frees == 0 {
+	if o.pool.Frees == 0 {
 		t.Fatal("compaction freed no pages")
 	}
 }
@@ -240,7 +240,7 @@ func TestOMCBufferAbsorbsRedundantWrites(t *testing.T) {
 	if hr := g.BufferHitRate(); hr < 0.98 {
 		t.Fatalf("hit rate = %f", hr)
 	}
-	o.Seal(0)
+	o.SealTo(0, 0)
 	if nvm.Bytes(mem.WData) != 64 {
 		t.Fatalf("seal flushed %d bytes, want 64", nvm.Bytes(mem.WData))
 	}
@@ -259,34 +259,10 @@ func TestOMCBufferEpochTurnoverFlushesOldVersion(t *testing.T) {
 	if nvm.Bytes(mem.WData) != 64 {
 		t.Fatalf("old version not flushed: %d bytes", nvm.Bytes(mem.WData))
 	}
-	o.Seal(0)
-	img, _ := o.RecoverImage()
+	o.SealTo(0, 0)
+	img, _ := recoverImage(o)
 	if got := imgAt(img, 0x40); got != 2 {
 		t.Fatalf("image[0x40] = %d, want 2", got)
-	}
-}
-
-func TestSubpageSize(t *testing.T) {
-	cases := []struct{ count, want int }{
-		{1, 64}, {2, 128}, {3, 256}, {4, 256}, {5, 512},
-		{64, 4096}, {100, 4096}, {0, 64},
-	}
-	for _, c := range cases {
-		if got := SubpageSize(c.count, 64, 4096); got != c.want {
-			t.Fatalf("SubpageSize(%d) = %d, want %d", c.count, got, c.want)
-		}
-	}
-}
-
-func TestSubpageBytesAccounting(t *testing.T) {
-	cfg := omcCfg()
-	o, _ := newTestOMC(cfg)
-	// 3 versions in one 4KB page of epoch 1 => 256B subpage.
-	o.ReceiveVersion(Version{Addr: 0x40, Epoch: 1, Data: 1}, 0)
-	o.ReceiveVersion(Version{Addr: 0x80, Epoch: 1, Data: 2}, 0)
-	o.ReceiveVersion(Version{Addr: 0xC0, Epoch: 1, Data: 3}, 0)
-	if got := o.SubpageBytes(); got != 256 {
-		t.Fatalf("subpage bytes = %d, want 256", got)
 	}
 }
 
@@ -296,8 +272,8 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 	cfg.CoresPerVD = 2
 	nvm := mem.NewNVM(cfg)
 	g := NewGroup(cfg, nvm, 4)
-	if g.Size() != 4 {
-		t.Fatalf("size = %d", g.Size())
+	if len(g.omcs) != 4 {
+		t.Fatalf("size = %d", len(g.omcs))
 	}
 	// Spread versions over partitions.
 	for i := 0; i < 32; i++ {
@@ -327,8 +303,8 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 		t.Fatal("master accounting empty")
 	}
 	pages := 0
-	for i := range g.Size() {
-		pages += g.OMC(i).Pool().Pages()
+	for _, o := range g.omcs {
+		pages += o.pool.allocated
 	}
 	if pages == 0 {
 		t.Fatal("no pool pages")
@@ -354,9 +330,16 @@ func TestGroupSealAndTimeTravel(t *testing.T) {
 	}
 }
 
+// recoverImage materialises the OMC's consistent image of rec-epoch and
+// returns it with the recovery latency.
+func recoverImage(o *OMC) (*mem.Table[uint64], uint64) {
+	img := mem.NewTable[uint64](0)
+	return img, o.recoverInto(img)
+}
+
 // masterRead reads addr from the OMC's consistent (master) image.
 func masterRead(o *OMC, addr uint64) (uint64, bool) {
-	img, _ := o.RecoverImage()
+	img, _ := recoverImage(o)
 	return img.Get(addr)
 }
 

@@ -170,12 +170,6 @@ func (p *Pool) CloseEpoch(epoch uint64) {
 	}
 }
 
-// Pages returns the number of allocated pages.
-func (p *Pool) Pages() int { return p.allocated }
-
-// Bytes returns the allocated NVM storage.
-func (p *Pool) Bytes() int64 { return int64(p.allocated) * int64(p.pageSize) }
-
 // OverQuota reports whether the pool exceeds its configured quota.
 func (p *Pool) OverQuota() bool { return p.quota > 0 && p.allocated > p.quota }
 
@@ -212,13 +206,4 @@ func (p *Pool) eachPage(f func(idx int)) {
 			f(w*64 + bits.TrailingZeros64(set))
 		}
 	}
-}
-
-// EpochOf returns the epoch owning the page containing nvmAddr.
-func (p *Pool) EpochOf(nvmAddr uint64) (uint64, bool) {
-	idx, ok := p.pageIndex(nvmAddr)
-	if !ok {
-		return 0, false
-	}
-	return p.pages[idx].epoch, true
 }

@@ -7,6 +7,15 @@ import (
 
 func newPool(quota int) *Pool { return NewPool(PoolBase, 4096, 64, quota) }
 
+// epochOf returns the epoch owning the page containing nvmAddr.
+func epochOf(p *Pool, nvmAddr uint64) (uint64, bool) {
+	idx, ok := p.pageIndex(nvmAddr)
+	if !ok {
+		return 0, false
+	}
+	return p.pages[idx].epoch, true
+}
+
 func TestPoolAllocSequentialWithinPage(t *testing.T) {
 	p := newPool(0)
 	a1, new1 := p.Alloc(1)
@@ -17,8 +26,8 @@ func TestPoolAllocSequentialWithinPage(t *testing.T) {
 	if a2 != a1+64 {
 		t.Fatalf("allocations not appended: %#x then %#x", a1, a2)
 	}
-	if p.Pages() != 1 {
-		t.Fatalf("pages = %d", p.Pages())
+	if p.allocated != 1 {
+		t.Fatalf("pages = %d", p.allocated)
 	}
 }
 
@@ -29,17 +38,17 @@ func TestPoolSeparateEpochsSeparatePages(t *testing.T) {
 	if a1&^4095 == a2&^4095 {
 		t.Fatal("distinct epochs share a page")
 	}
-	if p.Pages() != 2 {
-		t.Fatalf("pages = %d", p.Pages())
+	if p.allocated != 2 {
+		t.Fatalf("pages = %d", p.allocated)
 	}
-	if e, ok := p.EpochOf(a1); !ok || e != 1 {
-		t.Fatalf("EpochOf = %d,%v", e, ok)
+	if e, ok := epochOf(p, a1); !ok || e != 1 {
+		t.Fatalf("epochOf = %d,%v", e, ok)
 	}
-	if e, ok := p.EpochOf(a2); !ok || e != 2 {
-		t.Fatalf("EpochOf = %d,%v", e, ok)
+	if e, ok := epochOf(p, a2); !ok || e != 2 {
+		t.Fatalf("epochOf = %d,%v", e, ok)
 	}
-	if _, ok := p.EpochOf(PoolBase + 1<<30); ok {
-		t.Fatal("EpochOf hit unallocated page")
+	if _, ok := epochOf(p, PoolBase+1<<30); ok {
+		t.Fatal("epochOf hit unallocated page")
 	}
 }
 
@@ -52,8 +61,8 @@ func TestPoolPageRollover(t *testing.T) {
 	if !newPage {
 		t.Fatal("65th allocation did not open a new page")
 	}
-	if p.Pages() != 2 {
-		t.Fatalf("pages = %d", p.Pages())
+	if p.allocated != 2 {
+		t.Fatalf("pages = %d", p.allocated)
 	}
 }
 
@@ -79,16 +88,16 @@ func TestPoolReleaseAndReuse(t *testing.T) {
 	if p.Frees != 1 {
 		t.Fatalf("frees = %d", p.Frees)
 	}
-	if p.Pages() != 1 {
-		t.Fatalf("pages = %d", p.Pages())
+	if p.allocated != 1 {
+		t.Fatalf("pages = %d", p.allocated)
 	}
 	// The freed page index is reused by a later allocation.
-	before := p.Pages()
+	before := p.allocated
 	for i := 0; i < 64; i++ {
 		p.Alloc(2)
 	}
-	if p.Pages() > before+1 {
-		t.Fatalf("freed page not reused: %d pages", p.Pages())
+	if p.allocated > before+1 {
+		t.Fatalf("freed page not reused: %d pages", p.allocated)
 	}
 }
 
@@ -98,13 +107,13 @@ func TestPoolOpenPageNotReclaimedWhileAppendable(t *testing.T) {
 	if p.Release(a) {
 		t.Fatal("open page with active cursor reclaimed")
 	}
-	if p.Pages() != 1 {
-		t.Fatalf("pages = %d", p.Pages())
+	if p.allocated != 1 {
+		t.Fatalf("pages = %d", p.allocated)
 	}
 	// Closing the epoch reclaims the now-dead page.
 	p.CloseEpoch(1)
-	if p.Pages() != 0 {
-		t.Fatalf("pages after CloseEpoch = %d", p.Pages())
+	if p.allocated != 0 {
+		t.Fatalf("pages after CloseEpoch = %d", p.allocated)
 	}
 }
 
@@ -112,7 +121,7 @@ func TestPoolCloseEpochKeepsLivePages(t *testing.T) {
 	p := newPool(0)
 	p.Alloc(1)
 	p.CloseEpoch(1)
-	if p.Pages() != 1 {
+	if p.allocated != 1 {
 		t.Fatal("live page reclaimed by CloseEpoch")
 	}
 	p.CloseEpoch(99) // no-op for unknown epoch
@@ -151,8 +160,8 @@ func TestPoolOldestEpochAndPagesOf(t *testing.T) {
 	if got := p.PagesOfEpoch(77); len(got) != 0 {
 		t.Fatalf("pages of unknown epoch = %d", len(got))
 	}
-	if p.Bytes() != 3*4096 {
-		t.Fatalf("bytes = %d", p.Bytes())
+	if p.allocated != 3 {
+		t.Fatalf("pages = %d", p.allocated)
 	}
 }
 
@@ -192,7 +201,7 @@ func TestPoolNoOverlapProperty(t *testing.T) {
 				bits++
 			}
 		}
-		return bits == p.Pages()
+		return bits == p.allocated
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

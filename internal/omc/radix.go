@@ -58,11 +58,6 @@ type Table struct {
 	metaAlloc func(size int) uint64
 }
 
-// NewEpochTable returns a volatile per-epoch mapping table.
-func NewEpochTable() *Table {
-	return &Table{}
-}
-
 // NewMasterTable returns a persistent table whose metadata writes are
 // reported through persist; node homes are assigned by metaAlloc.
 func NewMasterTable(metaAlloc func(size int) uint64, persist func(nvmAddr uint64, size int, word uint64)) *Table {
@@ -171,38 +166,6 @@ func (t *Table) Lookup(lineAddr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Delete unmaps lineAddr, returning the previous mapping. Empty nodes are
-// not reclaimed (matching hardware tables, which are append-mostly).
-func (t *Table) Delete(lineAddr uint64) (uint64, bool) {
-	if t.root == nil {
-		return 0, false
-	}
-	n := t.root
-	for level := 1; level <= 4; level++ {
-		child := n.children[levelIndex(lineAddr, level-1)]
-		if child == nil {
-			return 0, false
-		}
-		if level == 4 {
-			lf := child.(*leaf)
-			slot := levelIndex(lineAddr, 4)
-			bit := uint64(1) << slot
-			if lf.present&bit == 0 {
-				return 0, false
-			}
-			old := lf.vals[slot]
-			lf.present &^= bit
-			lf.vals[slot] = 0
-			t.entries--
-			t.digest ^= mem.PairMix(lineAddr, old)
-			t.persistWrite(lf.nvmAddr+uint64(slot*8), 8, 0)
-			return old, true
-		}
-		n = child.(*inner)
-	}
-	return 0, false
-}
-
 // Entries returns the number of live mappings.
 func (t *Table) Entries() int { return t.entries }
 
@@ -228,15 +191,6 @@ func (t *Table) Bytes() int64 {
 
 // Nodes returns (inner, leaf) node counts.
 func (t *Table) Nodes() (int, int) { return t.inners, t.leaves }
-
-// LeafOccupancy returns the mean fraction of used slots per leaf node, the
-// statistic behind the paper's yada outlier discussion (§VII-C).
-func (t *Table) LeafOccupancy() float64 {
-	if t.leaves == 0 {
-		return 0
-	}
-	return float64(t.entries) / float64(t.leaves*leafFanout)
-}
 
 // ForEach visits every mapping in ascending address order.
 func (t *Table) ForEach(fn func(lineAddr, nvmAddr uint64)) {

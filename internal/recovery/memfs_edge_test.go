@@ -126,7 +126,7 @@ func TestLoadDirEdgeCases(t *testing.T) {
 			// touched, so the temp is evidence only.
 			name: "zero-length-manifest-temp",
 			mutate: func(t *testing.T, mfs *fault.MemFS, dir string) string {
-				zeroLen(t, mfs, filepath.Join(dir, mem.ManifestFileName()+".tmp"))
+				zeroLen(t, mfs, filepath.Join(dir, "MANIFEST.tmp"))
 				return dir
 			},
 			dirKind: "stale-temp",
@@ -139,7 +139,7 @@ func TestLoadDirEdgeCases(t *testing.T) {
 			// trust only the published name.
 			name: "rename-target-exists",
 			mutate: func(t *testing.T, mfs *fault.MemFS, dir string) string {
-				writeBytes(t, mfs, filepath.Join(dir, mem.ManifestFileName()+".tmp"),
+				writeBytes(t, mfs, filepath.Join(dir, "MANIFEST.tmp"),
 					[]byte("half-written next manifest"))
 				return dir
 			},

@@ -71,14 +71,6 @@ func (c *Clocks) Advance(tid int, delta uint64) {
 	c.fixup(tid)
 }
 
-// AdvanceTo moves thread tid forward to at least t.
-func (c *Clocks) AdvanceTo(tid int, t uint64) {
-	if c.now[tid] < t {
-		c.now[tid] = t
-		c.fixup(tid)
-	}
-}
-
 // Retire marks thread tid finished: it no longer contends for the minimum.
 func (c *Clocks) Retire(tid int) {
 	c.tree[c.base+tid] = -1
@@ -88,18 +80,6 @@ func (c *Clocks) Retire(tid int) {
 // MinLive returns the non-retired thread with the smallest clock (ties
 // broken by lowest id), or -1 when every thread has retired.
 func (c *Clocks) MinLive() int { return int(c.tree[1]) }
-
-// Min returns the id of the thread with the smallest clock (ties broken by
-// lowest id, keeping the interleaving deterministic).
-func (c *Clocks) Min() int {
-	best := 0
-	for i := 1; i < len(c.now); i++ {
-		if c.now[i] < c.now[best] {
-			best = i
-		}
-	}
-	return best
-}
 
 // MinAmong returns the live thread with the smallest clock, or -1 when no
 // thread is live.

@@ -155,9 +155,6 @@ func (c *Config) VDs() int { return c.Cores / c.CoresPerVD }
 // VDOf maps a core/thread id to its versioned domain.
 func (c *Config) VDOf(tid int) int { return tid / c.CoresPerVD }
 
-// LinesPerPage returns cache lines per NVM data page.
-func (c *Config) LinesPerPage() int { return c.PageSize / c.LineSize }
-
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated constraint.
 func (c *Config) Validate() error {

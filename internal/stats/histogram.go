@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // histBuckets is bucket 0 (values <= 0) plus one bucket per power of two:
@@ -119,23 +118,4 @@ func (h *Histogram) String() string {
 	}
 	return fmt.Sprintf("n=%d min=%d max=%d mean=%.2f p50<=%d p99<=%d",
 		h.Count, h.Min, h.Max, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
-}
-
-// Dump renders the occupied buckets one per line with the given indent.
-func (h *Histogram) Dump(indent string) string {
-	var b strings.Builder
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		switch {
-		case i == 0:
-			fmt.Fprintf(&b, "%s[..0]      %d\n", indent, c)
-		case i == 1:
-			fmt.Fprintf(&b, "%s[1..1]     %d\n", indent, c)
-		default:
-			fmt.Fprintf(&b, "%s[%d..%d] %d\n", indent, int64(1)<<uint(i-1), (int64(1)<<uint(i))-1, c)
-		}
-	}
-	return b.String()
 }

@@ -113,16 +113,6 @@ func (s *Set) sorted() []int {
 	return idx
 }
 
-// Keys returns the names of all touched counters in sorted order.
-func (s *Set) Keys() []string {
-	idx := s.sorted()
-	keys := make([]string, len(idx))
-	for j, i := range idx {
-		keys[j] = s.names[i]
-	}
-	return keys
-}
-
 // Merge adds every touched counter of other into s, in other's slot
 // order. Slot order is declaration order followed by first-use order, so
 // the slots a merge appends, like the sums, do not depend on how the

@@ -26,12 +26,8 @@ func TestSetKeysSorted(t *testing.T) {
 	for _, k := range []string{"zeta", "alpha", "mid"} {
 		s.Add(k, 1)
 	}
-	keys := s.Keys()
-	want := []string{"alpha", "mid", "zeta"}
-	for i, k := range want {
-		if keys[i] != k {
-			t.Fatalf("keys = %v, want %v", keys, want)
-		}
+	if got, want := s.String(), "t{alpha=1 mid=1 zeta=1}"; got != want {
+		t.Fatalf("String() = %q, want keys sorted: %q", got, want)
 	}
 }
 
@@ -93,10 +89,10 @@ func TestTimeSeriesBuckets(t *testing.T) {
 	ts.Record(0.95, 7)
 	ts.Record(1.5, 3)  // clamps to last bucket
 	ts.Record(-0.5, 2) // clamps to first bucket
-	if got := ts.Bucket(0); got != 12 {
+	if got := ts.buckets[0]; got != 12 {
 		t.Fatalf("bucket 0 = %d, want 12", got)
 	}
-	if got := ts.Bucket(9); got != 10 {
+	if got := ts.buckets[9]; got != 10 {
 		t.Fatalf("bucket 9 = %d, want 10", got)
 	}
 	if ts.Total() != 22 {

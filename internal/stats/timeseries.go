@@ -55,9 +55,6 @@ func (t *TimeSeries) index(progress float64) int {
 	return i
 }
 
-// Bucket returns the accumulated value of bucket i.
-func (t *TimeSeries) Bucket(i int) int64 { return t.buckets[i] }
-
 // Cycles returns the simulated cycles attributed to bucket i.
 func (t *TimeSeries) Cycles(i int) int64 { return t.cycles[i] }
 

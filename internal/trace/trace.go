@@ -189,9 +189,6 @@ func (h *Heap) Ops() []Op { return h.ops }
 // ResetOps discards the recorded accesses, retaining the buffer for reuse.
 func (h *Heap) ResetOps() { h.ops = h.ops[:0] }
 
-// Pending returns the number of recorded, undelivered accesses.
-func (h *Heap) Pending() int { return len(h.ops) }
-
 // Footprint returns the bytes allocated so far.
 func (h *Heap) Footprint() int64 { return h.TotalAllocated }
 

@@ -56,7 +56,7 @@ func TestHeapRecordsOps(t *testing.T) {
 	if ops[0].Write || !ops[1].Write || ops[1].Data != tok {
 		t.Fatalf("ops = %+v", ops)
 	}
-	if h.Pending() != 0 {
+	if len(h.ops) != 0 {
 		t.Fatal("drain left ops")
 	}
 }

@@ -641,13 +641,6 @@ func uvarintSlow(p []byte) (uint64, int) {
 	return 0, 0 // truncated
 }
 
-// Records returns the accesses decoded so far — after a damage error, the
-// salvage count (everything up to the last intact chunk boundary).
-func (r *Reader) Records() uint64 { return r.records }
-
-// Chunks returns the intact chunks decoded so far.
-func (r *Reader) Chunks() int { return r.chunks }
-
 // Close closes the underlying file.
 func (r *Reader) Close() error {
 	if err := r.f.Close(); err != nil {

@@ -169,9 +169,9 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatalf("record %d = %+v, want %+v", i, got[i], tc.accs[i])
 				}
 			}
-			if r.Records() != uint64(len(tc.accs)) || r.Chunks() != w.Chunks() {
+			if r.records != uint64(len(tc.accs)) || r.chunks != w.Chunks() {
 				t.Fatalf("reader counters records=%d chunks=%d, writer records=%d chunks=%d",
-					r.Records(), r.Chunks(), w.Records(), w.Chunks())
+					r.records, r.chunks, w.Records(), w.Chunks())
 			}
 			rs := r.Shape()
 			if rs.Cores != shape.Cores || rs.CoresPerVD != shape.CoresPerVD ||
@@ -416,8 +416,8 @@ func TestCorruptionMatrix(t *testing.T) {
 			if uint64(len(got)) != tc.salvage {
 				t.Fatalf("salvaged %d records, want %d", len(got), tc.salvage)
 			}
-			if r.Records() != tc.salvage {
-				t.Fatalf("Records() = %d, want salvage %d", r.Records(), tc.salvage)
+			if r.records != tc.salvage {
+				t.Fatalf("reader counted %d records, want salvage %d", r.records, tc.salvage)
 			}
 			// Salvaged prefix is intact, not garbage.
 			for i := range got {

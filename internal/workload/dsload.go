@@ -52,6 +52,3 @@ func (w *DSLoad) Step(tid int, h *trace.Heap, rng *sim.RNG) bool {
 	w.kv.Insert(rng.Uint64(), rng.Uint64())
 	return true
 }
-
-// KV exposes the shared index (tests).
-func (w *DSLoad) KV() ds.KV { return w.kv }

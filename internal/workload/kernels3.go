@@ -35,9 +35,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return z
 }
 
-// Ranks returns the number of ranks.
-func (z *Zipf) Ranks() int { return len(z.cdf) }
-
 // Sample draws one rank.
 func (z *Zipf) Sample(rng *sim.RNG) int {
 	u := rng.Float64()

@@ -10,8 +10,8 @@ import (
 
 func TestZipfCDFWellFormed(t *testing.T) {
 	z := NewZipf(1000, 0.99)
-	if z.Ranks() != 1000 {
-		t.Fatalf("Ranks() = %d", z.Ranks())
+	if len(z.cdf) != 1000 {
+		t.Fatalf("%d ranks, want 1000", len(z.cdf))
 	}
 	if got := z.Share(1000); got != 1 {
 		t.Fatalf("full share = %v", got)
