@@ -144,7 +144,7 @@ func main() {
 }
 
 func run(o options, out io.Writer) error {
-	sc, err := scaleByName(o.scale)
+	sc, err := experiments.ScaleByName(o.scale)
 	if err != nil {
 		return err
 	}
@@ -423,17 +423,4 @@ func fig17JSON(series []experiments.Fig17Series) []fig17Curve {
 		out = append(out, c)
 	}
 	return out
-}
-
-func scaleByName(name string) (experiments.Scale, error) {
-	switch name {
-	case "smoke":
-		return experiments.Smoke, nil
-	case "quick":
-		return experiments.Quick, nil
-	case "full":
-		return experiments.Full, nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("unknown scale %q (smoke, quick, full)", name)
-	}
 }

@@ -146,7 +146,7 @@ func run(o options, w io.Writer) error {
 	}
 	if len(hist) >= 2 {
 		mid := hist[len(hist)/2].Epoch
-		d, e, ok := recovery.TimeTravel(nvo.Group(), addr, mid)
+		d, e, ok := nvo.Group().TimeTravelRead(addr, mid)
 		fmt.Fprintf(w, "  read @epoch %d (fall-through): value %d from epoch %d (ok=%v)\n",
 			mid, d, e, ok)
 	}
@@ -195,7 +195,7 @@ func run(o options, w io.Writer) error {
 		if len(hist) > 0 {
 			probe := hist[len(hist)-1].Epoch
 			got, _ := sf.ReadAt(addr, probe)
-			want, _, _ := recovery.TimeTravel(nvo.Group(), addr, probe)
+			want, _, _ := nvo.Group().TimeTravelRead(addr, probe)
 			if got != want {
 				return fmt.Errorf("archive read mismatch: %d vs %d", got, want)
 			}

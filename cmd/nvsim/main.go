@@ -67,7 +67,7 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 
 // run executes one experiment and writes the summary to w.
 func run(o options, w io.Writer) error {
-	sc, err := scaleByName(o.scale)
+	sc, err := experiments.ScaleByName(o.scale)
 	if err != nil {
 		return err
 	}
@@ -143,19 +143,6 @@ func run(o options, w io.Writer) error {
 		fmt.Fprintf(w, "events    %d written to %s\n", bus.Emitted(), o.events)
 	}
 	return nil
-}
-
-func scaleByName(name string) (experiments.Scale, error) {
-	switch name {
-	case "smoke":
-		return experiments.Smoke, nil
-	case "quick":
-		return experiments.Quick, nil
-	case "full":
-		return experiments.Full, nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("unknown scale %q (smoke, quick, full)", name)
-	}
 }
 
 func main() {

@@ -39,7 +39,7 @@ func main() {
 	}
 	heap := trace.NewHeap(&cfg)
 	wl.Setup(heap, sim.NewRNG(cfg.Seed))
-	heap.Drain()
+	heap.ResetOps()
 	rng := sim.NewRNG(cfg.Seed + 1)
 	history := map[uint64]map[uint64]bool{}
 	var stores uint64
@@ -49,7 +49,7 @@ func main() {
 		if !wl.Step(tid, heap, rng) {
 			break
 		}
-		for _, op := range heap.Drain() {
+		for _, op := range heap.Ops() {
 			lat := nvo.Access(tid, op.Addr, op.Write, op.Data)
 			clocks.Advance(tid, lat)
 			if op.Write {
@@ -62,6 +62,7 @@ func main() {
 			}
 			i++
 		}
+		heap.ResetOps()
 	}
 
 	// CRASH: no drain, no seal. Volatile cache state is gone; only what

@@ -73,7 +73,7 @@ func main() {
 	// resolves to the newest version at or before it (§V-E).
 	if len(hist) >= 2 {
 		probe := hist[1].Epoch + 1
-		d, e, ok := recovery.TimeTravel(nvo.Group(), addr, probe)
+		d, e, ok := nvo.Group().TimeTravelRead(addr, probe)
 		fmt.Printf("\nread @epoch %d falls through to epoch %d (value %d, ok=%v)\n",
 			probe, e, d, ok)
 	}

@@ -194,34 +194,15 @@ func LoadModule(root string) ([]*Package, error) {
 	// toolchain importer (with a from-source importer as backstop, for
 	// environments without compiled stdlib export data).
 	checked := make(map[string]*types.Package)
-	imp := &moduleImporter{
-		internal: checked,
-		def:      importer.Default(),
-		src:      importer.ForCompiler(fset, "source", nil),
-	}
+	imp := newModuleImporter(fset, checked)
 	var out []*Package
 	for _, p := range order {
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-		}
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(p.path, fset, p.files, info)
+		pkg, err := typeCheck(imp, p.path, p.dir, fset, p.files)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.path, err)
 		}
-		checked[p.path] = tpkg
-		out = append(out, &Package{
-			Path:  p.path,
-			Dir:   p.dir,
-			Fset:  fset,
-			Files: p.files,
-			Types: tpkg,
-			Info:  info,
-		})
+		checked[p.path] = pkg.Types
+		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
@@ -251,6 +232,16 @@ func LoadDir(dir, asPath string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
+	pkg, err := typeCheck(newModuleImporter(fset, nil), asPath, dir, fset, files)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
+	}
+	return pkg, nil
+}
+
+// typeCheck type-checks files as the package path, resolving imports
+// through imp, and records the types.Info the analyzers read.
+func typeCheck(imp types.Importer, path, dir string, fset *token.FileSet, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -258,17 +249,12 @@ func LoadDir(dir, asPath string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	imp := &moduleImporter{
-		internal: map[string]*types.Package{},
-		def:      importer.Default(),
-		src:      importer.ForCompiler(fset, "source", nil),
-	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(asPath, fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
+		return nil, err
 	}
-	return &Package{Path: asPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // moduleImporter resolves module-internal paths from the packages already
@@ -278,6 +264,16 @@ type moduleImporter struct {
 	def      types.Importer
 	src      types.Importer
 	srcCache map[string]*types.Package
+}
+
+// newModuleImporter builds an importer that resolves internal's packages
+// before asking the toolchain.
+func newModuleImporter(fset *token.FileSet, internal map[string]*types.Package) *moduleImporter {
+	return &moduleImporter{
+		internal: internal,
+		def:      importer.Default(),
+		src:      importer.ForCompiler(fset, "source", nil),
+	}
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {

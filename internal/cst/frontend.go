@@ -267,7 +267,7 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 			if sib := f.L1(c).Peek(addr); sib != nil {
 				sibling = true
 				if sib.Dirty {
-					f.mergeIntoL2(l2ln, *sib)
+					f.mergeIntoL2(l2ln, *sib, ReasonStoreEvict)
 					sib.Dirty = false
 				}
 				sib.State = cache.Shared
@@ -328,15 +328,14 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 				continue
 			}
 			if removed, ok := f.L1(c).Invalidate(addr); ok && removed.Dirty {
-				f.mergeIntoL2(l2ln, removed)
+				f.mergeIntoL2(l2ln, removed, ReasonStoreEvict)
 			}
 		}
 		f.maybeAdvance(vd, l2ln.OID)
 		l2ln.State = cache.Modified
 		// The L1 is filled with a clean copy; the L2 retains any dirty
 		// version (the new store will create a fresh version in the L1).
-		f.fillL1(tid, addr, cache.Exclusive, l2ln.OID, l2ln.Data, false)
-		ln := f.L1(tid).Peek(addr)
+		ln := f.fillL1(tid, addr, cache.Exclusive, l2ln.OID, l2ln.Data, false)
 		f.performStore(tid, vd, ln, data)
 		f.bumpStore(vd)
 		return lat
@@ -364,8 +363,7 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 	// The L2 always receives a clean copy (inclusion); a dirty
 	// cache-to-cache transfer lands in the requestor's L1 still dirty.
 	f.fillL2(vd, addr, cache.Modified, rv, rdata)
-	f.fillL1(tid, addr, cache.Exclusive, rv, rdata, dirtyXfer)
-	ln := f.L1(tid).Peek(addr)
+	ln := f.fillL1(tid, addr, cache.Exclusive, rv, rdata, dirtyXfer)
 	f.performStore(tid, vd, ln, data)
 	f.bumpStore(vd)
 	return lat
@@ -506,10 +504,10 @@ func (f *Frontend) walkStale(vd int, below uint64, reason Reason, persist func(c
 // mergeIntoL2 folds an L1 dirty version into a resident L2 line, evicting
 // the L2's older dirty version to the OMC first (§IV-A2's PUTX rule; the
 // "skip LLC" optimisation of §IV-A3 applies: the old version is not the
-// current image, so only the OMC needs it).
-func (f *Frontend) mergeIntoL2(l2ln *cache.Line, l1ln cache.Line) {
+// current image, so only the OMC needs it). reason tags that eviction.
+func (f *Frontend) mergeIntoL2(l2ln *cache.Line, l1ln cache.Line, reason Reason) {
 	if l2ln.Dirty && l2ln.OID < l1ln.OID {
-		f.sendVersion(*l2ln, ReasonStoreEvict)
+		f.sendVersion(*l2ln, reason)
 	}
 	l2ln.OID = l1ln.OID
 	l2ln.Data = l1ln.Data
@@ -524,13 +522,7 @@ func (f *Frontend) putxToL2(vd int, l1ln cache.Line, reason Reason) {
 	if l2ln == nil {
 		panic(fmt.Sprintf("cst: L1 line %#x absent from L2 of VD %d: L1 ⊆ L2 inclusion broken", l1ln.Tag, vd))
 	}
-	if l2ln.Dirty && l2ln.OID < l1ln.OID {
-		f.sendVersion(*l2ln, reason)
-	}
-	l2ln.OID = l1ln.OID
-	l2ln.Data = l1ln.Data
-	l2ln.Dirty = true
-	l2ln.State = cache.Modified
+	f.mergeIntoL2(l2ln, l1ln, reason)
 }
 
 // evictL2Victim handles an L2 capacity victim: L1 copies are recalled
@@ -774,10 +766,11 @@ func (f *Frontend) fillL2(vd int, addr uint64, state cache.State, oid, data uint
 	ln.Dirty = false
 }
 
-// fillL1 installs addr into tid's L1; dirty victims flow to the L2 through
-// the version-checked PUTX path. dirtyXfer marks a cache-to-cache dirty
-// transfer, which stays dirty in the L1 (it is still unpersisted).
-func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uint64, dirtyXfer bool) {
+// fillL1 installs addr into tid's L1 and returns the line; dirty victims
+// flow to the L2 through the version-checked PUTX path. dirtyXfer marks a
+// cache-to-cache dirty transfer, which stays dirty in the L1 (it is still
+// unpersisted).
+func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uint64, dirtyXfer bool) *cache.Line {
 	vd := f.Cfg.VDOf(tid)
 	ln, victim, evicted := f.L1(tid).Insert(addr)
 	if evicted && victim.Dirty {
@@ -791,6 +784,7 @@ func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uin
 	if dirtyXfer {
 		ln.State = cache.Modified
 	}
+	return ln
 }
 
 // ---------------------------------------------------------------------------

@@ -128,19 +128,10 @@ func replayNVOverlay(p Params, src stepSource, res *Result, n int, finish bool, 
 	crash := p.crashSteps()
 	lastRec := nv.Group().RecEpoch()
 	var dd *Divergence
-	err := src.each(n, func(i int, op Step) bool {
-		lat := nv.Access(op.Tid, op.Addr, op.Write, op.Data)
-		clocks.Advance(op.Tid, lat+trace.PipelineCost)
-		if op.Write {
-			oid := nv.LastStoreOID()
-			if oid == 0 {
-				dd = div("store-oid", i, "store to %#x was assigned no epoch tag", op.Addr)
-				return false
-			}
-			if err := g.Store(i, cfg.LineAddr(op.Addr), oid, op.Data); err != nil {
-				dd = div("epoch-monotonicity", i, "%v", err)
-				return false
-			}
+	err := src.each(n, func(i int, op trace.Access) bool {
+		if kind, err := stepNVOverlay(nv, clocks, g, &cfg, i, op); err != nil {
+			dd = div(kind, i, "%v", err)
+			return false
 		}
 		if rec := nv.Group().RecEpoch(); rec != lastRec {
 			if rec < lastRec {
@@ -207,7 +198,7 @@ func replayNVOverlay(p Params, src stepSource, res *Result, n int, finish bool, 
 		for k := 0; k < 32; k++ {
 			addr := addrs[rng.Intn(len(addrs))]
 			e := 1 + rng.Uint64n(res.MaxEpoch)
-			data, fe, ok := recovery.TimeTravel(nv.Group(), addr, e)
+			data, fe, ok := nv.Group().TimeTravelRead(addr, e)
 			wdata, wfe, wok := g.VersionAt(addr, e)
 			if ok != wok || (ok && (data != wdata || fe != wfe)) {
 				return div("time-travel", -1,
@@ -217,6 +208,26 @@ func replayNVOverlay(p Params, src stepSource, res *Result, n int, finish bool, 
 		}
 	}
 	return nil, nil
+}
+
+// stepNVOverlay issues trace step i to nv, advances the issuing thread's
+// clock by the access latency plus trace.PipelineCost, and records a store
+// in g under the epoch tag nv gave it. A non-nil error is a divergence of
+// the named kind.
+func stepNVOverlay(nv *core.NVOverlay, clocks *sim.Clocks, g *Golden, cfg *sim.Config, i int, op trace.Access) (kind string, err error) {
+	lat := nv.Access(op.Tid, op.Addr, op.Write, op.Data)
+	clocks.Advance(op.Tid, lat+trace.PipelineCost)
+	if !op.Write {
+		return "", nil
+	}
+	oid := nv.LastStoreOID()
+	if oid == 0 {
+		return "store-oid", fmt.Errorf("store to %#x was assigned no epoch tag", op.Addr)
+	}
+	if err := g.Store(i, cfg.LineAddr(op.Addr), oid, op.Data); err != nil {
+		return "epoch-monotonicity", err
+	}
+	return "", nil
 }
 
 // verifyRecovered cross-checks the recovered image against the golden
@@ -275,7 +286,7 @@ func replayBaseline(p Params, src stepSource, name string, res *Result, bus *obs
 	crash := p.crashSteps()
 	prevEpoch := s.Epoch()
 	var dd *Divergence
-	err := src.each(p.Steps, func(i int, op Step) bool {
+	err := src.each(p.Steps, func(i int, op trace.Access) bool {
 		lat := s.Access(op.Tid, op.Addr, op.Write, op.Data)
 		clocks.Advance(op.Tid, lat+trace.PipelineCost)
 		if op.Write {

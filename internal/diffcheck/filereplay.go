@@ -15,13 +15,13 @@ import (
 // once per scheme — and the callback returning false stops the iteration
 // early (divergence found, or a Minimize cut).
 type stepSource interface {
-	each(n int, f func(i int, s Step) bool) error
+	each(n int, f func(i int, s trace.Access) bool) error
 }
 
 // genSource streams steps straight out of the deterministic generator.
 type genSource struct{ p Params }
 
-func (g genSource) each(n int, f func(int, Step) bool) error {
+func (g genSource) each(n int, f func(int, trace.Access) bool) error {
 	g.p.Each(n, f)
 	return nil
 }
@@ -34,7 +34,7 @@ type fileSource struct {
 	path string
 }
 
-func (s fileSource) each(n int, f func(int, Step) bool) (err error) {
+func (s fileSource) each(n int, f func(int, trace.Access) bool) (err error) {
 	r, rerr := tracefile.OpenReader(s.fsys, s.path)
 	if rerr != nil {
 		return rerr
@@ -52,7 +52,7 @@ func (s fileSource) each(n int, f func(int, Step) bool) (err error) {
 		if rerr != nil {
 			return rerr
 		}
-		if !f(i, Step{Tid: a.Tid, Addr: a.Addr, Write: a.Write, Data: a.Data}) {
+		if !f(i, a) {
 			return nil
 		}
 	}
@@ -170,8 +170,8 @@ func RecordTrace(fsys fault.FS, path string, p Params) (TraceInfo, error) {
 		return TraceInfo{}, err
 	}
 	var aerr error
-	p.Each(p.Steps, func(_ int, s Step) bool {
-		if err := w.Append(trace.Access{Tid: s.Tid, Addr: s.Addr, Write: s.Write, Data: s.Data}); err != nil {
+	p.Each(p.Steps, func(_ int, s trace.Access) bool {
+		if err := w.Append(s); err != nil {
 			aerr = err
 			return false
 		}

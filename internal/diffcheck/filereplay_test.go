@@ -7,8 +7,20 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/parallel"
+	"repro/internal/trace"
 	"repro/internal/tracefile"
 )
+
+// Ops materialises the full trace, for tests that compare whole traces;
+// the replay paths stream via Each so trace length never dictates memory.
+func (p Params) Ops() []trace.Access {
+	ops := make([]trace.Access, 0, p.Steps)
+	p.Each(p.Steps, func(_ int, s trace.Access) bool {
+		ops = append(ops, s)
+		return true
+	})
+	return ops
+}
 
 // TestEachMatchesOps locks the streaming generator against the
 // materialised trace, including early stop and prefix stability.
@@ -19,8 +31,8 @@ func TestEachMatchesOps(t *testing.T) {
 		if len(ops) != p.Steps {
 			t.Fatalf("regime %d: Ops() returned %d steps, want %d", i, len(ops), p.Steps)
 		}
-		var streamed []Step
-		p.Each(p.Steps, func(k int, s Step) bool {
+		var streamed []trace.Access
+		p.Each(p.Steps, func(k int, s trace.Access) bool {
 			if k != len(streamed) {
 				t.Fatalf("regime %d: Each index %d out of order", i, k)
 			}
@@ -32,7 +44,7 @@ func TestEachMatchesOps(t *testing.T) {
 		}
 		// A prefix iteration equals the prefix of the full trace.
 		n := 0
-		p.Each(p.Steps/3, func(k int, s Step) bool {
+		p.Each(p.Steps/3, func(k int, s trace.Access) bool {
 			if s != ops[k] {
 				t.Fatalf("regime %d: prefix step %d = %+v, want %+v", i, k, s, ops[k])
 			}
@@ -44,7 +56,7 @@ func TestEachMatchesOps(t *testing.T) {
 		}
 		// Early stop stops.
 		n = 0
-		p.Each(p.Steps, func(int, Step) bool { n++; return n < 10 })
+		p.Each(p.Steps, func(int, trace.Access) bool { n++; return n < 10 })
 		if n != 10 {
 			t.Fatalf("regime %d: early stop ran %d steps", i, n)
 		}

@@ -86,7 +86,7 @@ func (g *Golden) ImageAt(epoch uint64) *mem.Table[uint64] {
 // VersionAt returns addr's value as of the given epoch with the paper's
 // fall-through semantics: the last write of the greatest epoch <= epoch,
 // that epoch, and whether any such write exists. It is the golden
-// counterpart of recovery.TimeTravel under full retention.
+// counterpart of omc.Group.TimeTravelRead under full retention.
 func (g *Golden) VersionAt(addr, epoch uint64) (data uint64, foundEpoch uint64, ok bool) {
 	h, _ := g.hist.Get(addr)
 	i := sort.Search(len(h), func(i int) bool { return h[i].epoch > epoch })

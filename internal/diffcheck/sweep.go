@@ -406,20 +406,16 @@ func nvmCell(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (Point, s
 	clocks := sim.NewClocks(cfg.Cores)
 	nv.Bind(clocks)
 	g := NewGolden()
-	for i, op := range p.Ops()[:cut] {
-		lat := nv.Access(op.Tid, op.Addr, op.Write, op.Data)
-		clocks.Advance(op.Tid, lat+trace.PipelineCost)
-		if !op.Write {
-			continue
+	var d *SweepDivergence
+	p.Each(cut, func(i int, op trace.Access) bool {
+		if kind, err := stepNVOverlay(nv, clocks, g, &cfg, i, op); err != nil {
+			d = &SweepDivergence{Cell: pt, Kind: kind, Detail: fmt.Sprintf("step %d: %v", i, err)}
+			return false
 		}
-		oid := nv.LastStoreOID()
-		if oid == 0 {
-			return pt, "", &SweepDivergence{Cell: pt, Kind: "store-oid",
-				Detail: fmt.Sprintf("store to %#x was assigned no epoch tag at step %d", op.Addr, i)}
-		}
-		if err := g.Store(i, cfg.LineAddr(op.Addr), oid, op.Data); err != nil {
-			return pt, "", &SweepDivergence{Cell: pt, Kind: "epoch-monotonicity", Detail: err.Error()}
-		}
+		return true
+	})
+	if d != nil {
+		return pt, "", d
 	}
 	img := nv.PowerCut(clocks.Max())
 	if mutate != nil {
@@ -431,8 +427,7 @@ func nvmCell(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (Point, s
 		sched = inj.Schedule()
 	}
 	out, rep, err := recovery.Salvage(img, bus)
-	d := judge(&pt, out, rep, err, func(e uint64) (*mem.Table[uint64], bool) { return g.ImageAt(e), true })
-	return pt, sched, d
+	return pt, sched, judge(&pt, out, rep, err, func(e uint64) (*mem.Table[uint64], bool) { return g.ImageAt(e), true })
 }
 
 // DiskCell runs one disk cell: the soak writer of seed under class's fault

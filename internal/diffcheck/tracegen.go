@@ -46,14 +46,6 @@ type Params struct {
 	Fault string
 }
 
-// Step is one generated access: which thread issues it and what it does.
-type Step struct {
-	Tid   int
-	Addr  uint64
-	Write bool
-	Data  uint64 // step index + 1 for stores; unique and non-zero
-}
-
 // Validate rejects parameter combinations the harness cannot run.
 func (p Params) Validate() error {
 	switch {
@@ -117,13 +109,14 @@ func (p Params) Config() sim.Config {
 }
 
 // Each deterministically generates the first n trace steps from the seed,
-// streaming each to f in order without materialising the trace; f returns
+// streaming each to f in order without materialising the trace. A store's
+// Data is its step index + 1, unique and non-zero. f returns
 // false to stop early. Thread choice, region choice, line choice and
 // load/store choice all come from one internal/sim PRNG stream consumed
 // strictly in step order, so the stream is bit-identical across runs and
 // any prefix of a longer trace equals the shorter trace outright — the
 // property the file-backed replay and Minimize both lean on.
-func (p Params) Each(n int, f func(i int, s Step) bool) {
+func (p Params) Each(n int, f func(i int, s trace.Access) bool) {
 	cfg := p.Config()
 	rng := sim.NewRNG(p.Seed)
 	line := uint64(cfg.LineSize)
@@ -150,7 +143,7 @@ func (p Params) Each(n int, f func(i int, s Step) bool) {
 		if rng.Intn(100) < p.SharePct {
 			base = trace.HeapBase // shared region
 		}
-		st := Step{Tid: tid, Addr: base + uint64(idx)*line}
+		st := trace.Access{Tid: tid, Addr: base + uint64(idx)*line}
 		if rng.Intn(100) < p.WritePct {
 			st.Write = true
 			st.Data = uint64(i) + 1
@@ -159,17 +152,6 @@ func (p Params) Each(n int, f func(i int, s Step) bool) {
 			return
 		}
 	}
-}
-
-// Ops materialises the full trace. Short traces and tests use it; the
-// replay paths stream via Each so trace length never dictates memory.
-func (p Params) Ops() []Step {
-	ops := make([]Step, 0, p.Steps)
-	p.Each(p.Steps, func(_ int, s Step) bool {
-		ops = append(ops, s)
-		return true
-	})
-	return ops
 }
 
 // crashSteps returns the swept crash-probe schedule: CrashPoints step

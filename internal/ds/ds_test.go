@@ -52,9 +52,9 @@ func TestEmitsAccesses(t *testing.T) {
 	for name, build := range builders() {
 		h := newHeap()
 		kv := build(h)
-		h.Drain()
+		h.ResetOps()
 		kv.Insert(1234, 1)
-		ops := h.Drain()
+		ops := h.Ops()
 		if len(ops) == 0 {
 			t.Fatalf("%s: insert emitted no accesses", name)
 		}
@@ -95,7 +95,7 @@ func TestMatchesMapOracle(t *testing.T) {
 							return false
 						}
 					}
-					h.Drain()
+					h.ResetOps()
 				}
 				if kv.Len() != len(oracle) {
 					return false
@@ -226,9 +226,9 @@ func TestBTreeWriteBurst(t *testing.T) {
 	for i := uint64(2); i <= 60; i++ {
 		bt.Insert(i*10, i)
 	}
-	h.Drain()
+	h.ResetOps()
 	bt.Insert(1, 1) // lands at position 0: shifts 59 entries
-	ops := h.Drain()
+	ops := h.Ops()
 	stores := 0
 	for _, op := range ops {
 		if op.Write {

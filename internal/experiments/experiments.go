@@ -89,6 +89,20 @@ var (
 	Full = Scale{Name: "full", MaxAccesses: 8_000_000, EpochSize: 80_000}
 )
 
+// ScaleByName returns the predefined scale of that name.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "smoke":
+		return Smoke, nil
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q (smoke, quick, full)", name)
+	}
+}
+
 // SchemeNames lists the comparison schemes in the paper's Fig 11 order.
 var SchemeNames = []string{"SWLog", "SWShadow", "HWShadow", "PiCL", "PiCL-L2", "NVOverlay"}
 

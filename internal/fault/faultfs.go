@@ -295,8 +295,9 @@ func (f *FaultFS) draw(per100 int) bool {
 	return per100 > 0 && f.rng.Intn(100) < per100
 }
 
-// injectOp draws the EIO/ENOSPC schedule for a non-write mutating syscall.
-// allowNoSpace selects ops that allocate (create).
+// injectOp draws the ENOSPC, then EIO (transient or permanent) schedule
+// for a mutating syscall. allowNoSpace selects ops that allocate (create,
+// write).
 func (f *FaultFS) injectOp(op, path string, allowNoSpace bool) error {
 	if allowNoSpace && f.draw(f.cfg.NoSpacePer100) {
 		f.record(op, evName(path), DiskENOSPC, 0)
@@ -336,29 +337,21 @@ func (f *FaultFS) Open(name string) (File, error) {
 }
 
 // Create implements FS.
-func (f *FaultFS) Create(name string) (File, error) {
-	if err := f.mutate("create", name); err != nil {
-		return nil, err
-	}
-	if err := f.injectOp("create", name, true); err != nil {
-		return nil, err
-	}
-	h, err := f.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, f: h, path: name}, nil
-}
+func (f *FaultFS) Create(name string) (File, error) { return f.create(name, f.inner.Create) }
 
 // CreateExcl implements FS.
-func (f *FaultFS) CreateExcl(name string) (File, error) {
+func (f *FaultFS) CreateExcl(name string) (File, error) { return f.create(name, f.inner.CreateExcl) }
+
+// create gates and draws one create syscall, then opens name through the
+// inner FS's open.
+func (f *FaultFS) create(name string, open func(string) (File, error)) (File, error) {
 	if err := f.mutate("create", name); err != nil {
 		return nil, err
 	}
 	if err := f.injectOp("create", name, true); err != nil {
 		return nil, err
 	}
-	h, err := f.inner.CreateExcl(name)
+	h, err := open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -453,20 +446,10 @@ func (h *faultFile) Write(p []byte) (int, error) {
 	if err := h.fs.mutate("write", h.path); err != nil {
 		return 0, err
 	}
+	if err := h.fs.injectOp("write", h.path, true); err != nil {
+		return 0, err
+	}
 	name := evName(h.path)
-	if h.fs.draw(h.fs.cfg.NoSpacePer100) {
-		h.fs.record("write", name, DiskENOSPC, 0)
-		return 0, &DiskError{Op: "write", Path: name, Class: DiskENOSPC, OpIndex: h.fs.ops}
-	}
-	if h.fs.draw(h.fs.cfg.EIOPer100) {
-		perm := h.fs.draw(h.fs.cfg.PermPer100)
-		arg := uint64(0)
-		if perm {
-			arg = 1
-		}
-		h.fs.record("write", name, DiskEIO, arg)
-		return 0, &DiskError{Op: "write", Path: name, Class: DiskEIO, Transient: !perm, OpIndex: h.fs.ops}
-	}
 	if len(p) >= 16 && h.fs.draw(h.fs.cfg.ShortPer100) {
 		keep := 8 * h.fs.rng.Intn(len(p)/8) // 0..len-8: at least one word is lost
 		h.fs.record("write", name, DiskShortWrite, uint64(keep))

@@ -188,6 +188,16 @@ func (n *NVM) bankOf(addr uint64) int {
 	return int(line % uint64(n.cfg.NVMBanks))
 }
 
+// occupancy is the bank time one device write of size bytes takes: the
+// full write latency for a line, a quarter of it (at least one cycle) for
+// a sub-line write.
+func (n *NVM) occupancy(size int) uint64 {
+	if size >= n.cfg.LineSize {
+		return n.cfg.NVMWriteLat
+	}
+	return max(n.cfg.NVMWriteLat/4, 1)
+}
+
 // bookLine queues one device write on addr's bank and returns its backlog
 // stall. Sub-line writes (8-byte mapping-table entries) that hit the same
 // line as the bank's pending write coalesce in the controller's write
@@ -195,18 +205,11 @@ func (n *NVM) bankOf(addr uint64) int {
 func (n *NVM) bookLine(addr uint64, size int, now uint64) (stall uint64) {
 	b := n.bankOf(addr)
 	line := addr / uint64(n.cfg.LineSize)
-	occ := n.cfg.NVMWriteLat
-	if size < n.cfg.LineSize {
-		if n.lastLine[b] == line && n.bankBusy[b] > now {
-			return 0 // write-combined with the buffered line
-		}
-		occ = n.cfg.NVMWriteLat / 4
-		if occ == 0 {
-			occ = 1
-		}
+	if size < n.cfg.LineSize && n.lastLine[b] == line && n.bankBusy[b] > now {
+		return 0 // write-combined with the buffered line
 	}
 	n.lastLine[b] = line
-	n.bankBusy[b] += occ
+	n.bankBusy[b] += n.occupancy(size)
 	if n.bus != nil {
 		var depth uint64
 		if n.bankBusy[b] > now {
@@ -262,13 +265,7 @@ func (n *NVM) WriteSync(class WriteClass, addr uint64, size int, now uint64) (la
 
 func (n *NVM) syncLine(addr uint64, size int, now uint64) uint64 {
 	b := n.bankOf(addr)
-	occ := n.cfg.NVMWriteLat
-	if size < n.cfg.LineSize {
-		occ = n.cfg.NVMWriteLat / 4
-		if occ == 0 {
-			occ = 1
-		}
-	}
+	occ := n.occupancy(size)
 	n.lastLine[b] = addr / uint64(n.cfg.LineSize)
 	// The barrier waits for everything queued ahead plus this write.
 	var queued uint64

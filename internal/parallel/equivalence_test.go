@@ -18,7 +18,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/parallel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -207,40 +206,5 @@ func TestFaultSweepEqualAcrossJobs(t *testing.T) {
 			t.Fatalf("%v: sweep diverges between jobs=1 and jobs=8:\nserial: %+v\nparallel: %+v",
 				p.Classes, serial, par)
 		}
-	}
-}
-
-// TestDistributionMergeAcrossJobs is the parallel-sweep cross-check for
-// stats.Histogram.Merge: per-cell sample distributions fanned over workers
-// and merged in cell order must render byte-identically at every worker
-// count, including when some cells (here every third) observe nothing.
-func TestDistributionMergeAcrossJobs(t *testing.T) {
-	const cells = 64
-	sweep := func(jobs int) string {
-		out := parallel.Map(jobs, cells, func(i int) stats.Histogram {
-			var h stats.Histogram
-			if i%3 == 2 {
-				return h // empty cell: Merge must not clobber min/max
-			}
-			// A deterministic per-cell stream, pure function of the index.
-			v := int64(i*i + 1)
-			for k := 0; k < 50; k++ {
-				h.Observe(v)
-				v = (v*6364136223846793005 + int64(i)) % 100_000
-			}
-			return h
-		})
-		var h stats.Histogram
-		for i := range out {
-			h.Merge(&out[i])
-		}
-		return h.String()
-	}
-	h1, h8 := sweep(1), sweep(8)
-	if h1 != h8 {
-		t.Fatalf("merged histogram differs across jobs:\n-j 1: %s\n-j 8: %s", h1, h8)
-	}
-	if h1 == "n=0 (empty)" {
-		t.Fatal("sweep observed nothing; the cross-check is vacuous")
 	}
 }

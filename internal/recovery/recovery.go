@@ -1,8 +1,9 @@
 // Package recovery implements the snapshot usage models of paper §V-E on
 // top of the MNM backend: crash recovery (rebuild the consistent image of
 // rec-epoch and resume), remote replication (ship per-epoch deltas to a
-// backup machine that replays them as redo logs), and time-travel reads
-// for debugging.
+// backup machine that replays them as redo logs), and the version history
+// of one address for debugging. Time-travel reads themselves are
+// omc.Group.TimeTravelRead.
 package recovery
 
 import (
@@ -120,13 +121,6 @@ func Replicate(g *omc.Group, r *Replica) int {
 	return len(epochs)
 }
 
-// TimeTravel reads addr as of the given epoch with fall-through semantics
-// (§V-E), returning the value, the epoch that produced it, and whether any
-// version at or before the requested epoch is still materialised.
-func TimeTravel(g *omc.Group, addr, epoch uint64) (uint64, uint64, bool) {
-	return g.TimeTravelRead(addr, epoch)
-}
-
 // History returns the full version history of addr across accessible
 // epochs, oldest first — the watch-point inspection flow of the
 // distributed-debugging usage model.
@@ -135,11 +129,12 @@ type Version struct {
 	Data  uint64
 }
 
-// History enumerates addr's versions.
+// History enumerates addr's versions: epoch e wrote addr exactly when the
+// fall-through read at e stops at e itself.
 func History(g *omc.Group, addr uint64) []Version {
 	var out []Version
 	for _, e := range g.Epochs() {
-		if d, ok := g.EpochDelta(e).Get(addr); ok {
+		if d, found, ok := g.TimeTravelRead(addr, e); ok && found == e {
 			out = append(out, Version{Epoch: e, Data: d})
 		}
 	}

@@ -1,13 +1,17 @@
 package recovery
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/omc"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func buildGroup(t *testing.T, retain bool) (*omc.Group, map[uint64]uint64) {
@@ -115,8 +119,58 @@ func TestHistoryAndTimeTravel(t *testing.T) {
 			t.Fatal("history not in epoch order")
 		}
 	}
-	if d, e, ok := TimeTravel(g, addr, 2); !ok || e != 2 || d != hist[1].Data {
+	if d, e, ok := g.TimeTravelRead(addr, 2); !ok || e != 2 || d != hist[1].Data {
 		t.Fatalf("time travel = %d,%d,%v", d, e, ok)
+	}
+}
+
+// TestHistoryMatchesEpochDeltas checks History against its definition:
+// addr's version of epoch e is the value epoch e's delta holds for addr.
+// It compares every written line of a retained hashtable run at Smoke, so
+// lines not written in every epoch show whether History counts a
+// fall-through read from an older epoch as a version of a newer one.
+func TestHistoryMatchesEpochDeltas(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.EpochSize = experiments.Smoke.EpochSize
+	experiments.Smoke.Machine(&cfg)
+	cfg.RetainEpochs = true
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nvo := core.New(&cfg)
+	wl, err := workload.Get("hashtable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.NewDriver(&cfg, nvo, wl, experiments.Smoke.MaxAccesses).Run()
+	g := nvo.Group()
+
+	want := map[uint64][]Version{}
+	for _, e := range g.Epochs() {
+		g.EpochDelta(e).ForEach(func(addr, d uint64) {
+			want[addr] = append(want[addr], Version{Epoch: e, Data: d})
+		})
+	}
+	if len(want) == 0 || len(g.Epochs()) < 2 {
+		t.Fatalf("retained run has %d lines over %d epochs; the comparison needs both", len(want), len(g.Epochs()))
+	}
+	addrs := make([]uint64, 0, len(want))
+	for addr := range want {
+		addrs = append(addrs, addr)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	partial := 0
+	for _, addr := range addrs {
+		w := want[addr]
+		if len(w) < len(g.Epochs()) {
+			partial++
+		}
+		if got := History(g, addr); !reflect.DeepEqual(got, w) {
+			t.Fatalf("History(%#x) = %v, want %v", addr, got, w)
+		}
+	}
+	if partial == 0 {
+		t.Fatal("every line is written in every epoch; a fall-through version would go unnoticed")
 	}
 }
 

@@ -117,43 +117,6 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-// Property: Perm always returns a permutation of [0,n).
-func TestRNGPermProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		r := NewRNG(seed)
-		size := int(n%64) + 1
-		p := r.Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRNGShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(3)
-	xs := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := uint64(0)
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(xs)
-	var got uint64
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatal("shuffle changed multiset")
-	}
-}
-
 func TestClocksBasics(t *testing.T) {
 	c := NewClocks(4)
 	if c.Len() != 4 {

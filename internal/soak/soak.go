@@ -74,13 +74,12 @@ func nextVersion(rng *sim.RNG, epoch uint64) omc.Version {
 }
 
 // writerConfig is the machine shape the writer drives: one versioned
-// domain over a Members-partition OMC group that retains merged epochs,
-// file plane attached.
+// domain over a Members-partition OMC group that retains merged epochs.
+// WriteStore attaches the file plane itself.
 func writerConfig(p Params) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
-	cfg.StoreDir = p.Dir
 	cfg.RetainEpochs = true
 	return cfg
 }

@@ -13,10 +13,7 @@ const histBuckets = 65
 // min and max, plus approximate quantiles, which the observability
 // timelines need for latency- and occupancy-shaped metrics (bank-queue
 // depth, walk spans).
-// The zero value is an empty histogram ready for use; Merge is exact and
-// deterministic, so parallel sweep cells aggregate bit-identically in any
-// merge grouping (as long as cells merge in canonical order, which the
-// sweep engine guarantees).
+// The zero value is an empty histogram ready for use.
 type Histogram struct {
 	Count   int64
 	Sum     int64
@@ -52,27 +49,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.Sum) / float64(h.Count)
-}
-
-// Merge adds other's samples into h. An empty side never clobbers the
-// populated side's Min/Max (a field-wise merge would take the empty
-// side's zeros), and bucket addition commutes, so merging in canonical cell
-// order yields bit-identical state however the cells were scheduled.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.Count == 0 {
-		return
-	}
-	if h.Count == 0 || other.Min < h.Min {
-		h.Min = other.Min
-	}
-	if h.Count == 0 || other.Max > h.Max {
-		h.Max = other.Max
-	}
-	h.Count += other.Count
-	h.Sum += other.Sum
-	for i := range h.Buckets {
-		h.Buckets[i] += other.Buckets[i]
-	}
 }
 
 // Quantile returns an upper bound for the q-quantile (q in [0,1]): the

@@ -19,53 +19,6 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeEmptySides(t *testing.T) {
-	obs := func(vs ...int64) Histogram {
-		var h Histogram
-		for _, v := range vs {
-			h.Observe(v)
-		}
-		return h
-	}
-	cases := []struct {
-		name string
-		a, b Histogram
-		want Histogram
-	}{
-		{"empty-empty", Histogram{}, Histogram{}, Histogram{}},
-		{"empty-nonempty", Histogram{}, obs(4, 16), obs(4, 16)},
-		{"nonempty-empty", obs(4, 16), Histogram{}, obs(4, 16)},
-		{"both", obs(4, 16), obs(1, 1024), obs(4, 16, 1, 1024)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.a
-			got.Merge(&tc.b)
-			if got != tc.want {
-				t.Fatalf("merge = %+v, want %+v", got, tc.want)
-			}
-		})
-	}
-}
-
-// Merging per-cell histograms in cell order equals observing the
-// concatenated stream — the property parallel sweep rollups rely on.
-func TestHistogramMergeEqualsSerial(t *testing.T) {
-	streams := [][]int64{{7, 0, 3}, {}, {1 << 40}, {12, 12, 13}}
-	var serial, merged Histogram
-	for _, s := range streams {
-		var cell Histogram
-		for _, v := range s {
-			serial.Observe(v)
-			cell.Observe(v)
-		}
-		merged.Merge(&cell)
-	}
-	if merged != serial {
-		t.Fatalf("merged != serial\nmerged %+v\nserial %+v", merged, serial)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 {

@@ -171,17 +171,7 @@ func (h *Heap) StoreRange(addr uint64, size int) {
 	}
 }
 
-// Drain removes and returns the accesses recorded since the last call. The
-// returned slice is detached (a subsequent record never overwrites it), so
-// callers may hold on to it; the driver's replay loop uses Ops/ResetOps
-// instead to reuse one buffer for the whole run.
-func (h *Heap) Drain() []Op {
-	ops := h.ops
-	h.ops = h.ops[len(h.ops):]
-	return ops
-}
-
-// Ops returns the accesses recorded since the last Drain/ResetOps without
+// Ops returns the accesses recorded since the last ResetOps without
 // detaching them: the slice is only valid until the next recorded access
 // after ResetOps.
 func (h *Heap) Ops() []Op { return h.ops }

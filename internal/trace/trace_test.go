@@ -49,15 +49,16 @@ func TestHeapRecordsOps(t *testing.T) {
 	if tok == 0 {
 		t.Fatal("store token should be non-zero")
 	}
-	ops := h.Drain()
+	ops := h.Ops()
 	if len(ops) != 2 {
 		t.Fatalf("ops = %d", len(ops))
 	}
 	if ops[0].Write || !ops[1].Write || ops[1].Data != tok {
 		t.Fatalf("ops = %+v", ops)
 	}
-	if len(h.ops) != 0 {
-		t.Fatal("drain left ops")
+	h.ResetOps()
+	if len(h.Ops()) != 0 {
+		t.Fatal("ResetOps left ops")
 	}
 }
 
@@ -65,16 +66,18 @@ func TestHeapRanges(t *testing.T) {
 	h := NewHeap(cfg())
 	a := h.Alloc(4096)
 	h.LoadRange(a, 256) // 4 lines
-	if got := len(h.Drain()); got != 4 {
+	if got := len(h.Ops()); got != 4 {
 		t.Fatalf("LoadRange emitted %d ops", got)
 	}
+	h.ResetOps()
 	h.StoreRange(a+32, 64) // straddles two lines
-	if got := len(h.Drain()); got != 2 {
+	if got := len(h.Ops()); got != 2 {
 		t.Fatalf("straddling StoreRange emitted %d ops", got)
 	}
+	h.ResetOps()
 	// Store tokens are strictly increasing.
 	h.StoreRange(a, 192)
-	ops := h.Drain()
+	ops := h.Ops()
 	for i := 1; i < len(ops); i++ {
 		if ops[i].Data <= ops[i-1].Data {
 			t.Fatal("tokens not increasing")

@@ -82,14 +82,15 @@ func TestScaleWorkloadsDeterministic(t *testing.T) {
 				}
 				h := trace.NewHeap(cfg)
 				w.Setup(h, sim.NewRNG(7))
-				h.Drain()
+				h.ResetOps()
 				r := sim.NewRNG(8)
 				var all []trace.Op
 				for i := 0; i < 800; i++ {
 					if !w.Step(i%nthreads, h, r) {
 						break
 					}
-					all = append(all, h.Drain()...)
+					all = append(all, h.Ops()...)
+					h.ResetOps()
 				}
 				return all
 			}
@@ -117,20 +118,21 @@ func TestScaleWorkloadsMixedTraffic(t *testing.T) {
 		w, _ := Get(name)
 		h := trace.NewHeap(cfg)
 		w.Setup(h, sim.NewRNG(1))
-		h.Drain()
+		h.ResetOps()
 		var loads, stores int
 		r := sim.NewRNG(2)
 		for i := 0; i < 2000; i++ {
 			if !w.Step(i%256, h, r) {
 				break
 			}
-			for _, op := range h.Drain() {
+			for _, op := range h.Ops() {
 				if op.Write {
 					stores++
 				} else {
 					loads++
 				}
 			}
+			h.ResetOps()
 		}
 		if loads == 0 || stores == 0 {
 			t.Fatalf("%s: loads=%d stores=%d after 2000 ops", name, loads, stores)

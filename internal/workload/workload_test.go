@@ -53,7 +53,7 @@ func TestEveryWorkloadEmitsMixedTraffic(t *testing.T) {
 		h := trace.NewHeap(cfg)
 		rng := sim.NewRNG(1)
 		w.Setup(h, rng)
-		h.Drain()
+		h.ResetOps()
 		var loads, stores int
 		perThread := sim.NewRNG(2)
 		for i := 0; i < 2000; i++ {
@@ -61,13 +61,14 @@ func TestEveryWorkloadEmitsMixedTraffic(t *testing.T) {
 			if !w.Step(tid, h, perThread) {
 				break
 			}
-			for _, op := range h.Drain() {
+			for _, op := range h.Ops() {
 				if op.Write {
 					stores++
 				} else {
 					loads++
 				}
 			}
+			h.ResetOps()
 		}
 		if loads == 0 || stores == 0 {
 			t.Fatalf("%s: loads=%d stores=%d after 2000 ops", name, loads, stores)
@@ -85,14 +86,15 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 			w, _ := Get(name)
 			h := trace.NewHeap(cfg)
 			w.Setup(h, sim.NewRNG(7))
-			h.Drain()
+			h.ResetOps()
 			r := sim.NewRNG(8)
 			var all []trace.Op
 			for i := 0; i < 500; i++ {
 				if !w.Step(i%16, h, r) {
 					break
 				}
-				all = append(all, h.Drain()...)
+				all = append(all, h.Ops()...)
+				h.ResetOps()
 			}
 			return all
 		}
@@ -162,7 +164,7 @@ func TestYadaSparseAllocation(t *testing.T) {
 	pages := map[uint64]map[uint64]bool{}
 	for i := 0; i < 3000; i++ {
 		w.Step(i%16, h, r)
-		for _, op := range h.Drain() {
+		for _, op := range h.Ops() {
 			if !op.Write {
 				continue
 			}
@@ -172,6 +174,7 @@ func TestYadaSparseAllocation(t *testing.T) {
 			}
 			pages[pg][op.Addr&^63] = true
 		}
+		h.ResetOps()
 	}
 	var lines, npages int
 	for _, lns := range pages {
