@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -161,16 +160,12 @@ func addTraceFlags(fs *flag.FlagSet, p *diffcheck.Params, faults bool) func() er
 	fs.IntVar(&p.CrashPoints, "crash", base.CrashPoints, "swept mid-run crash probes")
 	nowalker := fs.Bool("nowalker", false, "disable the tag walker")
 	fs.BoolVar(&p.Buffered, "buffer", false, "enable the battery-backed OMC buffer")
-	fs.BoolVar(&p.Wrap, "wrap", false, "enable the epoch wrap-around protocol")
-	wrapWidth := fs.Uint("wrapwidth", 5, "epoch wire width in bits (with -wrap)")
+	fs.UintVar(&p.WrapWidth, "wrapwidth", 0, "epoch wire width in bits of the wrap-around protocol, 4-16 (0: off)")
 	if faults {
 		fs.StringVar(&p.Fault, "fault", "", "NVM fault class (torn, flip, loss, nak, all); -crash sets the cuts")
 	}
 	return func() error {
 		p.Walker = !*nowalker
-		if p.Wrap {
-			p.WrapWidth = *wrapWidth
-		}
 		return p.Validate()
 	}
 }
@@ -269,25 +264,16 @@ func runSoak(ctx context.Context, o options, w io.Writer) error {
 // runDiff runs one explicit trace, faulted when -fault names a class.
 func runDiff(ctx context.Context, o options, w io.Writer) error {
 	start := time.Now()
-	// The bus only exists when -events or -timeline asked for it; nil
-	// keeps the replay on the unobserved fast path.
-	var bus *obs.Bus
-	var agg *obs.Aggregator
-	var evbuf bytes.Buffer
+	// The observer only exists when -events or -timeline asked for it;
+	// a nil bus keeps the replay on the unobserved fast path.
+	var ob *experiments.Observer
 	if o.events != "" || o.timeline {
-		bus = obs.NewBus()
-		if o.timeline {
-			agg = obs.NewAggregator()
-			bus.Attach(agg)
-		}
-		if o.events != "" {
-			bus.Attach(obs.NewJSONLSink(&evbuf, ""))
-		}
+		ob = experiments.NewObserver("", o.events != "")
 	}
 	if o.p.Fault != "" {
 		sp := diffcheck.SweepParams{Classes: []string{diffcheck.LayerNVM + ":" + o.p.Fault},
 			Seeds: []int64{o.p.Seed}, Cuts: o.p.CrashPoints, Trace: o.p}
-		res, err := diffcheck.RunSweep(ctx, sp, o.jobs, bus)
+		res, err := diffcheck.RunSweep(ctx, sp, o.jobs, ob.Bus())
 		var d *diffcheck.SweepDivergence
 		if errors.As(err, &d) {
 			fmt.Fprintln(w, d.Error())
@@ -299,24 +285,24 @@ func runDiff(ctx context.Context, o options, w io.Writer) error {
 		fmt.Fprintf(w, "faulted trace ok: %d cells (%d restored, %d walked back, %d refused), %d faults injected\n",
 			res.Cells, res.PowerLoss.Restored, res.PowerLoss.WalkedBack, res.PowerLoss.Refused, res.Faults)
 	} else {
-		res, d := diffcheck.Run(o.p, bus)
+		res, d := diffcheck.Run(o.p, ob.Bus())
 		if d != nil {
 			fmt.Fprintln(w, d.Error())
 			return fmt.Errorf("1 divergence")
 		}
 		fmt.Fprintf(w, "%s\n", traceOkLine(res))
 	}
-	if o.timeline {
-		cell := experiments.TimelineCell{Scheme: "NVOverlay", Workload: "diffcheck",
-			Emitted: bus.Emitted(), Rolls: agg.Timeline(),
-			BankDepth: agg.BankDepth, WalkSpan: agg.WalkSpan}
-		experiments.PrintTimeline(w, []experiments.TimelineCell{cell})
-	}
-	if o.events != "" {
-		if err := os.WriteFile(o.events, evbuf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("writing event stream: %w", err)
+	if ob != nil {
+		cell := ob.Cell("NVOverlay", "diffcheck")
+		if o.timeline {
+			experiments.PrintTimeline(w, []experiments.TimelineCell{cell})
 		}
-		fmt.Fprintf(w, "events: %d written to %s\n", bus.Emitted(), o.events)
+		if o.events != "" {
+			if err := os.WriteFile(o.events, cell.Events, 0o644); err != nil {
+				return fmt.Errorf("writing event stream: %w", err)
+			}
+			fmt.Fprintf(w, "events: %d written to %s\n", cell.Emitted, o.events)
+		}
 	}
 	fmt.Fprintf(w, "0 divergences in 1 trace (%v)\n", time.Since(start).Round(time.Millisecond))
 	return nil

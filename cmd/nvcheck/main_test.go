@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,12 +35,12 @@ func TestSweepMode(t *testing.T) {
 
 // TestSingleTraceMode drives diff over one fully specified trace.
 func TestSingleTraceMode(t *testing.T) {
-	args := strings.Fields("diff -seed 7 -cores 4 -vdcores 2 -steps 900 -lines 64 -share 60 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 3 -wrap -wrapwidth 5")
+	args := strings.Fields("diff -seed 7 -cores 4 -vdcores 2 -steps 900 -lines 64 -share 60 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 3 -wrapwidth 5")
 	o, err := parseFlags(args, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.p.Seed != 7 || !o.p.Wrap || o.p.WrapWidth != 5 || !o.p.Walker {
+	if o.p.Seed != 7 || o.p.WrapWidth != 5 || !o.p.Walker {
 		t.Fatalf("params misparsed: %+v", o.p)
 	}
 	var out strings.Builder
@@ -207,11 +208,12 @@ func TestSweepReproducerRoundTrip(t *testing.T) {
 
 // TestEventsCapture drives diff -events end to end for a plain and a
 // faulted trace: the captured stream must pass the schema validator, and
-// validate must accept the file it just wrote.
+// validate must accept the file it just wrote. The plain trace also runs
+// -timeline, whose block must count the events the file holds.
 func TestEventsCapture(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.jsonl")
-	args := strings.Fields("diff -seed 7 -cores 4 -vdcores 2 -steps 600 -lines 48 -share 40 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 2")
+	args := strings.Fields("diff -seed 7 -cores 4 -vdcores 2 -steps 600 -lines 48 -share 40 -write 50 -epoch 10 -pattern uniform -omcs 2 -crash 2 -timeline")
 	o, err := parseFlags(append(args, "-events", plain), io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -220,15 +222,22 @@ func TestEventsCapture(t *testing.T) {
 	if err := o.cmd.run(context.Background(), o, &out); err != nil {
 		t.Fatalf("observed trace failed: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "events: ") {
-		t.Fatalf("events line missing:\n%s", out.String())
-	}
 	data, err := os.ReadFile(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := obs.ValidateJSONL(bytes.NewReader(data)); err != nil || n == 0 {
+	n, err := obs.ValidateJSONL(bytes.NewReader(data))
+	if err != nil || n == 0 {
 		t.Fatalf("captured stream invalid (%d lines): %v", n, err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("events: %d written to %s", n, plain),
+		fmt.Sprintf("== timeline NVOverlay/diffcheck (%d events) ==", n),
+		"dirty_lines", "  bank depth: ", "  walk span:  ",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 
 	faulted := filepath.Join(dir, "faulted.jsonl")

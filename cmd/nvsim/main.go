@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -17,7 +16,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -74,18 +72,11 @@ func run(o options, w io.Writer) error {
 	if o.accesses > 0 {
 		sc.MaxAccesses = o.accesses
 	}
-	// The observability bus only exists when a consumer asked for it, so
+	// The observer only exists when a consumer asked for it, so
 	// unobserved runs keep the nil-bus fast path.
-	var bus *obs.Bus
-	var agg *obs.Aggregator
-	var evbuf bytes.Buffer
+	var ob *experiments.Observer
 	if o.events != "" || o.timeline {
-		bus = obs.NewBus()
-		agg = obs.NewAggregator()
-		bus.Attach(agg)
-		if o.events != "" {
-			bus.Attach(obs.NewJSONLSink(&evbuf, ""))
-		}
+		ob = experiments.NewObserver("", o.events != "")
 	}
 	res, err := experiments.Run(o.scheme, o.wl, sc, func(c *sim.Config) {
 		if o.epoch > 0 {
@@ -96,7 +87,7 @@ func run(o options, w io.Writer) error {
 			c.OMCBufferBytes = c.LLCSize
 		}
 		c.Seed = o.seed
-		c.Obs = bus
+		c.Obs = ob.Bus()
 		c.StoreDir = o.store
 	})
 	if err != nil {
@@ -130,17 +121,18 @@ func run(o options, w io.Writer) error {
 		fmt.Fprintln(w, "\ncounters:")
 		fmt.Fprint(w, res.Scheme.Stats().Dump("  "))
 	}
+	if ob == nil {
+		return nil
+	}
+	cell := ob.Cell(o.scheme, o.wl)
 	if o.timeline {
-		cell := experiments.TimelineCell{Scheme: o.scheme, Workload: o.wl,
-			Emitted: bus.Emitted(), Rolls: agg.Timeline(),
-			BankDepth: agg.BankDepth, WalkSpan: agg.WalkSpan}
 		experiments.PrintTimeline(w, []experiments.TimelineCell{cell})
 	}
 	if o.events != "" {
-		if err := os.WriteFile(o.events, evbuf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(o.events, cell.Events, 0o644); err != nil {
 			return fmt.Errorf("writing event stream: %w", err)
 		}
-		fmt.Fprintf(w, "events    %d written to %s\n", bus.Emitted(), o.events)
+		fmt.Fprintf(w, "events    %d written to %s\n", cell.Emitted, o.events)
 	}
 	return nil
 }

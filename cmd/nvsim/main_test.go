@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/recovery"
 )
 
@@ -138,5 +143,78 @@ func TestStoreRun(t *testing.T) {
 	}
 	if rep.RestoredEpoch == 0 || img.Len() == 0 {
 		t.Fatalf("salvage restored epoch %d with %d lines", rep.RestoredEpoch, img.Len())
+	}
+}
+
+// timelineBlock cuts the rendered timeline block (header line through the
+// walk-span line) out of a CLI's output.
+func timelineBlock(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "== timeline ")
+	if i < 0 {
+		t.Fatalf("no timeline block in:\n%s", out)
+	}
+	j := strings.Index(out[i:], "  walk span:")
+	if j < 0 {
+		t.Fatalf("timeline block has no walk-span line:\n%s", out[i:])
+	}
+	end := i + j + strings.IndexByte(out[i+j:], '\n') + 1
+	return out[i:end]
+}
+
+// TestObservedRun drives -events and -timeline together: the event file
+// passes the schema validator with as many lines as the summary says were
+// written, and the timeline block renders with per-epoch rows.
+func TestObservedRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ev.jsonl")
+	o, err := parseFlags([]string{"-scale", "smoke", "-events", path, "-timeline"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(o, &out); err != nil {
+		t.Fatalf("run failed: %v\n%s", err, out.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := obs.ValidateJSONL(bytes.NewReader(data))
+	if err != nil || n == 0 {
+		t.Fatalf("event file invalid (%d lines): %v", n, err)
+	}
+	if want := fmt.Sprintf("events    %d written to %s", n, path); !strings.Contains(out.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, out.String())
+	}
+	block := timelineBlock(t, out.String())
+	if want := fmt.Sprintf("== timeline NVOverlay/btree (%d events) ==", n); !strings.HasPrefix(block, want) {
+		t.Errorf("timeline header is not %q:\n%s", want, block)
+	}
+	if rows := strings.Count(block, "\n") - 4; rows < 1 {
+		t.Errorf("timeline block has no epoch rows:\n%s", block)
+	}
+}
+
+// TestTimelineMatchesExperiments observes the same (NVOverlay, btree,
+// smoke) run through nvsim and through experiments.Timeline: both must
+// count the same events and render the same timeline block.
+func TestTimelineMatchesExperiments(t *testing.T) {
+	o, err := parseFlags([]string{"-scale", "smoke", "-timeline"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(o, &out); err != nil {
+		t.Fatalf("run failed: %v\n%s", err, out.String())
+	}
+	cells, err := experiments.Timeline(experiments.Smoke, []string{"btree"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	experiments.PrintTimeline(&want, cells)
+	if got := timelineBlock(t, out.String()); got != want.String() {
+		t.Fatalf("nvsim timeline differs from experiments.Timeline (%d events):\n-- nvsim --\n%s-- experiments --\n%s",
+			cells[0].Emitted, got, want.String())
 	}
 }

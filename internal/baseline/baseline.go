@@ -19,7 +19,8 @@
 //     L2, for machines without a monolithic inclusive LLC.
 //
 // All six run on the directory-MESI hierarchy of internal/coherence and
-// share epoch bookkeeping via the embedded base type.
+// share one Access and the epoch bookkeeping via the embedded base type;
+// a scheme is its store hook (coherence callbacks) plus its boundary work.
 package baseline
 
 import (
@@ -47,6 +48,10 @@ type base struct {
 	h      *coherence.Hierarchy
 	clocks *sim.Clocks
 	stat   *stats.Set
+
+	// boundary is the scheme's epoch-boundary work. A nil boundary (the
+	// Ideal system) counts no stores and closes no epochs.
+	boundary func()
 
 	epoch     uint64
 	stores    int
@@ -121,17 +126,40 @@ func (b *base) nextLog() uint64 {
 	return a
 }
 
-// bumpStore advances the global epoch after cfg.EpochSize stores and
-// invokes the scheme's boundary hook.
-func (b *base) bumpStore(onBoundary func()) {
+// Access implements trace.Scheme: every baseline runs the same
+// hierarchy access, and a store counts toward the global epoch, which
+// closes after cfg.EpochSize stores with the scheme's boundary work.
+func (b *base) Access(tid int, addr uint64, write bool, data uint64) uint64 {
+	if !write {
+		return b.h.Load(tid, addr)
+	}
+	lat := b.h.Store(tid, addr, data)
+	if b.boundary == nil {
+		return lat
+	}
 	b.stores++
 	b.totStores++
 	if b.stores >= b.cfg.EpochSizeAt(b.totStores) {
 		b.stores = 0
 		b.epoch++
 		b.stat.IncAt(epochBoundaries)
-		onBoundary()
+		b.boundary()
 	}
+	return lat
+}
+
+// logFirstStore is PiCL's store hook, at whichever level tracks epochs:
+// the first store to a line in an epoch logs its old value to NVM in the
+// background (a 72-byte entry) and tags the line with the epoch.
+func (b *base) logFirstStore(tid, vd int, ln *cache.Line) uint64 {
+	var extra uint64
+	if ln.OID < b.epoch {
+		b.evLog++
+		b.stat.IncAt(logEntries)
+		extra = b.nvm.Write(mem.WLog, b.nextLog(), 72, b.now(tid))
+	}
+	ln.OID = b.epoch
+	return extra
 }
 
 // stallAll stalls every thread for cost cycles (software barriers and

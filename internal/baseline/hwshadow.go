@@ -22,6 +22,14 @@ type HWShadow struct {
 // NewHWShadow builds the scheme.
 func NewHWShadow(cfg *sim.Config) *HWShadow {
 	s := &HWShadow{base: newBase("HWShadow", cfg)}
+	s.boundary = func() {
+		// Data persistence overlaps with execution: background writes only.
+		n := s.flushDirtyAsync(shadowBase)
+		s.evWalk += uint64(n)
+		// The mapping-table update cannot be overlapped: it must complete
+		// before the next epoch's writes may land in the shadow area.
+		s.stallAll(s.tableUpdateSync(n))
+	}
 	s.h = coherence.New(cfg, s.dram, coherence.Callbacks{
 		OnStore: func(tid, vd int, ln *cache.Line) uint64 {
 			// Hardware tags the line with the epoch; no software cost.
@@ -37,23 +45,6 @@ func NewHWShadow(cfg *sim.Config) *HWShadow {
 		},
 	})
 	return s
-}
-
-// Access implements trace.Scheme.
-func (s *HWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 {
-	if !write {
-		return s.h.Load(tid, addr)
-	}
-	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func() {
-		// Data persistence overlaps with execution: background writes only.
-		n := s.flushDirtyAsync(shadowBase)
-		s.evWalk += uint64(n)
-		// The mapping-table update cannot be overlapped: it must complete
-		// before the next epoch's writes may land in the shadow area.
-		s.stallAll(s.tableUpdateSync(n))
-	})
-	return lat
 }
 
 // tableUpdateSync serializes n 8-byte entry writes through the centralized

@@ -19,14 +19,6 @@ func NewIdeal(cfg *sim.Config) *Ideal {
 	return s
 }
 
-// Access implements trace.Scheme.
-func (s *Ideal) Access(tid int, addr uint64, write bool, data uint64) uint64 {
-	if write {
-		return s.h.Store(tid, addr, data)
-	}
-	return s.h.Load(tid, addr)
-}
-
 // Drain implements trace.Scheme (nothing to persist).
 func (s *Ideal) Drain(now uint64) {}
 

@@ -23,18 +23,9 @@ type PiCL struct {
 // NewPiCL builds the scheme.
 func NewPiCL(cfg *sim.Config) *PiCL {
 	s := &PiCL{base: newBase("PiCL", cfg)}
+	s.boundary = func() { s.ackWalk(cache.LevelLLC) }
 	s.h = coherence.New(cfg, s.dram, coherence.Callbacks{
-		OnStore: func(tid, vd int, ln *cache.Line) uint64 {
-			var extra uint64
-			if ln.OID < s.epoch {
-				// First store this epoch: log the old value (background).
-				s.evLog++
-				s.stat.IncAt(logEntries)
-				extra = s.nvm.Write(mem.WLog, s.nextLog(), 72, s.now(tid))
-			}
-			ln.OID = s.epoch
-			return extra
-		},
+		OnStore: s.logFirstStore,
 		OnLLCWriteBack: func(ln cache.Line, reason cache.Reason) uint64 {
 			// A dirty line leaving the LLC writes its NVM home.
 			s.evCapacity++
@@ -48,16 +39,6 @@ func NewPiCL(cfg *sim.Config) *PiCL {
 		},
 	})
 	return s
-}
-
-// Access implements trace.Scheme.
-func (s *PiCL) Access(tid int, addr uint64, write bool, data uint64) uint64 {
-	if !write {
-		return s.h.Load(tid, addr)
-	}
-	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func() { s.ackWalk(cache.LevelLLC) })
-	return lat
 }
 
 // Drain implements trace.Scheme.
@@ -81,17 +62,9 @@ type PiCLL2 struct {
 // NewPiCLL2 builds the scheme.
 func NewPiCLL2(cfg *sim.Config) *PiCLL2 {
 	s := &PiCLL2{base: newBase("PiCL-L2", cfg)}
+	s.boundary = func() { s.ackWalk(cache.LevelL2) }
 	s.h = coherence.New(cfg, s.dram, coherence.Callbacks{
-		OnStore: func(tid, vd int, ln *cache.Line) uint64 {
-			var extra uint64
-			if ln.OID < s.epoch {
-				s.evLog++
-				s.stat.IncAt(logEntries)
-				extra = s.nvm.Write(mem.WLog, s.nextLog(), 72, s.now(tid))
-			}
-			ln.OID = s.epoch
-			return extra
-		},
+		OnStore: s.logFirstStore,
 		OnL2WriteBack: func(vd int, ln cache.Line, reason cache.Reason) uint64 {
 			// Dirty data leaving an L2 writes its NVM home (the L2 is the
 			// last tracked level).
@@ -109,16 +82,6 @@ func NewPiCLL2(cfg *sim.Config) *PiCLL2 {
 		},
 	})
 	return s
-}
-
-// Access implements trace.Scheme.
-func (s *PiCLL2) Access(tid int, addr uint64, write bool, data uint64) uint64 {
-	if !write {
-		return s.h.Load(tid, addr)
-	}
-	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func() { s.ackWalk(cache.LevelL2) })
-	return lat
 }
 
 // Drain implements trace.Scheme.

@@ -26,6 +26,8 @@ type SWLog struct {
 // NewSWLog builds the scheme.
 func NewSWLog(cfg *sim.Config) *SWLog {
 	s := &SWLog{base: newBase("SWLog", cfg)}
+	// Synchronous write-set flush: all threads stall until durable.
+	s.boundary = func() { s.stallAll(s.flushDirtySync(0)) }
 	s.h = coherence.New(cfg, s.dram, coherence.Callbacks{
 		OnStore: func(tid, vd int, ln *cache.Line) uint64 {
 			if ln.OID >= s.epoch {
@@ -39,19 +41,6 @@ func NewSWLog(cfg *sim.Config) *SWLog {
 		},
 	})
 	return s
-}
-
-// Access implements trace.Scheme.
-func (s *SWLog) Access(tid int, addr uint64, write bool, data uint64) uint64 {
-	if !write {
-		return s.h.Load(tid, addr)
-	}
-	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func() {
-		// Synchronous write-set flush: all threads stall until durable.
-		s.stallAll(s.flushDirtySync(0))
-	})
-	return lat
 }
 
 // Drain implements trace.Scheme.
@@ -73,6 +62,11 @@ type SWShadow struct {
 // NewSWShadow builds the scheme.
 func NewSWShadow(cfg *sim.Config) *SWShadow {
 	s := &SWShadow{base: newBase("SWShadow", cfg)}
+	s.boundary = func() {
+		flush := s.flushDirtySync(shadowBase)
+		table := s.tableUpdateSync()
+		s.stallAll(flush + table)
+	}
 	s.h = coherence.New(cfg, s.dram, coherence.Callbacks{
 		OnStore: func(tid, vd int, ln *cache.Line) uint64 {
 			if ln.OID >= s.epoch {
@@ -86,20 +80,6 @@ func NewSWShadow(cfg *sim.Config) *SWShadow {
 		},
 	})
 	return s
-}
-
-// Access implements trace.Scheme.
-func (s *SWShadow) Access(tid int, addr uint64, write bool, data uint64) uint64 {
-	if !write {
-		return s.h.Load(tid, addr)
-	}
-	lat := s.h.Store(tid, addr, data)
-	s.bumpStore(func() {
-		flush := s.flushDirtySync(shadowBase)
-		table := s.tableUpdateSync()
-		s.stallAll(flush + table)
-	})
-	return lat
 }
 
 // tableUpdateSync writes the persistent mapping-table entries for the

@@ -44,7 +44,7 @@ func TestDifferentialTraces(t *testing.T) {
 					t.Fatalf("trace %d (%s): %d boundary verifies, want >= 3",
 						i, p.FlagString(), res.BoundaryVerifies)
 				}
-				if p.Wrap && res.WrapFlushes < 1 {
+				if p.WrapWidth != 0 && res.WrapFlushes < 1 {
 					t.Fatalf("trace %d (%s): wrap regime crossed no group transition", i, p.FlagString())
 				}
 				if res.Lines == 0 {
@@ -189,7 +189,7 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.WritePct = -1 },
 		func(p *Params) { p.EpochSize = 0 },
 		func(p *Params) { p.Pattern = "zipf" },
-		func(p *Params) { p.Wrap = true; p.WrapWidth = 3 },
+		func(p *Params) { p.WrapWidth = 3 },
 		func(p *Params) { p.OMCs = 0 },
 		func(p *Params) { p.CrashPoints = p.Steps },
 	}
@@ -212,7 +212,7 @@ func TestDivergenceReport(t *testing.T) {
 	msg := d.Error()
 	for _, want := range []string{
 		"seed=124", "step 812", "kind=crash-image",
-		"nvcheck diff -seed 124", "-wrap -wrapwidth 5", "first 97 steps",
+		"nvcheck diff -seed 124", " -wrapwidth 5", "first 97 steps",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("divergence report missing %q:\n%s", want, msg)

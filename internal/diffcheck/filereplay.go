@@ -89,7 +89,7 @@ func (p Params) shape() (tracefile.Shape, error) {
 	if p.Buffered {
 		flags |= 2
 	}
-	if p.Wrap {
+	if p.WrapWidth != 0 {
 		flags |= 4
 	}
 	return tracefile.Shape{
@@ -118,6 +118,9 @@ func paramsFromShape(s tracefile.Shape) (Params, error) {
 	if x[6] >= uint64(len(patternEnums)) {
 		return Params{}, fmt.Errorf("diffcheck: trace header pattern enum %d unknown", x[6])
 	}
+	if (x[7]&4 != 0) != (x[8] != 0) {
+		return Params{}, fmt.Errorf("diffcheck: trace header wrap flag %v disagrees with wrap width %d", x[7]&4 != 0, x[8])
+	}
 	p := Params{
 		Seed:        s.Seed,
 		Cores:       s.Cores,
@@ -130,7 +133,6 @@ func paramsFromShape(s tracefile.Shape) (Params, error) {
 		Pattern:     patternEnums[x[6]],
 		Walker:      x[7]&1 != 0,
 		Buffered:    x[7]&2 != 0,
-		Wrap:        x[7]&4 != 0,
 		WrapWidth:   uint(x[8]),
 		OMCs:        int(x[9]),
 		CrashPoints: int(x[10]),

@@ -96,6 +96,28 @@ func TestParamsShapeRoundTrip(t *testing.T) {
 	if _, err := paramsFromShape(s2); err == nil {
 		t.Fatal("unknown pattern enum accepted")
 	}
+	// The wrap flag (bit 4 of the flags word) must agree with the wrap
+	// width word: a flag without a width and a width without the flag
+	// are both refused.
+	s3, err := RegimeParams(0, 1).shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3.Extra[7] |= 4
+	if _, err := paramsFromShape(s3); err == nil {
+		t.Fatal("wrap flag with width 0 accepted")
+	}
+	s4, err := RegimeParams(1, 1).shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s4.Extra[7]&4 == 0 || s4.Extra[8] != 5 {
+		t.Fatalf("wrap regime packs flags %#x, width %d", s4.Extra[7], s4.Extra[8])
+	}
+	s4.Extra[7] &^= 4
+	if _, err := paramsFromShape(s4); err == nil {
+		t.Fatal("wrap width 5 without the wrap flag accepted")
+	}
 }
 
 // TestRecordReplayByteIdentical is the tentpole lock: for every regime,

@@ -34,7 +34,6 @@ func clampParams(seed int64, cores, vdcores, share, write, epoch, pattern, flags
 		CrashPoints: 3,
 	}
 	if flags&4 != 0 {
-		p.Wrap = true
 		// Narrow widths only when sharing keeps VD epoch skew below half
 		// the wire space (the protocol's own §IV-D operating condition).
 		p.WrapWidth = 8

@@ -28,7 +28,6 @@ func RegimeParams(i int, baseSeed int64) Params {
 		// Baseline regime: defaults above.
 	case 1:
 		// Wrap-around: 5-bit wire, group transition every 16 epochs.
-		p.Wrap = true
 		p.WrapWidth = 5
 		p.SharePct = 60
 		p.EpochSize = 10
@@ -50,7 +49,6 @@ func RegimeParams(i int, baseSeed int64) Params {
 	case 5:
 		// Wrap-around at the narrowest legal width plus the OMC buffer:
 		// 4-bit wire wraps every 8 epochs while versions sit buffered.
-		p.Wrap = true
 		p.WrapWidth = 4
 		p.Buffered = true
 		p.SharePct = 70

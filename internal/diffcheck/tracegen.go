@@ -33,9 +33,10 @@ type Params struct {
 	EpochSize  int // stores per epoch (per VD for NVOverlay, global for baselines)
 	Pattern    string
 
-	Walker    bool // NVOverlay tag walker (min-ver reports need it)
-	Buffered  bool // battery-backed OMC buffer
-	Wrap      bool // 16-bit two-group epoch wrap-around protocol
+	Walker   bool // NVOverlay tag walker (min-ver reports need it)
+	Buffered bool // battery-backed OMC buffer
+	// WrapWidth is the epoch wire width in bits of the two-group
+	// wrap-around protocol, in [4,16]; 0 leaves wrap-around off.
 	WrapWidth uint
 	OMCs      int
 
@@ -65,7 +66,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("diffcheck: EpochSize must be positive, got %d", p.EpochSize)
 	case p.Pattern != PatternUniform && p.Pattern != PatternHotspot && p.Pattern != PatternStride:
 		return fmt.Errorf("diffcheck: unknown pattern %q", p.Pattern)
-	case p.Wrap && (p.WrapWidth < 4 || p.WrapWidth > 16):
+	case p.WrapWidth != 0 && (p.WrapWidth < 4 || p.WrapWidth > 16):
 		return fmt.Errorf("diffcheck: WrapWidth must be in [4,16], got %d", p.WrapWidth)
 	case p.OMCs <= 0:
 		return fmt.Errorf("diffcheck: OMCs must be positive, got %d", p.OMCs)
@@ -98,9 +99,7 @@ func (p Params) Config() sim.Config {
 		cfg.OMCBufferBytes = 2 << 10 // small: force buffer evictions
 	}
 	cfg.NVMPoolPages = 0 // unbounded pool, no compaction: exact retention
-	if p.Wrap {
-		cfg.WrapWidth = p.WrapWidth
-	}
+	cfg.WrapWidth = p.WrapWidth
 	cfg.OMCs = p.OMCs
 	cfg.RetainEpochs = true // the time-travel cross-checks read merged epochs
 	cfg.Seed = p.Seed
@@ -176,8 +175,8 @@ func (p Params) FlagString() string {
 	if p.Buffered {
 		b.WriteString(" -buffer")
 	}
-	if p.Wrap {
-		fmt.Fprintf(&b, " -wrap -wrapwidth %d", p.WrapWidth)
+	if p.WrapWidth != 0 {
+		fmt.Fprintf(&b, " -wrapwidth %d", p.WrapWidth)
 	}
 	if p.Fault != "" {
 		fmt.Fprintf(&b, " -fault %s", p.Fault)

@@ -393,19 +393,7 @@ func AblateScaling(scale Scale) ([]ScalePoint, error) {
 	stride := 1 + len(schemes) // Ideal + the two schemes per core count
 	cells := make([]cellSpec, 0, len(coreCounts)*stride)
 	for _, cores := range coreCounts {
-		mod := func(c *sim.Config) {
-			base := sim.DefaultConfig()
-			if scale.Machine != nil {
-				scale.Machine(&base)
-			}
-			c.Cores = cores
-			c.LLCSlices = cores / 2
-			c.LLCSize = base.LLCSize / 16 * cores
-			c.NVMBanks = base.NVMBanks / 16 * cores
-			if c.NVMBanks < 2 {
-				c.NVMBanks = 2
-			}
-		}
+		mod := func(c *sim.Config) { growMachine(c, scale, cores) }
 		cells = append(cells, cellSpec{scheme: "Ideal", wl: "rbtree", mod: mod})
 		for _, sc := range schemes {
 			cells = append(cells, cellSpec{scheme: sc, wl: "rbtree", mod: mod})

@@ -38,10 +38,11 @@ var scale256Schemes = []string{"PiCL-L2", "NVOverlay"}
 // pushes the same simulator to 64-256 cores / up to 256 versioned domains
 // and reports overhead against a same-size ideal machine. Cache capacity,
 // LLC slices, NVM banks and OMC partitions all scale with the core count
-// (constant per-core pressure, the AblateScaling recipe); each core count
-// runs at the default 2 cores/VD, and the 256-core point additionally runs
-// a 1-core/VD layout — the full 256-domain directory the sharded SharerSet
-// exists for. nil coreCounts/workloads select the default grids.
+// (constant per-core pressure: AblateScaling's growMachine plus OMCs);
+// each core count runs at the default 2 cores/VD, and the 256-core point
+// additionally runs a 1-core/VD layout — the full 256-domain directory
+// the sharded SharerSet exists for. nil coreCounts/workloads select the
+// default grids.
 func Scale256(scale Scale, coreCounts []int, workloads []string) ([]Scale256Point, error) {
 	if coreCounts == nil {
 		coreCounts = Scale256Cores
@@ -96,24 +97,27 @@ func Scale256(scale Scale, coreCounts []int, workloads []string) ([]Scale256Poin
 	return out, nil
 }
 
-// scale256Machine grows the Table II machine to the given core count with
-// constant per-core pressure: LLC capacity, slice count, NVM banks and OMC
-// partitions all scale linearly from the 16-core baseline (4 OMCs at 16
-// cores, the paper's one-per-memory-controller layout).
+// scale256Machine is growMachine with cpv cores per VD and OMC partitions
+// scaled too (4 OMCs at 16 cores, the paper's one-per-memory-controller
+// layout).
 func scale256Machine(scale Scale, cores, cpv int) func(*sim.Config) {
 	return func(c *sim.Config) {
-		base := sim.DefaultConfig()
-		if scale.Machine != nil {
-			scale.Machine(&base)
-		}
-		c.Cores = cores
+		growMachine(c, scale, cores)
 		c.CoresPerVD = cpv
-		c.LLCSlices = cores / 2
-		c.LLCSize = base.LLCSize / 16 * cores
-		c.NVMBanks = base.NVMBanks / 16 * cores
-		if c.NVMBanks < 2 {
-			c.NVMBanks = 2
-		}
 		c.OMCs = cores / 4
 	}
+}
+
+// growMachine grows scale's Table II machine to the given core count with
+// constant per-core pressure: LLC capacity, slice count and NVM banks
+// scale linearly from the 16-core baseline.
+func growMachine(c *sim.Config, scale Scale, cores int) {
+	base := sim.DefaultConfig()
+	if scale.Machine != nil {
+		scale.Machine(&base)
+	}
+	c.Cores = cores
+	c.LLCSlices = cores / 2
+	c.LLCSize = base.LLCSize / 16 * cores
+	c.NVMBanks = max(base.NVMBanks/16*cores, 2)
 }

@@ -29,43 +29,69 @@ type TimelineCell struct {
 // CellName labels a timeline cell's events in a multi-cell stream.
 func (c *TimelineCell) CellName() string { return c.Scheme + "/" + c.Workload }
 
+// Observer is the observability layer of one run: a bus feeding the
+// per-epoch aggregator and, when capturing, a JSONL sink. A nil *Observer
+// is an unobserved run.
+type Observer struct {
+	bus    *obs.Bus
+	agg    *obs.Aggregator
+	events *bytes.Buffer // nil unless capturing
+}
+
+// NewObserver builds an observer; capture keeps the JSONL event stream,
+// each line labelled with cell ("" for a single-run stream).
+func NewObserver(cell string, capture bool) *Observer {
+	o := &Observer{bus: obs.NewBus(), agg: obs.NewAggregator()}
+	o.bus.Attach(o.agg)
+	if capture {
+		o.events = &bytes.Buffer{}
+		o.bus.Attach(obs.NewJSONLSink(o.events, cell))
+	}
+	return o
+}
+
+// Bus returns the bus a run emits into (sim.Config.Obs). It is nil for a
+// nil observer, which keeps an unobserved run on the nil-bus fast path.
+func (o *Observer) Bus() *obs.Bus {
+	if o == nil {
+		return nil
+	}
+	return o.bus
+}
+
+// Cell returns what the observer saw as the (scheme, workload) cell.
+func (o *Observer) Cell(scheme, workload string) TimelineCell {
+	c := TimelineCell{Scheme: scheme, Workload: workload,
+		Emitted: o.bus.Emitted(), Rolls: o.agg.Timeline(),
+		BankDepth: o.agg.BankDepth, WalkSpan: o.agg.WalkSpan}
+	if o.events != nil {
+		c.Events = o.events.Bytes()
+	}
+	return c
+}
+
 // Timeline runs NVOverlay over the given workloads at scale with the
 // observability layer attached and returns one cell per workload, in
-// workload order. Each parallel cell owns its own bus, JSONL buffer and
-// aggregator (written through a slot-indexed slice, so workers never share
-// state); concatenating the cells' Events in return order therefore yields
-// a byte-identical multi-cell stream at every scale.Jobs. capture selects
-// whether the raw JSONL streams are kept (the aggregations always run).
+// workload order. Each parallel cell owns its own observer, so workers
+// never share state; concatenating the cells' Events in return order
+// therefore yields a byte-identical multi-cell stream at every scale.Jobs.
+// capture selects whether the raw JSONL streams are kept (the
+// aggregations always run).
 func Timeline(sc Scale, wls []string, capture bool) ([]TimelineCell, error) {
-	out := make([]TimelineCell, len(wls))
-	buses := make([]*obs.Bus, len(wls))
-	bufs := make([]*bytes.Buffer, len(wls))
-	aggs := make([]*obs.Aggregator, len(wls))
+	observers := make([]*Observer, len(wls))
 	cells := make([]cellSpec, len(wls))
 	for i, wl := range wls {
-		out[i] = TimelineCell{Scheme: "NVOverlay", Workload: wl}
-		buses[i] = obs.NewBus()
-		aggs[i] = obs.NewAggregator()
-		buses[i].Attach(aggs[i])
-		if capture {
-			bufs[i] = &bytes.Buffer{}
-			buses[i].Attach(obs.NewJSONLSink(bufs[i], out[i].CellName()))
-		}
-		bus := buses[i]
+		ob := NewObserver("NVOverlay/"+wl, capture)
+		observers[i] = ob
 		cells[i] = cellSpec{scheme: "NVOverlay", wl: wl,
-			mod: func(c *sim.Config) { c.Obs = bus }}
+			mod: func(c *sim.Config) { c.Obs = ob.bus }}
 	}
 	if _, err := runCells(sc, cells); err != nil {
 		return nil, err
 	}
-	for i := range out {
-		out[i].Emitted = buses[i].Emitted()
-		out[i].Rolls = aggs[i].Timeline()
-		out[i].BankDepth = aggs[i].BankDepth
-		out[i].WalkSpan = aggs[i].WalkSpan
-		if capture {
-			out[i].Events = bufs[i].Bytes()
-		}
+	out := make([]TimelineCell, len(wls))
+	for i, wl := range wls {
+		out[i] = observers[i].Cell("NVOverlay", wl)
 	}
 	return out, nil
 }

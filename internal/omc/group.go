@@ -32,11 +32,8 @@ type Group struct {
 	recFloor uint64 // last floor fanned out to members
 }
 
-// NewGroup builds n OMCs sharing one NVM device.
+// NewGroup builds n >= 1 OMCs sharing one NVM device.
 func NewGroup(cfg *sim.Config, nvm *mem.NVM, n int) *Group {
-	if n <= 0 {
-		n = 1
-	}
 	g := &Group{
 		cfg:    cfg,
 		stat:   stats.FromTable("omcgroup", groupCounterNames[:]),

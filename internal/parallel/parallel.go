@@ -8,10 +8,11 @@
 //  1. Cells share no mutable state. Every cell constructs its own scheme,
 //     workload, golden model and PRNGs from its own parameters (the run seed
 //     plus the cell index); the engine only ever hands a cell its index.
-//  2. Results are merged by cell index, never by completion order. Map
-//     writes each result into a pre-assigned slot; ForEachOrdered buffers
-//     out-of-order completions and releases them to the consumer strictly in
-//     index order, exactly as a serial loop would have produced them.
+//  2. Results are merged by cell index, never by completion order.
+//     ForEachOrdered buffers out-of-order completions and releases them to
+//     the consumer strictly in index order, exactly as a serial loop would
+//     have produced them; Map is ForEachOrdered writing each result into a
+//     pre-assigned slot.
 //
 // With jobs <= 1 the engine degenerates to a plain serial loop on the
 // calling goroutine — the legacy path, trivially identical to the pre-engine
@@ -69,38 +70,17 @@ func Jobs(j int) int {
 // results indexed by cell. cell(i) must be a pure function of i and of
 // state the caller guarantees immutable for the duration of the call; it
 // must not touch any other cell's state. The returned slice is identical to
-// {cell(0), cell(1), ..., cell(n-1)} computed serially.
+// {cell(0), cell(1), ..., cell(n-1)} computed serially: it is
+// ForEachOrdered with a consumer that writes each result into its slot.
 func Map[T any](jobs, n int, cell func(idx int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	jobs = Jobs(jobs)
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = cell(i)
-		}
-		return out
-	}
-	var cur cursor
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := cur.take(n)
-				if !ok {
-					return
-				}
-				out[i] = cell(i)
-			}
-		}()
-	}
-	wg.Wait()
+	ForEachOrdered(jobs, n, cell, func(i int, v T) bool {
+		out[i] = v
+		return true
+	})
 	return out
 }
 

@@ -30,8 +30,10 @@
 // Each record encodes one access as two to three varints:
 //
 //	head:  uvarint(tid<<1 | write)
-//	addr:  zigzag-varint of (addr - prevAddr), wrapping mod 2^64
-//	token: zigzag-varint of (data - prevToken), stores only
+//	addr:  varint of (addr - prevAddr), wrapping mod 2^64
+//	token: varint of (data - prevToken), stores only
+//
+// These are encoding/binary's LEB128 uvarint and zigzag varint.
 //
 // Delta state (prevAddr, prevToken) resets at every chunk boundary so each
 // chunk decodes independently of damaged predecessors. Sequential and
@@ -145,10 +147,8 @@ func chunkCheck(hdr uint64, payload []byte) uint64 {
 	return c
 }
 
-// zigzag maps a signed delta onto an unsigned varint-friendly value.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
+// unzigzag inverts the zigzag mapping binary.AppendVarint applies to a
+// signed delta.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Writer streams accesses into a trace file, holding one chunk of payload
@@ -200,15 +200,6 @@ func Create(fsys fault.FS, path string, shape Shape) (*Writer, error) {
 	return w, nil
 }
 
-// putUvarint appends v to the current chunk payload.
-func (w *Writer) putUvarint(v uint64) {
-	for v >= 0x80 {
-		w.payload = append(w.payload, byte(v)|0x80)
-		v >>= 7
-	}
-	w.payload = append(w.payload, byte(v))
-}
-
 // Append encodes one access. It implements trace.Sink, so a *Writer plugs
 // directly into the driver's record hook.
 func (w *Writer) Append(a trace.Access) error {
@@ -225,11 +216,11 @@ func (w *Writer) Append(a trace.Access) error {
 	if a.Write {
 		head |= 1
 	}
-	w.putUvarint(head)
-	w.putUvarint(zigzag(int64(a.Addr - w.prev)))
+	w.payload = binary.AppendUvarint(w.payload, head)
+	w.payload = binary.AppendVarint(w.payload, int64(a.Addr-w.prev))
 	w.prev = a.Addr
 	if a.Write {
-		w.putUvarint(zigzag(int64(a.Data - w.prevTok)))
+		w.payload = binary.AppendVarint(w.payload, int64(a.Data-w.prevTok))
 		w.prevTok = a.Data
 	}
 	w.recs++
@@ -506,8 +497,10 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 		// encoded bytes, with enough slack that no per-byte bounds check
 		// is needed. Record decode is the replay plane's innermost loop;
 		// the hand-inlined varints here (the compiler does not inline
-		// uvarint) are what hold decode above 50M accesses/sec. Any miss
-		// rewinds to the record start and takes the checked path.
+		// binary.Uvarint) are what hold decode above 50M accesses/sec. Any
+		// miss rewinds to the record start and takes the checked path,
+		// where binary.Uvarint reports truncation (n == 0) and overflow
+		// (n < 0) without reading past the payload.
 		if len(p)-i >= 11 && p[i] < 0x80 {
 			head := uint64(p[i])
 			tid := head >> 1
@@ -555,7 +548,7 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 			continue
 		}
 	slow:
-		head, n := uvarint(p, i)
+		head, n := binary.Uvarint(p[i:])
 		if n <= 0 {
 			return fmt.Errorf("%w: record %d head varint", ErrFormat, k)
 		}
@@ -564,7 +557,7 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 		if tid >= cores {
 			return fmt.Errorf("%w: record %d tid %d out of range for %d cores", ErrFormat, k, tid, r.shape.Cores)
 		}
-		delta, n := uvarint(p, i)
+		delta, n := binary.Uvarint(p[i:])
 		if n <= 0 {
 			return fmt.Errorf("%w: record %d addr varint", ErrFormat, k)
 		}
@@ -572,7 +565,7 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 		prev += uint64(unzigzag(delta))
 		a := trace.Access{Tid: int(tid), Addr: prev, Write: head&1 != 0}
 		if a.Write {
-			tok, n := uvarint(p, i)
+			tok, n := binary.Uvarint(p[i:])
 			if n <= 0 {
 				return fmt.Errorf("%w: record %d token varint", ErrFormat, k)
 			}
@@ -586,59 +579,6 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 		return fmt.Errorf("%w: %d payload bytes beyond the declared records", ErrFormat, len(p)-i)
 	}
 	return nil
-}
-
-// uvarint decodes one LEB128 varint from p at offset i, returning the
-// value and the bytes consumed; n <= 0 marks truncation or overflow,
-// mirroring binary.Uvarint but without ever reading past the slice. It
-// takes an offset instead of a subslice so the per-field call sites do no
-// slicing, and the first five encoded sizes are unrolled — a line-aligned
-// delta stream almost never exceeds them, and the unrolled loads are what
-// keep decode in the tens of millions of accesses per second.
-func uvarint(p []byte, i int) (uint64, int) {
-	if len(p)-i >= 5 {
-		b0 := uint64(p[i])
-		if b0 < 0x80 {
-			return b0, 1
-		}
-		b1 := uint64(p[i+1])
-		if b1 < 0x80 {
-			return b0&0x7f | b1<<7, 2
-		}
-		b2 := uint64(p[i+2])
-		if b2 < 0x80 {
-			return b0&0x7f | (b1&0x7f)<<7 | b2<<14, 3
-		}
-		b3 := uint64(p[i+3])
-		if b3 < 0x80 {
-			return b0&0x7f | (b1&0x7f)<<7 | (b2&0x7f)<<14 | b3<<21, 4
-		}
-		b4 := uint64(p[i+4])
-		if b4 < 0x80 {
-			return b0&0x7f | (b1&0x7f)<<7 | (b2&0x7f)<<14 | (b3&0x7f)<<21 | b4<<28, 5
-		}
-	}
-	return uvarintSlow(p[i:])
-}
-
-// uvarintSlow handles the short and six-plus-byte encodings.
-func uvarintSlow(p []byte) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i, b := range p {
-		if i == 10 {
-			return 0, -1 // longer than any uint64 encoding
-		}
-		if b < 0x80 {
-			if i == 9 && b > 1 {
-				return 0, -1 // overflows 64 bits
-			}
-			return v | uint64(b)<<shift, i + 1
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	return 0, 0 // truncated
 }
 
 // Close closes the underlying file.

@@ -492,9 +492,15 @@ func TestDecodeBoundsCheckedAgainstForgedPayload(t *testing.T) {
 	}
 }
 
+// TestZigzag checks the fast path's unzigzag inverts the signed varint
+// the writer appends with binary.AppendVarint.
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
-		if got := unzigzag(zigzag(v)); got != v {
+		u, n := binary.Uvarint(binary.AppendVarint(nil, v))
+		if n <= 0 {
+			t.Fatalf("varint of %d does not decode as a uvarint (n=%d)", v, n)
+		}
+		if got := unzigzag(u); got != v {
 			t.Fatalf("zigzag round-trip %d -> %d", v, got)
 		}
 	}
