@@ -1,18 +1,17 @@
 // Command nvlint runs the repository's custom static-analysis suite: the
 // determinism, epoch-wrap, and error-handling checks of internal/analysis,
-// plus the flow-sensitive durability-ordering (persistorder), lock
-// discipline (guardedby) and error-latch (errlatch) analyzers built on its
-// CFG/dataflow engine. It is stdlib-only (go/ast + go/types) and loads
-// every non-test package of the module, so `nvlint ./...` is the canonical
-// invocation.
+// plus the flow-sensitive durability-ordering (persistorder) and
+// error-latch (errlatch) analyzers built on its CFG/dataflow engine. It is
+// stdlib-only (go/ast + go/types) and loads every non-test package of the
+// module, so `nvlint ./...` is the canonical invocation.
 //
-//	nvlint ./...                     # lint the whole module
-//	nvlint ./internal/omc            # restrict reporting to one subtree
-//	nvlint -json ./...               # machine-readable output (sorted, stable)
-//	nvlint -list                     # describe the checks
-//	nvlint -checks errlatch,guardedby ./...  # run a subset
-//	nvlint -timing ./...             # per-analyzer wall time on stderr
-//	nvlint -maxallow 25 ./...        # fail when suppressions exceed a budget
+//	nvlint ./...                            # lint the whole module
+//	nvlint ./internal/omc                   # restrict reporting to one subtree
+//	nvlint -json ./...                      # machine-readable output (sorted, stable)
+//	nvlint -list                            # describe the checks
+//	nvlint -checks errlatch,maprange ./...  # run a subset
+//	nvlint -timing ./...                    # per-analyzer wall time on stderr
+//	nvlint -maxallow 25 ./...               # fail when suppressions exceed a budget
 //
 // Exit status: 0 clean, 1 diagnostics reported (or suppression budget
 // exceeded), 2 usage error, 3 load or type-check error.

@@ -22,7 +22,7 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-list"}, options{list: true, maxallow: -1, dirs: []string{""}}},
 		{[]string{"-timing"}, options{timing: true, maxallow: -1, dirs: []string{""}}},
 		{[]string{"-maxallow", "25"}, options{maxallow: 25, dirs: []string{""}}},
-		{[]string{"-checks", "errlatch,guardedby"}, options{maxallow: -1, checks: []string{"errlatch", "guardedby"}, dirs: []string{""}}},
+		{[]string{"-checks", "errlatch,persistorder"}, options{maxallow: -1, checks: []string{"errlatch", "persistorder"}, dirs: []string{""}}},
 	}
 	for _, c := range cases {
 		got, err := parseFlags(c.args, io.Discard)
@@ -69,7 +69,7 @@ func TestListChecks(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Fatalf("run(-list) = %d, %v", n, err)
 	}
-	for _, check := range []string{"maprange", "wallclock", "epochwrap", "errcheck", "persistorder", "guardedby", "errlatch"} {
+	for _, check := range []string{"maprange", "wallclock", "epochwrap", "errcheck", "persistorder", "errlatch"} {
 		if !strings.Contains(buf.String(), check) {
 			t.Errorf("-list output missing %q:\n%s", check, buf.String())
 		}
@@ -86,8 +86,8 @@ func TestSelectAnalyzers(t *testing.T) {
 	if got[0].Name != "maprange" || got[1].Name != "errlatch" {
 		t.Errorf("filter broke suite order: %s, %s", got[0].Name, got[1].Name)
 	}
-	if all := selectAnalyzers(nil); len(all) != 7 {
-		t.Errorf("empty filter kept %d analyzers, want the full suite of 7", len(all))
+	if all := selectAnalyzers(nil); len(all) != 6 {
+		t.Errorf("empty filter kept %d analyzers, want the full suite of 6", len(all))
 	}
 }
 

@@ -84,11 +84,6 @@ type Shared struct {
 	// advanced with raw operators).
 	WrapSensitive map[*types.TypeName]bool
 
-	// GuardedFields maps a struct field marked `nvlint:guardedby <mu>` to
-	// the name of the sibling mutex field that must be held around every
-	// access (see guardedby.go).
-	GuardedFields map[*types.Var]string
-
 	// cfgs caches one control-flow graph per function body across all
 	// analyzers and packages of the run.
 	cfgs map[*ast.BlockStmt]*CFG
@@ -100,43 +95,16 @@ type Shared struct {
 //	nvlint:wrapsensitive        on a type: values wrap, raw compares banned
 //	nvlint:wrapsafe             on a func: raw operators allowed inside
 //	nvlint:durable              on a func: persistorder audits its body
-//	nvlint:guardedby <mu>       on a field: accesses must hold sibling <mu>
-//	nvlint:locked <mu>          on a method: caller already holds recv.<mu>
 const (
 	directiveWrapSensitive = "nvlint:wrapsensitive"
 	directiveWrapSafe      = "nvlint:wrapsafe"
 	directiveDurable       = "nvlint:durable"
-	directiveGuardedBy     = "nvlint:guardedby"
-	directiveLocked        = "nvlint:locked"
 )
-
-// guardedByRe extracts the mutex field name from a guardedby directive.
-var guardedByRe = regexp.MustCompile(directiveGuardedBy + `\s+([A-Za-z_]\w*)`)
-
-// lockedRe extracts the mutex field name from a locked directive.
-var lockedRe = regexp.MustCompile(directiveLocked + `\s+([A-Za-z_]\w*)`)
-
-// commentDirectiveArg returns the first capture of re across the comment
-// groups, or "".
-func commentDirectiveArg(re *regexp.Regexp, groups ...*ast.CommentGroup) string {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if m := re.FindStringSubmatch(c.Text); m != nil {
-				return m[1]
-			}
-		}
-	}
-	return ""
-}
 
 // newShared pre-scans all loaded packages for cross-package directives.
 func newShared(pkgs []*Package) *Shared {
 	sh := &Shared{
 		WrapSensitive: make(map[*types.TypeName]bool),
-		GuardedFields: make(map[*types.Var]string),
 		cfgs:          make(map[*ast.BlockStmt]*CFG),
 	}
 	for _, pkg := range pkgs {
@@ -156,21 +124,6 @@ func newShared(pkgs []*Package) *Shared {
 						commentHas(ts.Comment, directiveWrapSensitive) {
 						if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
 							sh.WrapSensitive[tn] = true
-						}
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, fld := range st.Fields.List {
-						guard := commentDirectiveArg(guardedByRe, fld.Doc, fld.Comment)
-						if guard == "" {
-							continue
-						}
-						for _, name := range fld.Names {
-							if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-								sh.GuardedFields[v] = guard
-							}
 						}
 					}
 				}
@@ -419,7 +372,7 @@ func prefixMatcher(paths ...string) func(string) bool {
 }
 
 // Analyzers returns the full nvlint suite: the four syntactic-era checks
-// plus the three flow-sensitive ones built on the CFG/dataflow engine.
+// plus the two flow-sensitive ones built on the CFG/dataflow engine.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapRange, WallClock, EpochWrap, ErrCheck, PersistOrder, GuardedBy, ErrLatch}
+	return []*Analyzer{MapRange, WallClock, EpochWrap, ErrCheck, PersistOrder, ErrLatch}
 }

@@ -102,10 +102,6 @@ func TestPersistOrder(t *testing.T) {
 	checkAnalyzer(t, PersistOrder, "persistorder", "repro/internal/mem/potest")
 }
 
-func TestGuardedBy(t *testing.T) {
-	checkAnalyzer(t, GuardedBy, "guardedby", "repro/internal/obs/gbtest")
-}
-
 func TestErrLatch(t *testing.T) {
 	checkAnalyzer(t, ErrLatch, "errlatch", "repro/internal/recovery/eltest")
 }
@@ -149,11 +145,11 @@ func TestSuppressionRequiresReason(t *testing.T) {
 }
 
 // TestAnalyzerRegistry pins the suite's composition: CI and the self-clean
-// test below both assume these seven checks exist.
+// test below both assume these six checks exist.
 func TestAnalyzerRegistry(t *testing.T) {
 	want := map[string]bool{
 		"maprange": true, "wallclock": true, "epochwrap": true, "errcheck": true,
-		"persistorder": true, "guardedby": true, "errlatch": true,
+		"persistorder": true, "errlatch": true,
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

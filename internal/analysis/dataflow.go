@@ -9,8 +9,8 @@ package analysis
 // stored in-state of several blocks at once.
 //
 // Termination is the analyzer's contract: Join must be monotone over a
-// lattice of finite height (all three shipped analyzers use small maps keyed
-// by objects or rendered expressions, joined pointwise).
+// lattice of finite height (both shipped analyzers use small maps keyed by
+// objects or rendered expressions, joined pointwise).
 
 import "go/ast"
 

