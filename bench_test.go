@@ -412,8 +412,8 @@ func recordStoreTrace(b *testing.B, fsys fault.FS, path string) {
 }
 
 // BenchmarkNVOverlayStorePath gates NVOverlay's store path: the version
-// access protocol, the OMCs, the NVM bank queues and the RAM content
-// plane. Each iteration replays a write-heavy trace, recorded once in
+// access protocol, the OMCs and the NVM bank queues, with no content
+// plane, as in every figure run. Each iteration replays a write-heavy trace, recorded once in
 // process, through a fresh NVOverlay, so no workload generator runs in
 // the timed loop.
 func BenchmarkNVOverlayStorePath(b *testing.B) {

@@ -1,5 +1,5 @@
 // Command benchgate is CI's performance regression gate: it parses `go test
-// -bench` output and compares ns/op and allocs/op for every benchmark the
+// -bench` output and compares ns/op, B/op and allocs/op for every benchmark the
 // committed baseline (BENCH_baseline.json, "gate" section) covers. A metric
 // more than the tolerance above its baseline fails the build; a metric well
 // below it prints a note suggesting the baseline be ratcheted down.
@@ -9,7 +9,7 @@
 //	go test -run='^$' -bench='Table2|FileSeal' -benchtime=5x -benchmem . | tee bench.txt
 //	go run ./cmd/benchgate -bench bench.txt -baseline BENCH_baseline.json
 //
-// allocs/op is iteration-count independent and compares exactly across
+// B/op and allocs/op are iteration-count independent and compare across
 // hosts; ns/op is wall-clock, so the default tolerance is generous and the
 // baseline records the host it was captured on.
 package main
@@ -36,12 +36,14 @@ type gateBaseline struct {
 // gateMetrics are the gated metrics of one benchmark.
 type gateMetrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 
-	// hasAllocs records whether the bench output actually carried an
-	// allocs/op column; without it a run missing -benchmem would compare
-	// the baseline against an implicit 0 and "pass" half the gate.
-	hasAllocs bool
+	// hasBytes and hasAllocs record whether the bench output actually
+	// carried the B/op and allocs/op columns; without them a run missing
+	// -benchmem would compare the baseline against an implicit 0 and
+	// "pass" the memory half of the gate.
+	hasBytes, hasAllocs bool
 }
 
 // baselineFile is the subset of BENCH_baseline.json benchgate reads.
@@ -124,12 +126,16 @@ func run(benchPath, basePath string, tol float64) error {
 				fmt.Printf("ok: %s %s within %.1f%% of baseline (%.0f vs %.0f)\n", name, metric, pct, cur, limit)
 			}
 		}
-		check("ns/op", got.NsPerOp, want.NsPerOp)
-		if want.AllocsPerOp > 0 && !got.hasAllocs {
-			failures = append(failures, fmt.Sprintf("%s: allocs/op gated but missing from %s (run go test with -benchmem)", name, benchPath))
-			continue
+		memCheck := func(metric string, cur, limit float64, has bool) {
+			if limit > 0 && !has {
+				failures = append(failures, fmt.Sprintf("%s: %s gated but missing from %s (run go test with -benchmem)", name, metric, benchPath))
+				return
+			}
+			check(metric, cur, limit)
 		}
-		check("allocs/op", got.AllocsPerOp, want.AllocsPerOp)
+		check("ns/op", got.NsPerOp, want.NsPerOp)
+		memCheck("B/op", got.BytesPerOp, want.BytesPerOp, got.hasBytes)
+		memCheck("allocs/op", got.AllocsPerOp, want.AllocsPerOp, got.hasAllocs)
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -147,7 +153,8 @@ func run(benchPath, basePath string, tol float64) error {
 //	BenchmarkFileSeal-4   5   20406283 ns/op   152 files   1234 B/op   56 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so baselines match across runners;
-// custom ReportMetric units other than ns/op and allocs/op are ignored.
+// custom ReportMetric units other than ns/op, B/op and allocs/op are
+// ignored.
 func parseBench(f *os.File) (map[string]gateMetrics, error) {
 	out := make(map[string]gateMetrics)
 	sc := bufio.NewScanner(f)
@@ -171,6 +178,9 @@ func parseBench(f *os.File) (map[string]gateMetrics, error) {
 			switch fields[i+1] {
 			case "ns/op":
 				m.NsPerOp = v
+			case "B/op":
+				m.BytesPerOp = v
+				m.hasBytes = true
 			case "allocs/op":
 				m.AllocsPerOp = v
 				m.hasAllocs = true

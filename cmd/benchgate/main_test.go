@@ -32,7 +32,7 @@ func writeFiles(t *testing.T, baseline string) (benchPath, basePath string) {
 
 func TestGatePassesWithinTolerance(t *testing.T) {
 	bench, base := writeFiles(t, `{"gate": {"tolerance_pct": 15, "benchmarks": {
-		"BenchmarkTable2IdealSubstrate": {"ns_per_op": 23000000, "allocs_per_op": 600},
+		"BenchmarkTable2IdealSubstrate": {"ns_per_op": 23000000, "bytes_per_op": 2400000, "allocs_per_op": 600},
 		"BenchmarkFileSeal": {"ns_per_op": 70000000, "allocs_per_op": 60000}}}}`)
 	if err := run(bench, base, 0); err != nil {
 		t.Fatalf("gate failed within tolerance: %v", err)
@@ -45,6 +45,16 @@ func TestGateFailsOnRegression(t *testing.T) {
 		"BenchmarkTable2IdealSubstrate": {"ns_per_op": 10000000, "allocs_per_op": 100}}}}`)
 	if err := run(bench, base, 0); err == nil {
 		t.Fatal("gate passed a 2x ns/op and 6x allocs/op regression")
+	}
+}
+
+func TestGateFailsOnBytesRegression(t *testing.T) {
+	// ns/op and allocs/op within tolerance; only B/op (2395340 measured)
+	// is over its baseline.
+	bench, base := writeFiles(t, `{"gate": {"tolerance_pct": 15, "benchmarks": {
+		"BenchmarkTable2IdealSubstrate": {"ns_per_op": 23000000, "bytes_per_op": 2000000, "allocs_per_op": 600}}}}`)
+	if err := run(bench, base, 0); err == nil {
+		t.Fatal("gate passed a 20% B/op regression")
 	}
 }
 
@@ -76,6 +86,26 @@ func TestGateFailsWithoutBenchmem(t *testing.T) {
 	}
 }
 
+func TestGateFailsWithoutBenchmemBytes(t *testing.T) {
+	// Only B/op is gated: a run without -benchmem fails on it the same
+	// way it fails on allocs/op.
+	dir := t.TempDir()
+	bench := filepath.Join(dir, "bench.txt")
+	base := filepath.Join(dir, "baseline.json")
+	noMem := "BenchmarkTable2IdealSubstrate \t 5 \t 22984768 ns/op\n"
+	if err := os.WriteFile(bench, []byte(noMem), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	js := `{"gate": {"tolerance_pct": 15, "benchmarks": {
+		"BenchmarkTable2IdealSubstrate": {"ns_per_op": 23000000, "bytes_per_op": 2400000}}}}`
+	if err := os.WriteFile(base, []byte(js), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(bench, base, 0); err == nil {
+		t.Fatal("gate passed with B/op gated but absent from the output")
+	}
+}
+
 func TestGateRequiresGateSection(t *testing.T) {
 	bench, base := writeFiles(t, `{"description": "no gate here"}`)
 	if err := run(bench, base, 0); err == nil {
@@ -98,7 +128,7 @@ func TestParseBenchStripsSuffixAndIgnoresCustomUnits(t *testing.T) {
 	if !ok {
 		t.Fatalf("FileSeal missing: %v", m)
 	}
-	if seal.NsPerOp != 73655328 || seal.AllocsPerOp != 60437 {
+	if seal.NsPerOp != 73655328 || seal.BytesPerOp != 6000025 || seal.AllocsPerOp != 60437 {
 		t.Fatalf("FileSeal metrics %+v", seal)
 	}
 	if m["BenchmarkTable2IdealSubstrate"].AllocsPerOp != 599 {

@@ -111,6 +111,7 @@ func run(o options, w io.Writer) error {
 	}
 
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // recovery and time travel read content
 	driver := trace.NewDriver(&cfg, nvo, wl, o.accesses)
 	golden := trace.NewGolden(&cfg) // the image recovery verifies against
 	driver.SetSink(golden)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -28,6 +29,7 @@ func main() {
 		panic(err)
 	}
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // recovery reads the persisted content
 	clocks := sim.NewClocks(cfg.Cores)
 	nvo.Bind(clocks)
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -27,6 +28,7 @@ func main() {
 	// 2. Assemble NVOverlay: version-tagged hierarchy, tag walkers, and
 	//    four OMC partitions, all behind the common Scheme interface.
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // recovery reads the persisted content
 
 	// 3. Pick a workload — here the paper's hash-table bulk-insert — and
 	//    drive it with the 16-thread interleaving driver. The golden sink

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -26,6 +27,7 @@ func main() {
 		panic(err)
 	}
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // replication reads the persisted content
 	wl, err := workload.Get("vacation")
 	if err != nil {
 		panic(err)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -33,6 +34,7 @@ func main() {
 	}
 
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // time-travel reads need the persisted content
 	wl, err := workload.Get("rbtree")
 	if err != nil {
 		panic(err)

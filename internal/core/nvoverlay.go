@@ -33,9 +33,17 @@ type NVOverlay struct {
 // New assembles NVOverlay from the machine configuration: cfg.TagWalker,
 // cfg.OMCBufferBytes and cfg.WrapWidth select the §IV-C walker, the §IV-E
 // buffer and the §IV-D wrap-around; cfg.OMCs sizes the OMC sharding and
-// cfg.RetainEpochs keeps merged epochs for time travel.
-func New(cfg *sim.Config) *NVOverlay {
-	nvm := mem.NewNVM(cfg)
+// cfg.RetainEpochs keeps merged epochs for time travel. The device keeps
+// no content; see NewOn for runs that read it.
+func New(cfg *sim.Config) *NVOverlay { return NewOn(cfg, mem.NewNVM(cfg)) }
+
+// NewOn assembles NVOverlay like New on nvm, a device mem.NewNVM built from
+// cfg. A run that reads persisted content attaches its plane to nvm first:
+// under NAK faults a retried construction write (an OMC genesis record)
+// can drain another, and only a plane attached before construction keeps
+// it. Without faults, attaching to New's device right after it returns
+// loses nothing.
+func NewOn(cfg *sim.Config, nvm *mem.NVM) *NVOverlay {
 	if cfg.FaultClass != "" {
 		fc, err := fault.ClassConfig(cfg.FaultClass, cfg.EffectiveFaultSeed())
 		if err != nil {

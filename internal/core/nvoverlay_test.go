@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/omc"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -54,6 +55,7 @@ func TestNVOverlayEndToEndWorkload(t *testing.T) {
 	cfg := coreCfg()
 	cfg.OMCs = 2
 	n := New(cfg)
+	n.NVM().AttachPlane(mem.NewRAMPlane()) // the test recovers the image
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		t.Fatal(err)

@@ -478,6 +478,7 @@ func TestEndToEndSnapshotConsistency(t *testing.T) {
 	cfg := cstCfg()
 	cfg.EpochSize = 40
 	nvm := mem.NewNVM(cfg)
+	nvm.AttachPlane(mem.NewRAMPlane()) // the test recovers the image
 	g := omc.NewGroup(cfg, nvm, 2)
 	dram := mem.NewDRAM(cfg)
 	f := New(cfg, dram, g)

@@ -57,6 +57,7 @@ func TestWrapAroundEndToEnd(t *testing.T) {
 	cfg.EpochSize = 24
 	cfg.WrapWidth = 5 // 32 epochs, groups of 16
 	nvm := mem.NewNVM(cfg)
+	nvm.AttachPlane(mem.NewRAMPlane()) // the test recovers the image
 	g := omc.NewGroup(cfg, nvm, 2)
 	dram := mem.NewDRAM(cfg)
 	f := New(cfg, dram, g)

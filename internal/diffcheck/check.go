@@ -108,6 +108,15 @@ func baselineRotation(p Params) []string {
 	return []string{"PiCL", "SWLog", third[uint64(p.Seed)%3]}
 }
 
+// withPlane returns a device with a RAM content plane attached before any
+// write: recovery, replicas, time travel and power cuts all read content,
+// and a faulted construction can drain writes (see core.NewOn).
+func withPlane(cfg *sim.Config) *mem.NVM {
+	nvm := mem.NewNVM(cfg)
+	nvm.AttachPlane(mem.NewRAMPlane())
+	return nvm
+}
+
 // replayNVOverlay drives the first n trace steps through the full stack,
 // verifying the recovered image at every recoverable-epoch advance and at
 // each crash probe. With finish set it also drains, seals, and verifies
@@ -117,7 +126,7 @@ func baselineRotation(p Params) []string {
 func replayNVOverlay(p Params, src stepSource, res *Result, n int, finish bool, bus *obs.Bus) (*Divergence, error) {
 	cfg := p.Config()
 	cfg.Obs = bus
-	nv := core.New(&cfg)
+	nv := core.NewOn(&cfg, withPlane(&cfg))
 	clocks := sim.NewClocks(cfg.Cores)
 	nv.Bind(clocks)
 	g := NewGolden()

@@ -402,7 +402,7 @@ func nvmCell(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (Point, s
 	pt := Point{Layer: LayerNVM, Class: p.Fault, Seed: p.Seed, Cut: cut, State: StatePowerLoss}
 	cfg := p.Config()
 	cfg.Obs = bus
-	nv := core.New(&cfg)
+	nv := core.NewOn(&cfg, withPlane(&cfg))
 	clocks := sim.NewClocks(cfg.Cores)
 	nv.Bind(clocks)
 	g := NewGolden()

@@ -165,28 +165,51 @@ func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	s, err := NewScheme(schemeName, &cfg)
+	var s trace.Scheme
+	var err error
+	if cfg.StoreDir == "" {
+		s, err = NewScheme(schemeName, &cfg)
+	} else {
+		s, err = newStoreScheme(schemeName, &cfg)
+	}
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if cfg.StoreDir != "" {
-		// Back the content plane with the on-disk store. Attaching after
-		// construction is lossless: AttachPlane migrates committed words,
-		// and still-queued construction writes drain onto the new plane.
-		plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, mem.DefaultCheckpointEvery)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// Observed runs see the plane's I/O events (io_fault, io_retry,
-		// plane_wound) in the same stream as everything else.
-		plane.AttachBus(cfg.Obs)
-		s.NVM().AttachPlane(plane)
 	}
 	wl, err := workload.Get(wlName)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return trace.NewDriver(&cfg, s, wl, scale.MaxAccesses), s, &cfg, nil
+}
+
+// newStoreScheme builds the scheme with its content plane backed by the
+// on-disk store in cfg.StoreDir. NVOverlay is assembled on a device that
+// has the plane before construction: under NAK faults a retried OMC
+// genesis write can drain another, and only a plane attached first keeps
+// it (core.NewOn). The baselines persist no content, so theirs attaches
+// after.
+func newStoreScheme(name string, cfg *sim.Config) (trace.Scheme, error) {
+	var s trace.Scheme
+	if name != "NVOverlay" {
+		var err error
+		if s, err = NewScheme(name, cfg); err != nil {
+			return nil, err
+		}
+	}
+	plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, mem.DefaultCheckpointEvery)
+	if err != nil {
+		return nil, err
+	}
+	// Observed runs see the plane's I/O events (io_fault, io_retry,
+	// plane_wound) in the same stream as everything else.
+	plane.AttachBus(cfg.Obs)
+	if s != nil {
+		s.NVM().AttachPlane(plane)
+		return s, nil
+	}
+	nvm := mem.NewNVM(cfg)
+	nvm.AttachPlane(plane)
+	return core.NewOn(cfg, nvm), nil
 }
 
 // cellSpec names one independent cell of a figure's sweep grid. Cells

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
@@ -489,5 +490,27 @@ func TestScale256FullDirectory(t *testing.T) {
 	}
 	if !vds[128] || !vds[256] {
 		t.Fatalf("VD layouts %v, want both 128 and 256", vds)
+	}
+}
+
+// TestStoreRunUnderNAKFaults: under NAK faults a retried OMC genesis write
+// can drain another while NVOverlay is built (seed 7 at Smoke does). The
+// store-backed run attaches its file plane before construction, so the
+// drained record reaches the store and salvage restores an epoch.
+func TestStoreRunUnderNAKFaults(t *testing.T) {
+	sc := Smoke
+	sc.FaultClass = "nak"
+	sc.Seed = 7
+	sc.MaxAccesses = 20_000
+	dir := t.TempDir()
+	res, err := Run("NVOverlay", "hashtable", sc, func(c *sim.Config) { c.StoreDir = dir })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Scheme.NVM().ClosePlane(); err != nil {
+		t.Fatal(err)
+	}
+	if _, rep, err := recovery.SalvageDir(fault.OS, dir); err != nil || rep.RestoredEpoch == 0 {
+		t.Fatalf("salvage of the store: restored epoch %d, %v", rep.RestoredEpoch, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diffcheck"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -29,6 +30,7 @@ func smokeExport(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // Export reads the persisted content
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		t.Fatal(err)

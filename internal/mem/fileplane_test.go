@@ -154,13 +154,14 @@ func TestLoadDirMissing(t *testing.T) {
 	}
 }
 
-// TestNVMSealDurableRAMNoop: on the default RAM plane SealDurable must not
-// perturb the device at all — the in-memory image with seal barriers
-// sprinkled in is byte-identical to one without.
+// TestNVMSealDurableRAMNoop: on a RAM plane SealDurable must not perturb
+// the device at all — the in-memory image with seal barriers sprinkled in
+// is byte-identical to one without.
 func TestNVMSealDurableRAMNoop(t *testing.T) {
 	build := func(seal bool) *Image {
 		cfg := sim.DefaultConfig()
 		n := NewNVM(&cfg)
+		n.AttachPlane(NewRAMPlane())
 		for i := uint64(0); i < 40; i++ {
 			n.Persist(WData, i<<12, 64, []uint64{i, i * 3}, i*100)
 			if seal && i%10 == 9 {

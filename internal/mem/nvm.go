@@ -49,16 +49,19 @@ type NVM struct {
 	// Content plane (durability model). The timing model above books bank
 	// occupancy; the content plane additionally tracks what the array
 	// would actually hold after a power cut. plane is the persisted word
-	// array (in RAM by default, mirrored to disk when a FilePlane is
-	// attached); pending holds per-bank FIFO queues of writes whose device
+	// array; it is nil until a reader attaches one (a RAMPlane, or a
+	// FilePlane that mirrors it to disk), so a timing-only run keeps no
+	// content. pending holds per-bank FIFO queues of writes whose device
 	// completion watermark has not passed yet — those are the writes a
 	// power cut can tear or lose. bankDone is the per-bank completion
 	// clock: unlike bankBusy (cumulative work, which grants idle credit
 	// for the *stall* model), a write issued at cycle t can never be
-	// durable before t+latency.
+	// durable before t+latency. dropped records that a write committed
+	// while no plane was attached, so its content is gone.
 	plane    DurablePlane
 	pending  []bankQueue
 	bankDone []uint64
+	dropped  bool
 	inj      *fault.Injector
 	bus      *obs.Bus // nil when the run is unobserved
 }
@@ -163,7 +166,10 @@ func wrap(i, size int) int {
 // bandwidth series.
 const TimeSeriesBuckets = 100
 
-// NewNVM constructs the device from the machine config.
+// NewNVM constructs the device from the machine config. It has no content
+// plane: timing, accounting and events run without one, and a run that
+// reads persisted content (PowerCut, Image, recovery) attaches one with
+// AttachPlane before its first write drains.
 func NewNVM(cfg *sim.Config) *NVM {
 	return &NVM{
 		cfg:      cfg,
@@ -172,7 +178,6 @@ func NewNVM(cfg *sim.Config) *NVM {
 		wear:     NewTable[int64](0),
 		series:   stats.NewTimeSeries(TimeSeriesBuckets),
 		stat:     stats.FromTable("nvm", nvmCounterNames[:]),
-		plane:    NewRAMPlane(),
 		pending:  make([]bankQueue, cfg.NVMBanks),
 		bankDone: make([]uint64, cfg.NVMBanks),
 		bus:      cfg.Obs,

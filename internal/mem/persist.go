@@ -13,32 +13,53 @@ func (n *NVM) AttachFaults(inj *fault.Injector) { n.inj = inj }
 // Injector returns the attached fault injector (nil when faults are off).
 func (n *NVM) Injector() *fault.Injector { return n.inj }
 
-// AttachPlane replaces the content plane (usually with a FilePlane so the
-// durable image survives process death). Words already committed to the
-// previous plane are migrated so attachment order relative to construction
-// traffic cannot lose content; callers should still attach before the run
-// starts so the on-disk delta logs carry the full history.
+// AttachPlane installs the content plane: a RAMPlane for in-process
+// readers, a FilePlane so the durable image survives process death.
+// Writes still queued at attach time (construction traffic such as the
+// OMC genesis records) drain onto the new plane, and words already
+// committed to a previous plane are migrated, so attaching right after
+// construction loses nothing. Attaching after a write already committed
+// with no plane panics: that content is gone.
 func (n *NVM) AttachPlane(p DurablePlane) {
 	if p == nil {
 		return
 	}
-	old := n.plane.Snapshot()
-	for _, a := range old.SortedAddrs() {
-		v, _ := old.Word(a)
-		p.Apply(a, []uint64{v})
+	if n.dropped {
+		panic("mem: AttachPlane after a write drained with no plane attached, so its content is gone; attach right after NewNVM, before any write drains")
+	}
+	if n.plane != nil {
+		old := n.plane.Snapshot()
+		for _, a := range old.SortedAddrs() {
+			v, _ := old.Word(a)
+			p.Apply(a, []uint64{v})
+		}
 	}
 	n.plane = p
+}
+
+// HasPlane reports whether a content plane is attached, i.e. whether the
+// run keeps what the device persists.
+func (n *NVM) HasPlane() bool { return n.plane != nil }
+
+// RequirePlane panics, naming AttachPlane, when reader — a reader of
+// persisted content — runs on a device that keeps none: an empty image
+// there would be a silent lie.
+func (n *NVM) RequirePlane(reader string) {
+	if n.plane == nil {
+		panic(reader + " reads persisted content, but the NVM has no plane; call AttachPlane(mem.NewRAMPlane()) right after building it")
+	}
 }
 
 // SealDurable is the epoch-seal persistence barrier on durable (file)
 // planes: every queued write drains into the persisted array — the sealing
 // controller waits for its bank queues, the file plane logs the words —
 // and the plane publishes the sealed epoch (delta-log fsync + manifest
-// rename). On the default RAM plane it is a no-op so in-memory runs keep
-// their historical drain schedule byte-for-byte. I/O errors accumulate in
-// the plane until ClosePlane; the device model cannot stall on host I/O.
+// rename). With no plane or a RAM plane it is a no-op, so in-memory runs
+// keep their historical drain schedule byte-for-byte. I/O errors
+// accumulate in the plane until ClosePlane; the device model cannot stall
+// on host I/O.
 func (n *NVM) SealDurable(epoch, now uint64) {
-	if !n.plane.Durable() {
+	if n.plane == nil || !n.plane.Durable() {
 		return
 	}
 	for b := range n.pending {
@@ -56,8 +77,13 @@ func (n *NVM) SealDurable(epoch, now uint64) {
 
 // ClosePlane flushes and closes the content plane, returning the first
 // write-path I/O error. Drivers that attached a FilePlane must call it
-// before trusting the directory.
-func (n *NVM) ClosePlane() error { return n.plane.Close() }
+// before trusting the directory. With no plane it returns nil.
+func (n *NVM) ClosePlane() error {
+	if n.plane == nil {
+		return nil
+	}
+	return n.plane.Close()
+}
 
 // wordAlign truncates addr to 8-byte word granularity. The content plane
 // models the device's atomic-persist unit, which is an 8-byte word.
@@ -129,8 +155,14 @@ func (n *NVM) enqueue(addr uint64, words []uint64, now uint64, booked bool) {
 
 // commit applies a completed write to the persisted word array. now is the
 // cycle the drain was observed at (the write's own completion may be older).
+// The drain event fires with or without a plane; with none the words are
+// dropped and a later AttachPlane refuses.
 func (n *NVM) commit(w pendingWrite, words []uint64, now uint64) {
 	n.bus.Emit(obs.KindNVMDrain, now, n.bankOf(w.addr), 0, w.addr, uint64(len(words)), 0)
+	if n.plane == nil {
+		n.dropped = true
+		return
+	}
 	n.plane.Apply(w.addr, words)
 }
 
@@ -146,7 +178,9 @@ func (n *NVM) commit(w pendingWrite, words []uint64, now uint64) {
 //
 // The cut consumes the queues; the device can keep running afterwards (the
 // harness only reads the image), but content from before the cut is final.
+// It panics when no plane is attached.
 func (n *NVM) PowerCut(now uint64) *Image {
+	n.RequirePlane("NVM.PowerCut")
 	for b := range n.pending {
 		q := &n.pending[b]
 		// Durable prefix: completed before the cut.
@@ -190,7 +224,9 @@ func (n *NVM) PowerCut(now uint64) *Image {
 
 // Image returns the durable content as if every queued write completed
 // cleanly — the fault-free final image. It does not consume the queues.
+// It panics when no plane is attached.
 func (n *NVM) Image() *Image {
+	n.RequirePlane("NVM.Image")
 	img := n.plane.Snapshot()
 	for b := range n.pending {
 		n.pending[b].each(func(w pendingWrite, words []uint64) {

@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -13,7 +15,9 @@ func contentNVM(t *testing.T) (*NVM, *sim.Config) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.NVMBanks = 4
-	return NewNVM(&cfg), &cfg
+	n := NewNVM(&cfg)
+	n.AttachPlane(NewRAMPlane())
+	return n, &cfg
 }
 
 // TestPersistTimingMatchesWrite: with faults off, Persist must book exactly
@@ -248,4 +252,113 @@ func TestPowerCutFlipsOnlyTheImage(t *testing.T) {
 			t.Fatalf("word %#x after the cut: Image reads %#x (present %v), want the written %#x", addr, got, ok, w)
 		}
 	}
+}
+
+// TestPlanelessNVMKeepsNoPerLineState guards the timing-only device: with
+// no plane attached, persisting N and then 4N distinct lines, each
+// drained by the next write on its bank, allocates exactly as often. One
+// page holds every line, so the per-page wear table (timing state, not
+// content) stays one entry. A RAM plane keeps every persisted word, and
+// the same run shows that growth.
+func TestPlanelessNVMKeepsNoPerLineState(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.PageSize = 1 << 30
+	allocs := func(lines int, plane bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			n := NewNVM(&cfg)
+			if plane {
+				n.AttachPlane(NewRAMPlane())
+			}
+			for i := 0; i < lines; i++ {
+				addr := uint64(i) * uint64(cfg.LineSize)
+				n.Persist(WData, addr, cfg.LineSize, []uint64{addr, 1, addr ^ 1}, uint64(i)*cfg.NVMWriteLat)
+			}
+		})
+	}
+	const lines = 4096
+	if n, n4 := allocs(lines, false), allocs(4*lines, false); n4 != n {
+		t.Fatalf("persisting 4N lines made %v allocations, N lines %v: the plane-less device keeps per-line state", n4, n)
+	}
+	if n, n4 := allocs(lines, true), allocs(4*lines, true); n4 <= n {
+		t.Fatalf("with a RAM plane 4N lines made %v allocations, N lines %v: the guard cannot see per-line state", n4, n)
+	}
+}
+
+// TestPlanelessTimingMatchesPlane: the plane records content only, so the
+// same writes book the same stalls and counters with or without one.
+func TestPlanelessTimingMatchesPlane(t *testing.T) {
+	a, _ := contentNVM(t)
+	cfg := sim.DefaultConfig()
+	cfg.NVMBanks = 4
+	b := NewNVM(&cfg)
+	for i := uint64(0); i < 400; i++ {
+		addr, now := i*64*3, i*50
+		sa := a.Persist(WData, addr, 64, []uint64{i, i + 1, i + 2}, now)
+		sb := b.Persist(WData, addr, 64, []uint64{i, i + 1, i + 2}, now)
+		a.PersistSilent(addr+8, []uint64{i}, now)
+		b.PersistSilent(addr+8, []uint64{i}, now)
+		if sa != sb {
+			t.Fatalf("write %d: stall %d with a plane, %d without", i, sa, sb)
+		}
+	}
+	if sa, sb := a.Stats().String(), b.Stats().String(); sa != sb {
+		t.Fatalf("counters diverged:\nwith plane    %s\nwithout plane %s", sa, sb)
+	}
+}
+
+// mustPanicNaming runs f and requires a panic whose message names want.
+func mustPanicNaming(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want one naming %s", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name %s", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestContentReadersNeedPlane: a forgotten attach fails loudly, naming
+// AttachPlane, instead of returning an empty image.
+func TestContentReadersNeedPlane(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	queued := func() *NVM {
+		n := NewNVM(&cfg)
+		n.Persist(WData, 0x1000, 64, []uint64{1, 2, 3}, 0)
+		return n
+	}
+	t.Run("PowerCut", func(t *testing.T) {
+		n := queued()
+		mustPanicNaming(t, "AttachPlane", func() { n.PowerCut(cfg.NVMWriteLat) })
+	})
+	t.Run("Image", func(t *testing.T) {
+		n := queued()
+		mustPanicNaming(t, "AttachPlane", func() { n.Image() })
+	})
+	t.Run("AttachAfterCommit", func(t *testing.T) {
+		n := queued()
+		// The next write on the same bank drains the first: committed
+		// with no plane, its content is gone.
+		line := uint64(cfg.LineSize * cfg.NVMBanks)
+		n.Persist(WData, 0x1000+line, 64, []uint64{4, 5, 6}, cfg.NVMWriteLat)
+		mustPanicNaming(t, "AttachPlane", func() { n.AttachPlane(NewRAMPlane()) })
+	})
+	t.Run("AttachCarriesQueuedWrites", func(t *testing.T) {
+		// With no plane the seal barrier and close are no-ops, so the
+		// write is still queued, and an attach now (after construction
+		// traffic) carries it onto the plane.
+		n := queued()
+		n.SealDurable(1, cfg.NVMWriteLat)
+		if err := n.ClosePlane(); err != nil {
+			t.Fatalf("ClosePlane with no plane: %v", err)
+		}
+		n.AttachPlane(NewRAMPlane())
+		if v, ok := n.PowerCut(cfg.NVMWriteLat).Word(0x1008); !ok || v != 2 {
+			t.Fatalf("queued write lost across attach: %v %v", v, ok)
+		}
+	})
 }

@@ -3,14 +3,14 @@ package mem
 // DurablePlane is the storage backend of the NVM content plane: the words
 // the simulated device would actually hold after losing power. The timing
 // model (bank queues, backlog stalls) is unchanged by the plane choice —
-// a plane only records what committed writes persist and where.
+// a plane only records what committed writes persist and where. A device
+// starts with none; runs that read content attach one (NVM.AttachPlane).
 //
 // Two implementations exist:
 //
-//   - RAMPlane keeps the persisted word array in memory. This is the
-//     historical behaviour: a "power cut" is the in-process PowerCut
-//     probe, and recovery runs against the returned Image in the same
-//     process.
+//   - RAMPlane keeps the persisted word array in memory: a "power cut" is
+//     the in-process PowerCut probe, and recovery runs against the
+//     returned Image in the same process.
 //   - FilePlane additionally mirrors every committed word into an
 //     append/checkpoint file format under a directory, with an atomically
 //     renamed manifest per sealed epoch. A fresh process can open the

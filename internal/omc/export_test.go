@@ -15,7 +15,9 @@ func exportGroup(t *testing.T) *Group {
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
 	cfg.RetainEpochs = true
-	g := NewGroup(&cfg, mem.NewNVM(&cfg), 2)
+	nvm := mem.NewNVM(&cfg)
+	nvm.AttachPlane(mem.NewRAMPlane()) // Export reads the persisted content
+	g := NewGroup(&cfg, nvm, 2)
 	for e := uint64(1); e <= 3; e++ {
 		for i := uint64(0); i < 10; i++ {
 			g.ReceiveVersion(Version{Addr: i << 12, Epoch: e, Data: e*100 + i}, 0)

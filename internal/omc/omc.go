@@ -26,7 +26,7 @@ type OMC struct {
 	pool     *Pool
 	buf      *Buffer
 
-	payload  *mem.Table[uint64] // nvmAddr -> data token ("NVM contents")
+	payload  *mem.Table[uint64] // nvmAddr -> data token; kept only when nvm.HasPlane()
 	metaNext uint64
 
 	recEpoch uint64
@@ -140,7 +140,10 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	// reused pool addresses instead of trusting them.
 	stall += o.nvm.Persist(mem.WData, nvmAddr, o.cfg.LineSize,
 		[]uint64{v.Data, v.Epoch, LineCheck(v.Addr, v.Epoch, v.Data)}, now)
-	o.payload.Put(nvmAddr, v.Data)
+	keep := o.nvm.HasPlane()
+	if keep {
+		o.payload.Put(nvmAddr, v.Data)
+	}
 	tp, ok := o.epochs.Upsert(v.Epoch)
 	if !ok {
 		*tp = o.newEpochTable()
@@ -148,7 +151,9 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	t := *tp
 	if old, replaced := t.Insert(v.Addr, nvmAddr); replaced {
 		// The epoch's snapshot keeps only its newest version of an address.
-		o.payload.Delete(old)
+		if keep {
+			o.payload.Delete(old)
+		}
 		o.pool.Release(old)
 		o.stat.IncAt(sameEpochReplacements)
 	}
@@ -200,12 +205,15 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 		return
 	}
 	o.now = now
+	keep := o.nvm.HasPlane()
 	t.ForEach(func(lineAddr, nvmAddr uint64) {
 		if old, replaced := o.master.Insert(lineAddr, nvmAddr); replaced {
 			// The unmapped version becomes stale; release unless retained
 			// for time travel.
 			if !o.cfg.RetainEpochs {
-				o.payload.Delete(old)
+				if keep {
+					o.payload.Delete(old)
+				}
 				o.pool.Release(old)
 			}
 			o.stat.IncAt(versionsUnmapped)
@@ -251,14 +259,22 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 			moves = append(moves, move{lineAddr, nvmAddr})
 		}
 	})
+	keep := o.nvm.HasPlane()
 	for _, m := range moves {
 		newAddr, _ := o.pool.Alloc(o.maxEpoch)
-		data, _ := o.payload.Get(m.nvmAddr)
+		// With no plane the moved words are dropped at drain, so the zero
+		// data token changes nothing the device books or emits.
+		var data uint64
+		if keep {
+			data, _ = o.payload.Get(m.nvmAddr)
+		}
 		stall += o.nvm.Persist(mem.WData, newAddr, o.cfg.LineSize,
 			[]uint64{data, o.maxEpoch, LineCheck(m.lineAddr, o.maxEpoch, data)}, now+stall)
-		o.payload.Put(newAddr, data)
+		if keep {
+			o.payload.Put(newAddr, data)
+			o.payload.Delete(m.nvmAddr)
+		}
 		o.master.Insert(m.lineAddr, newAddr)
-		o.payload.Delete(m.nvmAddr)
 		o.pool.Release(m.nvmAddr)
 		o.stat.IncAt(versionsCompacted)
 	}
@@ -321,7 +337,9 @@ func (o *OMC) Stats() *stats.Set { return o.stat.Clone() }
 // table maps the address wins; retained (merged) epochs participate when
 // retention is enabled. The boolean reports whether any version <= epoch
 // exists and is still materialised (compaction may have reclaimed it).
+// Like every content reader it panics when the device has no plane.
 func (o *OMC) TimeTravelRead(addr uint64, epoch uint64) (data uint64, foundEpoch uint64, ok bool) {
+	o.nvm.RequirePlane("omc.TimeTravelRead")
 	lookup := func(e uint64, t *Table) {
 		if e > epoch || (ok && e <= foundEpoch) {
 			return
@@ -343,6 +361,7 @@ func (o *OMC) TimeTravelRead(addr uint64, epoch uint64) (data uint64, foundEpoch
 // the simulated recovery latency (NVM reads for every mapped line, paper
 // §V-E).
 func (o *OMC) recoverInto(img *mem.Table[uint64]) (lat uint64) {
+	o.nvm.RequirePlane("omc.Group.RecoverImage")
 	o.master.ForEach(func(lineAddr, nvmAddr uint64) {
 		if data, ok := o.payload.Get(nvmAddr); ok {
 			img.Put(lineAddr, data)
@@ -355,6 +374,7 @@ func (o *OMC) recoverInto(img *mem.Table[uint64]) (lat uint64) {
 // deltaInto adds epoch e's incremental changes to delta when a table of e
 // is accessible (unmerged, or retained).
 func (o *OMC) deltaInto(e uint64, delta *mem.Table[uint64]) {
+	o.nvm.RequirePlane("omc.Group.EpochDelta")
 	t, _ := o.epochs.Get(e)
 	if t == nil {
 		t, _ = o.retained.Get(e)

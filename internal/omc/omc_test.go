@@ -1,6 +1,8 @@
 package omc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,15 +14,23 @@ func omcCfg() *sim.Config {
 	return &cfg
 }
 
-func newTestOMC(cfg *sim.Config) (*OMC, *mem.NVM) {
+// newTestNVM returns a device with a RAM plane: these tests read the
+// persisted content back through recovery and time travel.
+func newTestNVM(cfg *sim.Config) *mem.NVM {
 	nvm := mem.NewNVM(cfg)
+	nvm.AttachPlane(mem.NewRAMPlane())
+	return nvm
+}
+
+func newTestOMC(cfg *sim.Config) (*OMC, *mem.NVM) {
+	nvm := newTestNVM(cfg)
 	return New(cfg, nvm, 0), nvm
 }
 
 // newTestGroup builds a one-member group, so min-ver reports reach the OMC
 // through the group's ledger as they do in every run.
 func newTestGroup(cfg *sim.Config) (*Group, *OMC, *mem.NVM) {
-	nvm := mem.NewNVM(cfg)
+	nvm := newTestNVM(cfg)
 	g := NewGroup(cfg, nvm, 1)
 	return g, g.omcs[0], nvm
 }
@@ -270,7 +280,7 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 	cfg := omcCfg()
 	cfg.Cores = 2
 	cfg.CoresPerVD = 2
-	nvm := mem.NewNVM(cfg)
+	nvm := newTestNVM(cfg)
 	g := NewGroup(cfg, nvm, 4)
 	if len(g.omcs) != 4 {
 		t.Fatalf("size = %d", len(g.omcs))
@@ -317,7 +327,7 @@ func TestGroupRoutingAndRecovery(t *testing.T) {
 func TestGroupSealAndTimeTravel(t *testing.T) {
 	cfg := omcCfg()
 	cfg.RetainEpochs = true
-	nvm := mem.NewNVM(cfg)
+	nvm := newTestNVM(cfg)
 	g := NewGroup(cfg, nvm, 2)
 	g.ReceiveVersion(Version{Addr: 0x1000, Epoch: 1, Data: 5}, 0)
 	g.ReceiveVersion(Version{Addr: 0x1000, Epoch: 4, Data: 9}, 0)
@@ -347,4 +357,32 @@ func masterRead(o *OMC, addr uint64) (uint64, bool) {
 func imgAt(img *mem.Table[uint64], addr uint64) uint64 {
 	v, _ := img.Get(addr)
 	return v
+}
+
+// TestContentReadersNeedPlane: the payload shadow is kept only beside a
+// content plane, so with none every reader of persisted content panics,
+// naming AttachPlane, rather than return an empty image.
+func TestContentReadersNeedPlane(t *testing.T) {
+	cfg := omcCfg()
+	cfg.RetainEpochs = true
+	g := NewGroup(cfg, mem.NewNVM(cfg), 2)
+	g.ReceiveVersion(Version{Addr: 0x1000, Epoch: 1, Data: 5}, 0)
+	g.Seal(0)
+	for _, r := range []struct {
+		name string
+		read func()
+	}{
+		{"RecoverImage", func() { g.RecoverImage() }},
+		{"TimeTravelRead", func() { g.TimeTravelRead(0x1000, 1) }},
+		{"EpochDelta", func() { g.EpochDelta(1) }},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "AttachPlane") {
+					t.Fatalf("%s with no plane: panic %q does not name AttachPlane", r.name, msg)
+				}
+			}()
+			r.read()
+		})
+	}
 }

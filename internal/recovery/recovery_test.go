@@ -21,6 +21,7 @@ func buildGroup(t *testing.T, retain bool) (*omc.Group, map[uint64]uint64) {
 	cfg.CoresPerVD = 2
 	cfg.RetainEpochs = retain
 	nvm := mem.NewNVM(&cfg)
+	nvm.AttachPlane(mem.NewRAMPlane()) // recovery reads the persisted content
 	g := omc.NewGroup(&cfg, nvm, 2)
 	golden := map[uint64]uint64{}
 	// Three epochs of versions; later epochs overwrite some addresses.
@@ -138,6 +139,7 @@ func TestHistoryMatchesEpochDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // history and deltas read content
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +196,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	nvo := core.New(&cfg)
+	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // the test recovers the image
 	clocks := sim.NewClocks(cfg.Cores)
 	nvo.Bind(clocks)
 	r := sim.NewRNG(3)

@@ -19,6 +19,7 @@ func buildSalvageImage(t *testing.T) (*mem.Image, map[uint64]map[uint64]uint64) 
 	cfg.CoresPerVD = 2
 	cfg.RetainEpochs = true
 	nvm := mem.NewNVM(&cfg)
+	nvm.AttachPlane(mem.NewRAMPlane()) // the test salvages the device image
 	g := omc.NewGroup(&cfg, nvm, 2)
 	goldenAt := map[uint64]map[uint64]uint64{0: {}}
 	cur := map[uint64]uint64{}

@@ -78,8 +78,8 @@ type Config struct {
 
 	// Durable store. StoreDir, when non-empty, backs the NVM content plane
 	// with the append/checkpoint file format under that directory (a fresh
-	// one; drivers refuse an existing store). Empty keeps the historical
-	// in-memory plane: runs are byte-identical to pre-file-plane behaviour.
+	// one; drivers refuse an existing store). Empty attaches no file plane:
+	// runs are byte-identical to pre-file-plane behaviour.
 	StoreDir string
 
 	// Obs, when non-nil, receives the run's structured event stream
