@@ -128,9 +128,10 @@ func (n *NVM) PersistSilent(addr uint64, words []uint64, now uint64) {
 
 // enqueue places a word burst on addr's bank queue. Booked writes complete
 // a full device latency after max(bank completion clock, issue time);
-// silent writes piggyback at the watermark itself.
+// silent writes piggyback at the watermark itself. Once the queues are
+// unread (see unqueued) it returns at once.
 func (n *NVM) enqueue(addr uint64, words []uint64, now uint64, booked bool) {
-	if len(words) == 0 {
+	if len(words) == 0 || n.unqueued() {
 		return
 	}
 	addr = wordAlign(addr)
@@ -150,17 +151,31 @@ func (n *NVM) enqueue(addr uint64, words []uint64, now uint64, booked bool) {
 		w, words := q.pop()
 		n.commit(w, words, now)
 	}
+	if n.unqueued() { // the drain above dropped the first write
+		return
+	}
 	q.push(addr, done, words)
 }
+
+// unqueued reports that no reader can see the bank queues any more: a
+// write already drained with no plane, so none can be attached (AttachPlane
+// refuses), and with no bus no nvm_drain event reports a drain. Every
+// content reader panics and SealDurable is a no-op without a plane, so the
+// queues and the completion clock stop there.
+func (n *NVM) unqueued() bool { return n.dropped && n.bus == nil }
 
 // commit applies a completed write to the persisted word array. now is the
 // cycle the drain was observed at (the write's own completion may be older).
 // The drain event fires with or without a plane; with none the words are
-// dropped and a later AttachPlane refuses.
+// dropped and a later AttachPlane refuses. The first such drop on an
+// unobserved device also releases every bank's rings (see unqueued).
 func (n *NVM) commit(w pendingWrite, words []uint64, now uint64) {
 	n.bus.Emit(obs.KindNVMDrain, now, n.bankOf(w.addr), 0, w.addr, uint64(len(words)), 0)
 	if n.plane == nil {
 		n.dropped = true
+		if n.unqueued() {
+			clear(n.pending)
+		}
 		return
 	}
 	n.plane.Apply(w.addr, words)

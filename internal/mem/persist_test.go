@@ -284,6 +284,48 @@ func TestPlanelessNVMKeepsNoPerLineState(t *testing.T) {
 	}
 }
 
+// TestUnobservedNVMStopsQueueing guards the timing-only store path: once a
+// device with no plane and no bus has dropped a drained write, nothing can
+// read its bank queues, so it releases them and N and then 4N further
+// Persists allocate exactly as often. The writes are write-combined 8-byte
+// slots on one line: each adds a full latency to the bank's completion
+// clock, so none of them drains and, while queued, the queue grows with
+// them. Before the first drop the queue is kept, and the same run shows
+// that growth.
+func TestUnobservedNVMStopsQueueing(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	line := uint64(cfg.LineSize * cfg.NVMBanks) // the next line on bank 0
+	allocs := func(writes int, drop bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			n := NewNVM(&cfg)
+			if drop { // the second write drains the first
+				n.Persist(WData, 0, cfg.LineSize, []uint64{1, 2, 3}, 0)
+				n.Persist(WData, 2*line, cfg.LineSize, []uint64{4, 5, 6}, cfg.NVMWriteLat)
+			}
+			for i := 0; i < writes; i++ {
+				n.Persist(WMeta, line, 8, []uint64{uint64(i)}, cfg.NVMWriteLat)
+			}
+		})
+	}
+	const writes = 1024
+	if n, n4 := allocs(writes, true), allocs(4*writes, true); n4 != n {
+		t.Fatalf("after the first drop 4N writes made %v allocations, N writes %v: the device still queues words no reader can see", n4, n)
+	}
+	if n, n4 := allocs(writes, false), allocs(4*writes, false); n4 <= n {
+		t.Fatalf("before any drop 4N writes made %v allocations, N writes %v: the guard cannot see the queue grow", n4, n)
+	}
+	n := NewNVM(&cfg)
+	for b := 0; b < cfg.NVMBanks; b++ {
+		n.Persist(WData, uint64(b*cfg.LineSize), cfg.LineSize, []uint64{1}, 0)
+	}
+	n.Persist(WData, line, cfg.LineSize, []uint64{2}, cfg.NVMWriteLat)
+	for b, q := range n.pending {
+		if q.ring != nil || q.words != nil {
+			t.Fatalf("bank %d keeps its rings after the first drop", b)
+		}
+	}
+}
+
 // TestPlanelessTimingMatchesPlane: the plane records content only, so the
 // same writes book the same stalls and counters with or without one.
 func TestPlanelessTimingMatchesPlane(t *testing.T) {

@@ -22,6 +22,7 @@ type OMC struct {
 
 	epochs   *mem.Table[*Table] // volatile per-epoch tables, unmerged
 	retained *mem.Table[*Table] // merged tables kept for time-travel reads
+	free     nodeFree           // nodes of merged, unretained tables
 	master   *Table
 	pool     *Pool
 	buf      *Buffer
@@ -93,12 +94,14 @@ func (o *OMC) allocMeta(size int) uint64 {
 // silently — durable once the bank's completion clock passes, torn or
 // lost at a power cut just like booked traffic.
 func (o *OMC) newEpochTable() *Table {
-	return NewMasterTable(
+	t := NewMasterTable(
 		o.allocMeta,
 		func(nvmAddr uint64, size int, word uint64) {
 			o.nvm.PersistSilent(nvmAddr, []uint64{word}, o.now)
 		},
 	)
+	t.free = &o.free
+	return t
 }
 
 // ReceiveVersion accepts a snapshot line from the frontend at cycle now and
@@ -228,6 +231,10 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 	o.epochs.Delete(e)
 	if o.cfg.RetainEpochs {
 		o.retained.Put(e, t)
+	} else {
+		// Nothing reads an unretained table after its merge: later
+		// epoch tables reuse its nodes.
+		t.release()
 	}
 }
 

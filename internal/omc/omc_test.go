@@ -2,6 +2,8 @@ package omc
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -384,5 +386,112 @@ func TestContentReadersNeedPlane(t *testing.T) {
 			}()
 			r.read()
 		})
+	}
+}
+
+// runEpochs writes one version of every addr in each epoch from+1..to and
+// merges each epoch before the next one starts.
+func runEpochs(o *OMC, addrs []uint64, from, to uint64) {
+	for e := from + 1; e <= to; e++ {
+		for i, a := range addrs {
+			o.ReceiveVersion(Version{Addr: a, Epoch: e, Data: e<<16 | uint64(i)}, e*1000)
+		}
+		o.advanceRecEpochTo(e, e*1000+500)
+	}
+}
+
+// strided returns n line addresses stride bytes apart.
+func strided(n int, stride uint64) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = 0x40 + uint64(i)*stride
+	}
+	return out
+}
+
+// TestMergedTableNodesRecycled guards the per-epoch node free list: with
+// RetainEpochs false a merged table's nodes build the later epochs'
+// tables, so after the first merges an epoch whose 16 versions sit in 16
+// distinct level-2 subtrees (three nodes each) allocates exactly as often
+// as one whose versions share a leaf. Retained tables keep their nodes,
+// and the same run shows that growth.
+func TestMergedTableNodesRecycled(t *testing.T) {
+	allocs := func(retain bool, addrs []uint64) float64 {
+		cfg := omcCfg()
+		cfg.RetainEpochs = retain
+		o := New(cfg, mem.NewNVM(cfg), 0)
+		e := uint64(3)
+		runEpochs(o, addrs, 0, e)
+		return testing.AllocsPerRun(5, func() {
+			runEpochs(o, addrs, e, e+1)
+			e++
+		})
+	}
+	narrow, wide := strided(16, 64), strided(16, 1<<30)
+	if n, w := allocs(false, narrow), allocs(false, wide); w != n {
+		t.Fatalf("an epoch over 16 subtrees made %v allocations, over one leaf %v: merged tables' nodes are not reused", w, n)
+	}
+	if n, w := allocs(true, narrow), allocs(true, wide); w <= n {
+		t.Fatalf("retaining, an epoch over 16 subtrees made %v allocations, over one leaf %v: the guard cannot see node allocation", w, n)
+	}
+}
+
+// TestRecycledNodesMatchFresh: reusing nodes moves no NVM home, slot write
+// or record. Two OMCs take the same versions; one empties its free list
+// before every epoch, so its tables are built from fresh nodes. The master
+// tables and every persisted word must match.
+func TestRecycledNodesMatchFresh(t *testing.T) {
+	cfg := omcCfg()
+	recycled, nvmR := newTestOMC(cfg)
+	fresh, nvmF := newTestOMC(cfg)
+	rng := rand.New(rand.NewSource(5))
+	for e := uint64(1); e <= 12; e++ {
+		addrs := make([]uint64, 40)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(1<<20)) << 6
+		}
+		fresh.free = nodeFree{}
+		runEpochs(recycled, addrs, e-1, e)
+		runEpochs(fresh, addrs, e-1, e)
+	}
+	if len(recycled.free.inners) == 0 || len(recycled.free.leaves) == 0 {
+		t.Fatal("no node reached the free list: the comparison shows nothing")
+	}
+	mr, mf := recycled.master, fresh.master
+	if mr.Entries() != mf.Entries() || mr.Digest() != mf.Digest() || mr.Bytes() != mf.Bytes() {
+		t.Fatalf("master %v digest %#x, fresh-node master %v digest %#x", mr, mr.Digest(), mf, mf.Digest())
+	}
+	var er, ef []uint64
+	mr.ForEach(func(l, a uint64) { er = append(er, l, a) })
+	mf.ForEach(func(l, a uint64) { ef = append(ef, l, a) })
+	if !slices.Equal(er, ef) {
+		t.Fatal("master entries differ from the fresh-node run")
+	}
+	ir, iF := nvmR.Image(), nvmF.Image()
+	if !slices.Equal(ir.SortedAddrs(), iF.SortedAddrs()) {
+		t.Fatal("persisted word addresses differ from the fresh-node run")
+	}
+	for _, a := range ir.SortedAddrs() {
+		vr, _ := ir.Word(a)
+		if vf, _ := iF.Word(a); vr != vf {
+			t.Fatalf("persisted word %#x is %#x, %#x in the fresh-node run", a, vr, vf)
+		}
+	}
+	if sr, sf := nvmR.Stats().String(), nvmF.Stats().String(); sr != sf {
+		t.Fatalf("device counters differ:\nrecycled %s\nfresh    %s", sr, sf)
+	}
+}
+
+// TestRetainedEpochSurvivesLaterEpochs: a retained table keeps its nodes,
+// so later epochs, merged and built while it is kept, leave its
+// time-travel answers intact.
+func TestRetainedEpochSurvivesLaterEpochs(t *testing.T) {
+	cfg := omcCfg()
+	cfg.RetainEpochs = true
+	o, _ := newTestOMC(cfg)
+	runEpochs(o, []uint64{0x40}, 0, 1)
+	runEpochs(o, strided(9, 1<<30)[1:], 1, 6) // every line but 0x40
+	if d, e, ok := o.TimeTravelRead(0x40, 3); !ok || d != 1<<16 || e != 1 {
+		t.Fatalf("merged epoch 1 read as %d,%d,%v after later epochs", d, e, ok)
 	}
 }

@@ -56,6 +56,69 @@ type Table struct {
 	persist func(nvmAddr uint64, size int, word uint64)
 	// metaAlloc hands out NVM addresses for newly allocated nodes.
 	metaAlloc func(size int) uint64
+	// free, when non-nil, supplies cleared nodes to Insert before it
+	// allocates new ones (see nodeFree).
+	free *nodeFree
+}
+
+// nodeFree is an OMC's free list of radix nodes. A per-epoch table that
+// was merged and is not retained hands its nodes back here (release), and
+// the insert path of later per-epoch tables takes them, so a run keeps
+// about as many nodes as its live tables need. A reused node gets a fresh
+// NVM home from metaAlloc, exactly as a new one would.
+type nodeFree struct {
+	inners []*inner
+	leaves []*leaf
+}
+
+// newInner returns a cleared inner node homed at nvmAddr.
+func (f *nodeFree) newInner(nvmAddr uint64) *inner {
+	if f == nil || len(f.inners) == 0 {
+		return &inner{nvmAddr: nvmAddr}
+	}
+	in := f.inners[len(f.inners)-1]
+	f.inners = f.inners[:len(f.inners)-1]
+	in.nvmAddr = nvmAddr
+	return in
+}
+
+// newLeaf returns a cleared leaf homed at nvmAddr.
+func (f *nodeFree) newLeaf(nvmAddr uint64) *leaf {
+	if f == nil || len(f.leaves) == 0 {
+		return &leaf{nvmAddr: nvmAddr}
+	}
+	lf := f.leaves[len(f.leaves)-1]
+	f.leaves = f.leaves[:len(f.leaves)-1]
+	lf.nvmAddr = nvmAddr
+	return lf
+}
+
+// release clears every node of t onto its free list and leaves t empty.
+// The caller guarantees nothing reads t again.
+func (t *Table) release() {
+	f := t.free
+	var walk func(n *inner, level int)
+	walk = func(n *inner, level int) {
+		for i := range n.children {
+			child := n.children[i]
+			if child == nil {
+				continue
+			}
+			if level == 3 {
+				lf := child.(*leaf)
+				lf.present, lf.vals = 0, [leafFanout]uint64{}
+				f.leaves = append(f.leaves, lf)
+			} else {
+				walk(child.(*inner), level+1)
+			}
+			n.children[i] = nil
+		}
+		f.inners = append(f.inners, n)
+	}
+	if t.root != nil {
+		walk(t.root, 0)
+	}
+	*t = Table{}
 }
 
 // NewMasterTable returns a persistent table whose metadata writes are
@@ -95,7 +158,7 @@ func (t *Table) Insert(lineAddr, nvmAddr uint64) (old uint64, replaced bool) {
 		panic("omc: Insert with zero nvmAddr")
 	}
 	if t.root == nil {
-		t.root = &inner{nvmAddr: t.allocMeta(innerNodeBytes)}
+		t.root = t.free.newInner(t.allocMeta(innerNodeBytes))
 		t.inners++
 	}
 	n := t.root
@@ -106,12 +169,12 @@ func (t *Table) Insert(lineAddr, nvmAddr uint64) (old uint64, replaced bool) {
 			var created interface{}
 			var childAddr uint64
 			if level == 4 {
-				lf := &leaf{nvmAddr: t.allocMeta(leafNodeBytes)}
+				lf := t.free.newLeaf(t.allocMeta(leafNodeBytes))
 				t.leaves++
 				created = lf
 				childAddr = lf.nvmAddr
 			} else {
-				in := &inner{nvmAddr: t.allocMeta(innerNodeBytes)}
+				in := t.free.newInner(t.allocMeta(innerNodeBytes))
 				t.inners++
 				created = in
 				childAddr = in.nvmAddr
