@@ -110,10 +110,11 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 		return lat
 	}
 	lat += h.Cfg.LLCLatency
-	rv, data, extra := h.fetch(vd, addr, false)
+	rv, data, e, extra := h.fetch(vd, addr, false)
 	lat += extra
+	// e stays valid until fillL2: OnResponse does not insert into or
+	// delete from the directory.
 	lat += h.response(vd, rv)
-	e := h.Entry(addr)
 	state := cache.Shared
 	if e.Sharers.Only(vd) && e.Owner == -1 {
 		state = cache.Exclusive
@@ -157,8 +158,10 @@ func (h *Hierarchy) Store(tid int, addr, data uint64) uint64 {
 		return lat + h.store(tid, vd, ln, data)
 	}
 	lat += h.Cfg.LLCLatency
-	rv, old, extra := h.fetch(vd, addr, true)
+	rv, old, e, extra := h.fetch(vd, addr, true)
 	lat += extra
+	// e stays valid until fillL2: OnResponse and the L1 invalidations do
+	// not insert into or delete from the directory.
 	lat += h.response(vd, rv)
 	// Invalidate stale shared copies held by sibling L1s within this VD.
 	lo, hi := h.CoresOf(vd)
@@ -168,7 +171,6 @@ func (h *Hierarchy) Store(tid int, addr, data uint64) uint64 {
 		}
 		h.L1(c).Invalidate(addr)
 	}
-	e := h.Entry(addr)
 	e.Sharers = cache.SharerSet{}
 	e.Owner = vd
 	l2ln, fill := h.fillL2(vd, addr, cache.Modified, rv, old)
@@ -198,12 +200,13 @@ func (h *Hierarchy) response(vd int, rv uint64) uint64 {
 
 // fetch resolves a VD miss at the directory: it invalidates or downgrades
 // remote VDs, ensures the line is resident in the (inclusive) LLC, and
-// returns the version of the data supplied plus any extra latency.
-func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, lat uint64) {
-	// Work on a copy of addr's entry and store it back at the end: the LLC
-	// installs below may evict a victim, and deleting its entry can move
-	// addr's entry within the directory table.
-	e := *h.Entry(addr)
+// returns the version of the data supplied, addr's directory entry and
+// any extra latency.
+func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, e *cache.DirEntry, lat uint64) {
+	// The remote invalidations and downgrades below, and the scheme
+	// callbacks they fire, never insert into or delete from the directory,
+	// so e stays valid until an LLC install evicts a victim.
+	e = h.Entry(addr)
 
 	// Resolve remote copies.
 	if e.Owner != -1 && e.Owner != vd {
@@ -242,10 +245,14 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 	} else {
 		h.stat.IncAt(llcMisses)
 		lat += h.dram.Latency()
-		rv = h.dram.OID(addr)
-		data = h.dram.Data(addr)
-		ln, fill := h.installLLC(addr, rv, data, false)
-		lat += fill
+		rv, data = h.dram.Read(addr)
+		ln, victim, evicted := h.SliceOf(addr).Insert(addr)
+		if evicted {
+			lat += h.evictLLCVictim(victim)
+			// Deleting the victim's entry may have shifted addr's entry.
+			e = h.Dir.Ptr(addr)
+		}
+		ln.State, ln.OID, ln.Data = cache.Shared, rv, data
 		if h.cb.OnLLCFill != nil {
 			h.cb.OnLLCFill(ln)
 			rv = ln.OID
@@ -254,29 +261,15 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 	if !exclusive {
 		e.Sharers.Add(vd)
 	}
-	*h.Entry(addr) = e
-	return rv, data, lat
+	return rv, data, e, lat
 }
 
-// installLLC inserts addr into its LLC slice, handling the victim with
-// back-invalidation (inclusive LLC) and DRAM write-back, and returns the
-// installed line.
-func (h *Hierarchy) installLLC(addr uint64, oid, data uint64, dirty bool) (ln *cache.Line, lat uint64) {
-	ln, victim, evicted := h.SliceOf(addr).Insert(addr)
-	if evicted {
-		lat = h.evictLLCVictim(victim)
-	}
-	ln.State = cache.Shared
-	ln.OID = oid
-	ln.Data = data
-	ln.Dirty = dirty
-	return ln, lat
-}
-
+// evictLLCVictim handles an LLC victim with back-invalidation (inclusive
+// LLC) and DRAM write-back.
 func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
 	// Back-invalidate all VD copies; their dirty data merges into the
 	// victim before write-back.
-	if e := h.Dir.Ptr(victim.Tag); e != nil {
+	if e, ok := h.Dir.Take(victim.Tag); ok {
 		vds := e.Sharers
 		if e.Owner != -1 {
 			vds.Add(e.Owner)
@@ -289,7 +282,6 @@ func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
 			}
 			h.stat.IncAt(backInvalidations)
 		})
-		h.Dir.Delete(victim.Tag)
 	}
 	if victim.Dirty {
 		h.dram.WriteBack(victim.Tag, victim.OID, victim.Data)

@@ -282,10 +282,12 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 		return lat
 	}
 	lat += f.Cfg.LLCLatency
-	rv, data, extra := f.fetch(vd, addr, false)
+	rv, data, e, extra := f.fetch(vd, addr)
 	lat += extra
+	// e stays valid until fillL2, which may drop an L2 victim's entry:
+	// maybeAdvance and the LLC invalidation do not insert into or delete
+	// from the directory.
 	f.maybeAdvance(vd, rv)
-	e := f.Entry(addr)
 	state := cache.Shared
 	if e.Sharers.Only(vd) && e.Owner == -1 {
 		state = cache.Exclusive
@@ -293,16 +295,13 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 		e.Owner = vd
 		// An Exclusive grant means no other cached copy may remain: drop
 		// the LLC copy (the VD may silently write newer data in place).
-		// Its dirty-toward-DRAM marker is honoured first.
-		if ln := f.SliceOf(addr).Peek(addr); ln != nil {
-			if ln.Dirty {
-				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-				f.stat.IncAt(llcDRAMWritebacks)
-			}
-			f.SliceOf(addr).Invalidate(addr)
+		// A dirty LLC copy is written back to DRAM.
+		if ln, ok := f.SliceOf(addr).Invalidate(addr); ok && ln.Dirty {
+			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
+			f.stat.IncAt(llcDRAMWritebacks)
 		}
 	}
-	f.fillL2(vd, addr, state, rv, data)
+	f.fillL2(vd, nil, addr, state, rv, data) // the L2 missed above
 	f.fillL1(tid, addr, state, rv, data, false)
 	return lat
 }
@@ -320,7 +319,8 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 		return lat
 	}
 	lat += f.Cfg.L2Latency
-	if l2ln := f.L2(vd).Lookup(addr); l2ln != nil && l2ln.State.Writable() {
+	l2ln := f.L2(vd).Lookup(addr)
+	if l2ln != nil && l2ln.State.Writable() {
 		f.stat.IncAt(l2StoreHits)
 		lo, hi := f.CoresOf(vd)
 		for c := lo; c < hi; c++ {
@@ -341,8 +341,11 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 		return lat
 	}
 	lat += f.Cfg.LLCLatency
-	rv, rdata, dirtyXfer, extra := f.fetchExclusive(vd, addr)
+	rv, rdata, e, dirtyXfer, extra := f.fetchExclusive(vd, addr)
 	lat += extra
+	// e and l2ln stay valid until fillL2: maybeAdvance, LowerMinVer and
+	// the sibling L1 invalidations neither touch the directory nor insert
+	// into or remove from this VD's L2.
 	f.maybeAdvance(vd, rv)
 	if dirtyXfer && rv < f.cur[vd] {
 		// An unpersisted version of a closed epoch just migrated into this
@@ -357,12 +360,11 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 		}
 		f.L1(c).Invalidate(addr)
 	}
-	e := f.Entry(addr)
 	e.Sharers = cache.SharerSet{}
 	e.Owner = vd
 	// The L2 always receives a clean copy (inclusion); a dirty
 	// cache-to-cache transfer lands in the requestor's L1 still dirty.
-	f.fillL2(vd, addr, cache.Modified, rv, rdata)
+	f.fillL2(vd, l2ln, addr, cache.Modified, rv, rdata)
 	ln := f.fillL1(tid, addr, cache.Exclusive, rv, rdata, dirtyXfer)
 	f.performStore(tid, vd, ln, data)
 	f.bumpStore(vd)
@@ -579,10 +581,12 @@ func (f *Frontend) insertLLC(wb cache.Line, dirty bool) {
 // ---------------------------------------------------------------------------
 // Directory / inter-VD protocol
 
-// fetch resolves a shared (GETS) VD miss. The RV of the response is the OID
-// of the data served (§IV-A).
-func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, lat uint64) {
-	e := f.Entry(addr)
+// fetch resolves a shared (GETS) VD miss and returns addr's directory
+// entry with the response. The RV of the response is the OID of the data
+// served (§IV-A). Only an L2 eviction deletes CST directory entries, and
+// none happens here, so e stays valid throughout.
+func (f *Frontend) fetch(vd int, addr uint64) (rv, data uint64, e *cache.DirEntry, lat uint64) {
+	e = f.Entry(addr)
 	if e.Owner != -1 && e.Owner != vd {
 		lat += f.Cfg.RemoteL2Lat
 		rv, data = f.downgradeVD(e.Owner, addr)
@@ -590,26 +594,28 @@ func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, 
 		e.Owner = -1
 		e.Sharers.Add(vd)
 		f.stat.IncAt(remoteDowngrades)
-		return rv, data, lat
+		return rv, data, e, lat
 	}
 	slice := f.SliceOf(addr)
 	if ln := slice.Lookup(addr); ln != nil {
 		f.stat.IncAt(llcHits)
 		e.Sharers.Add(vd)
-		return ln.OID, ln.Data, lat
+		return ln.OID, ln.Data, e, lat
 	}
 	f.stat.IncAt(llcMisses)
 	lat += f.dram.Latency()
 	e.Sharers.Add(vd)
-	return f.dram.OID(addr), f.dram.Data(addr), lat
+	rv, data = f.dram.Read(addr)
+	return rv, data, e, lat
 }
 
 // fetchExclusive resolves a GETX miss: every remote copy is invalidated.
 // When the current owner holds a dirty version, it is transferred
 // cache-to-cache (dirtyXfer=true) instead of being written back through the
-// LLC (§IV-A3 optimisation), saving both traffic and an OMC write.
-func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXfer bool, lat uint64) {
-	e := f.Entry(addr)
+// LLC (§IV-A3 optimisation), saving both traffic and an OMC write. It
+// returns addr's directory entry, which stays valid as fetch's does.
+func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, e *cache.DirEntry, dirtyXfer bool, lat uint64) {
+	e = f.Entry(addr)
 	haveData := false
 	if e.Owner != -1 && e.Owner != vd {
 		lat += f.Cfg.RemoteL2Lat
@@ -635,8 +641,7 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 		e.Sharers.Remove(other)
 		f.stat.IncAt(remoteInvalidations)
 	})
-	slice := f.SliceOf(addr)
-	if ln := slice.Peek(addr); ln != nil {
+	if ln, ok := f.SliceOf(addr).Invalidate(addr); ok {
 		if !haveData {
 			rv, data, haveData = ln.OID, ln.Data, true
 			f.stat.IncAt(llcHits)
@@ -647,14 +652,13 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
 			f.stat.IncAt(llcDRAMWritebacks)
 		}
-		slice.Invalidate(addr)
 	}
 	if !haveData {
 		f.stat.IncAt(llcMisses)
 		lat += f.dram.Latency()
-		rv, data = f.dram.OID(addr), f.dram.Data(addr)
+		rv, data = f.dram.Read(addr)
 	}
-	return rv, data, dirtyXfer, lat
+	return rv, data, e, dirtyXfer, lat
 }
 
 // downgradeVD demotes a VD's copies to Shared for a remote GETS. The most
@@ -708,7 +712,7 @@ func (f *Frontend) downgradeVD(vd int, addr uint64) (rv, data uint64) {
 	if ln := f.SliceOf(addr).Peek(addr); ln != nil {
 		return ln.OID, ln.Data
 	}
-	return f.dram.OID(addr), f.dram.Data(addr)
+	return f.dram.Read(addr)
 }
 
 // invalidateVD removes every copy of addr from a VD for a remote GETX,
@@ -745,9 +749,10 @@ func (f *Frontend) invalidateVD(vd int, addr uint64) (newest cache.Line, wasDirt
 	return newest, wasDirty
 }
 
-// fillL2 installs a clean copy of addr into the VD's L2.
-func (f *Frontend) fillL2(vd int, addr uint64, state cache.State, oid, data uint64) {
-	if ln := f.L2(vd).Peek(addr); ln != nil {
+// fillL2 installs a clean copy of addr into the VD's L2. ln is addr's
+// resident L2 line as the caller looked it up, or nil when it missed.
+func (f *Frontend) fillL2(vd int, ln *cache.Line, addr uint64, state cache.State, oid, data uint64) {
+	if ln != nil {
 		// Keep a resident dirty version; only the coherence state changes.
 		if !ln.Dirty {
 			ln.OID = oid

@@ -93,6 +93,20 @@ func (d *DRAM) OID(addr uint64) uint64 {
 	return e.oid
 }
 
+// Read returns addr's granule OID and line payload, as OID and Data would,
+// and counts one OID lookup. At SuperBlock 1, and for a granule's first
+// line, the line heads its granule and one table probe serves both.
+func (d *DRAM) Read(addr uint64) (oid, data uint64) {
+	d.stat.IncAt(dramOIDLookups)
+	k := d.key(addr)
+	e, _ := d.lines.Get(k)
+	oid = e.oid
+	if line := d.cfg.LineAddr(addr); line != k {
+		e, _ = d.lines.Get(line)
+	}
+	return oid, e.data
+}
+
 // SideBandBytes returns the bytes of OID metadata implied by the current
 // tracked set (2 bytes per granule, mirroring the 16-bit tag).
 func (d *DRAM) SideBandBytes() int64 { return int64(d.tagged) * 2 }

@@ -224,6 +224,34 @@ func TestDRAMSuperBlockMonotonic(t *testing.T) {
 	}
 }
 
+// Read answers as the OID and Data pair it replaces, whether or not the
+// line heads its tracking granule, and counts one OID lookup per call.
+func TestDRAMReadMatchesOIDAndData(t *testing.T) {
+	for _, sb := range []int{1, 4} {
+		cfg := testCfg()
+		cfg.SuperBlock = sb
+		d := NewDRAM(cfg)
+		rng := sim.NewRNG(int64(sb))
+		line := uint64(cfg.LineSize)
+		for i := 0; i < 4000; i++ {
+			addr := 0x1000 + uint64(rng.Intn(64))*line + uint64(rng.Intn(8))*8
+			if rng.Intn(2) == 0 {
+				d.WriteBack(addr, uint64(rng.Intn(50)), uint64(i+1))
+				continue
+			}
+			wantOID, wantData := d.OID(addr), d.Data(addr)
+			before := d.stat.GetAt(dramOIDLookups)
+			oid, data := d.Read(addr)
+			if oid != wantOID || data != wantData {
+				t.Fatalf("SuperBlock %d: Read(%#x) = (%d, %d), want (%d, %d)", sb, addr, oid, data, wantOID, wantData)
+			}
+			if n := d.stat.GetAt(dramOIDLookups) - before; n != 1 {
+				t.Fatalf("SuperBlock %d: Read counted %d OID lookups, want 1", sb, n)
+			}
+		}
+	}
+}
+
 func TestDRAMPerLineIndependent(t *testing.T) {
 	d := NewDRAM(testCfg())
 	d.WriteBack(0x1000, 9, 1)

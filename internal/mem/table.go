@@ -190,16 +190,24 @@ func (t *Table[V]) grow() {
 // Delete removes k and reports whether it was present. The slots after it
 // in its probe run shift back, so lookups never cross a tombstone.
 func (t *Table[V]) Delete(k uint64) bool {
+	_, ok := t.Take(k)
+	return ok
+}
+
+// Take removes k and returns the value it held, with one probe where Ptr
+// then Delete would take two; ok reports whether k was present.
+func (t *Table[V]) Take(k uint64) (v V, ok bool) {
 	if k == 0 {
-		had := t.hasZero
+		v, ok = t.zero, t.hasZero
 		var zero V
 		t.hasZero, t.zero = false, zero
-		return had
+		return v, ok
 	}
 	i := t.find(k)
 	if i < 0 {
-		return false
+		return v, false
 	}
+	v = t.slots[i].val
 	mask := uint64(len(t.slots) - 1)
 	hole := uint64(i)
 	for j := (hole + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
@@ -213,7 +221,7 @@ func (t *Table[V]) Delete(k uint64) bool {
 	}
 	t.slots[hole] = tableSlot[V]{}
 	t.n--
-	return true
+	return v, true
 }
 
 // Reset empties the table and keeps its slot array for reuse.

@@ -10,7 +10,7 @@ import (
 )
 
 // tableOp is one step of a table property run: op 0 puts, 1 deletes,
-// 2 gets, 3 increments through Upsert.
+// 2 gets, 3 increments through Upsert, 4 takes.
 type tableOp struct {
 	op  int
 	key uint64
@@ -50,6 +50,12 @@ func checkTable(t *testing.T, ops []tableOp) {
 			}
 			*p += o.val
 			ref[o.key] += o.val
+		case 4:
+			want, had := ref[o.key]
+			if got, ok := tab.Take(o.key); got != want || ok != had {
+				t.Fatalf("op %d: Take(%#x) = (%d, %v), want (%d, %v)", i, o.key, got, ok, want, had)
+			}
+			delete(ref, o.key)
 		}
 		if tab.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", i, tab.Len(), len(ref))
@@ -129,6 +135,41 @@ func TestTableMatchesMap(t *testing.T) {
 				checkTable(t, randomOps(rng, 20_000, func() uint64 { return c.key(rng) }))
 			}
 		})
+	}
+}
+
+// TestTableTakeMatchesMap checks Take against the map model on op mixes
+// of puts, upserts, gets and takes, key 0 included. The keys are dense,
+// so most takes empty a slot inside a probe run and shift later entries
+// back; the test counts those to be sure the shift path runs.
+func TestTableTakeMatchesMap(t *testing.T) {
+	kinds := []int{0, 2, 3, 4, 4}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]tableOp, 20_000)
+		for i := range ops {
+			ops[i] = tableOp{op: kinds[rng.Intn(len(kinds))], key: uint64(rng.Intn(200)), val: rng.Uint64()}
+		}
+		checkTable(t, ops)
+	}
+	tab := NewTable[uint64](0)
+	shifted := 0
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20_000; i++ {
+		k := uint64(rng.Intn(200))
+		if rng.Intn(2) == 0 {
+			tab.Put(k, k)
+			continue
+		}
+		if j := tab.find(k); j >= 0 && tab.slots[(j+1)&(len(tab.slots)-1)].key != 0 {
+			shifted++
+		}
+		if v, ok := tab.Take(k); ok && v != k {
+			t.Fatalf("Take(%d) = %d", k, v)
+		}
+	}
+	if shifted == 0 {
+		t.Fatal("no take emptied a slot inside a probe run")
 	}
 }
 

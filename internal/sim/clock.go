@@ -5,16 +5,21 @@ package sim
 // interleaving), which both serialises the hierarchy and yields a realistic
 // interleaving of the worker threads.
 //
-// The smallest-clock query is served by a tournament tree maintained on
-// every clock mutation: O(log n) per update instead of the old O(n) scan
-// per driver step, which dominated the profile at 256 cores. Ties select
-// the lowest thread id — each internal node prefers its left child on
-// equal clocks and every left subtree holds strictly lower ids, so the
-// tree reproduces the old linear scan's choice exactly.
+// The smallest-clock query is served by a tournament tree: O(log n) per
+// changed thread instead of the old O(n) scan per driver step, which
+// dominated the profile at 256 cores. Ties select the lowest thread id —
+// each internal node prefers its left child on equal clocks and every left
+// subtree holds strictly lower ids, so the tree reproduces the old linear
+// scan's choice exactly. A mutation only marks its thread and MinLive
+// fixes the tree, so trace replay, which never asks, does no tree work.
 type Clocks struct {
 	now  []uint64
-	tree []int32 // tree[1] is the overall winner; -1 marks retired/padding
+	tree []int32 // tree[1] is the overall winner once fixed; -1 marks retired/padding
 	base int     // leaf offset: smallest power of two >= len(now)
+	// pend lists the threads changed since the last fixup, each at most
+	// once (marked[tid] is 1 while tid is listed), so it never outgrows n.
+	pend   []int32
+	marked []int32
 }
 
 // NewClocks returns n thread clocks, all at zero.
@@ -23,7 +28,10 @@ func NewClocks(n int) *Clocks {
 	for base < n {
 		base <<= 1
 	}
-	c := &Clocks{now: make([]uint64, n), tree: make([]int32, 2*base), base: base}
+	// One allocation holds the tree, the mark list and the mark flags.
+	buf := make([]int32, 2*base+2*n)
+	c := &Clocks{now: make([]uint64, n), tree: buf[:2*base], base: base,
+		pend: buf[2*base : 2*base : 2*base+n], marked: buf[2*base+n:]}
 	for i := range c.tree {
 		c.tree[i] = -1
 	}
@@ -51,11 +59,11 @@ func (c *Clocks) winner(a, b int32) int32 {
 	return a
 }
 
-// fixup replays tid's matches up to the root after its clock (or liveness)
-// changed.
-func (c *Clocks) fixup(tid int) {
-	for i := (c.base + tid) >> 1; i >= 1; i >>= 1 {
-		c.tree[i] = c.winner(c.tree[2*i], c.tree[2*i+1])
+// mark records that tid's clock or liveness changed since the last fixup.
+func (c *Clocks) mark(tid int) {
+	if c.marked[tid] == 0 {
+		c.marked[tid] = 1
+		c.pend = append(c.pend, int32(tid))
 	}
 }
 
@@ -68,18 +76,30 @@ func (c *Clocks) Now(tid int) uint64 { return c.now[tid] }
 // Advance moves thread tid forward by delta cycles.
 func (c *Clocks) Advance(tid int, delta uint64) {
 	c.now[tid] += delta
-	c.fixup(tid)
+	c.mark(tid)
 }
 
 // Retire marks thread tid finished: it no longer contends for the minimum.
 func (c *Clocks) Retire(tid int) {
 	c.tree[c.base+tid] = -1
-	c.fixup(tid)
+	c.mark(tid)
 }
 
 // MinLive returns the non-retired thread with the smallest clock (ties
-// broken by lowest id), or -1 when every thread has retired.
-func (c *Clocks) MinLive() int { return int(c.tree[1]) }
+// broken by lowest id), or -1 when every thread has retired. It first
+// replays each marked thread's matches up to the root; replaying the paths
+// in any order rebuilds the tree, as a node's last replay follows every
+// change below it.
+func (c *Clocks) MinLive() int {
+	for _, tid := range c.pend {
+		c.marked[tid] = 0
+		for i := (c.base + int(tid)) >> 1; i >= 1; i >>= 1 {
+			c.tree[i] = c.winner(c.tree[2*i], c.tree[2*i+1])
+		}
+	}
+	c.pend = c.pend[:0]
+	return int(c.tree[1])
+}
 
 // MinAmong returns the live thread with the smallest clock, or -1 when no
 // thread is live.
@@ -121,6 +141,6 @@ func (c *Clocks) StallGroup(lo, hi int, cost uint64) {
 	t += cost
 	for i := lo; i < hi; i++ {
 		c.now[i] = t
-		c.fixup(i)
+		c.mark(i)
 	}
 }

@@ -250,3 +250,61 @@ func TestClocksTournamentMatchesMinAmong(t *testing.T) {
 		}
 	}
 }
+
+// Property: the lazily fixed tree answers as the linear reference does
+// after any batch of Advance, StallGroup and Retire calls made between two
+// MinLive calls, including MinAmong's first-minimum tie-break. Batches
+// touch several threads, so MinLive replays several marked paths at once.
+func TestClocksLazyTreeMatchesMinAmong(t *testing.T) {
+	for _, n := range []int{1, 3, 16, 64, 256} {
+		rng := NewRNG(int64(1000 + n))
+		c := NewClocks(n)
+		live := make([]bool, n)
+		for i := range live {
+			live[i] = true
+		}
+		for round := 0; round < 500; round++ {
+			want := c.MinAmong(live)
+			if got := c.MinLive(); got != want {
+				t.Fatalf("n=%d round %d: MinLive = %d, MinAmong = %d", n, round, got, want)
+			}
+			if want < 0 {
+				break
+			}
+			for k := rng.Intn(8); k >= 0; k-- {
+				tid := rng.Intn(n)
+				switch rng.Intn(20) {
+				case 0:
+					c.Retire(tid)
+					live[tid] = false
+				case 1, 2:
+					lo := rng.Intn(n)
+					c.StallGroup(lo, lo+1+rng.Intn(n-lo), uint64(rng.Intn(30)))
+				default:
+					c.Advance(tid, uint64(rng.Intn(20))) // ties are common on 0
+				}
+			}
+		}
+	}
+}
+
+// A run that never reads the minimum (trace replay) must not grow the
+// mark list: each thread is listed at most once until MinLive drains it.
+func TestClocksPendingMarksBounded(t *testing.T) {
+	for _, n := range []int{1, 3, 16, 64, 256} {
+		c := NewClocks(n)
+		for i := 0; i < 10*n; i++ {
+			c.Advance(i%n, 1)
+			if len(c.pend) > n {
+				t.Fatalf("n=%d after %d advances: %d marks pending, want <= %d", n, i+1, len(c.pend), n)
+			}
+		}
+		c.StallGroup(0, n, 5)
+		if len(c.pend) != n {
+			t.Fatalf("n=%d: %d marks pending after touching every thread, want %d", n, len(c.pend), n)
+		}
+		if got := c.MinLive(); got != 0 || len(c.pend) != 0 {
+			t.Fatalf("n=%d: MinLive = %d with %d marks left, want 0 with none", n, got, len(c.pend))
+		}
+	}
+}
