@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/hostprof"
 	"repro/internal/mem"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -108,7 +108,11 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 	fs := flag.NewFlagSet("nvbench", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	o := options{}
-	fs.StringVar(&o.exp, "exp", "all", "experiment: config, fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig17b, ablate-superblock, ablate-scaling, ablate-walker, timeline, fileplane, scale256, all")
+	var names []string
+	for _, f := range experiments.Figures {
+		names = append(names, f.Name)
+	}
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(names, ", ")+", timeline, fileplane, scale256, all")
 	fs.StringVar(&o.scale, "scale", "quick", "run scale: smoke, quick, full")
 	fs.StringVar(&o.wlCSV, "workloads", "", "comma-separated workload subset (default: the paper's twelve; scale256 defaults to oltp,social)")
 	fs.StringVar(&o.coresCSV, "cores", "", "comma-separated core counts for scale256 (default: 64,128,256)")
@@ -187,138 +191,13 @@ func run(o options, out io.Writer) error {
 	}
 	start := time.Now()
 
-	runExp := func(name string, f func() (any, error)) error {
-		t0 := time.Now()
-		a0 := experiments.AccessesRun()
-		result, err := f()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		secs := time.Since(t0).Seconds()
-		if o.timing {
-			fmt.Fprintf(out, "[%s took %.1fs]\n", name, secs)
-		}
-		fmt.Fprintln(out)
-		rec := expRecord{Name: name, Seconds: secs,
-			Accesses: experiments.AccessesRun() - a0, Result: result}
-		rec.AccessesPerSec = rate(rec.Accesses, secs)
-		rep.Experiments = append(rep.Experiments, rec)
-		return nil
-	}
-
-	specs := []struct {
-		name string
-		fn   func() (any, error)
-	}{
-		{"config", func() (any, error) {
-			cfg := sim.DefaultConfig()
-			cfg.EpochSize = sc.EpochSize
-			if sc.Seed != 0 {
-				cfg.Seed = sc.Seed
+	// timeline, scale256 and fileplane run only by name.
+	extras := []experiments.Figure{
+		{Name: "timeline", Run: func(sc experiments.Scale, wls []string, out io.Writer) (any, error) {
+			if wls == nil {
+				wls = workload.Names()
 			}
-			if sc.Machine != nil {
-				sc.Machine(&cfg)
-			}
-			experiments.PrintConfig(out, &cfg)
-			fmt.Fprintf(out, "  Scale       %s: %d accesses, caches scaled to keep the paper's\n",
-				sc.Name, sc.MaxAccesses)
-			fmt.Fprintln(out, "              epoch-write-set vs L2/LLC capacity relationships")
-			return nil, nil
-		}},
-		{"fig11", func() (any, error) {
-			m, err := experiments.Fig11(sc, wls)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintMatrix(out, m)
-			return m, nil
-		}},
-		{"fig12", func() (any, error) {
-			m, err := experiments.Fig12(sc, wls)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintMatrix(out, m)
-			return m, nil
-		}},
-		{"fig13", func() (any, error) {
-			rows, err := experiments.Fig13(sc, wls)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig13(out, rows)
-			return rows, nil
-		}},
-		{"fig14", func() (any, error) {
-			pts, err := experiments.Fig14(sc)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig14(out, pts)
-			return pts, nil
-		}},
-		{"fig15", func() (any, error) {
-			rows, err := experiments.Fig15(sc)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig15(out, rows)
-			return rows, nil
-		}},
-		{"fig16", func() (any, error) {
-			r, err := experiments.Fig16(sc)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig16(out, r)
-			return r, nil
-		}},
-		{"fig17", func() (any, error) {
-			series, err := experiments.Fig17(sc, false)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig17(out, series)
-			return fig17JSON(series), nil
-		}},
-		{"fig17b", func() (any, error) {
-			series, err := experiments.Fig17(sc, true)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig17(out, series)
-			return fig17JSON(series), nil
-		}},
-		{"ablate-superblock", func() (any, error) {
-			r, err := experiments.AblateSuperBlock(sc)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintSuperBlock(out, r)
-			return r, nil
-		}},
-		{"ablate-scaling", func() (any, error) {
-			pts, err := experiments.AblateScaling(sc)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintScaling(out, pts)
-			return pts, nil
-		}},
-		{"ablate-walker", func() (any, error) {
-			r, err := experiments.AblateWalker(sc)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintWalker(out, r)
-			return r, nil
-		}},
-		{"timeline", func() (any, error) {
-			tw := wls
-			if tw == nil {
-				tw = workload.Names()
-			}
-			cells, err := experiments.Timeline(sc, tw, o.events != "")
+			cells, err := experiments.Timeline(sc, wls, o.events != "")
 			if err != nil {
 				return nil, err
 			}
@@ -332,7 +211,7 @@ func run(o options, out io.Writer) error {
 			}
 			return cells, nil
 		}},
-		{"scale256", func() (any, error) {
+		{Name: "scale256", Run: func(sc experiments.Scale, wls []string, out io.Writer) (any, error) {
 			pts, err := experiments.Scale256(sc, coreCounts, wls)
 			if err != nil {
 				return nil, err
@@ -340,7 +219,7 @@ func run(o options, out io.Writer) error {
 			experiments.PrintScale256(out, pts)
 			return pts, nil
 		}},
-		{"fileplane", func() (any, error) {
+		{Name: "fileplane", Run: func(sc experiments.Scale, _ []string, out io.Writer) (any, error) {
 			dir, err := os.MkdirTemp("", "nvbench-fileplane-*")
 			if err != nil {
 				return nil, err
@@ -367,28 +246,30 @@ func run(o options, out io.Writer) error {
 			return st, nil
 		}},
 	}
-
-	// "all" runs exactly the paper's figures; timeline, fileplane and
-	// scale256 run only by name.
-	matched := false
-	for _, spec := range specs {
-		sel := spec.name == o.exp
-		switch spec.name {
-		case "timeline", "fileplane", "scale256":
-			// explicit selection only
-		default:
-			sel = sel || o.exp == "all"
-		}
-		if !sel {
-			continue
-		}
-		matched = true
-		if err := runExp(spec.name, spec.fn); err != nil {
-			return err
+	exps := experiments.Figures
+	if o.exp != "all" {
+		exps = slices.DeleteFunc(append(slices.Clone(exps), extras...),
+			func(f experiments.Figure) bool { return f.Name != o.exp })
+		if len(exps) == 0 {
+			return fmt.Errorf("unknown experiment %q", o.exp)
 		}
 	}
-	if !matched {
-		return fmt.Errorf("unknown experiment %q", o.exp)
+	for _, f := range exps {
+		t0 := time.Now()
+		a0 := experiments.AccessesRun()
+		result, err := f.Run(sc, wls, out)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
+		}
+		secs := time.Since(t0).Seconds()
+		if o.timing {
+			fmt.Fprintf(out, "[%s took %.1fs]\n", f.Name, secs)
+		}
+		fmt.Fprintln(out)
+		rec := expRecord{Name: f.Name, Seconds: secs,
+			Accesses: experiments.AccessesRun() - a0, Result: result}
+		rec.AccessesPerSec = rate(rec.Accesses, secs)
+		rep.Experiments = append(rep.Experiments, rec)
 	}
 
 	if o.jsonOut != "" {
@@ -403,24 +284,4 @@ func run(o options, out io.Writer) error {
 		fmt.Fprintf(out, "wrote %s\n", o.jsonOut)
 	}
 	return nil
-}
-
-// fig17Curve is the JSON shape of one Fig 17 bandwidth series (the
-// TimeSeries type itself keeps its buckets unexported).
-type fig17Curve struct {
-	Scheme       string    `json:"scheme"`
-	Bursty       bool      `json:"bursty"`
-	BandwidthGBs []float64 `json:"bandwidth_gbs"`
-}
-
-func fig17JSON(series []experiments.Fig17Series) []fig17Curve {
-	out := make([]fig17Curve, 0, len(series))
-	for _, s := range series {
-		c := fig17Curve{Scheme: s.Scheme, Bursty: s.Bursty}
-		for i := 0; i < s.Series.Len(); i++ {
-			c.BandwidthGBs = append(c.BandwidthGBs, s.Series.BandwidthGBs(i, s.Hz))
-		}
-		out = append(out, c)
-	}
-	return out
 }

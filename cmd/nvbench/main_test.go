@@ -153,7 +153,10 @@ func TestRunJSONResults(t *testing.T) {
 		check func(t *testing.T, result json.RawMessage)
 	}{
 		{"fig17", "Fig 17:", func(t *testing.T, result json.RawMessage) {
-			var curves []fig17Curve
+			var curves []struct {
+				Scheme       string    `json:"scheme"`
+				BandwidthGBs []float64 `json:"bandwidth_gbs"`
+			}
 			if err := json.Unmarshal(result, &curves); err != nil {
 				t.Fatal(err)
 			}

@@ -147,9 +147,8 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 	return RunResult{Sum: sum, Scheme: s}, nil
 }
 
-// newRun builds the driver and scheme Run runs, and the config they share,
-// so a caller can attach a sink (the golden image, say) before running it.
-func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*trace.Driver, trace.Scheme, *sim.Config, error) {
+// config returns the machine every run at this scale starts from.
+func (scale Scale) config() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = scale.EpochSize
 	if scale.Seed != 0 {
@@ -159,6 +158,13 @@ func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*
 	if scale.Machine != nil {
 		scale.Machine(&cfg)
 	}
+	return cfg
+}
+
+// newRun builds the driver and scheme Run runs, and the config they share,
+// so a caller can attach a sink (the golden image, say) before running it.
+func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*trace.Driver, trace.Scheme, *sim.Config, error) {
+	cfg := scale.config()
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // The shape assertions below encode the paper's qualitative findings at
-// smoke scale: orderings and rough factors, not absolute numbers.
+// smoke scale: orderings and rough factors, not absolute numbers. They
+// read the figure runs the figures golden makes.
 
 func TestNewSchemeKnowsAll(t *testing.T) {
 	cfg := sim.DefaultConfig()
@@ -196,10 +197,7 @@ func TestDriverRecordReplayThroughTraceFile(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	m, err := Fig11(Smoke, []string{"btree"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := smokeFigure[*Matrix](t, "fig11")
 	nvo := m.Get("btree", "NVOverlay")
 	picl := m.Get("btree", "PiCL")
 	swlog := m.Get("btree", "SWLog")
@@ -219,10 +217,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	m, err := Fig12(Smoke, []string{"btree"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := smokeFigure[*Matrix](t, "fig12")
 	picl := m.Get("btree", "PiCL")
 	picl2 := m.Get("btree", "PiCL-L2")
 	// Logging schemes write substantially more than NVOverlay (paper:
@@ -239,11 +234,8 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	rows, err := Fig13(Smoke, []string{"btree", "yada"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
+	rows := smokeFigure[[]Fig13Row](t, "fig13")
+	if len(rows) != len(workload.Names()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	var btree, yada Fig13Row
@@ -272,10 +264,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	pts, err := Fig14(Smoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := smokeFigure[[]Fig14Point](t, "fig14")
 	if len(pts) != 12 { // 4 epoch sizes x 3 schemes
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -302,10 +291,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	rows, err := Fig15(Smoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := smokeFigure[[]Fig15Row](t, "fig15")
 	byKey := map[string]Fig15Row{}
 	for _, r := range rows {
 		key := r.Scheme
@@ -327,10 +313,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	r, err := Fig16(Smoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := smokeFigure[Fig16Result](t, "fig16")
 	// The buffer absorbs redundant same-epoch write-backs: fewer NVM
 	// writes, decent hit rate (paper: 74.8% hits, 41% faster).
 	if r.WritesWithBuffer >= r.WritesNoBuffer {
@@ -345,10 +328,7 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	series, err := Fig17(Smoke, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := smokeFigure[[]Fig17Series](t, "fig17")
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -376,11 +356,7 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestFig17Bursty(t *testing.T) {
-	series, err := Fig17(Smoke, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range series {
+	for _, s := range smokeFigure[[]Fig17Series](t, "fig17b") {
 		if !s.Bursty {
 			t.Fatal("bursty flag lost")
 		}
@@ -391,19 +367,13 @@ func TestFig17Bursty(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	sb, err := AblateSuperBlock(Smoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sb := smokeFigure[SuperBlockResult](t, "ablate-superblock")
 	// 4-line super blocks shrink the DRAM side-band (paper: <0.8% vs 3.2%).
 	if sb.SideBandBytesSuper >= sb.SideBandBytesLine {
 		t.Fatalf("super-block side-band (%d) not smaller than per-line (%d)",
 			sb.SideBandBytesSuper, sb.SideBandBytesLine)
 	}
-	wa, err := AblateWalker(Smoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wa := smokeFigure[WalkerAblation](t, "ablate-walker")
 	if wa.AdvancesOn == 0 {
 		t.Fatal("no rec-epoch advances with walker on")
 	}

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+
 	"repro/internal/core"
 	"repro/internal/cst"
 	"repro/internal/sim"
@@ -8,6 +12,60 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// Figure is one entry of the evaluation `nvbench -exp all` regenerates.
+type Figure struct {
+	Name string
+	// Run runs the entry's cells at sc, prints it to w and returns its
+	// result, which is also its -json result. wls narrows the
+	// per-workload figures (nil: the paper's twelve); the others ignore it.
+	Run func(sc Scale, wls []string, w io.Writer) (any, error)
+}
+
+// Figures lists, in order, every entry `nvbench -exp all` runs: Table II,
+// the paper's Figs 11-17 and the three ablations.
+var Figures = []Figure{
+	{"config", runConfig},
+	figure("fig11", Fig11, PrintMatrix),
+	figure("fig12", Fig12, PrintMatrix),
+	figure("fig13", Fig13, PrintFig13),
+	figure("fig14", scaleOnly(Fig14), PrintFig14),
+	figure("fig15", scaleOnly(Fig15), PrintFig15),
+	figure("fig16", scaleOnly(Fig16), PrintFig16),
+	figure("fig17", scaleOnly(func(sc Scale) ([]Fig17Series, error) { return Fig17(sc, false) }), PrintFig17),
+	figure("fig17b", scaleOnly(func(sc Scale) ([]Fig17Series, error) { return Fig17(sc, true) }), PrintFig17),
+	figure("ablate-superblock", scaleOnly(AblateSuperBlock), PrintSuperBlock),
+	figure("ablate-scaling", scaleOnly(AblateScaling), PrintScaling),
+	figure("ablate-walker", scaleOnly(AblateWalker), PrintWalker),
+}
+
+// figure builds the entry that runs a figure and prints its result.
+func figure[R any](name string, run func(Scale, []string) (R, error), render func(io.Writer, R)) Figure {
+	return Figure{name, func(sc Scale, wls []string, w io.Writer) (any, error) {
+		r, err := run(sc, wls)
+		if err != nil {
+			return nil, err
+		}
+		render(w, r)
+		return r, nil
+	}}
+}
+
+// scaleOnly adapts a figure that runs fixed workloads.
+func scaleOnly[R any](run func(Scale) (R, error)) func(Scale, []string) (R, error) {
+	return func(sc Scale, _ []string) (R, error) { return run(sc) }
+}
+
+// runConfig prints Table II for the machine the scale runs; it has no
+// result.
+func runConfig(sc Scale, _ []string, w io.Writer) (any, error) {
+	cfg := sc.config()
+	PrintConfig(w, &cfg)
+	fmt.Fprintf(w, "  Scale       %s: %d accesses, caches scaled to keep the paper's\n",
+		sc.Name, sc.MaxAccesses)
+	fmt.Fprintln(w, "              epoch-write-set vs L2/LLC capacity relationships")
+	return nil, nil
+}
 
 // Fig11 regenerates Figure 11: wall-clock cycles of every scheme on every
 // workload, normalised to the ideal no-snapshotting system.
@@ -269,6 +327,21 @@ type Fig17Series struct {
 	Bursty bool
 	Series *stats.TimeSeries
 	Hz     float64
+}
+
+// MarshalJSON writes the curve as its scheme, its bursty flag and the
+// bandwidth of each bucket in GB/s (the series keeps its buckets
+// unexported).
+func (s Fig17Series) MarshalJSON() ([]byte, error) {
+	c := struct {
+		Scheme       string    `json:"scheme"`
+		Bursty       bool      `json:"bursty"`
+		BandwidthGBs []float64 `json:"bandwidth_gbs"`
+	}{Scheme: s.Scheme, Bursty: s.Bursty}
+	for i := 0; i < s.Series.Len(); i++ {
+		c.BandwidthGBs = append(c.BandwidthGBs, s.Series.BandwidthGBs(i, s.Hz))
+	}
+	return json.Marshal(c)
 }
 
 // Fig17 regenerates Figure 17: NVM write bandwidth over run progress on
