@@ -75,7 +75,7 @@ type Cache struct {
 	lru     []uint64
 	lines   []Line // sets*ways, row-major by set
 	tick    uint64
-	scratch []Line // reused by CollectValid/Flush (hot-path: no per-call alloc)
+	scratch []Line // reused by CollectValid (hot-path: no per-call alloc)
 
 	// Stats.
 	Hits, Misses, Evictions uint64
@@ -238,11 +238,14 @@ func (c *Cache) ForEach(fn func(*Line)) {
 
 // CollectValid returns copies of all valid lines; useful for walks that will
 // mutate the cache while iterating. The returned slice is backed by a
-// per-cache scratch buffer and is only valid until the next CollectValid or
-// Flush call on the same cache; every caller consumes the previous result
-// before asking again, so the eviction/walk paths run allocation-free.
+// per-cache scratch buffer and is only valid until the next CollectValid
+// call on the same cache; every caller consumes the previous result before
+// asking again, so the eviction/walk paths run allocation-free.
 func (c *Cache) CollectValid() []Line {
-	out := c.scratchBuf()
+	if c.scratch == nil {
+		c.scratch = make([]Line, 0, min(64, c.sets*c.ways))
+	}
+	out := c.scratch[:0]
 	for i, k := range c.keys {
 		if k != 0 {
 			out = append(out, c.lines[i])
@@ -252,32 +255,16 @@ func (c *Cache) CollectValid() []Line {
 	return out
 }
 
-// scratchBuf returns the reusable line buffer, pre-sized on first use.
-func (c *Cache) scratchBuf() []Line {
-	if c.scratch == nil {
-		n := c.sets * c.ways
-		if n > 64 {
-			n = 64
-		}
-		c.scratch = make([]Line, 0, n)
-	}
-	return c.scratch[:0]
-}
-
-// Flush invalidates every line and returns the dirty ones (by value) so the
-// caller can write them back. Used by epoch wrap-around resets and by
-// end-of-run drains. Like CollectValid, the result shares the per-cache
-// scratch buffer and is valid until the next CollectValid/Flush call on
-// this cache.
-func (c *Cache) Flush() []Line {
-	dirty := c.scratchBuf()
+// Flush invalidates every line and hands each dirty one (by value) to fn,
+// in slot order, so the caller can write it back. Used by epoch
+// wrap-around resets and by end-of-run drains. fn must not touch this
+// cache: it runs while the flush is under way.
+func (c *Cache) Flush(fn func(Line)) {
 	for i, k := range c.keys {
 		if k != 0 && c.lines[i].Dirty {
-			dirty = append(dirty, c.lines[i])
+			fn(c.lines[i])
 		}
 		c.lines[i] = Line{}
 		c.keys[i] = 0
 	}
-	c.scratch = dirty
-	return dirty
 }

@@ -193,12 +193,40 @@ func TestFlush(t *testing.T) {
 	ln.Dirty = true
 	ln, _, _ = c.Insert(0x80)
 	ln.State = Shared
-	dirty := c.Flush()
+	var dirty []Line
+	c.Flush(func(ln Line) { dirty = append(dirty, ln) })
 	if len(dirty) != 1 || dirty[0].Tag != 0x40 {
 		t.Fatalf("flush returned %v", dirty)
 	}
 	if c.CountValid() != 0 {
 		t.Fatal("flush left valid lines")
+	}
+}
+
+// TestFlushAllocatesNothing: Flush hands lines to its callback with no
+// scratch buffer, so a drain allocates nothing, not even on a cache's
+// first flush. Each call flushes a fresh cache; AllocsPerRun makes one
+// more call than it counts.
+func TestFlushAllocatesNothing(t *testing.T) {
+	const runs = 20
+	caches := make([]*Cache, runs+1)
+	for i := range caches {
+		caches[i] = small()
+		for _, addr := range []uint64{0x40, 0x80, 0xC0, 0x100} {
+			ln, _, _ := caches[i].Insert(addr)
+			ln.State, ln.Dirty = Modified, true
+		}
+	}
+	n, next := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		caches[next].Flush(func(Line) { n++ })
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Flush allocated %.1f times per call, want 0", allocs)
+	}
+	if n != 4*len(caches) {
+		t.Fatalf("Flush handed over %d dirty lines, want %d", n, 4*len(caches))
 	}
 }
 

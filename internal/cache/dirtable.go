@@ -22,6 +22,9 @@ type Directory struct {
 	mem.Table[DirEntry]
 }
 
+// newDirectory returns a directory that holds n entries without growing.
+func newDirectory(n int) Directory { return Directory{*mem.NewTable[DirEntry](n)} }
+
 // GetOrCreate returns addr's entry, inserting {Owner: -1} when absent.
 func (d *Directory) GetOrCreate(addr uint64) *DirEntry {
 	e, existed := d.Upsert(addr)

@@ -72,10 +72,14 @@ type Levels struct {
 	sliceMask uint64
 }
 
-// NewLevels builds the cache arrays from the machine configuration.
+// NewLevels builds the cache arrays from the machine configuration. The
+// directory is sized so it never grows: an entry exists only for a line
+// some L2 holds, plus the one a miss creates before its fill evicts, so
+// it holds at most VDs × (L2 lines) + 1 entries.
 func NewLevels(cfg *sim.Config) Levels {
 	l := Levels{
 		Cfg: cfg,
+		Dir: newDirectory(cfg.VDs()*(cfg.L2Size/cfg.LineSize) + 1),
 		l1:  make([]*Cache, cfg.Cores),
 		l2:  make([]*Cache, cfg.VDs()),
 		llc: make([]*Cache, cfg.LLCSlices),
@@ -133,15 +137,13 @@ func (l *Levels) Entry(addr uint64) *DirEntry { return l.Dir.GetOrCreate(addr) }
 // somewhere. It may move other entries, so no caller may hold an entry
 // pointer across it.
 func (l *Levels) DropVD(vd int, addr uint64) {
-	if e := l.Dir.Ptr(addr); e != nil {
+	l.Dir.Edit(addr, func(e *DirEntry) bool {
 		e.Sharers.Remove(vd)
 		if e.Owner == vd {
 			e.Owner = -1
 		}
-		if e.Sharers.None() && e.Owner == -1 {
-			l.Dir.Delete(addr)
-		}
-	}
+		return e.Sharers.None() && e.Owner == -1
+	})
 }
 
 // Walk calls fn on every cache array from the top of the hierarchy down to

@@ -147,3 +147,57 @@ func FuzzHierarchyInvariants(f *testing.F) {
 	}
 	f.Fuzz(driveChecked)
 }
+
+// TestDirectoryNeverGrows drives both hierarchies through four times as
+// many distinct lines as their L2s hold and requires the directory, sized
+// at construction, never to grow. Each counted call drives a fresh pair
+// of hierarchies whose DRAMs already hold every line and whose walker is
+// off, so a directory growth is the only allocation left to count.
+func TestDirectoryNeverGrows(t *testing.T) {
+	const runs = 4
+	for _, shape := range [][2]int{{4, 2}, {8, 1}} {
+		cfg := tinyCfg(shape[0], shape[1])
+		cfg.TagWalker = false
+		lines := 4 * cfg.VDs() * cfg.L2Size / cfg.LineSize
+		type pair struct {
+			h *coherence.Hierarchy
+			f *cst.Frontend
+			r *sim.RNG
+		}
+		pairs := make([]pair, runs+1)
+		for i := range pairs {
+			hd, fd := mem.NewDRAM(cfg), mem.NewDRAM(cfg)
+			for l := 0; l < lines; l++ {
+				hd.WriteBack(uint64(l*cfg.LineSize), 0, 0)
+				fd.WriteBack(uint64(l*cfg.LineSize), 0, 0)
+			}
+			pairs[i] = pair{coherence.New(cfg, hd, coherence.Callbacks{}), cst.New(cfg, fd, nopBackend{}), sim.NewRNG(int64(i))}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			p := pairs[next]
+			next++
+			for i := 0; i < 40*lines; i++ {
+				tid, addr := p.r.Intn(cfg.Cores), uint64(p.r.Intn(lines)*cfg.LineSize)
+				write := p.r.Intn(3) == 0
+				if write {
+					p.h.Store(tid, addr, uint64(i))
+				} else {
+					p.h.Load(tid, addr)
+				}
+				p.f.Access(tid, addr, write, uint64(i), uint64(i))
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d cores, %d per VD: driving %d lines allocated %.1f times, want 0 (directory growth)",
+				shape[0], shape[1], lines, allocs)
+		}
+		for _, p := range pairs {
+			for _, l := range []*cache.Levels{&p.h.Levels, &p.f.Levels} {
+				if n, max := l.Dir.Len(), cfg.VDs()*cfg.L2Size/cfg.LineSize+1; n > max {
+					t.Fatalf("directory holds %d entries, bound %d", n, max)
+				}
+			}
+		}
+	}
+}

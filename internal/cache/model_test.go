@@ -193,7 +193,9 @@ func runModel(t *testing.T, data []byte) {
 			sameLines(i, "CollectValid", c.CollectValid(), m.lines(false, false))
 		case 7:
 			if data[i]&0x70 == 0 {
-				sameLines(i, "Flush", c.Flush(), m.lines(true, true))
+				var dirty []Line
+				c.Flush(func(ln Line) { dirty = append(dirty, ln) })
+				sameLines(i, "Flush", dirty, m.lines(true, true))
 			} else {
 				same(i, "Peek", c.Peek(addr), m.peek(addr))
 			}

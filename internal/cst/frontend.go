@@ -66,7 +66,7 @@ type Frontend struct {
 	// immutable) and drains them to the OMC a few per subsequent access,
 	// spreading the write-back bandwidth across the epoch instead of
 	// bursting at the boundary. min-ver is reported once the queue drains.
-	walkQ      [][]cache.Line
+	walkQ      []walkQueue
 	walkReport []uint64 // epoch to report once walkQ[vd] empties (0 = none)
 	// dirtyInflow marks VDs that received a dirty cache-to-cache transfer
 	// of an old epoch since their last tag walk. A walk cleans every dirty
@@ -101,7 +101,7 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 		cur:         make([]uint64, cfg.VDs()),
 		storeCnt:    make([]int, cfg.VDs()),
 		totStores:   make([]uint64, cfg.VDs()),
-		walkQ:       make([][]cache.Line, cfg.VDs()),
+		walkQ:       make([]walkQueue, cfg.VDs()),
 		walkReport:  make([]uint64, cfg.VDs()),
 		dirtyInflow: make([]bool, cfg.VDs()),
 		walker:      cfg.TagWalker,
@@ -176,18 +176,45 @@ func (f *Frontend) Access(tid int, addr uint64, write bool, data uint64, now uin
 // walker retires per access of its VD.
 const walkDrainRate = 4
 
+// walkQueue is one VD's walker backlog: buf[head:] are the versions still
+// to ship. Once every queued version has shipped the array is reused from
+// its start, so a walk whose previous backlog drained allocates nothing.
+type walkQueue struct {
+	buf  []cache.Line
+	head int
+}
+
+// live returns the versions still queued.
+func (q *walkQueue) live() []cache.Line { return q.buf[q.head:] }
+
+// pop drops the first n live versions.
+func (q *walkQueue) pop(n int) {
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// remove drops live version i, keeping the others in order: the versions
+// ahead of it move back one place and the head is popped.
+func (q *walkQueue) remove(i int) {
+	live := q.live()
+	copy(live[1:i+1], live[:i])
+	q.pop(1)
+}
+
 // flushQueuedWalk immediately ships any queued walk version of addr held
 // by vd's walker. Called before the address is handed to another VD
 // (invalidation/downgrade): the other domain may produce a newer version
 // of the same epoch, and the OMC's per-epoch tables keep the last receipt,
 // so the queued copy must be ordered before the transfer.
 func (f *Frontend) flushQueuedWalk(vd int, addr uint64) {
-	q := f.walkQ[vd]
-	for i := 0; i < len(q); i++ {
-		if q[i].Tag == addr {
-			f.persist(q[i], ReasonWalk)
-			f.walkQ[vd] = append(q[:i], q[i+1:]...)
-			if len(f.walkQ[vd]) == 0 && f.walkReport[vd] != 0 {
+	q := &f.walkQ[vd]
+	for i, ln := range q.live() {
+		if ln.Tag == addr {
+			f.persist(ln, ReasonWalk)
+			q.remove(i)
+			if len(q.live()) == 0 && f.walkReport[vd] != 0 {
 				f.reportMinVer(vd)
 			}
 			return
@@ -198,18 +225,17 @@ func (f *Frontend) flushQueuedWalk(vd int, addr uint64) {
 // drainWalk ships a few queued walk versions and reports min-ver when the
 // backlog empties.
 func (f *Frontend) drainWalk(vd int) {
-	if len(f.walkQ[vd]) == 0 {
+	q := &f.walkQ[vd]
+	live := q.live()
+	if len(live) == 0 {
 		return
 	}
-	n := walkDrainRate
-	if n > len(f.walkQ[vd]) {
-		n = len(f.walkQ[vd])
-	}
-	for _, ln := range f.walkQ[vd][:n] {
+	n := min(walkDrainRate, len(live))
+	for _, ln := range live[:n] {
 		f.persist(ln, ReasonWalk)
 	}
-	f.walkQ[vd] = f.walkQ[vd][n:]
-	if len(f.walkQ[vd]) == 0 && f.walkReport[vd] != 0 {
+	q.pop(n)
+	if len(q.live()) == 0 && f.walkReport[vd] != 0 {
 		f.reportMinVer(vd)
 	}
 }
@@ -232,7 +258,7 @@ func (f *Frontend) reportMinVer(vd int) {
 		}
 		f.Walk(vd, cache.LevelL2, func(_ cache.Level, c *cache.Cache) { c.ForEach(scan) })
 	}
-	for _, q := range f.walkQ[vd] {
+	for _, q := range f.walkQ[vd].live() {
 		if q.OID < min {
 			min = q.OID
 		}
@@ -461,14 +487,15 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 // VD's subsequent accesses and min-ver is reported when the queue empties.
 func (f *Frontend) tagWalk(vd int) {
 	cur := f.cur[vd]
-	f.walkStale(vd, cur, ReasonWalk, func(ln cache.Line, _ Reason) { f.walkQ[vd] = append(f.walkQ[vd], ln) })
+	q := &f.walkQ[vd]
+	f.walkStale(vd, cur, ReasonWalk, func(ln cache.Line, _ Reason) { q.buf = append(q.buf, ln) })
 	f.stat.IncAt(tagWalks)
 	// Every dirty line older than cur was just cleaned: any prior dirty
 	// inflow has been walked out of the domain.
 	f.dirtyInflow[vd] = false
 	f.walkReport[vd] = cur
-	f.bus.Emit(obs.KindWalkStart, f.now, vd, cur, 0, uint64(len(f.walkQ[vd])), 0)
-	if len(f.walkQ[vd]) == 0 {
+	f.bus.Emit(obs.KindWalkStart, f.now, vd, cur, 0, uint64(len(q.live())), 0)
+	if len(q.live()) == 0 {
 		// Nothing left to persist: report immediately.
 		f.reportMinVer(vd)
 	}
@@ -801,28 +828,27 @@ func (f *Frontend) Drain(now uint64) {
 	f.now = now
 	f.stall = 0
 	for vd := 0; vd < f.Cfg.VDs(); vd++ {
-		for _, ln := range f.walkQ[vd] {
+		q := &f.walkQ[vd]
+		for _, ln := range q.live() {
 			f.persist(ln, ReasonWalk)
 		}
-		f.walkQ[vd] = nil
+		q.pop(len(q.live()))
 		f.walkReport[vd] = 0
 	}
 	for vd := 0; vd < f.Cfg.VDs(); vd++ {
 		f.Walk(vd, cache.LevelL2, func(lv cache.Level, c *cache.Cache) {
-			for _, ln := range c.Flush() {
+			c.Flush(func(ln cache.Line) {
 				if lv == cache.LevelL1 {
 					f.putxToL2(vd, ln, ReasonDrain)
 				} else {
 					f.sendVersion(ln, ReasonDrain)
 					f.insertLLC(ln, true)
 				}
-			}
+			})
 		})
 	}
 	for i := 0; i < f.Slices(); i++ {
-		for _, ln := range f.LLCSlice(i).Flush() {
-			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-		}
+		f.LLCSlice(i).Flush(func(ln cache.Line) { f.dram.WriteBack(ln.Tag, ln.OID, ln.Data) })
 	}
 	f.Dir.Reset()
 	// No min-ver reports here: the backend's Seal merges every remaining
@@ -855,7 +881,7 @@ func (f *Frontend) CheckInvariants() error {
 	// report skips its rescan on exactly this claim). Only meaningful when
 	// the walker actually runs at every advance.
 	for vd := range f.cur {
-		if f.dirtyInflow[vd] || len(f.walkQ[vd]) > 0 {
+		if f.dirtyInflow[vd] || len(f.walkQ[vd].live()) > 0 {
 			continue
 		}
 		walked := f.walkedTo(vd)

@@ -1,6 +1,7 @@
 package cst
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -294,6 +295,76 @@ func TestWalkerDowngradesAndReports(t *testing.T) {
 	// L1 copies downgraded M->E, still resident.
 	if ln := f.L1(0).Peek(0x40); ln == nil || ln.Dirty || ln.State != cache.Exclusive {
 		t.Fatalf("L1 after walk = %+v", ln)
+	}
+}
+
+// nopBackend absorbs the frontend's OMC traffic without keeping it.
+type nopBackend struct{}
+
+func (nopBackend) ReceiveVersion(omc.Version, uint64) uint64 { return 0 }
+func (nopBackend) ReportMinVer(int, uint64, uint64)          {}
+func (nopBackend) LowerMinVer(int, uint64, uint64)           {}
+func (nopBackend) DumpContext(int, uint64, uint64) uint64    { return 0 }
+
+// TestTagWalkReusesDrainedQueue: once a walk's queue has drained, the next
+// walk queues into the same array, so it allocates nothing.
+func TestTagWalkReusesDrainedQueue(t *testing.T) {
+	cfg := cstCfg()
+	f := New(cfg, mem.NewDRAM(cfg), nopBackend{})
+	addrs := []uint64{0x40, 0x80, 0xC0, 0x100, 0x140, 0x180}
+	for i, a := range addrs {
+		f.Access(0, a, true, uint64(i+1), 0)
+	}
+	walks := 0
+	walk := func() {
+		// Every line is a stale dirty version again, then the epoch
+		// closes and the walker queues and drains them.
+		f.Walk(0, cache.LevelL2, func(_ cache.Level, c *cache.Cache) {
+			c.ForEach(func(ln *cache.Line) { ln.Dirty, ln.OID = true, f.cur[0] })
+		})
+		f.cur[0]++
+		f.tagWalk(0)
+		if got := len(f.walkQ[0].live()); got != len(addrs) {
+			t.Fatalf("walk %d queued %d versions, want %d", walks, got, len(addrs))
+		}
+		for len(f.walkQ[0].live()) > 0 {
+			f.drainWalk(0)
+		}
+		walks++
+	}
+	walk()
+	if allocs := testing.AllocsPerRun(10, walk); allocs != 0 {
+		t.Fatalf("a walk after the queue drained allocated %.1f times, want 0", allocs)
+	}
+	if got, want := f.EvictReason(ReasonWalk), uint64(len(addrs)*walks); got != want {
+		t.Fatalf("walk evictions = %d, want %d", got, want)
+	}
+}
+
+// TestWalkQueueRemoveKeepsOrder removes each live version of a queue
+// whose head has moved and checks the rest stay in order, and that
+// removing the last one frees the array for reuse.
+func TestWalkQueueRemoveKeepsOrder(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		var q walkQueue
+		for tag := uint64(1); tag <= 5; tag++ {
+			q.buf = append(q.buf, cache.Line{Tag: tag})
+		}
+		q.pop(1)
+		q.remove(i)
+		want := append([]uint64{2, 3, 4, 5}[:i:i], []uint64{2, 3, 4, 5}[i+1:]...)
+		var got []uint64
+		for _, ln := range q.live() {
+			got = append(got, ln.Tag)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("remove(%d) left %v, want %v", i, got, want)
+		}
+	}
+	q := walkQueue{buf: []cache.Line{{Tag: 1}}}
+	q.remove(0)
+	if q.head != 0 || len(q.buf) != 0 || cap(q.buf) != 1 {
+		t.Fatalf("removing the last version left head %d, len %d, cap %d; want 0, 0, 1", q.head, len(q.buf), cap(q.buf))
 	}
 }
 

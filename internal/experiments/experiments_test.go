@@ -340,17 +340,19 @@ func TestFig17Shape(t *testing.T) {
 			nvo = s
 		}
 	}
-	// The paper's robust Fig 17a claims at any scale: NVOverlay's average
-	// bandwidth consumption is significantly lower than PiCL's. (The peak
-	// comparison additionally needs paper-scale epochs whose write sets
-	// dwarf the aggregate L2 — the Quick-scale runs in EXPERIMENTS.md show
-	// it; smoke-scale epochs are too small for it to be structural.)
+	// The part of Fig 17a that holds at any scale: NVOverlay writes
+	// clearly fewer total NVM bytes than PiCL. This is not the paper's
+	// average-bandwidth claim: the figure prints mean GB/s, which divides
+	// by each run's own cycles, and EXPERIMENTS.md marks that claim ✗
+	// (NVOverlay's shorter run reads the higher mean). The peak comparison
+	// additionally needs paper-scale epochs whose write sets dwarf the
+	// aggregate L2; smoke-scale epochs are too small for it.
 	if picl.Series.Total() <= nvo.Series.Total() {
 		t.Fatalf("PiCL total bytes (%d) should exceed NVOverlay (%d)",
 			picl.Series.Total(), nvo.Series.Total())
 	}
 	if nvo.Series.Total()*10 >= picl.Series.Total()*9 {
-		t.Fatalf("NVOverlay mean bandwidth (%d) not clearly below PiCL (%d)",
+		t.Fatalf("NVOverlay total NVM bytes (%d) not clearly below PiCL (%d)",
 			nvo.Series.Total(), picl.Series.Total())
 	}
 }

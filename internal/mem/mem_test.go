@@ -194,8 +194,8 @@ func TestDRAMOIDRoundTrip(t *testing.T) {
 	if d.Latency() != testCfg().DRAMLatency {
 		t.Fatal("latency mismatch")
 	}
-	if d.tagged != 1 || d.SideBandBytes() != 2 {
-		t.Fatalf("tagged=%d sideband=%d", d.tagged, d.SideBandBytes())
+	if d.SideBandBytes() != 2 {
+		t.Fatalf("sideband=%d, want 2 (one line tagged)", d.SideBandBytes())
 	}
 	if d.Data(0x1000) != 111 {
 		t.Fatalf("Data = %d, want 111", d.Data(0x1000))
@@ -219,8 +219,8 @@ func TestDRAMSuperBlockMonotonic(t *testing.T) {
 	if d.OID(0x1000) != 12 {
 		t.Fatalf("super-block OID = %d, want 12", d.OID(0x1000))
 	}
-	if d.tagged != 1 {
-		t.Fatalf("granules = %d, want 1", d.tagged)
+	if d.SideBandBytes() != 2 {
+		t.Fatalf("sideband=%d, want 2 (one granule tagged)", d.SideBandBytes())
 	}
 }
 

@@ -208,6 +208,29 @@ func (t *Table[V]) Take(k uint64) (v V, ok bool) {
 		return v, false
 	}
 	v = t.slots[i].val
+	t.deleteAt(i)
+	return v, true
+}
+
+// Edit calls f on a pointer to k's value, when k is present, and deletes
+// k if f returns true, with one probe where Ptr then Delete would take
+// two. f must not insert into or delete from the table.
+func (t *Table[V]) Edit(k uint64, f func(v *V) (remove bool)) {
+	if k == 0 {
+		if t.hasZero && f(&t.zero) {
+			var zero V
+			t.hasZero, t.zero = false, zero
+		}
+		return
+	}
+	if i := t.find(k); i >= 0 && f(&t.slots[i].val) {
+		t.deleteAt(i)
+	}
+}
+
+// deleteAt empties slot i. The slots after it in its probe run shift
+// back, so lookups never cross a tombstone.
+func (t *Table[V]) deleteAt(i int) {
 	mask := uint64(len(t.slots) - 1)
 	hole := uint64(i)
 	for j := (hole + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
@@ -221,7 +244,6 @@ func (t *Table[V]) Take(k uint64) (v V, ok bool) {
 	}
 	t.slots[hole] = tableSlot[V]{}
 	t.n--
-	return v, true
 }
 
 // Reset empties the table and keeps its slot array for reuse.

@@ -10,7 +10,8 @@ import (
 )
 
 // tableOp is one step of a table property run: op 0 puts, 1 deletes,
-// 2 gets, 3 increments through Upsert, 4 takes.
+// 2 gets, 3 increments through Upsert, 4 takes, 5 increments through
+// Edit and deletes the entry when val is even.
 type tableOp struct {
 	op  int
 	key uint64
@@ -56,6 +57,24 @@ func checkTable(t *testing.T, ops []tableOp) {
 				t.Fatalf("op %d: Take(%#x) = (%d, %v), want (%d, %v)", i, o.key, got, ok, want, had)
 			}
 			delete(ref, o.key)
+		case 5:
+			remove := o.val%2 == 0
+			_, had := ref[o.key]
+			called := false
+			tab.Edit(o.key, func(v *uint64) bool {
+				called = true
+				*v += o.val
+				return remove
+			})
+			if called != had {
+				t.Fatalf("op %d: Edit(%#x) called f %v, want %v", i, o.key, called, had)
+			}
+			if had {
+				ref[o.key] += o.val
+				if remove {
+					delete(ref, o.key)
+				}
+			}
 		}
 		if tab.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", i, tab.Len(), len(ref))
@@ -138,12 +157,13 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestTableTakeMatchesMap checks Take against the map model on op mixes
-// of puts, upserts, gets and takes, key 0 included. The keys are dense,
-// so most takes empty a slot inside a probe run and shift later entries
-// back; the test counts those to be sure the shift path runs.
+// TestTableTakeMatchesMap checks Take and Edit against the map model on
+// op mixes of puts, upserts, gets, takes and edits, key 0 included. The
+// keys are dense, so most takes and deleting edits empty a slot inside a
+// probe run and shift later entries back; the test counts those to be
+// sure the shift path runs.
 func TestTableTakeMatchesMap(t *testing.T) {
-	kinds := []int{0, 2, 3, 4, 4}
+	kinds := []int{0, 2, 3, 4, 4, 5, 5}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]tableOp, 20_000)
@@ -164,12 +184,21 @@ func TestTableTakeMatchesMap(t *testing.T) {
 		if j := tab.find(k); j >= 0 && tab.slots[(j+1)&(len(tab.slots)-1)].key != 0 {
 			shifted++
 		}
-		if v, ok := tab.Take(k); ok && v != k {
-			t.Fatalf("Take(%d) = %d", k, v)
+		if rng.Intn(2) == 0 {
+			if v, ok := tab.Take(k); ok && v != k {
+				t.Fatalf("Take(%d) = %d", k, v)
+			}
+		} else {
+			tab.Edit(k, func(v *uint64) bool {
+				if *v != k {
+					t.Fatalf("Edit(%d) sees %d", k, *v)
+				}
+				return true
+			})
 		}
 	}
 	if shifted == 0 {
-		t.Fatal("no take emptied a slot inside a probe run")
+		t.Fatal("no take or edit emptied a slot inside a probe run")
 	}
 }
 

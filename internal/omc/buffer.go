@@ -65,14 +65,13 @@ func (b *Buffer) Absorb(v Version) (flush []Version) {
 	return flush
 }
 
-// Flush drains every buffered version (power-down or end of run).
-func (b *Buffer) Flush() []Version {
-	var out []Version
-	for _, ln := range b.arr.Flush() {
-		out = append(out, Version{Addr: ln.Tag, Epoch: ln.OID, Data: ln.Data})
+// Flush hands every buffered version to fn (power-down or end of run) and
+// empties the buffer.
+func (b *Buffer) Flush(fn func(Version)) {
+	b.arr.Flush(func(ln cache.Line) {
 		b.Writebacks++
-	}
-	return out
+		fn(Version{Addr: ln.Tag, Epoch: ln.OID, Data: ln.Data})
+	})
 }
 
 // FlushBefore drains buffered versions older than epoch, letting the

@@ -315,9 +315,7 @@ func (o *OMC) DumpContext(vd int, epoch, now uint64) (stall uint64) {
 func (o *OMC) SealTo(now, floor uint64) {
 	o.now = now
 	if o.buf != nil {
-		for _, fv := range o.buf.Flush() {
-			o.now += o.writeVersion(fv, o.now)
-		}
+		o.buf.Flush(func(fv Version) { o.now += o.writeVersion(fv, o.now) })
 	}
 	for _, e := range o.epochs.SortedKeys() {
 		o.mergeEpoch(e, now)

@@ -7,6 +7,7 @@ package omc
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -29,10 +30,20 @@ type leaf struct {
 	nvmAddr uint64 // metadata home of this node (for bank mapping)
 }
 
+// inner is a node of levels 0-3. Its children are *inner below levels 0-2
+// and *leaf below level 3; the level alone says which, so each child is
+// one 8-byte pointer (an interface would be 16) and a node fits the 4864 B
+// allocation size class.
 type inner struct {
-	children [innerFanout]interface{} // *inner or *leaf; nil when absent
+	children [innerFanout]unsafe.Pointer // nil when absent
 	nvmAddr  uint64
 }
+
+// inner returns child i of a level 0-2 node.
+func (n *inner) inner(i int) *inner { return (*inner)(n.children[i]) }
+
+// leaf returns child i of a level-3 node.
+func (n *inner) leaf(i int) *leaf { return (*leaf)(n.children[i]) }
 
 // Table is a five-level radix tree mapping line addresses to NVM locations.
 // Per-epoch tables are volatile (no persist hook); the Master Table is
@@ -100,16 +111,15 @@ func (t *Table) release() {
 	var walk func(n *inner, level int)
 	walk = func(n *inner, level int) {
 		for i := range n.children {
-			child := n.children[i]
-			if child == nil {
+			if n.children[i] == nil {
 				continue
 			}
 			if level == 3 {
-				lf := child.(*leaf)
+				lf := n.leaf(i)
 				lf.present, lf.vals = 0, [leafFanout]uint64{}
 				f.leaves = append(f.leaves, lf)
 			} else {
-				walk(child.(*inner), level+1)
+				walk(n.inner(i), level+1)
 			}
 			n.children[i] = nil
 		}
@@ -164,28 +174,24 @@ func (t *Table) Insert(lineAddr, nvmAddr uint64) (old uint64, replaced bool) {
 	n := t.root
 	for level := 1; level <= 4; level++ {
 		idx := levelIndex(lineAddr, level-1)
-		child := n.children[idx]
-		if child == nil {
-			var created interface{}
+		if n.children[idx] == nil {
 			var childAddr uint64
 			if level == 4 {
 				lf := t.free.newLeaf(t.allocMeta(leafNodeBytes))
 				t.leaves++
-				created = lf
+				n.children[idx] = unsafe.Pointer(lf)
 				childAddr = lf.nvmAddr
 			} else {
 				in := t.free.newInner(t.allocMeta(innerNodeBytes))
 				t.inners++
-				created = in
+				n.children[idx] = unsafe.Pointer(in)
 				childAddr = in.nvmAddr
 			}
-			n.children[idx] = created
 			// Writing the parent pointer is one 8-byte persistent write.
 			t.persistWrite(n.nvmAddr+uint64(idx*8), 8, childAddr)
-			child = created
 		}
 		if level == 4 {
-			lf := child.(*leaf)
+			lf := n.leaf(idx)
 			slot := levelIndex(lineAddr, 4)
 			bit := uint64(1) << slot
 			if lf.present&bit != 0 {
@@ -200,7 +206,7 @@ func (t *Table) Insert(lineAddr, nvmAddr uint64) (old uint64, replaced bool) {
 			t.persistWrite(lf.nvmAddr+uint64(slot*8), 8, nvmAddr)
 			return old, replaced
 		}
-		n = child.(*inner)
+		n = n.inner(idx)
 	}
 	panic("unreachable")
 }
@@ -212,19 +218,19 @@ func (t *Table) Lookup(lineAddr uint64) (uint64, bool) {
 	}
 	n := t.root
 	for level := 1; level <= 4; level++ {
-		child := n.children[levelIndex(lineAddr, level-1)]
-		if child == nil {
+		idx := levelIndex(lineAddr, level-1)
+		if n.children[idx] == nil {
 			return 0, false
 		}
 		if level == 4 {
-			lf := child.(*leaf)
+			lf := n.leaf(idx)
 			slot := levelIndex(lineAddr, 4)
 			if lf.present&(uint64(1)<<slot) == 0 {
 				return 0, false
 			}
 			return lf.vals[slot], true
 		}
-		n = child.(*inner)
+		n = n.inner(idx)
 	}
 	return 0, false
 }
@@ -263,21 +269,20 @@ func (t *Table) ForEach(fn func(lineAddr, nvmAddr uint64)) {
 	var walk func(n *inner, level int, prefix uint64)
 	walk = func(n *inner, level int, prefix uint64) {
 		for i := 0; i < innerFanout; i++ {
-			child := n.children[i]
-			if child == nil {
+			if n.children[i] == nil {
 				continue
 			}
 			shift := uint(12 + 9*(3-level))
 			p := prefix | uint64(i)<<shift
 			if level == 3 {
-				lf := child.(*leaf)
+				lf := n.leaf(i)
 				for s := 0; s < leafFanout; s++ {
 					if lf.present&(uint64(1)<<s) != 0 {
 						fn(p|uint64(s)<<6, lf.vals[s])
 					}
 				}
 			} else {
-				walk(child.(*inner), level+1, p)
+				walk(n.inner(i), level+1, p)
 			}
 		}
 	}
