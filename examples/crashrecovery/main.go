@@ -41,30 +41,29 @@ func main() {
 	}
 	heap := trace.NewHeap(&cfg)
 	wl.Setup(heap, sim.NewRNG(cfg.Seed))
-	heap.ResetOps()
 	rng := sim.NewRNG(cfg.Seed + 1)
 	history := map[uint64]map[uint64]bool{}
 	var stores uint64
 	const crashAt = 200_000
-	for i := 0; i < crashAt; {
-		tid := i % cfg.Cores
+	var tid, i int
+	heap.SetConsumer(func(op trace.Op) {
+		lat := nvo.Access(tid, op.Addr, op.Write, op.Data)
+		clocks.Advance(tid, lat)
+		if op.Write {
+			stores++
+			line := cfg.LineAddr(op.Addr)
+			if history[line] == nil {
+				history[line] = map[uint64]bool{}
+			}
+			history[line][op.Data] = true
+		}
+		i++
+	})
+	for i < crashAt {
+		tid = i % cfg.Cores
 		if !wl.Step(tid, heap, rng) {
 			break
 		}
-		for _, op := range heap.Ops() {
-			lat := nvo.Access(tid, op.Addr, op.Write, op.Data)
-			clocks.Advance(tid, lat)
-			if op.Write {
-				stores++
-				line := cfg.LineAddr(op.Addr)
-				if history[line] == nil {
-					history[line] = map[uint64]bool{}
-				}
-				history[line][op.Data] = true
-			}
-			i++
-		}
-		heap.ResetOps()
 	}
 
 	// CRASH: no drain, no seal. Volatile cache state is gone; only what

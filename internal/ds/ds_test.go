@@ -13,6 +13,14 @@ func newHeap() *trace.Heap {
 	return trace.NewHeap(&cfg)
 }
 
+// collect attaches a consumer to h and returns the accesses it has been
+// handed since.
+func collect(h *trace.Heap) *[]trace.Op {
+	var ops []trace.Op
+	h.SetConsumer(func(op trace.Op) { ops = append(ops, op) })
+	return &ops
+}
+
 // each constructor under test.
 func builders() map[string]func(h *trace.Heap) KV {
 	return map[string]func(h *trace.Heap) KV{
@@ -52,9 +60,9 @@ func TestEmitsAccesses(t *testing.T) {
 	for name, build := range builders() {
 		h := newHeap()
 		kv := build(h)
-		h.ResetOps()
+		got := collect(h)
 		kv.Insert(1234, 1)
-		ops := h.Ops()
+		ops := *got
 		if len(ops) == 0 {
 			t.Fatalf("%s: insert emitted no accesses", name)
 		}
@@ -95,7 +103,6 @@ func TestMatchesMapOracle(t *testing.T) {
 							return false
 						}
 					}
-					h.ResetOps()
 				}
 				if kv.Len() != len(oracle) {
 					return false
@@ -226,9 +233,9 @@ func TestBTreeWriteBurst(t *testing.T) {
 	for i := uint64(2); i <= 60; i++ {
 		bt.Insert(i*10, i)
 	}
-	h.ResetOps()
+	got := collect(h)
 	bt.Insert(1, 1) // lands at position 0: shifts 59 entries
-	ops := h.Ops()
+	ops := *got
 	stores := 0
 	for _, op := range ops {
 		if op.Write {
@@ -237,5 +244,21 @@ func TestBTreeWriteBurst(t *testing.T) {
 	}
 	if stores < 60 {
 		t.Fatalf("front insert emitted %d stores, want a shift burst", stores)
+	}
+}
+
+// TestHashTableGetAllocatesNothing guards the chain walk: a lookup follows
+// host pointers and allocates nothing, hit or miss.
+func TestHashTableGetAllocatesNothing(t *testing.T) {
+	h := newHeap()
+	ht := NewHashTable(h, 16)
+	for i := uint64(0); i < 1000; i++ {
+		ht.Insert(i, i)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ht.Get(500)
+		ht.Get(5000)
+	}); n != 0 {
+		t.Fatalf("HashTable.Get made %v allocations", n)
 	}
 }

@@ -2,10 +2,11 @@ package ds
 
 import "repro/internal/trace"
 
-// htNode is one chain node: key, value, next (24 bytes, one line).
+// htNode is one chain node: key, value, next (24 bytes, one line). addr is
+// its heap address; the simulated next field holds next's.
 type htNode struct {
 	key, val uint64
-	next     uint64 // heap address of next node, 0 = nil
+	next     *htNode
 	addr     uint64
 }
 
@@ -18,8 +19,7 @@ type HashTable struct {
 	sharedHeap
 	bucketBase uint64
 	nbuckets   int
-	buckets    []uint64
-	nodes      map[uint64]*htNode
+	buckets    []*htNode
 	size       int
 
 	// Rehashes counts full-table rehash events.
@@ -36,8 +36,7 @@ func NewHashTable(h *trace.Heap, initialBuckets int) *HashTable {
 	t := &HashTable{
 		sharedHeap: sharedHeap{h},
 		nbuckets:   n,
-		buckets:    make([]uint64, n),
-		nodes:      make(map[uint64]*htNode),
+		buckets:    make([]*htNode, n),
 	}
 	t.bucketBase = h.Alloc(n * 8)
 	return t
@@ -49,23 +48,18 @@ func (t *HashTable) bucketAddr(idx int) uint64 { return t.bucketBase + uint64(id
 func (t *HashTable) Insert(key, val uint64) {
 	idx := int(hash64(key) % uint64(t.nbuckets))
 	t.h.Load(t.bucketAddr(idx))
-	cur := t.buckets[idx]
-	for cur != 0 {
-		n := t.nodes[cur]
+	for n := t.buckets[idx]; n != nil; n = n.next {
 		t.h.Load(n.addr) // key + next share the node's line
 		if n.key == key {
 			t.h.Store(n.addr + 8)
 			n.val = val
 			return
 		}
-		cur = n.next
 	}
-	addr := t.h.Alloc(24)
-	n := &htNode{key: key, val: val, next: t.buckets[idx], addr: addr}
-	t.nodes[addr] = n
-	t.h.Store(addr) // key/val/next written together (one line)
+	n := &htNode{key: key, val: val, next: t.buckets[idx], addr: t.h.Alloc(24)}
+	t.h.Store(n.addr) // key/val/next written together (one line)
 	t.h.Store(t.bucketAddr(idx))
-	t.buckets[idx] = addr
+	t.buckets[idx] = n
 	t.size++
 	if t.size > t.nbuckets {
 		t.rehash()
@@ -76,14 +70,11 @@ func (t *HashTable) Insert(key, val uint64) {
 func (t *HashTable) Get(key uint64) (uint64, bool) {
 	idx := int(hash64(key) % uint64(t.nbuckets))
 	t.h.Load(t.bucketAddr(idx))
-	cur := t.buckets[idx]
-	for cur != 0 {
-		n := t.nodes[cur]
+	for n := t.buckets[idx]; n != nil; n = n.next {
 		t.h.Load(n.addr)
 		if n.key == key {
 			return n.val, true
 		}
-		cur = n.next
 	}
 	return 0, false
 }
@@ -97,20 +88,18 @@ func (t *HashTable) rehash() {
 	t.Rehashes++
 	old := t.buckets
 	t.nbuckets *= 2
-	t.buckets = make([]uint64, t.nbuckets)
+	t.buckets = make([]*htNode, t.nbuckets)
 	t.bucketBase = t.h.Alloc(t.nbuckets * 8)
-	for _, head := range old {
-		cur := head
-		for cur != 0 {
-			n := t.nodes[cur]
+	for _, n := range old {
+		for n != nil {
 			t.h.Load(n.addr)
 			next := n.next
 			idx := int(hash64(n.key) % uint64(t.nbuckets))
 			n.next = t.buckets[idx]
 			t.h.Store(n.addr + 16) // relink
 			t.h.Store(t.bucketAddr(idx))
-			t.buckets[idx] = cur
-			cur = next
+			t.buckets[idx] = n
+			n = next
 		}
 	}
 }

@@ -92,13 +92,14 @@ type Scheme interface {
 }
 
 // Heap is the tracked address space workloads run on. Allocation is a bump
-// allocator over the simulated physical space; every Load/Store is recorded
-// and later replayed into the scheme by the driver. Payload tokens are
-// auto-generated so recovery tests can verify snapshot contents.
+// allocator over the simulated physical space; every Load/Store is handed,
+// as it happens, to the heap's consumer (the driver issues it into the
+// scheme) and nothing is buffered. Payload tokens are auto-generated so
+// recovery tests can verify snapshot contents.
 type Heap struct {
 	cfg       *sim.Config
 	brk       uint64
-	ops       []Op
+	consume   func(Op)
 	token     uint64
 	recording bool
 
@@ -109,17 +110,21 @@ type Heap struct {
 // HeapBase is where workload allocations start in the physical space.
 const HeapBase uint64 = 1 << 30
 
-// NewHeap creates an empty heap with recording enabled.
+// NewHeap creates an empty heap with recording enabled and no consumer:
+// its accesses go nowhere until SetConsumer attaches one.
 func NewHeap(cfg *sim.Config) *Heap {
 	return &Heap{cfg: cfg, brk: HeapBase, recording: true}
 }
 
+// SetConsumer attaches the function every recorded access is handed to,
+// once and in program order; nil detaches it.
+func (h *Heap) SetConsumer(c func(Op)) { h.consume = c }
+
 // SetRecording switches access recording on or off. With recording off,
-// Load/Store skip the op buffer entirely (the driver disables it for
-// workload Setup, whose accesses are untimed and would otherwise be
-// recorded only to be discarded — by far the largest allocation source in
-// a run). Store still consumes a token either way, so the payload stream a
-// workload observes is identical in both modes.
+// Load/Store hand nothing to the consumer (the driver disables it for
+// workload Setup, whose accesses are untimed). Store still consumes a
+// token either way, so the payload stream a workload observes is
+// identical in both modes.
 func (h *Heap) SetRecording(on bool) { h.recording = on }
 
 // Alloc reserves size bytes and returns the base address. Allocations are
@@ -142,17 +147,16 @@ func (h *Heap) Alloc(size int) uint64 {
 
 // Load records a read of the word at addr.
 func (h *Heap) Load(addr uint64) {
-	if !h.recording {
-		return
+	if h.recording && h.consume != nil {
+		h.consume(Op{Addr: addr})
 	}
-	h.ops = append(h.ops, Op{Addr: addr})
 }
 
 // Store records a write of the word at addr and returns the token written.
 func (h *Heap) Store(addr uint64) uint64 {
 	h.token++
-	if h.recording {
-		h.ops = append(h.ops, Op{Addr: addr, Write: true, Data: h.token})
+	if h.recording && h.consume != nil {
+		h.consume(Op{Addr: addr, Write: true, Data: h.token})
 	}
 	return h.token
 }
@@ -171,20 +175,16 @@ func (h *Heap) StoreRange(addr uint64, size int) {
 	}
 }
 
-// Ops returns the accesses recorded since the last ResetOps without
-// detaching them: the slice is only valid until the next recorded access
-// after ResetOps.
-func (h *Heap) Ops() []Op { return h.ops }
-
-// ResetOps discards the recorded accesses, retaining the buffer for reuse.
-func (h *Heap) ResetOps() { h.ops = h.ops[:0] }
-
 // Footprint returns the bytes allocated so far.
 func (h *Heap) Footprint() int64 { return h.TotalAllocated }
 
 // Workload is a multithreaded benchmark. Step executes one operation for
 // the given thread against the shared state, recording its memory accesses
-// on the heap; it returns false when the thread has no more work.
+// on the heap; it returns false when the thread has no more work, and then
+// records no access: the driver issues each access as it is recorded and
+// cannot take one back. No workload reads scheme state, so issuing each
+// access as it is recorded is the same as issuing the operation's accesses
+// after it.
 type Workload interface {
 	Name() string
 	// Setup builds initial state (untimed; its accesses are discarded).
@@ -220,9 +220,10 @@ type Driver struct {
 	heap    *Heap
 	clocks  *sim.Clocks
 	rngs    []*sim.RNG
+	tid     int // the thread Run is stepping
 	issued  uint64
+	stores  uint64
 	target  uint64
-	perOpNs uint64
 	sink    Sink
 	sinkErr error
 }
@@ -282,12 +283,12 @@ func (d *Driver) SinkErr() error { return d.sinkErr }
 // sink, periodic NVM tick. It is the single path both
 // Run and RunReplay go through, so a replayed stream drives the scheme
 // through exactly the state sequence of the run that recorded it.
-func (d *Driver) issue(tid int, addr uint64, write bool, data uint64, stores *uint64) {
+func (d *Driver) issue(tid int, addr uint64, write bool, data uint64) {
 	lat := d.scheme.Access(tid, addr, write, data)
 	d.clocks.Advance(tid, lat+PipelineCost)
 	d.issued++
 	if write {
-		*stores++
+		d.stores++
 	}
 	if d.sink != nil && d.sinkErr == nil {
 		if err := d.sink.Append(Access{Tid: tid, Addr: addr, Write: write, Data: data}); err != nil {
@@ -310,14 +311,14 @@ func (d *Driver) teardown() {
 }
 
 // summary assembles the run report shared by Run and RunReplay.
-func (d *Driver) summary(workload string, ops, stores uint64) Summary {
+func (d *Driver) summary(workload string, ops uint64) Summary {
 	nvm := d.scheme.NVM()
 	return Summary{
 		Scheme:    d.scheme.Name(),
 		Workload:  workload,
 		Cycles:    d.clocks.Max(),
 		Accesses:  d.issued,
-		Stores:    stores,
+		Stores:    d.stores,
 		Ops:       ops,
 		NVMBytes:  nvm.TotalBytes(),
 		DataBytes: nvm.Bytes(mem.WData),
@@ -335,31 +336,33 @@ func (d *Driver) Run() Summary {
 	d.heap.SetRecording(false) // setup accesses are untimed
 	d.wl.Setup(d.heap, setupRNG)
 	d.heap.SetRecording(true)
+	d.heap.SetConsumer(d.consume)
 
-	var ops, stores uint64
+	var ops uint64
 	for d.issued < d.target {
 		tid := d.clocks.MinLive()
 		if tid < 0 {
 			break
 		}
+		d.tid = tid
 		if !d.wl.Step(tid, d.heap, d.rngs[tid]) {
 			d.clocks.Retire(tid)
-			d.heap.ResetOps()
 			continue
 		}
 		ops++
-		for _, op := range d.heap.Ops() {
-			// The bound is exact: a multi-access final op (a StoreRange,
-			// say) stops mid-op rather than overshooting maxAccesses.
-			if d.issued >= d.target {
-				break
-			}
-			d.issue(tid, op.Addr, op.Write, op.Data, &stores)
-		}
-		d.heap.ResetOps()
 	}
 	d.teardown()
-	return d.summary(d.wl.Name(), ops, stores)
+	return d.summary(d.wl.Name(), ops)
+}
+
+// consume issues one access of the operation Run is stepping. The bound is
+// exact: a multi-access final op (a StoreRange, say) stops mid-op rather
+// than overshooting maxAccesses, and the op's remaining accesses are
+// dropped.
+func (d *Driver) consume(op Op) {
+	if d.issued < d.target {
+		d.issue(d.tid, op.Addr, op.Write, op.Data)
+	}
 }
 
 // RunReplay drives the scheme from a recorded access stream instead of a
@@ -370,7 +373,6 @@ func (d *Driver) Run() Summary {
 // The workload may be nil (replay drivers need none); Summary.Ops and
 // Summary.Footprint are zero since no workload ran.
 func (d *Driver) RunReplay(src Source) (Summary, error) {
-	var stores uint64
 	var err error
 	for d.issued < d.target {
 		var a Access
@@ -384,8 +386,8 @@ func (d *Driver) RunReplay(src Source) (Summary, error) {
 			err = fmt.Errorf("trace: replayed tid %d out of range for %d cores", a.Tid, d.cfg.Cores)
 			break
 		}
-		d.issue(a.Tid, a.Addr, a.Write, a.Data, &stores)
+		d.issue(a.Tid, a.Addr, a.Write, a.Data)
 	}
 	d.teardown()
-	return d.summary("replay", 0, stores), err
+	return d.summary("replay", 0), err
 }

@@ -41,47 +41,99 @@ func TestHeapAllocPanicsOnBadSize(t *testing.T) {
 	NewHeap(cfg()).Alloc(0)
 }
 
+// collector is a heap consumer that keeps every access it is handed.
+type collector struct{ ops []Op }
+
+func (c *collector) add(op Op) { c.ops = append(c.ops, op) }
+
+// take returns the accesses collected since the last take.
+func (c *collector) take() []Op {
+	ops := c.ops
+	c.ops = nil
+	return ops
+}
+
 func TestHeapRecordsOps(t *testing.T) {
 	h := NewHeap(cfg())
+	var c collector
+	h.SetConsumer(c.add)
 	a := h.Alloc(256)
 	h.Load(a)
 	tok := h.Store(a + 64)
 	if tok == 0 {
 		t.Fatal("store token should be non-zero")
 	}
-	ops := h.Ops()
+	ops := c.take()
 	if len(ops) != 2 {
 		t.Fatalf("ops = %d", len(ops))
 	}
 	if ops[0].Write || !ops[1].Write || ops[1].Data != tok {
 		t.Fatalf("ops = %+v", ops)
 	}
-	h.ResetOps()
-	if len(h.Ops()) != 0 {
-		t.Fatal("ResetOps left ops")
-	}
 }
 
 func TestHeapRanges(t *testing.T) {
 	h := NewHeap(cfg())
+	var c collector
+	h.SetConsumer(c.add)
 	a := h.Alloc(4096)
 	h.LoadRange(a, 256) // 4 lines
-	if got := len(h.Ops()); got != 4 {
+	if got := len(c.take()); got != 4 {
 		t.Fatalf("LoadRange emitted %d ops", got)
 	}
-	h.ResetOps()
 	h.StoreRange(a+32, 64) // straddles two lines
-	if got := len(h.Ops()); got != 2 {
+	if got := len(c.take()); got != 2 {
 		t.Fatalf("straddling StoreRange emitted %d ops", got)
 	}
-	h.ResetOps()
 	// Store tokens are strictly increasing.
 	h.StoreRange(a, 192)
-	ops := h.Ops()
+	ops := c.take()
 	for i := 1; i < len(ops); i++ {
 		if ops[i].Data <= ops[i-1].Data {
 			t.Fatal("tokens not increasing")
 		}
+	}
+}
+
+// TestHeapStreamsInOrder locks the heap's hand-off: its consumer sees each
+// access exactly once, in program order, as it happens; with recording off
+// it sees nothing, but stores still take tokens, so the token stream a
+// workload observes does not depend on recording.
+func TestHeapStreamsInOrder(t *testing.T) {
+	h := NewHeap(cfg())
+	h.Load(HeapBase) // no consumer yet: dropped
+	var c collector
+	h.SetConsumer(c.add)
+	want := []Op{{Addr: 64}, {Addr: 128, Write: true, Data: 1}, {Addr: 64, Write: true, Data: 2}, {Addr: 192}}
+	for i, op := range want {
+		if op.Write {
+			if tok := h.Store(op.Addr); tok != op.Data {
+				t.Fatalf("store %d took token %d, want %d", i, tok, op.Data)
+			}
+		} else {
+			h.Load(op.Addr)
+		}
+		if len(c.ops) != i+1 || c.ops[i] != op {
+			t.Fatalf("after access %d consumer saw %+v, want %+v", i, c.ops, want[:i+1])
+		}
+	}
+	c.take()
+	h.SetRecording(false)
+	h.Load(64)
+	if tok := h.Store(64); tok != 3 {
+		t.Fatalf("store with recording off took token %d, want 3", tok)
+	}
+	if len(c.ops) != 0 {
+		t.Fatalf("recording off: consumer saw %+v", c.ops)
+	}
+	h.SetRecording(true)
+	if tok := h.Store(64); tok != 4 || len(c.ops) != 1 || c.ops[0].Data != 4 {
+		t.Fatalf("recording back on: token %d, consumer saw %+v", tok, c.ops)
+	}
+	h.SetConsumer(nil)
+	h.Store(64)
+	if len(c.ops) != 1 {
+		t.Fatalf("detached consumer saw %+v", c.ops)
 	}
 }
 
@@ -213,4 +265,34 @@ func (w *rewriteWorkload) Step(tid int, h *Heap, rng *sim.RNG) bool {
 	w.count++
 	w.last = h.Store(w.addr)
 	return true
+}
+
+// nullScheme charges every access one cycle and keeps nothing.
+type nullScheme struct{ nvm *mem.NVM }
+
+func (s nullScheme) Name() string                            { return "null" }
+func (s nullScheme) Bind(*sim.Clocks)                        {}
+func (s nullScheme) Drain(uint64)                            {}
+func (s nullScheme) Stats() *stats.Set                       { return nil }
+func (s nullScheme) NVM() *mem.NVM                           { return s.nvm }
+func (s nullScheme) Access(int, uint64, bool, uint64) uint64 { return 1 }
+
+// TestDriverRunBuffersNoOp guards the streamed access path: a run whose
+// first operation alone is n accesses (a StoreRange past the bound)
+// allocates exactly as often at 4n, so the driver holds no per-access
+// state between the workload and the scheme.
+func TestDriverRunBuffersNoOp(t *testing.T) {
+	c := cfg()
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			d := NewDriver(c, nullScheme{nvm: mem.NewNVM(c)}, &burstWorkload{lines: n}, uint64(n))
+			if sum := d.Run(); sum.Accesses != uint64(n) {
+				t.Fatalf("accesses = %d, want %d", sum.Accesses, n)
+			}
+		})
+	}
+	const n = 4096
+	if a, a4 := allocs(n), allocs(4*n); a4 != a {
+		t.Fatalf("a %d-access op made %v allocations, a %d-access one %v: the driver buffers the op", 4*n, a4, n, a)
+	}
 }

@@ -189,11 +189,28 @@ type Labyrinth struct {
 	dim  int
 	grid []uint8 // real occupancy state
 	base uint64
+
+	// BFS scratch, reused by every routed connection.
+	frontier []cell
+	seen     visitSet
 }
+
+// cell is a grid coordinate.
+type cell struct{ x, y, z int }
+
+// maxExpanded bounds one connection's wavefront: it expands at most this
+// many cells and so visits at most 1 + 6*maxExpanded.
+const maxExpanded = 256
 
 // NewLabyrinth builds the benchmark (128x128x128 grid).
 func NewLabyrinth() *Labyrinth {
-	return &Labyrinth{th: newThreads(opBudget), dim: 128}
+	const visits = 1 + 6*maxExpanded
+	return &Labyrinth{
+		th:       newThreads(opBudget),
+		dim:      128,
+		frontier: make([]cell, 0, visits),
+		seen:     newVisitSet(visits),
+	}
 }
 
 // Name implements trace.Workload.
@@ -222,27 +239,24 @@ func (w *Labyrinth) Step(tid int, h *trace.Heap, rng *sim.RNG) bool {
 	tx, ty := (sx+16+rng.Intn(32))%w.dim, (sy+16+rng.Intn(32))%w.dim
 
 	// Expansion: a bounded BFS wavefront reading real cell occupancy.
-	type pt struct{ x, y, z int }
-	frontier := []pt{{sx, sy, sz}}
-	seen := map[int]bool{w.idx(sx, sy, sz): true}
-	expanded := 0
-	for len(frontier) > 0 && expanded < 256 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		expanded++
+	w.seen.reset()
+	w.seen.add(w.idx(sx, sy, sz))
+	frontier := append(w.frontier[:0], cell{sx, sy, sz})
+	for head := 0; head < len(frontier) && head < maxExpanded; head++ {
+		cur := frontier[head]
 		for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
 			nx, ny, nz := (cur.x+d[0]+w.dim)%w.dim, (cur.y+d[1]+w.dim)%w.dim, (cur.z+d[2]+w.dim)%w.dim
 			i := w.idx(nx, ny, nz)
-			if seen[i] {
+			if !w.seen.add(i) {
 				continue
 			}
-			seen[i] = true
 			h.Load(w.cellAddr(i)) // real occupancy check
 			if w.grid[i] == 0 {
-				frontier = append(frontier, pt{nx, ny, nz})
+				frontier = append(frontier, cell{nx, ny, nz})
 			}
 		}
 	}
+	w.frontier = frontier
 
 	// Traceback: claim a straight-ish path from source toward target,
 	// marking real grid cells (the write burst).
@@ -271,3 +285,54 @@ func (w *Labyrinth) Step(tid int, h *trace.Heap, rng *sim.RNG) bool {
 }
 
 var _ = []trace.Workload{(*KMeans)(nil), (*SSCA2)(nil), (*Labyrinth)(nil)}
+
+// visitSet is a set of grid cell indices, open-addressed and stamped with
+// a generation: reset empties it by bumping the generation, so one table
+// serves every connection a Labyrinth routes. It is only queried, never
+// iterated.
+type visitSet struct {
+	slots []visitSlot
+	shift uint // 32 - log2(len(slots)): hashes take the product's top bits
+	gen   uint32
+}
+
+// visitSlot holds a cell index; it is occupied only while its gen is the
+// set's.
+type visitSlot struct {
+	gen  uint32
+	cell int32
+}
+
+// newVisitSet returns an empty set that holds up to bound cells at a load
+// factor of at most one half.
+func newVisitSet(bound int) visitSet {
+	bits := uint(1)
+	for 1<<bits < 2*bound {
+		bits++
+	}
+	return visitSet{slots: make([]visitSlot, 1<<bits), shift: 32 - bits, gen: 1}
+}
+
+// reset empties the set.
+func (s *visitSet) reset() {
+	s.gen++
+	if s.gen == 0 { // wrapped: a slot stamped 2^32 resets ago would read as live
+		clear(s.slots)
+		s.gen = 1
+	}
+}
+
+// add inserts cell i and reports whether it was absent.
+func (s *visitSet) add(i int) bool {
+	mask := len(s.slots) - 1
+	for j := int(uint32(i) * 0x9e3779b1 >> s.shift); ; j = (j + 1) & mask {
+		sl := &s.slots[j]
+		if sl.gen != s.gen {
+			*sl = visitSlot{gen: s.gen, cell: int32(i)}
+			return true
+		}
+		if sl.cell == int32(i) {
+			return false
+		}
+	}
+}

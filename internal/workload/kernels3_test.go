@@ -82,15 +82,13 @@ func TestScaleWorkloadsDeterministic(t *testing.T) {
 				}
 				h := trace.NewHeap(cfg)
 				w.Setup(h, sim.NewRNG(7))
-				h.ResetOps()
 				r := sim.NewRNG(8)
 				var all []trace.Op
+				h.SetConsumer(func(op trace.Op) { all = append(all, op) })
 				for i := 0; i < 800; i++ {
 					if !w.Step(i%nthreads, h, r) {
 						break
 					}
-					all = append(all, h.Ops()...)
-					h.ResetOps()
 				}
 				return all
 			}
@@ -118,21 +116,19 @@ func TestScaleWorkloadsMixedTraffic(t *testing.T) {
 		w, _ := Get(name)
 		h := trace.NewHeap(cfg)
 		w.Setup(h, sim.NewRNG(1))
-		h.ResetOps()
 		var loads, stores int
+		h.SetConsumer(func(op trace.Op) {
+			if op.Write {
+				stores++
+			} else {
+				loads++
+			}
+		})
 		r := sim.NewRNG(2)
 		for i := 0; i < 2000; i++ {
 			if !w.Step(i%256, h, r) {
 				break
 			}
-			for _, op := range h.Ops() {
-				if op.Write {
-					stores++
-				} else {
-					loads++
-				}
-			}
-			h.ResetOps()
 		}
 		if loads == 0 || stores == 0 {
 			t.Fatalf("%s: loads=%d stores=%d after 2000 ops", name, loads, stores)

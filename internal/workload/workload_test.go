@@ -53,22 +53,20 @@ func TestEveryWorkloadEmitsMixedTraffic(t *testing.T) {
 		h := trace.NewHeap(cfg)
 		rng := sim.NewRNG(1)
 		w.Setup(h, rng)
-		h.ResetOps()
 		var loads, stores int
+		h.SetConsumer(func(op trace.Op) {
+			if op.Write {
+				stores++
+			} else {
+				loads++
+			}
+		})
 		perThread := sim.NewRNG(2)
 		for i := 0; i < 2000; i++ {
 			tid := i % 16
 			if !w.Step(tid, h, perThread) {
 				break
 			}
-			for _, op := range h.Ops() {
-				if op.Write {
-					stores++
-				} else {
-					loads++
-				}
-			}
-			h.ResetOps()
 		}
 		if loads == 0 || stores == 0 {
 			t.Fatalf("%s: loads=%d stores=%d after 2000 ops", name, loads, stores)
@@ -86,15 +84,13 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 			w, _ := Get(name)
 			h := trace.NewHeap(cfg)
 			w.Setup(h, sim.NewRNG(7))
-			h.ResetOps()
 			r := sim.NewRNG(8)
 			var all []trace.Op
+			h.SetConsumer(func(op trace.Op) { all = append(all, op) })
 			for i := 0; i < 500; i++ {
 				if !w.Step(i%16, h, r) {
 					break
 				}
-				all = append(all, h.Ops()...)
-				h.ResetOps()
 			}
 			return all
 		}
@@ -162,19 +158,18 @@ func TestYadaSparseAllocation(t *testing.T) {
 	// Collect store addresses; they must be sparse within 4KB pages (the
 	// Fig 13 occupancy outlier).
 	pages := map[uint64]map[uint64]bool{}
+	h.SetConsumer(func(op trace.Op) {
+		if !op.Write {
+			return
+		}
+		pg := op.Addr &^ 4095
+		if pages[pg] == nil {
+			pages[pg] = map[uint64]bool{}
+		}
+		pages[pg][op.Addr&^63] = true
+	})
 	for i := 0; i < 3000; i++ {
 		w.Step(i%16, h, r)
-		for _, op := range h.Ops() {
-			if !op.Write {
-				continue
-			}
-			pg := op.Addr &^ 4095
-			if pages[pg] == nil {
-				pages[pg] = map[uint64]bool{}
-			}
-			pages[pg][op.Addr&^63] = true
-		}
-		h.ResetOps()
 	}
 	var lines, npages int
 	for _, lns := range pages {
