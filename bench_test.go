@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
 	"repro/internal/workload"
@@ -232,7 +233,7 @@ func BenchmarkFileSeal(b *testing.B) {
 	const epochs, perEpoch = 16, 512
 	for i := 0; i < b.N; i++ {
 		dir := filepath.Join(b.TempDir(), "store")
-		st, err := experiments.FilePlaneProfile(fault.OS, dir, epochs, perEpoch, 4, 42)
+		st, err := store.FilePlaneProfile(fault.OS, dir, epochs, perEpoch, 4, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func BenchmarkFileSealFaulted(b *testing.B) {
 	const epochs, perEpoch = 16, 512
 	for i := 0; i < b.N; i++ {
 		ffs := fault.NewFaultFS(fault.NewMemFS(), fault.DiskConfig{Seed: 42, ShortPer100: 35})
-		st, err := experiments.FilePlaneProfile(ffs, "store", epochs, perEpoch, 4, 42)
+		st, err := store.FilePlaneProfile(ffs, "store", epochs, perEpoch, 4, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,19 +375,11 @@ func BenchmarkWrapAround(b *testing.B) {
 	}
 }
 
-// smokeConfig returns the machine experiments.Run builds at Smoke scale.
-func smokeConfig() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.EpochSize = experiments.Smoke.EpochSize
-	experiments.Smoke.Machine(&cfg)
-	return cfg
-}
-
 // recordStoreTrace runs hashtable (about 60% stores) under the Ideal
 // scheme at Smoke scale with the driver's record sink attached, writing
 // the access stream as a TRC1 trace on fsys.
 func recordStoreTrace(b *testing.B, fsys fault.FS, path string) {
-	cfg := smokeConfig()
+	cfg := experiments.Smoke.Config()
 	wl, err := workload.Get("hashtable")
 	if err != nil {
 		b.Fatal(err)
@@ -422,7 +415,7 @@ func BenchmarkNVOverlayStorePath(b *testing.B) {
 	b.ResetTimer()
 	var accesses uint64
 	for i := 0; i < b.N; i++ {
-		cfg := smokeConfig()
+		cfg := experiments.Smoke.Config()
 		r, err := tracefile.OpenReader(fsys, "store.trc")
 		if err != nil {
 			b.Fatal(err)

@@ -33,8 +33,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/hostprof"
-	"repro/internal/mem"
 	"repro/internal/parallel"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -237,12 +237,12 @@ func run(o options, out io.Writer) error {
 			if sc.Name == "smoke" {
 				epochs, perEpoch = 8, 256
 			}
-			st, err := experiments.FilePlaneProfile(fault.OS,
-				filepath.Join(dir, "store"), epochs, perEpoch, mem.DefaultCheckpointEvery, seed)
+			st, err := store.FilePlaneProfile(fault.OS,
+				filepath.Join(dir, "store"), epochs, perEpoch, store.DefaultCheckpointEvery, seed)
 			if err != nil {
 				return nil, err
 			}
-			experiments.PrintFilePlane(out, st)
+			store.PrintFilePlane(out, st)
 			return st, nil
 		}},
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // TestRateJSONSafe is the regression test for the -json rate fields: a run
@@ -184,7 +185,7 @@ func TestRunJSONResults(t *testing.T) {
 			}
 		}},
 		{"fileplane", "== fileplane: durable store profile", func(t *testing.T, result json.RawMessage) {
-			var st experiments.FilePlaneStats
+			var st store.FilePlaneStats
 			if err := json.Unmarshal(result, &st); err != nil {
 				t.Fatal(err)
 			}

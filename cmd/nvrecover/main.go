@@ -29,6 +29,7 @@ import (
 	"repro/internal/omc"
 	"repro/internal/recovery"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -71,7 +72,7 @@ func parseFlags(args []string, errOut io.Writer) (options, error) {
 // refusal when nothing could be proven.
 func runStore(o options, w io.Writer) error {
 	fmt.Fprintf(w, "cold-opening store %s...\n", o.store)
-	out, rep, err := recovery.SalvageDir(fault.OS, o.store)
+	out, rep, err := store.SalvageDir(fault.OS, o.store)
 	if rep != nil {
 		if js, jerr := rep.JSON(); jerr == nil {
 			fmt.Fprintf(w, "%s\n", js)

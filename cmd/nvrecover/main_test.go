@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/recovery"
-	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // TestWalkthrough runs the full usage-model demo at a reduced budget and
@@ -71,18 +71,12 @@ func TestErrors(t *testing.T) {
 }
 
 // TestStoreRoundTrip writes a file store the way `nvsim -scale smoke
-// -store dir` does (experiments.Run with StoreDir, then ClosePlane), then
-// cold-salvages it through run with -store: the report must be valid JSON
-// and the restored epoch must be the one it names.
+// -store dir` does (store.Run), then cold-salvages it through run with
+// -store: the report must be valid JSON and the restored epoch must be the
+// one it names.
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	res, err := experiments.Run("NVOverlay", "btree", experiments.Smoke, func(c *sim.Config) {
-		c.StoreDir = dir
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Scheme.NVM().ClosePlane(); err != nil {
+	if _, err := store.Run("NVOverlay", "btree", experiments.Smoke, nil, dir); err != nil {
 		t.Fatal(err)
 	}
 

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func run(o options, w io.Writer) error {
 	if o.events != "" || o.timeline {
 		ob = experiments.NewObserver("", o.events != "")
 	}
-	res, err := experiments.Run(o.scheme, o.wl, sc, func(c *sim.Config) {
+	mod := func(c *sim.Config) {
 		if o.epoch > 0 {
 			c.EpochSize = o.epoch
 		}
@@ -88,17 +89,17 @@ func run(o options, w io.Writer) error {
 		}
 		c.Seed = o.seed
 		c.Obs = ob.Bus()
-		c.StoreDir = o.store
-	})
+	}
+	var res experiments.RunResult
+	if o.store == "" {
+		res, err = experiments.Run(o.scheme, o.wl, sc, mod)
+	} else {
+		res, err = store.Run(o.scheme, o.wl, sc, mod, o.store)
+	}
 	if err != nil {
 		return err
 	}
 	if o.store != "" {
-		// Flush and close the durable store; a swallowed write error here
-		// would undermine every durability claim the directory makes.
-		if err := res.Scheme.NVM().ClosePlane(); err != nil {
-			return fmt.Errorf("closing store %s: %w", o.store, err)
-		}
 		fmt.Fprintf(w, "store     %s (salvage with: nvrecover -store %s)\n", o.store, o.store)
 	}
 

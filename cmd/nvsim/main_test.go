@@ -12,7 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/recovery"
+	"repro/internal/store"
 )
 
 // TestSmokeRun drives the full experiment path at smoke scale and checks
@@ -137,7 +137,7 @@ func TestStoreRun(t *testing.T) {
 	if want := "store     " + dir + " (salvage with: nvrecover -store " + dir + ")"; !strings.Contains(out.String(), want) {
 		t.Fatalf("output missing %q:\n%s", want, out.String())
 	}
-	img, rep, err := recovery.SalvageDir(fault.OS, dir)
+	img, rep, err := store.SalvageDir(fault.OS, dir)
 	if err != nil {
 		t.Fatalf("salvage refused: %v", err)
 	}

@@ -333,29 +333,30 @@ var simVisible = prefixMatcher(
 	"repro/internal/parallel",
 	"repro/internal/stats",
 	"repro/internal/obs",
+	"repro/internal/store",
 )
 
-// errcheckScope covers the NVM/DRAM device models and the recovery paths,
-// where a silently dropped error means a corrupted or unverified image,
-// and the host profilers, where it means a truncated profile.
+// errcheckScope covers the NVM/DRAM device models, the recovery paths and
+// the file-backed store, where a dropped error means a corrupted or
+// unverified image, and the host profilers (a truncated profile).
 var errcheckScope = prefixMatcher(
 	"repro/internal/mem",
 	"repro/internal/recovery",
 	"repro/internal/tracefile",
 	"repro/internal/omc",
-	"repro/internal/soak",
+	"repro/internal/store",
 	"repro/internal/hostprof",
 	"repro/cmd/nvrecover",
 	"repro/cmd/nvcheck",
 	"repro/cmd/nvsim",
 )
 
-// persistScope covers the packages that own the on-disk manifest
-// discipline: the file-backed plane and the crash-soak writer. persistorder
-// only audits functions there that carry the `nvlint:durable` marker.
+// persistScope covers internal/store, the owner of the on-disk manifest
+// discipline, and internal/mem, where persistorder's testdata loads; it
+// audits only functions there that carry the `nvlint:durable` marker.
 var persistScope = prefixMatcher(
 	"repro/internal/mem",
-	"repro/internal/soak",
+	"repro/internal/store",
 )
 
 // prefixMatcher matches an import path equal to, or nested under, any of

@@ -6,7 +6,7 @@ package analysis
 // fsynced. The crash-consistency sweep checks this dynamically for the
 // schedules it happens to execute; this analyzer proves it for every path
 // of every function that opts in with `nvlint:durable` in its doc comment,
-// inside internal/mem and internal/soak.
+// inside internal/store.
 //
 // The dataflow fact is a per-file-handle state machine
 //

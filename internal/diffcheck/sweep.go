@@ -13,7 +13,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/recovery"
 	"repro/internal/sim"
-	"repro/internal/soak"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -272,7 +272,7 @@ func diskCuts(cuts, n int) []int {
 // mutating syscalls a complete run performs: the disk cuts' axis.
 func controlOps(seed int64) (int, error) {
 	ffs := fault.NewFaultFS(fault.NewMemFS(), fault.DiskConfig{})
-	if err := soak.WriteStore(ffs, soak.DefaultParams("store", seed), nil); err != nil {
+	if err := store.WriteSoak(ffs, store.DefaultSoakParams("store", seed), nil); err != nil {
 		return 0, fmt.Errorf("diffcheck: fault-free control run failed: %w", err)
 	}
 	return ffs.Ops(), nil
@@ -444,9 +444,9 @@ func DiskCell(class string, seed int64, cut int) ([]Point, string, *SweepDiverge
 	cfg.CrashAt = cut
 	mfs := fault.NewMemFS()
 	ffs := fault.NewFaultFS(mfs, cfg)
-	sp := soak.DefaultParams("store", seed)
-	var durable soak.Durable
-	werr := soak.WriteStore(ffs, sp, durable.Hit)
+	sp := store.DefaultSoakParams("store", seed)
+	var durable store.Durable
+	werr := store.WriteSoak(ffs, sp, durable.Hit)
 	pt.DurableEpoch = durable.Epoch
 	pt.Faults = len(ffs.Events())
 	pt.Retried = int(ffs.Count(fault.DiskShortWrite))
@@ -456,14 +456,14 @@ func DiskCell(class string, seed int64, cut int) ([]Point, string, *SweepDiverge
 		// on a permanent fault, or an injected fault surfacing directly
 		// (plane construction, the first segment create). Anything else is
 		// a policy bug.
-		pt.Wounded = errors.Is(werr, mem.ErrPlaneWounded)
+		pt.Wounded = errors.Is(werr, store.ErrPlaneWounded)
 		if !pt.Wounded && !fault.IsDiskFault(werr) {
 			return nil, sched, &SweepDivergence{Cell: pt, Kind: "writer-error",
 				Detail: fmt.Sprintf("writer failed outside the fault policy: %v", werr)}
 		}
 		pt.Err = werr.Error()
 	}
-	golden := soak.Golden(sp)
+	golden := store.SoakGolden(sp)
 	lookup := func(e uint64) (*mem.Table[uint64], bool) {
 		g, ok := golden[e]
 		return g, ok
@@ -475,7 +475,7 @@ func DiskCell(class string, seed int64, cut int) ([]Point, string, *SweepDiverge
 		}
 		spt := pt
 		spt.State = state
-		out, rep, serr := recovery.SalvageDir(mfs, sp.Dir)
+		out, rep, serr := store.SalvageDir(mfs, sp.Dir)
 		if d := judge(&spt, out, rep, serr, lookup); d != nil {
 			return pts, sched, d
 		}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/soak"
+	"repro/internal/store"
 )
 
 // sweep runs p on jobs workers and fails the test on any error.
@@ -219,7 +219,7 @@ func TestDiskPointCrashBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochs := uint64(soak.DefaultParams("", 11).Epochs)
+	epochs := uint64(store.DefaultSoakParams("", 11).Epochs)
 	for _, cut := range []int{n / 4, n / 2, 3 * n / 4, 0} {
 		pts, sched, d := DiskCell("crash", 11, cut)
 		if d != nil {

@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/mem"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -147,8 +145,8 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 	return RunResult{Sum: sum, Scheme: s}, nil
 }
 
-// config returns the machine every run at this scale starts from.
-func (scale Scale) config() sim.Config {
+// Config returns the machine every run at this scale starts from.
+func (scale Scale) Config() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.EpochSize = scale.EpochSize
 	if scale.Seed != 0 {
@@ -164,20 +162,14 @@ func (scale Scale) config() sim.Config {
 // newRun builds the driver and scheme Run runs, and the config they share,
 // so a caller can attach a sink (the golden image, say) before running it.
 func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*trace.Driver, trace.Scheme, *sim.Config, error) {
-	cfg := scale.config()
+	cfg := scale.Config()
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	var s trace.Scheme
-	var err error
-	if cfg.StoreDir == "" {
-		s, err = NewScheme(schemeName, &cfg)
-	} else {
-		s, err = newStoreScheme(schemeName, &cfg)
-	}
+	s, err := NewScheme(schemeName, &cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -186,36 +178,6 @@ func newRun(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (*
 		return nil, nil, nil, err
 	}
 	return trace.NewDriver(&cfg, s, wl, scale.MaxAccesses), s, &cfg, nil
-}
-
-// newStoreScheme builds the scheme with its content plane backed by the
-// on-disk store in cfg.StoreDir. NVOverlay is assembled on a device that
-// has the plane before construction: under NAK faults a retried OMC
-// genesis write can drain another, and only a plane attached first keeps
-// it (core.NewOn). The baselines persist no content, so theirs attaches
-// after.
-func newStoreScheme(name string, cfg *sim.Config) (trace.Scheme, error) {
-	var s trace.Scheme
-	if name != "NVOverlay" {
-		var err error
-		if s, err = NewScheme(name, cfg); err != nil {
-			return nil, err
-		}
-	}
-	plane, err := mem.OpenFilePlane(fault.OS, cfg.StoreDir, mem.DefaultCheckpointEvery)
-	if err != nil {
-		return nil, err
-	}
-	// Observed runs see the plane's I/O events (io_fault, io_retry,
-	// plane_wound) in the same stream as everything else.
-	plane.AttachBus(cfg.Obs)
-	if s != nil {
-		s.NVM().AttachPlane(plane)
-		return s, nil
-	}
-	nvm := mem.NewNVM(cfg)
-	nvm.AttachPlane(plane)
-	return core.NewOn(cfg, nvm), nil
 }
 
 // cellSpec names one independent cell of a figure's sweep grid. Cells

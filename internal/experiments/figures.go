@@ -59,7 +59,7 @@ func scaleOnly[R any](run func(Scale) (R, error)) func(Scale, []string) (R, erro
 // runConfig prints Table II for the machine the scale runs; it has no
 // result.
 func runConfig(sc Scale, _ []string, w io.Writer) (any, error) {
-	cfg := sc.config()
+	cfg := sc.Config()
 	PrintConfig(w, &cfg)
 	fmt.Fprintf(w, "  Scale       %s: %d accesses, caches scaled to keep the paper's\n",
 		sc.Name, sc.MaxAccesses)

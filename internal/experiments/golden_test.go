@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -11,14 +10,10 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/diffcheck"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // update rewrites the committed golden files instead of comparing:
@@ -26,20 +21,22 @@ import (
 //	go test ./internal/experiments -run TestGoldenOutputs -update
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
-// TestGoldenOutputs is the behaviour lock: every pinned output must
-// reproduce its committed golden file byte for byte. A failure names
-// every cell block and every figure line that moved.
-func TestGoldenOutputs(t *testing.T) {
-	t.Run("cells", func(t *testing.T) { compareGolden(t, "testdata/golden/cells.txt", goldenCells(t)) })
-	t.Run("figures", func(t *testing.T) {
-		figs, err := smokeFigures()
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareGolden(t, "testdata/golden/figures.txt", figs.text)
-	})
-	t.Run("events", func(t *testing.T) { compareGolden(t, "testdata/golden/events.txt", goldenEvents(t)) })
-	t.Run("recovery", func(t *testing.T) { compareGolden(t, "testdata/golden/recovery.txt", goldenRecovery(t)) })
+// The golden test itself lives in package experiments_test
+// (golden_outputs_test.go): two of its outputs come from the crash sweep
+// and the differential harness, and diffcheck imports the file store,
+// which imports this package. These are the helpers it shares with the
+// tests here.
+var (
+	CompareGolden   = compareGolden
+	GoldenCells     = goldenCells
+	GoldenWorkloads = goldenWorkloads
+	StreamLine      = streamLine
+)
+
+// SmokeFiguresText returns the text of the figure table at Smoke.
+func SmokeFiguresText() (string, error) {
+	figs, err := smokeFigures()
+	return figs.text, err
 }
 
 // compareGolden checks got against the golden file at path and reports
@@ -262,92 +259,6 @@ func finalDigest(final *mem.Table[uint64]) (int, uint64) {
 func streamLine(name string, stream []byte) string {
 	return fmt.Sprintf("%s bytes=%d events=%d sha256=%x\n",
 		name, len(stream), bytes.Count(stream, []byte("\n")), sha256.Sum256(stream))
-}
-
-// goldenEvents renders the observability event streams, which carry what
-// the scheme stats do not: the order of every protocol event and the
-// write-back reason of each version eviction. It pins the smoke timeline
-// stream of NVOverlay over the golden workloads and the stream of three
-// differential traces whose third baseline rotates through PiCL-L2,
-// SWShadow and HWShadow (the baselines' hierarchy emits its own
-// evictions).
-func goldenEvents(t *testing.T) string {
-	var b strings.Builder
-	cells, err := Timeline(Smoke, goldenWorkloads, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.WriteString(streamLine("timeline/"+strings.Join(goldenWorkloads, ",")+"/smoke", ConcatEvents(cells)))
-	for i := 0; i < 3; i++ {
-		p := diffcheck.RegimeParams(i, 1)
-		sink := obs.NewJSONLSink("diffcheck")
-		bus := obs.NewBus()
-		bus.Attach(sink)
-		res, d := diffcheck.Run(p, bus)
-		if d != nil {
-			t.Fatal(d.Error())
-		}
-		b.WriteString(streamLine(fmt.Sprintf("diffcheck/seed=%d/%s", p.Seed,
-			strings.Join(res.Baselines, ",")), sink.Bytes()))
-	}
-	return b.String()
-}
-
-// goldenRecovery renders the recovery paths the scheme cells do not
-// reach: the byte-exact snapshot archive of a retained hashtable run at
-// Smoke, and the salvage verdict of every point of two small crash
-// sweeps, nvm and disk (every fault class x 4 seeds x the default 8 cuts
-// plus the full-length cut). The disk sweep judges each cut twice, so
-// both crash states get a tally.
-func goldenRecovery(t *testing.T) string {
-	cfg := Smoke.config()
-	cfg.RetainEpochs = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	nvo := core.New(&cfg)
-	nvo.NVM().AttachPlane(mem.NewRAMPlane()) // Export reads the persisted content
-	wl, err := workload.Get("hashtable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace.NewDriver(&cfg, nvo, wl, Smoke.MaxAccesses).Run()
-	var exp bytes.Buffer
-	if err := nvo.Group().Export(&exp); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "export hashtable/smoke bytes=%d sha256=%x\n", exp.Len(), sha256.Sum256(exp.Bytes()))
-
-	for _, layer := range []string{diffcheck.LayerNVM, diffcheck.LayerDisk} {
-		res, err := diffcheck.RunSweep(context.Background(), diffcheck.SweepParams{
-			Classes: diffcheck.ParseClasses(layer),
-			Seeds:   []int64{1, 2, 3, 4},
-			Cuts:    8,
-		}, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts := sha256.New()
-		for _, pt := range res.Points {
-			fmt.Fprintf(pts, "%+v\n", pt)
-		}
-		pl, pd := res.PowerLoss, res.ProcessDeath
-		if layer == diffcheck.LayerNVM {
-			fmt.Fprintf(&b, "sweep nvm cells=%d faults=%d schedule=%x points=%x\n",
-				res.Cells, res.Faults, sha256.Sum256([]byte(res.Schedule)), pts.Sum(nil))
-			fmt.Fprintf(&b, "tally states=%d restored=%d walked_back=%d refused=%d\n",
-				pl.States, pl.Restored, pl.WalkedBack, pl.Refused)
-			continue
-		}
-		fmt.Fprintf(&b, "sweep disk cells=%d faults=%d wounded=%d schedule=%x points=%x\n",
-			res.Cells, res.Faults, res.Wounded, sha256.Sum256([]byte(res.Schedule)), pts.Sum(nil))
-		fmt.Fprintf(&b, "tally power-loss states=%d restored=%d walked_back=%d refused=%d"+
-			" process-death states=%d restored=%d walked_back=%d refused=%d\n",
-			pl.States, pl.Restored, pl.WalkedBack, pl.Refused,
-			pd.States, pd.Restored, pd.WalkedBack, pd.Refused)
-	}
-	return b.String()
 }
 
 // TestGoldenDiffNamesEveryMove feeds the comparison two renderings that

@@ -7,12 +7,12 @@ import (
 	"sort"
 )
 
-// The VFS seam under the durable plane. The file-backed store (mem.FilePlane,
-// mem.LoadDir, recovery.SalvageDir) performs every filesystem operation
-// through this interface, so the same write-seal-salvage code runs over the
-// real OS (OSFS), an in-memory crash-modelling filesystem (MemFS), or the
-// deterministic disk-error injector (FaultFS) — the disk-level analogue of
-// the NVM injector above.
+// The VFS seam under the durable plane. The file-backed store
+// (internal/store: FilePlane, LoadDir, SalvageDir) performs every
+// filesystem operation through this interface, so the same
+// write-seal-salvage code runs over the real OS (OSFS), an in-memory
+// crash-modelling filesystem (MemFS), or the deterministic disk-error
+// injector (FaultFS) — the disk-level analogue of the NVM injector above.
 //
 // The interface is deliberately tiny: exactly the syscalls the store's
 // manifest discipline is built from. Durability semantics follow POSIX:

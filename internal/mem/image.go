@@ -13,8 +13,11 @@ type Image struct {
 // NewImage returns an empty image.
 func NewImage() *Image { return &Image{words: NewTable[uint64](0)} }
 
-// put stores one word (cold loads and pending-queue overlays).
-func (im *Image) put(addr, v uint64) { im.words.Put(addr>>3, v) }
+// Put stores one word (cold loads and pending-queue overlays).
+func (im *Image) Put(addr, v uint64) { im.words.Put(addr>>3, v) }
+
+// Clone returns an independent copy of the image.
+func (im *Image) Clone() *Image { return &Image{words: im.words.Clone()} }
 
 // Word returns the persisted 8-byte word at addr and whether it exists.
 func (im *Image) Word(addr uint64) (uint64, bool) {
@@ -37,7 +40,11 @@ func (im *Image) SortedAddrs() []uint64 {
 	if im == nil {
 		return nil
 	}
-	return sortedWordAddrs(im.words)
+	addrs := im.words.SortedKeys()
+	for i := range addrs {
+		addrs[i] <<= 3
+	}
+	return addrs
 }
 
 // Delete removes a persisted word (corruption modelling: a write that was
@@ -50,14 +57,4 @@ func (im *Image) FlipBit(addr uint64, bit uint) {
 	if v, ok := im.words.Get(addr >> 3); ok {
 		im.words.Put(addr>>3, v^1<<(bit&63))
 	}
-}
-
-// sortedWordAddrs returns the word addresses of a word-index table in
-// ascending order.
-func sortedWordAddrs(words *Table[uint64]) []uint64 {
-	addrs := words.SortedKeys()
-	for i := range addrs {
-		addrs[i] <<= 3
-	}
-	return addrs
 }

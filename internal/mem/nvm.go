@@ -50,8 +50,8 @@ type NVM struct {
 	// occupancy; the content plane additionally tracks what the array
 	// would actually hold after a power cut. plane is the persisted word
 	// array; it is nil until a reader attaches one (a RAMPlane, or a
-	// FilePlane that mirrors it to disk), so a timing-only run keeps no
-	// content. pending holds per-bank FIFO queues of writes whose device
+	// store.FilePlane that mirrors it to disk), so a timing-only run keeps
+	// no content. pending holds per-bank FIFO queues of writes whose device
 	// completion watermark has not passed yet — those are the writes a
 	// power cut can tear or lose. bankDone is the per-bank completion
 	// clock: unlike bankBusy (cumulative work, which grants idle credit

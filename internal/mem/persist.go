@@ -14,7 +14,7 @@ func (n *NVM) AttachFaults(inj *fault.Injector) { n.inj = inj }
 func (n *NVM) Injector() *fault.Injector { return n.inj }
 
 // AttachPlane installs the content plane: a RAMPlane for in-process
-// readers, a FilePlane so the durable image survives process death.
+// readers, a store.FilePlane so the durable image survives process death.
 // Writes still queued at attach time (construction traffic such as the
 // OMC genesis records) drain onto the new plane, and words already
 // committed to a previous plane are migrated, so attaching right after
@@ -76,8 +76,8 @@ func (n *NVM) SealDurable(epoch, now uint64) {
 }
 
 // ClosePlane flushes and closes the content plane, returning the first
-// write-path I/O error. Drivers that attached a FilePlane must call it
-// before trusting the directory. With no plane it returns nil.
+// write-path I/O error. Drivers that attached a store.FilePlane must call
+// it before trusting the directory. With no plane it returns nil.
 func (n *NVM) ClosePlane() error {
 	if n.plane == nil {
 		return nil
@@ -246,7 +246,7 @@ func (n *NVM) Image() *Image {
 	for b := range n.pending {
 		n.pending[b].each(func(w pendingWrite, words []uint64) {
 			for j, v := range words {
-				img.put(w.addr+uint64(j*8), v)
+				img.Put(w.addr+uint64(j*8), v)
 			}
 		})
 	}

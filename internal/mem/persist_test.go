@@ -404,3 +404,36 @@ func TestContentReadersNeedPlane(t *testing.T) {
 		}
 	})
 }
+
+// TestNVMSealDurableRAMNoop: on a RAM plane SealDurable must not perturb
+// the device at all — the in-memory image with seal barriers sprinkled in
+// is byte-identical to one without.
+func TestNVMSealDurableRAMNoop(t *testing.T) {
+	build := func(seal bool) *Image {
+		cfg := sim.DefaultConfig()
+		n := NewNVM(&cfg)
+		n.AttachPlane(NewRAMPlane())
+		for i := uint64(0); i < 40; i++ {
+			n.Persist(WData, i<<12, 64, []uint64{i, i * 3}, i*100)
+			if seal && i%10 == 9 {
+				n.SealDurable(i/10, i*100)
+			}
+		}
+		return n.Image()
+	}
+	imagesEqual(t, build(true), build(false))
+}
+
+func imagesEqual(t *testing.T, got, want *Image) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("image length %d, want %d", got.Len(), want.Len())
+	}
+	for _, a := range want.SortedAddrs() {
+		w, _ := want.Word(a)
+		g, ok := got.Word(a)
+		if !ok || g != w {
+			t.Fatalf("word %#x: got %#x (present %v), want %#x", a, g, ok, w)
+		}
+	}
+}

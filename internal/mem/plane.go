@@ -11,16 +11,17 @@ package mem
 //   - RAMPlane keeps the persisted word array in memory: a "power cut" is
 //     the in-process PowerCut probe, and recovery runs against the
 //     returned Image in the same process.
-//   - FilePlane additionally mirrors every committed word into an
+//   - store.FilePlane (internal/store, which this package does not
+//     import) additionally mirrors every committed word into an
 //     append/checkpoint file format under a directory, with an atomically
 //     renamed manifest per sealed epoch. A fresh process can open the
-//     directory cold after a real kill -9 and salvage it (LoadDir +
-//     recovery.SalvageDir).
+//     directory cold after a real kill -9 and salvage it (store.LoadDir +
+//     store.SalvageDir).
 //
 // These five methods are everything NVM calls. Apply mutates the persisted
 // array and Snapshot copies it out; PowerCut draws its fault-injection bit
 // flips on that copy, never on the plane. SealEpoch is the epoch-seal
-// persistence barrier: RAMPlane ignores it, FilePlane flushes and
+// persistence barrier: RAMPlane ignores it, store.FilePlane flushes and
 // publishes a new manifest.
 type DurablePlane interface {
 	// Apply records a committed word burst at addr (8-byte aligned).

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/diffcheck"
 	"repro/internal/fault"
-	"repro/internal/soak"
+	"repro/internal/store"
 )
 
 // A SIGKILL while the writer is parked on an announced boundary leaves
@@ -34,9 +34,9 @@ type milestone struct {
 func milestones(t *testing.T, seed int64) ([]milestone, int) {
 	t.Helper()
 	ffs := fault.NewFaultFS(fault.NewMemFS(), fault.DiskConfig{})
-	var d soak.Durable
+	var d store.Durable
 	var ms []milestone
-	err := soak.WriteStore(ffs, soak.DefaultParams("store", seed), func(point string, epoch uint64) {
+	err := store.WriteSoak(ffs, store.DefaultSoakParams("store", seed), func(point string, epoch uint64) {
 		d.Hit(point, epoch)
 		ms = append(ms, milestone{ops: ffs.Ops(), durable: d.Epoch})
 	})
@@ -88,7 +88,7 @@ func TestCrashSoakCompletes(t *testing.T) {
 	if d != nil {
 		t.Fatal(d)
 	}
-	want := uint64(soak.DefaultParams("", 99).Epochs)
+	want := uint64(store.DefaultSoakParams("", 99).Epochs)
 	for _, pt := range pts {
 		if pt.DurableEpoch != want || pt.RestoredEpoch != want {
 			t.Fatalf("%s: durable %d, restored %d, want %d", pt.State, pt.DurableEpoch, pt.RestoredEpoch, want)

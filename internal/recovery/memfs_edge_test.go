@@ -10,7 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/recovery"
-	"repro/internal/soak"
+	"repro/internal/store"
 )
 
 // buildMemStore writes a complete soak store onto an in-memory filesystem
@@ -20,11 +20,11 @@ import (
 func buildMemStore(t *testing.T) (*fault.MemFS, string, map[uint64]*mem.Table[uint64]) {
 	t.Helper()
 	mfs := fault.NewMemFS()
-	p := soak.Params{Dir: "store", Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
-	if err := soak.WriteStore(mfs, p, nil); err != nil {
-		t.Fatalf("WriteStore: %v", err)
+	p := store.SoakParams{Dir: "store", Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
+	if err := store.WriteSoak(mfs, p, nil); err != nil {
+		t.Fatalf("WriteSoak: %v", err)
 	}
-	return mfs, p.Dir, soak.Golden(p)
+	return mfs, p.Dir, store.SoakGolden(p)
 }
 
 // memStoreFiles classifies the store: checkpoint, sealed delta segments
@@ -195,7 +195,7 @@ func TestLoadDirEdgeCases(t *testing.T) {
 			dir = tc.mutate(t, mfs, dir)
 
 			// File layer: the DirReport must name the exact damage kind.
-			_, drep, lerr := mem.LoadDir(mfs, dir)
+			_, drep, lerr := store.LoadDir(mfs, dir)
 			if tc.dirKind == "" {
 				if len(drep.Damage) != 0 {
 					t.Fatalf("unexpected file damage: %+v", drep.Damage)
@@ -220,7 +220,7 @@ func TestLoadDirEdgeCases(t *testing.T) {
 			}
 
 			// Full stack: salvage-or-refuse through the same filesystem.
-			out, rep, err := recovery.SalvageDir(mfs, dir)
+			out, rep, err := store.SalvageDir(mfs, dir)
 			if tc.want != nil {
 				if !errors.Is(err, tc.want) {
 					t.Fatalf("error %v, want %v", err, tc.want)

@@ -131,9 +131,7 @@ func TestHistoryAndTimeTravel(t *testing.T) {
 // lines not written in every epoch show whether History counts a
 // fall-through read from an older epoch as a version of a newer one.
 func TestHistoryMatchesEpochDeltas(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.EpochSize = experiments.Smoke.EpochSize
-	experiments.Smoke.Machine(&cfg)
+	cfg := experiments.Smoke.Config()
 	cfg.RetainEpochs = true
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

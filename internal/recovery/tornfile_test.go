@@ -11,7 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/recovery"
-	"repro/internal/soak"
+	"repro/internal/store"
 )
 
 // buildStore writes a complete soak store in-process and returns its
@@ -26,11 +26,11 @@ import (
 func buildStore(t *testing.T) (string, map[uint64]*mem.Table[uint64]) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
-	p := soak.Params{Dir: dir, Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
-	if err := soak.WriteStore(fault.OS, p, nil); err != nil {
-		t.Fatalf("WriteStore: %v", err)
+	p := store.SoakParams{Dir: dir, Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
+	if err := store.WriteSoak(fault.OS, p, nil); err != nil {
+		t.Fatalf("WriteSoak: %v", err)
 	}
-	return dir, soak.Golden(p)
+	return dir, store.SoakGolden(p)
 }
 
 // storeFiles classifies the directory: checkpoint, sealed delta segments
@@ -226,7 +226,7 @@ func TestTornFileCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, golden := buildStore(t)
 			tc.mutate(t, dir)
-			out, rep, err := recovery.SalvageDir(fault.OS, dir)
+			out, rep, err := store.SalvageDir(fault.OS, dir)
 			if tc.want != nil {
 				if err == nil {
 					t.Fatalf("salvage succeeded (restored %d), want %v", rep.RestoredEpoch, tc.want)
@@ -272,7 +272,7 @@ func TestTornFileCorruption(t *testing.T) {
 // sealed epoch surfaced in the report.
 func TestSalvageDirCleanStore(t *testing.T) {
 	dir, golden := buildStore(t)
-	out, rep, err := recovery.SalvageDir(fault.OS, dir)
+	out, rep, err := store.SalvageDir(fault.OS, dir)
 	if err != nil {
 		t.Fatalf("SalvageDir: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestSalvageDirCleanStore(t *testing.T) {
 
 // TestSalvageDirEmptyDir: an empty directory refuses like an empty image.
 func TestSalvageDirEmptyDir(t *testing.T) {
-	_, rep, err := recovery.SalvageDir(fault.OS, t.TempDir())
+	_, rep, err := store.SalvageDir(fault.OS, t.TempDir())
 	if !errors.Is(err, recovery.ErrUnrecoverable) {
 		t.Fatalf("error %v, want ErrUnrecoverable", err)
 	}
@@ -302,5 +302,5 @@ func TestSalvageDirEmptyDir(t *testing.T) {
 	if !rep.Refused {
 		t.Fatal("refusal not marked")
 	}
-	_ = mem.FileFormatVersion // anchor: format version is part of the contract
+	_ = store.FileFormatVersion // anchor: format version is part of the contract
 }

@@ -76,12 +76,6 @@ type Config struct {
 	// so faulted runs replay from the workload seed alone.
 	FaultClass string
 
-	// Durable store. StoreDir, when non-empty, backs the NVM content plane
-	// with the append/checkpoint file format under that directory (a fresh
-	// one; drivers refuse an existing store). Empty attaches no file plane:
-	// runs are byte-identical to pre-file-plane behaviour.
-	StoreDir string
-
 	// Obs, when non-nil, receives the run's structured event stream
 	// (internal/obs sits below sim in the dependency tower, so pointing at
 	// it from here creates no cycle). Components cache the bus at

@@ -1,4 +1,14 @@
-package mem
+// Package store is the file-backed durable store, the one package that
+// knows its on-disk format: FilePlane, a mem.DurablePlane over an
+// append/checkpoint directory; LoadDir and SalvageDir, its cold readers;
+// Run, the one run of a simulated cell onto a store; and WriteSoak, the
+// seeded writer the crash-consistency sweep drives, with Durable and
+// SoakGolden, which turn its announcements into the epoch a crash must not
+// lose and replay its history into the image each epoch must restore to.
+// The writer and the golden model share only the PRNG stream and the
+// directory. Every file operation goes through the fault.FS seam; the
+// simulator packages do not import store and see only mem.DurablePlane.
+package store
 
 import (
 	"bufio"
@@ -7,6 +17,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -31,7 +42,7 @@ import (
 //     stops referencing them is durable.
 //
 // All records reuse the repository's checksummed word-record encoding
-// (RecordCheck / ValidRecord), serialised little-endian.
+// (mem.RecordCheck / mem.ValidRecord), serialised little-endian.
 //
 // Every filesystem operation goes through the fault.FS seam: production
 // runs over fault.OS, the crash-consistency sweep over a MemFS wrapped in
@@ -60,8 +71,8 @@ const (
 	maxDeltaWords = 1 << 16
 
 	// DefaultCheckpointEvery is the checkpoint cadence (epoch seals per
-	// base-image rewrite) of the store a run with sim.Config.StoreDir
-	// writes; nvbench -exp fileplane uses it too.
+	// base-image rewrite) of the store Run writes; nvbench -exp fileplane
+	// uses it too.
 	DefaultCheckpointEvery = 8
 
 	manifestName = "MANIFEST"
@@ -78,13 +89,13 @@ func DeltaFileName(seq int) string { return fmt.Sprintf("delta-%06d.log", seq) }
 // CheckpointFileName returns the checkpoint file name for a sequence number.
 func CheckpointFileName(seq int) string { return fmt.Sprintf("checkpoint-%06d.img", seq) }
 
-// FilePlane is the file-backed DurablePlane implementation. It keeps the
-// live word array in RAM (Snapshot stays cheap) and mirrors every
-// committed burst into the active delta segment.
+// FilePlane is the file-backed mem.DurablePlane implementation. It keeps the
+// live word array in RAM, an Image (Snapshot stays cheap), and mirrors
+// every committed burst into the active delta segment.
 type FilePlane struct {
-	fsys fault.FS
-	dir  string
-	ram  *RAMPlane
+	fsys   fault.FS
+	dir    string
+	mirror *mem.Image
 
 	seg       *retryFile
 	w         *bufio.Writer
@@ -110,7 +121,7 @@ type FilePlane struct {
 // OpenFilePlane creates a fresh durable store in dir (created if needed)
 // of fsys; production runs pass fault.OS. It refuses a directory that
 // already holds a manifest or delta segments: writers always start clean,
-// recovery of an old store goes through LoadDir / recovery.SalvageDir.
+// recovery of an old store goes through LoadDir / SalvageDir.
 // checkpointEvery is the number of epoch seals per base-image rewrite.
 func OpenFilePlane(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
@@ -121,16 +132,14 @@ func OpenFilePlane(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, 
 		return nil, fmt.Errorf("mem: store dir: %w", err)
 	}
 	for _, name := range names {
-		switch {
-		case name == manifestName, isDeltaName(name), isCkptName(name):
+		if _, delta := deltaSeq(name); delta || name == manifestName || isCkptName(name) {
 			return nil, fmt.Errorf("mem: store dir %s already holds %s; refusing to overwrite an existing store", dir, name)
 		}
 	}
 	p := &FilePlane{
 		fsys:      fsys,
 		dir:       dir,
-		ram:       NewRAMPlane(),
-		seq:       0,
+		mirror:    mem.NewImage(),
 		ckptSeq:   -1,
 		ckptEvery: checkpointEvery,
 		scratch:   make([]byte, 8),
@@ -141,10 +150,11 @@ func OpenFilePlane(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, 
 	return p, nil
 }
 
-func isDeltaName(name string) bool {
-	var seq int
+// deltaSeq parses a delta segment file name; ok is false for any other
+// name.
+func deltaSeq(name string) (seq int, ok bool) {
 	_, err := fmt.Sscanf(name, "delta-%06d.log", &seq)
-	return err == nil && filepath.Ext(name) == ".log"
+	return seq, err == nil && filepath.Ext(name) == ".log"
 }
 
 func isCkptName(name string) bool {
@@ -204,15 +214,17 @@ func (p *FilePlane) putWord(w *bufio.Writer, v uint64) {
 	}
 }
 
-// Apply implements DurablePlane: mirror to RAM, append a checksummed
+// Apply implements mem.DurablePlane: mirror to RAM, append a checksummed
 // word-burst record to the active delta segment.
 func (p *FilePlane) Apply(addr uint64, words []uint64) {
-	p.ram.Apply(addr, words)
+	for i, v := range words {
+		p.mirror.Put(addr+uint64(i*8), v)
+	}
 	if p.err != nil {
 		return
 	}
 	header := []uint64{FileDeltaMagic, addr, uint64(len(words))}
-	check := RecordCheck(append(header, words...))
+	check := mem.RecordCheck(append(header, words...))
 	for _, v := range header {
 		p.putWord(p.w, v)
 	}
@@ -223,7 +235,7 @@ func (p *FilePlane) Apply(addr uint64, words []uint64) {
 	p.recsInSeg++
 }
 
-// SealEpoch implements DurablePlane: terminate and fsync the active
+// SealEpoch implements mem.DurablePlane: terminate and fsync the active
 // segment, periodically rewrite the base checkpoint, atomically publish a
 // new manifest (temp + rename + parent-directory fsync), then open the
 // next segment. Obsolete segments and checkpoints are removed only after
@@ -243,7 +255,7 @@ func (p *FilePlane) SealEpoch(epoch uint64) {
 		p.sealedEpoch = epoch
 	}
 	seal := []uint64{FileSealMagic, epoch, p.recsInSeg}
-	check := RecordCheck(seal)
+	check := mem.RecordCheck(seal)
 	for _, v := range seal {
 		p.putWord(p.w, v)
 	}
@@ -319,18 +331,18 @@ func (p *FilePlane) writeCheckpoint(seq int) error {
 	}
 	rf := &retryFile{f: f, p: p}
 	w := bufio.NewWriterSize(rf, 1<<16)
-	addrs := sortedWordAddrs(p.ram.words)
+	addrs := p.mirror.SortedAddrs()
 	header := []uint64{FileCkptMagic, FileFormatVersion, p.sealedEpoch, uint64(len(addrs))}
 	for _, v := range header {
 		p.putWord(w, v)
 	}
-	p.putWord(w, RecordCheck(header))
+	p.putWord(w, mem.RecordCheck(header))
 	digest := ckptDigestSeed
 	for _, a := range addrs {
-		v, _ := p.ram.words.Get(a >> 3)
+		v, _ := p.mirror.Word(a)
 		p.putWord(w, a)
 		p.putWord(w, v)
-		digest = PairMix(PairMix(digest, a), v)
+		digest = mem.PairMix(mem.PairMix(digest, a), v)
 	}
 	p.putWord(w, digest)
 	if p.err != nil {
@@ -377,7 +389,7 @@ func (p *FilePlane) writeManifest(epoch uint64) error {
 		uint64(p.segBase),
 		uint64(p.segCount),
 	}
-	words = append(words, RecordCheck(words))
+	words = append(words, mem.RecordCheck(words))
 	tmp := filepath.Join(p.dir, manifestTemp)
 	f, err := p.fsys.Create(tmp)
 	if err != nil {
@@ -410,13 +422,13 @@ func (p *FilePlane) writeManifest(epoch uint64) error {
 	return nil
 }
 
-// Durable implements DurablePlane.
+// Durable implements mem.DurablePlane.
 func (p *FilePlane) Durable() bool { return true }
 
-// Snapshot implements DurablePlane.
-func (p *FilePlane) Snapshot() *Image { return p.ram.Snapshot() }
+// Snapshot implements mem.DurablePlane.
+func (p *FilePlane) Snapshot() *mem.Image { return p.mirror.Clone() }
 
-// Close implements DurablePlane: flush and close the active segment
+// Close implements mem.DurablePlane: flush and close the active segment
 // without sealing it (durability is defined by sealed epochs, and a
 // clean Close is indistinguishable from a kill right after it — exactly
 // the guarantee the soak verifies). After a permanent write failure the

@@ -1,4 +1,4 @@
-package mem
+package store
 
 import (
 	"os"
@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
+	"repro/internal/mem"
 )
 
 // applyBurst writes a deterministic burst pattern for epoch e.
-func applyBurst(p DurablePlane, e uint64, n int) {
+func applyBurst(p mem.DurablePlane, e uint64, n int) {
 	for i := 0; i < n; i++ {
 		addr := uint64(i%7) << 12
 		p.Apply(addr, []uint64{e<<32 | uint64(i), e ^ uint64(i)})
@@ -27,7 +27,7 @@ func openTestPlane(t *testing.T, every int) (*FilePlane, string) {
 	return p, dir
 }
 
-func reload(t *testing.T, dir string) (*Image, *DirReport) {
+func reload(t *testing.T, dir string) (*mem.Image, *DirReport) {
 	t.Helper()
 	img, rep, err := LoadDir(fault.OS, dir)
 	if err != nil {
@@ -36,7 +36,7 @@ func reload(t *testing.T, dir string) (*Image, *DirReport) {
 	return img, rep
 }
 
-func imagesEqual(t *testing.T, got, want *Image) {
+func imagesEqual(t *testing.T, got, want *mem.Image) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("image length %d, want %d", got.Len(), want.Len())
@@ -152,23 +152,4 @@ func TestLoadDirMissing(t *testing.T) {
 	if rep.Fatal != "store-missing" {
 		t.Fatalf("fatal %q, want store-missing", rep.Fatal)
 	}
-}
-
-// TestNVMSealDurableRAMNoop: on a RAM plane SealDurable must not perturb
-// the device at all — the in-memory image with seal barriers sprinkled in
-// is byte-identical to one without.
-func TestNVMSealDurableRAMNoop(t *testing.T) {
-	build := func(seal bool) *Image {
-		cfg := sim.DefaultConfig()
-		n := NewNVM(&cfg)
-		n.AttachPlane(NewRAMPlane())
-		for i := uint64(0); i < 40; i++ {
-			n.Persist(WData, i<<12, 64, []uint64{i, i * 3}, i*100)
-			if seal && i%10 == 9 {
-				n.SealDurable(i/10, i*100)
-			}
-		}
-		return n.Image()
-	}
-	imagesEqual(t, build(true), build(false))
 }

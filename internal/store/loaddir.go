@@ -1,4 +1,4 @@
-package mem
+package store
 
 import (
 	"bufio"
@@ -11,11 +11,12 @@ import (
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/mem"
 )
 
 // FileDamage records one piece of evidence LoadDir found while replaying a
 // store directory cold. Kinds mirror the image-level salvage damage
-// vocabulary but are file-scoped; recovery.SalvageDir prefixes them with
+// vocabulary but are file-scoped; SalvageDir prefixes them with
 // "file-" when merging into a SalvageReport.
 type FileDamage struct {
 	Kind string `json:"kind"`
@@ -57,7 +58,7 @@ var errReplayStop = errors.New("replay stopped")
 
 // LoadDir opens a store directory of fsys cold — typically in a fresh
 // process after the writer was killed — and replays manifest → checkpoint
-// → delta segments into an Image of the persisted word array. fault.OS
+// → delta segments into a mem.Image of the persisted word array. fault.OS
 // reads a real directory; the crash-consistency sweep passes the surviving
 // state of an in-memory store.
 //
@@ -67,7 +68,7 @@ var errReplayStop = errors.New("replay stopped")
 // Fatal returns (nil image) happen only when no trustworthy base exists:
 // the manifest is corrupt, from a future format, or references a
 // checkpoint that is missing or fails its digest.
-func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
+func LoadDir(fsys fault.FS, dir string) (*mem.Image, *DirReport, error) {
 	rep := &DirReport{CheckpointSeq: -1}
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -75,8 +76,7 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 		rep.addDamage("store-missing", dir, "cannot read store directory")
 		return nil, rep, fmt.Errorf("mem: open store: %w", err)
 	}
-	maxDelta, haveDelta := -1, false
-	haveCkpt := false
+	maxDelta, haveCkpt := -1, false // maxDelta -1: no delta segment
 	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
 			// An interrupted temp write: the rename never happened, so the
@@ -84,16 +84,10 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 			rep.addDamage("stale-temp", name, "interrupted temp-file write; ignored")
 			continue
 		}
-		if isDeltaName(name) {
-			haveDelta = true
-			var seq int
-			if _, err := fmt.Sscanf(name, "delta-%06d.log", &seq); err == nil && seq > maxDelta {
-				maxDelta = seq
-			}
+		if seq, ok := deltaSeq(name); ok {
+			maxDelta = max(maxDelta, seq)
 		}
-		if isCkptName(name) {
-			haveCkpt = true
-		}
+		haveCkpt = haveCkpt || isCkptName(name)
 	}
 
 	raw, err := fsys.ReadFile(filepath.Join(dir, manifestName))
@@ -107,8 +101,8 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 			rep.addDamage("manifest-missing", manifestName, "sealed store state present but manifest destroyed")
 			return nil, rep, errors.New("mem: manifest missing from non-empty store")
 		}
-		img := NewImage()
-		if haveDelta {
+		img := mem.NewImage()
+		if maxDelta >= 0 {
 			n, _, err := replaySegment(fsys, filepath.Join(dir, DeltaFileName(0)), img, false, rep)
 			if err != nil && !errors.Is(err, errReplayStop) {
 				return nil, rep, err
@@ -130,7 +124,7 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	for i := range m {
 		m[i] = binary.LittleEndian.Uint64(raw[i*8:])
 	}
-	if !ValidRecord(m, FileManifestMagic) {
+	if !mem.ValidRecord(m, FileManifestMagic) {
 		rep.Fatal = "manifest-corrupt"
 		rep.addDamage("manifest-corrupt", manifestName, "checksum or magic mismatch")
 		return nil, rep, errors.New("mem: manifest corrupt: checksum mismatch")
@@ -149,7 +143,7 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 		return nil, rep, errors.New("mem: manifest corrupt: implausible sequence numbers")
 	}
 
-	img := NewImage()
+	img := mem.NewImage()
 	if ckptSeq >= 0 {
 		name := CheckpointFileName(ckptSeq)
 		if err := replayCheckpoint(fsys, filepath.Join(dir, name), img); err != nil {
@@ -209,7 +203,7 @@ func LoadDir(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 // segment a torn tail is normal kill -9 evidence (active-torn) and the
 // valid prefix is kept. Returns the record count and whether a seal record
 // terminated the segment.
-func replaySegment(fsys fault.FS, path string, img *Image, sealed bool, rep *DirReport) (int, bool, error) {
+func replaySegment(fsys fault.FS, path string, img *mem.Image, sealed bool, rep *DirReport) (int, bool, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -250,12 +244,12 @@ loop:
 				break loop
 			}
 			rec := append(header, body...)
-			if !ValidRecord(rec, FileDeltaMagic) {
+			if !mem.ValidRecord(rec, FileDeltaMagic) {
 				torn("delta record checksum mismatch")
 				break loop
 			}
 			for i, v := range body[:n] {
-				img.put(addr+uint64(i*8), v)
+				img.Put(addr+uint64(i*8), v)
 			}
 			recs++
 		case FileSealMagic:
@@ -265,7 +259,7 @@ loop:
 				break loop
 			}
 			rec := append(header, body...)
-			if !ValidRecord(rec, FileSealMagic) {
+			if !mem.ValidRecord(rec, FileSealMagic) {
 				torn("seal record checksum mismatch")
 				break loop
 			}
@@ -296,7 +290,7 @@ loop:
 // checksum and the running digest over all (addr, word) pairs. Any
 // mismatch is an error: a checkpoint is all-or-nothing, there is no older
 // state underneath it to fall back on.
-func replayCheckpoint(fsys fault.FS, path string, img *Image) error {
+func replayCheckpoint(fsys fault.FS, path string, img *mem.Image) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
@@ -311,7 +305,7 @@ func replayCheckpoint(fsys fault.FS, path string, img *Image) error {
 	if err != nil {
 		return fail(fmt.Sprintf("torn header: %v", err))
 	}
-	if !ValidRecord(header, FileCkptMagic) {
+	if !mem.ValidRecord(header, FileCkptMagic) {
 		return fail("header checksum mismatch")
 	}
 	if header[1] != FileFormatVersion {
@@ -330,8 +324,8 @@ func replayCheckpoint(fsys fault.FS, path string, img *Image) error {
 		if pair[0]&7 != 0 {
 			return fail("misaligned word address")
 		}
-		img.put(pair[0], pair[1])
-		digest = PairMix(PairMix(digest, pair[0]), pair[1])
+		img.Put(pair[0], pair[1])
+		digest = mem.PairMix(mem.PairMix(digest, pair[0]), pair[1])
 	}
 	trailer, err := readWords(r, 1)
 	if err != nil {

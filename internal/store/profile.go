@@ -1,4 +1,4 @@
-package experiments
+package store
 
 import (
 	"fmt"
@@ -6,12 +6,11 @@ import (
 	"path/filepath"
 
 	"repro/internal/fault"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
 // FilePlaneStats summarizes one file-backed durable-plane profile: a seeded
-// write/seal loop against mem.FilePlane followed by a cold LoadDir reopen
+// write/seal loop against FilePlane followed by a cold LoadDir reopen
 // in the same process. Every field is a deterministic function of the
 // parameters — no wall-clock, no directory listing order — so the -json
 // export diffs cleanly across runs and machines; wall-clock throughput for
@@ -38,7 +37,7 @@ type FilePlaneStats struct {
 // fails instead — also when BenchmarkFileSealFaulted runs it over a
 // fault-injecting in-memory store to price the retry policy.
 func FilePlaneProfile(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery int, seed int64) (FilePlaneStats, error) {
-	plane, err := mem.OpenFilePlane(fsys, dir, ckptEvery)
+	plane, err := OpenFilePlane(fsys, dir, ckptEvery)
 	if err != nil {
 		return FilePlaneStats{}, err
 	}
@@ -63,7 +62,7 @@ func FilePlaneProfile(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery int
 		return FilePlaneStats{}, err
 	}
 
-	img, drep, err := mem.LoadDir(fsys, dir)
+	img, drep, err := LoadDir(fsys, dir)
 	if err != nil {
 		return FilePlaneStats{}, err
 	}

@@ -1,4 +1,4 @@
-package mem
+package store
 
 import (
 	"errors"
@@ -47,11 +47,7 @@ var ErrPlaneWounded = errors.New("mem: durable plane wounded; store is read-only
 // deployment translating ticks to sleeps) sees the intended exponential
 // shape.
 func backoffTicks(attempt int) uint64 {
-	t := uint64(1) << uint(attempt-1)
-	if t > retryBackoffCap {
-		return retryBackoffCap
-	}
-	return t
+	return min(uint64(1)<<uint(attempt-1), retryBackoffCap)
 }
 
 // retryFile adapts one fault.File with the transient-retry policy. It has

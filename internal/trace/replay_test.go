@@ -48,8 +48,9 @@ func TestDriverStopsMidOp(t *testing.T) {
 	}
 }
 
-// TestDriverProgressClamped locks the progress-callback fix: the ratio
-// reported to the NVM never exceeds 1.0 even when issued passes target.
+// TestDriverProgressClamped locks the progress reported to the NVM inside
+// [0, 1]: a run whose 7-access final op straddles the bound ends at
+// exactly 1.0, because the driver stops mid-op instead of passing target.
 func TestDriverProgressClamped(t *testing.T) {
 	c := cfg()
 	d := NewDriver(c, newFixedScheme(c, 1), &burstWorkload{lines: 7}, 100)
@@ -60,9 +61,10 @@ func TestDriverProgressClamped(t *testing.T) {
 	if got := d.progress(); got != 0.99 {
 		t.Fatalf("progress at 99/100 = %v", got)
 	}
-	d.issued = 107 // a 7-access op that overshot the bound
+	d.issued = 0
+	d.Run()
 	if got := d.progress(); got != 1.0 {
-		t.Fatalf("progress past target = %v, want clamp to 1.0", got)
+		t.Fatalf("progress after a run that straddles the bound = %v, want 1.0", got)
 	}
 	d.target = 0
 	if got := d.progress(); got != 0 {
