@@ -17,14 +17,106 @@ const (
 var artSizes = [4]int{56, 160, 656, 2064}
 var artCaps = [4]int{4, 16, 48, 256}
 
+// artNode is a leaf (in nil) or an inner node.
 type artNode struct {
-	addr     uint64
-	kind     int
-	children map[byte]*artNode
+	addr uint64
+	in   *artInner
 	// leaf payload
-	isLeaf bool
-	key    uint64
-	val    uint64
+	key uint64
+	val uint64
+}
+
+// artInner holds an inner node's children in its kind's layout: Node4 and
+// Node16 keep the key bytes of kids[:n] in keys, ascending; Node48 maps a
+// key byte to 1 + its slot in kids through index (0: absent); Node256
+// indexes kids by key byte.
+type artInner struct {
+	kind  int
+	n     int
+	keys  [16]byte
+	index *[256]byte
+	kids  []*artNode
+}
+
+// artInnerNode allocates an inner node and its header together.
+type artInnerNode struct {
+	node artNode
+	in   artInner
+}
+
+// child returns the child under key byte b, nil when absent.
+func (in *artInner) child(b byte) *artNode {
+	switch in.kind {
+	case artNode4, artNode16:
+		for i, k := range in.keys[:in.n] {
+			if k == b {
+				return in.kids[i]
+			}
+		}
+		return nil
+	case artNode48:
+		if s := in.index[b]; s != 0 {
+			return in.kids[s-1]
+		}
+		return nil
+	default:
+		return in.kids[b]
+	}
+}
+
+// put sets the child under key byte b, adding it when absent; a node that
+// gains a child has room for it (grow ran first).
+func (in *artInner) put(b byte, c *artNode) {
+	switch in.kind {
+	case artNode4, artNode16:
+		i := 0
+		for i < in.n && in.keys[i] < b {
+			i++
+		}
+		if i < in.n && in.keys[i] == b {
+			in.kids[i] = c
+			return
+		}
+		copy(in.keys[i+1:in.n+1], in.keys[i:in.n])
+		copy(in.kids[i+1:in.n+1], in.kids[i:in.n])
+		in.keys[i], in.kids[i] = b, c
+	case artNode48:
+		if s := in.index[b]; s != 0 {
+			in.kids[s-1] = c
+			return
+		}
+		in.kids[in.n] = c
+		in.index[b] = byte(in.n + 1)
+	default:
+		old := in.kids[b]
+		in.kids[b] = c
+		if old != nil {
+			return
+		}
+	}
+	in.n++
+}
+
+// forEach visits every child with its key byte.
+func (in *artInner) forEach(fn func(b byte, c *artNode)) {
+	switch in.kind {
+	case artNode4, artNode16:
+		for i, k := range in.keys[:in.n] {
+			fn(k, in.kids[i])
+		}
+	case artNode48:
+		for b, s := range in.index {
+			if s != 0 {
+				fn(byte(b), in.kids[s-1])
+			}
+		}
+	default:
+		for b, c := range in.kids {
+			if c != nil {
+				fn(byte(b), c)
+			}
+		}
+	}
 }
 
 // ART is an adaptive radix tree over 8-byte big-endian keys (no path
@@ -47,15 +139,19 @@ func NewART(h *trace.Heap) *ART {
 }
 
 func (t *ART) newNode(kind int) *artNode {
-	return &artNode{
-		addr:     t.h.Alloc(artSizes[kind]),
-		kind:     kind,
-		children: make(map[byte]*artNode),
+	x := &artInnerNode{}
+	x.node.addr = t.h.Alloc(artSizes[kind])
+	x.node.in = &x.in
+	x.in.kind = kind
+	x.in.kids = make([]*artNode, artCaps[kind])
+	if kind == artNode48 {
+		x.in.index = new([256]byte)
 	}
+	return &x.node
 }
 
 func (t *ART) newLeaf(key, val uint64) *artNode {
-	return &artNode{addr: t.h.Alloc(24), isLeaf: true, key: key, val: val}
+	return &artNode{addr: t.h.Alloc(24), key: key, val: val}
 }
 
 func keyByte(key uint64, depth int) byte {
@@ -67,13 +163,13 @@ func keyByte(key uint64, depth int) byte {
 // child index first, Node256 reads the slot directly.
 func (t *ART) findChild(n *artNode, b byte) *artNode {
 	t.h.Load(n.addr) // header
-	switch n.kind {
+	switch n.in.kind {
 	case artNode4, artNode16:
 		t.h.Load(n.addr + 16) // key array
 	case artNode48:
 		t.h.Load(n.addr + 16 + uint64(b))
 	}
-	child := n.children[b]
+	child := n.in.child(b)
 	if child != nil {
 		t.h.Load(n.addr + 32 + uint64(b%32)*8) // pointer slot
 	}
@@ -83,14 +179,15 @@ func (t *ART) findChild(n *artNode, b byte) *artNode {
 // grow promotes a full node to the next kind, copying its contents (the
 // load/store burst of an ART node growth).
 func (t *ART) grow(n *artNode) *artNode {
-	if len(n.children) < artCaps[n.kind] || n.kind == artNode256 {
+	kind := n.in.kind
+	if n.in.n < artCaps[kind] || kind == artNode256 {
 		return n
 	}
 	t.Grows++
-	bigger := t.newNode(n.kind + 1)
-	bigger.children = n.children
-	t.h.LoadRange(n.addr, artSizes[n.kind])
-	t.h.StoreRange(bigger.addr, artSizes[n.kind+1])
+	bigger := t.newNode(kind + 1)
+	n.in.forEach(bigger.in.put)
+	t.h.LoadRange(n.addr, artSizes[kind])
+	t.h.StoreRange(bigger.addr, artSizes[kind+1])
 	return bigger
 }
 
@@ -108,25 +205,25 @@ func (t *ART) insert(n *artNode, key, val uint64, depth int) *artNode {
 		leaf := t.newLeaf(key, val)
 		t.h.Store(leaf.addr)
 		n = t.grow(n)
-		n.children[b] = leaf
+		n.in.put(b, leaf)
 		t.h.Store(n.addr + 32 + uint64(b%32)*8)
 		t.h.Store(n.addr)
 		t.size++
 		return n
 	}
-	if child.isLeaf {
+	if child.in == nil {
 		t.h.Load(child.addr)
 		if child.key == key {
 			t.h.Store(child.addr + 16)
 			child.val = val
 			return n
 		}
-		n.children[b] = t.splitLeaf(child, key, val, depth+1)
+		n.in.put(b, t.splitLeaf(child, key, val, depth+1))
 		t.h.Store(n.addr + 32 + uint64(b%32)*8)
 		t.size++
 		return n
 	}
-	n.children[b] = t.insert(child, key, val, depth+1)
+	n.in.put(b, t.insert(child, key, val, depth+1))
 	return n
 }
 
@@ -141,15 +238,15 @@ func (t *ART) splitLeaf(old *artNode, key, val uint64, depth int) *artNode {
 	for d < 7 && keyByte(old.key, d) == keyByte(key, d) {
 		next := t.newNode(artNode4)
 		t.h.StoreRange(next.addr, artSizes[artNode4])
-		node.children[keyByte(key, d)] = next
+		node.in.put(keyByte(key, d), next)
 		t.h.Store(node.addr + 32)
 		node = next
 		d++
 	}
-	node.children[keyByte(old.key, d)] = old
+	node.in.put(keyByte(old.key, d), old)
 	leaf := t.newLeaf(key, val)
 	t.h.Store(leaf.addr)
-	node.children[keyByte(key, d)] = leaf
+	node.in.put(keyByte(key, d), leaf)
 	t.h.Store(node.addr + 32)
 	return top
 }
@@ -161,7 +258,7 @@ func (t *ART) Get(key uint64) (uint64, bool) {
 		if n == nil {
 			return 0, false
 		}
-		if n.isLeaf {
+		if n.in == nil {
 			t.h.Load(n.addr)
 			if n.key == key {
 				return n.val, true

@@ -2,22 +2,30 @@ package omc
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
 // FuzzRadixMapping differentially tests the five-level radix Table against
 // a flat map. The fuzz input is decoded as a stream of (op, addr, val)
-// records, an even op inserting and an odd one looking up, over a
-// deliberately small address space (a few pages, so leaves and slots
-// collide constantly); after every operation the table's return values
-// must match the shadow's, and at the end the full iteration order and
-// entry count must agree.
+// records over a deliberately small address space (a few pages, so leaves
+// and slots collide constantly). op%3 picks the operation: 0 inserts, 1
+// looks up, and 2 releases the table onto its slab and rebuilds it there
+// from the shadow in descending address order, so later inserts reuse
+// freed leaves and blocks and cross promotion inside a leaf again. After
+// every operation the table's return values must match the shadow's, and
+// at the end the full iteration order and entry count must agree.
 func FuzzRadixMapping(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 1, 2, 2, 1, 2})
 	f.Add([]byte{0, 0, 1, 0, 64, 2, 1, 0, 0, 2, 64, 0, 0, 255, 3})
 	f.Add([]byte{0, 10, 1, 0, 10, 2, 0, 10, 3, 1, 10, 0, 2, 10, 0, 2, 10, 0})
+	// Nine lines of one page (a promotion), a release, and lookups and
+	// inserts on the rebuilt leaf.
+	f.Add([]byte{0, 9, 1, 0, 1, 2, 0, 5, 3, 0, 3, 4, 0, 7, 5, 0, 2, 6, 0, 8, 7, 0, 4, 8, 0, 6, 9,
+		2, 0, 0, 1, 5, 0, 1, 0, 0, 0, 0, 10, 1, 0, 0, 2, 0, 0, 0, 11, 12, 1, 11, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		tbl := NewEpochTable()
+		nodes := new(nodeSlab)
+		tbl := newTable(nodes, nil, nil)
 		shadow := make(map[uint64]uint64)
 		for len(stream) >= 3 {
 			op, a, v := stream[0], stream[1], stream[2]
@@ -29,7 +37,7 @@ func FuzzRadixMapping(f *testing.F) {
 				addr = uint64(a-128)*64 + 1<<33
 			}
 			val := uint64(v) + 1 // Insert panics on zero values
-			switch op % 2 {
+			switch op % 3 {
 			case 0:
 				old, replaced := tbl.Insert(addr, val)
 				wantOld, wantReplaced := shadow[addr], false
@@ -46,6 +54,19 @@ func FuzzRadixMapping(f *testing.F) {
 				want, wok := shadow[addr]
 				if ok != wok || got != want {
 					t.Fatalf("Lookup(%#x) = (%d, %v), want (%d, %v)", addr, got, ok, want, wok)
+				}
+			case 2:
+				tbl.release()
+				tbl = newTable(nodes, nil, nil)
+				keys := make([]uint64, 0, len(shadow))
+				for a := range shadow {
+					keys = append(keys, a)
+				}
+				slices.Sort(keys)
+				for i := len(keys) - 1; i >= 0; i-- {
+					if _, replaced := tbl.Insert(keys[i], shadow[keys[i]]); replaced {
+						t.Fatalf("rebuild: Insert(%#x) replaced a mapping in a table built from released nodes", keys[i])
+					}
 				}
 			}
 			if tbl.Entries() != len(shadow) {

@@ -22,7 +22,7 @@ type OMC struct {
 
 	epochs   *mem.Table[*Table] // volatile per-epoch tables, unmerged
 	retained *mem.Table[*Table] // merged tables kept for time-travel reads
-	free     nodeFree           // nodes of merged, unretained tables
+	nodes    nodeSlab           // every table's radix nodes
 	master   *Table
 	pool     *Pool
 	buf      *Buffer
@@ -63,7 +63,7 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int) *OMC {
 	}
 	o.metaNext = MetaBase + uint64(id)*omcRegion
 	o.commitSeq = 1 // slot 0 is the genesis record
-	o.master = NewMasterTable(
+	o.master = newTable(&o.nodes,
 		o.allocMeta,
 		func(nvmAddr uint64, size int, word uint64) {
 			// Master Table mutations are persistent 8-byte writes; merge
@@ -94,14 +94,12 @@ func (o *OMC) allocMeta(size int) uint64 {
 // silently — durable once the bank's completion clock passes, torn or
 // lost at a power cut just like booked traffic.
 func (o *OMC) newEpochTable() *Table {
-	t := NewMasterTable(
+	return newTable(&o.nodes,
 		o.allocMeta,
 		func(nvmAddr uint64, size int, word uint64) {
 			o.nvm.PersistSilent(nvmAddr, []uint64{word}, o.now)
 		},
 	)
-	t.free = &o.free
-	return t
 }
 
 // ReceiveVersion accepts a snapshot line from the frontend at cycle now and
@@ -209,8 +207,11 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 	}
 	o.now = now
 	keep := o.nvm.HasPlane()
-	t.ForEach(func(lineAddr, nvmAddr uint64) {
-		if old, replaced := o.master.Insert(lineAddr, nvmAddr); replaced {
+	// One Master path walk per epoch leaf: the leaf's mappings all land in
+	// the same Master leaf, in the order Insert would write them.
+	var ml *leaf
+	store := func(lineAddr, nvmAddr uint64) {
+		if old, replaced := o.master.store(ml, lineAddr, nvmAddr); replaced {
 			// The unmapped version becomes stale; release unless retained
 			// for time travel.
 			if !o.cfg.RetainEpochs {
@@ -221,6 +222,10 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 			}
 			o.stat.IncAt(versionsUnmapped)
 		}
+	}
+	t.forEachLeaf(func(page uint64, lf *leaf) {
+		ml = o.master.leafFor(page)
+		lf.forEach(page, store)
 	})
 	// Seal the merged table: its record is what lets recovery walk back
 	// to this epoch when newer state turns out torn.

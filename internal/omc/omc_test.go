@@ -3,6 +3,7 @@ package omc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -409,35 +410,54 @@ func strided(n int, stride uint64) []uint64 {
 	return out
 }
 
+// allocBytes returns the mean number of heap bytes one call of f
+// allocates, over runs calls after a warm-up call, at GOMAXPROCS 1 as
+// testing.AllocsPerRun measures.
+func allocBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestMergedTableNodesRecycled guards the per-epoch node free list: with
 // RetainEpochs false a merged table's nodes build the later epochs'
 // tables, so after the first merges an epoch whose 16 versions sit in 16
-// distinct level-2 subtrees (three nodes each) allocates exactly as often
-// as one whose versions share a leaf. Retained tables keep their nodes,
-// and the same run shows that growth.
+// distinct level-2 subtrees (three nodes each) allocates about as many
+// bytes as one whose versions share a leaf. Nodes come from slab chunks,
+// so allocation counts cannot see them; bytes can, within the few hundred
+// bytes per epoch that other OMC state (sorted epoch lists, compaction
+// moves) varies by. Retained tables keep their nodes, and the same run
+// shows that growth: about 10 KB per epoch over 16 subtrees.
 func TestMergedTableNodesRecycled(t *testing.T) {
-	allocs := func(retain bool, addrs []uint64) float64 {
+	bytes := func(retain bool, addrs []uint64) float64 {
 		cfg := omcCfg()
 		cfg.RetainEpochs = retain
 		o := New(cfg, mem.NewNVM(cfg), 0)
 		e := uint64(3)
 		runEpochs(o, addrs, 0, e)
-		return testing.AllocsPerRun(5, func() {
+		return allocBytes(20, func() {
 			runEpochs(o, addrs, e, e+1)
 			e++
 		})
 	}
+	const slack = 1 << 10
 	narrow, wide := strided(16, 64), strided(16, 1<<30)
-	if n, w := allocs(false, narrow), allocs(false, wide); w != n {
-		t.Fatalf("an epoch over 16 subtrees made %v allocations, over one leaf %v: merged tables' nodes are not reused", w, n)
+	if n, w := bytes(false, narrow), bytes(false, wide); w > n+slack {
+		t.Fatalf("an epoch over 16 subtrees allocated %v B, over one leaf %v B: merged tables' nodes are not reused", w, n)
 	}
-	if n, w := allocs(true, narrow), allocs(true, wide); w <= n {
-		t.Fatalf("retaining, an epoch over 16 subtrees made %v allocations, over one leaf %v: the guard cannot see node allocation", w, n)
+	if n, w := bytes(true, narrow), bytes(true, wide); w <= n+slack {
+		t.Fatalf("retaining, an epoch over 16 subtrees allocated %v B, over one leaf %v B: the guard cannot see node allocation", w, n)
 	}
 }
 
 // TestRecycledNodesMatchFresh: reusing nodes moves no NVM home, slot write
-// or record. Two OMCs take the same versions; one empties its free list
+// or record. Two OMCs take the same versions; one starts a new node slab
 // before every epoch, so its tables are built from fresh nodes. The master
 // tables and every persisted word must match.
 func TestRecycledNodesMatchFresh(t *testing.T) {
@@ -450,11 +470,11 @@ func TestRecycledNodesMatchFresh(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = uint64(rng.Intn(1<<20)) << 6
 		}
-		fresh.free = nodeFree{}
+		fresh.nodes = nodeSlab{}
 		runEpochs(recycled, addrs, e-1, e)
 		runEpochs(fresh, addrs, e-1, e)
 	}
-	if len(recycled.free.inners) == 0 || len(recycled.free.leaves) == 0 {
+	if recycled.nodes.inners.FreeLen() == 0 || recycled.nodes.leaves.FreeLen() == 0 {
 		t.Fatal("no node reached the free list: the comparison shows nothing")
 	}
 	mr, mf := recycled.master, fresh.master

@@ -1,15 +1,18 @@
 package omc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 )
 
-// NewEpochTable returns a volatile per-epoch mapping table.
+// NewEpochTable returns a volatile per-epoch mapping table with a slab of
+// its own.
 func NewEpochTable() *Table {
-	return &Table{}
+	return newTable(new(nodeSlab), nil, nil)
 }
 
 func TestTableInsertLookup(t *testing.T) {
@@ -120,7 +123,7 @@ func TestTableBytesAndOccupancy(t *testing.T) {
 func TestMasterTablePersistAccounting(t *testing.T) {
 	var metaWrites int
 	var allocs int
-	tb := NewMasterTable(
+	tb := newTable(new(nodeSlab),
 		func(size int) uint64 { allocs++; return uint64(allocs) << 20 },
 		func(nvmAddr uint64, size int, word uint64) {
 			if size != 8 {
@@ -190,5 +193,117 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordedTable is a table whose node homes count up from a fixed base and
+// whose persisted words are logged in write order.
+type recordedTable struct {
+	*Table
+	writes []uint64 // (nvmAddr, word) pairs
+}
+
+func newRecordedTable(nodes *nodeSlab) *recordedTable {
+	rt := &recordedTable{}
+	next := uint64(1 << 32)
+	rt.Table = newTable(nodes,
+		func(size int) uint64 { a := next; next += uint64(size); return a },
+		func(nvmAddr uint64, size int, word uint64) { rt.writes = append(rt.writes, nvmAddr, word) })
+	return rt
+}
+
+// TestLeafPromotionReuseMatchesFresh fills one leaf in random slot order
+// across the leafPacked -> full-block boundary, and then the inline
+// children of one level-3 node across innerPacked, with replacements
+// mixed in. One table is built from fresh nodes; the other from a slab
+// whose leaf, blocks and inner nodes a released table of the same shape
+// (different values) left on the free list. After every insert both must
+// answer every Lookup as a map does, and at the end their ForEach order,
+// Entries, Digest and persisted words must be equal.
+func TestLeafPromotionReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var addrs []uint64
+	for _, s := range rng.Perm(leafFanout) {
+		addrs = append(addrs, 0x7000_0000+uint64(s)<<6)
+	}
+	for _, p := range rng.Perm(3 * innerPacked) {
+		addrs = append(addrs, 0x7020_0000+uint64(p)<<12+uint64(p%leafFanout)<<6)
+	}
+	for i := 0; i < 20; i++ { // replacements, inline and in blocks
+		addrs = append(addrs, addrs[rng.Intn(len(addrs))])
+	}
+
+	build := func(tb *recordedTable, salt uint64) map[uint64]uint64 {
+		oracle := map[uint64]uint64{}
+		for i, a := range addrs {
+			v := uint64(i+1)<<8 | salt
+			old, replaced := tb.Insert(a, v)
+			if want, had := oracle[a]; replaced != had || old != want {
+				t.Fatalf("insert %d (%#x): (%#x, %v), want (%#x, %v)", i, a, old, replaced, want, had)
+			}
+			oracle[a] = v
+			for _, b := range addrs[:i+1] {
+				if got, ok := tb.Lookup(b); !ok || got != oracle[b] {
+					t.Fatalf("after insert %d: Lookup(%#x) = (%#x, %v), want %#x", i, b, got, ok, oracle[b])
+				}
+			}
+			for _, miss := range []uint64{0x7000_0000 - 64, 0x7020_0000 + 63<<12, 0x7020_0000 + 1<<6} {
+				if _, ok := oracle[miss]; !ok {
+					if got, ok := tb.Lookup(miss); ok {
+						t.Fatalf("after insert %d: Lookup(%#x) = %#x for an unmapped line", i, miss, got)
+					}
+				}
+			}
+		}
+		return oracle
+	}
+
+	fresh := newRecordedTable(new(nodeSlab))
+	build(fresh, 0)
+
+	nodes := new(nodeSlab)
+	old := newRecordedTable(nodes)
+	build(old, 0xAB)
+	old.release()
+	if nodes.blocks.FreeLen() == 0 || nodes.innerBlocks.FreeLen() == 0 || nodes.leaves.FreeLen() == 0 {
+		t.Fatal("the released table left no leaf, block or inner block on the free list")
+	}
+	reused := newRecordedTable(nodes)
+	build(reused, 0)
+	if nodes.blocks.FreeLen() != 0 || nodes.innerBlocks.FreeLen() != 0 {
+		t.Fatal("the rebuilt table did not take the freed blocks")
+	}
+
+	var ef, er []uint64
+	fresh.ForEach(func(l, a uint64) { ef = append(ef, l, a) })
+	reused.ForEach(func(l, a uint64) { er = append(er, l, a) })
+	if !slices.Equal(ef, er) {
+		t.Fatalf("ForEach from reused nodes:\n%x\nfrom fresh nodes:\n%x", er, ef)
+	}
+	if fresh.Entries() != reused.Entries() || fresh.Digest() != reused.Digest() || fresh.Bytes() != reused.Bytes() {
+		t.Fatalf("reused %v digest %#x, fresh %v digest %#x", reused.Table, reused.Digest(), fresh.Table, fresh.Digest())
+	}
+	if !slices.Equal(fresh.writes, reused.writes) {
+		t.Fatal("persisted words from reused nodes differ from fresh nodes")
+	}
+}
+
+// TestEpochTableBytesPerPage guards the host layout: an epoch table with
+// one mapping on each of N pages allocates under 160 bytes per page, at N
+// and at 4N. A page costs an 88-byte leaf, its share of the slab's
+// geometric chunks, and 1/512 of a level-3 node. A leaf that takes the
+// simulated 512-byte layout (576 bytes allocated) fails it.
+func TestEpochTableBytesPerPage(t *testing.T) {
+	const maxPerPage = 160
+	for _, pages := range []int{1024, 4096} {
+		b := allocBytes(3, func() {
+			tb := NewEpochTable()
+			for p := 0; p < pages; p++ {
+				tb.Insert(uint64(p)<<12|uint64(p%leafFanout)<<6, uint64(p)+1)
+			}
+		})
+		if per := b / float64(pages); per > maxPerPage {
+			t.Fatalf("%d pages: %.0f B per page, want at most %d", pages, per, maxPerPage)
+		}
 	}
 }
